@@ -52,8 +52,6 @@ from .freespace import (
     free_besov,
     free_hardy,
     free_invert,
-    free_multiply,
-    free_norm,
     free_subspace_distance,
     row_contraction_inversion_report,
     sample_row_contraction,

@@ -5,9 +5,10 @@ sets. Three size measurements are provided and deliberately kept distinct:
 
 * `riesz_equilibrium`: discrete equilibrium measure minimizing the pairwise
   Riesz (alpha > 0) or logarithmic (alpha = 0) energy over the probability
-  simplex, solved by away-step conditional gradient with a reported
-  optimality gap. Capacity is 1/energy for alpha > 0 and exp(-energy) for
-  alpha = 0, which normalizes the full unit circle to capacity 1.
+  simplex, solved exactly by a primal active-set method on the KKT system
+  and certified by a reported optimality gap. Capacity is 1/energy for
+  alpha > 0 and exp(-energy) for alpha = 0, which normalizes the full unit
+  circle to capacity 1.
 * `neighborhood_capacity`: normalized surface measure of a metric
   neighborhood of the cloud. For a closed set the infimum of integrals of
   continuous majorants of its indicator collapses to the measure of the set
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.stats.qmc
+import scipy.linalg
+import scipy.special
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import (
@@ -277,6 +279,7 @@ class EquilibriumResult:
     alpha: float
     iterations: int
     kkt_gap: float
+    converged: bool
     note: str = ""
 
     def to_json(self) -> dict:
@@ -287,6 +290,7 @@ class EquilibriumResult:
             "alpha": self.alpha,
             "iterations": self.iterations,
             "kktGap": self.kkt_gap,
+            "converged": self.converged,
             "note": self.note,
         }
 
@@ -294,14 +298,30 @@ class EquilibriumResult:
 def _dedup_rows(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if len(pts) < 2:
         return pts
-    seen: dict[tuple, int] = {}
-    keep = []
-    for i, row in enumerate(pts):
-        key = tuple(np.round(row / tol) * tol)
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    return pts[keep]
+    # first occurrence of each row after rounding to the tol grid
+    _, first = np.unique(np.round(pts / tol) * tol, axis=0, return_index=True)
+    return pts[np.sort(first)]
+
+
+def _face_minimizer(kernel: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Minimizer of w^T K w over sum(w) = 1, w = 0 off `free`: K_S w = lambda * 1,
+    by Cholesky when K_S is positive definite, else (the log kernel is only
+    conditionally so) by LDL^T of the bordered system [K_S 1; 1^T 0]."""
+    idx = np.flatnonzero(free)
+    m, w = len(idx), np.zeros(len(kernel))
+    try:
+        # K_S is symmetric, so its transpose is Fortran-ordered and LAPACK copies nothing
+        factor = scipy.linalg.cho_factor(
+            kernel[np.ix_(idx, idx)].T, overwrite_a=True, check_finite=False
+        )
+        v = scipy.linalg.cho_solve(factor, np.ones(m), check_finite=False)
+        w[idx] = v / v.sum()
+    except np.linalg.LinAlgError:
+        bordered = np.ones((m + 1, m + 1))
+        bordered[:m, :m] = kernel[np.ix_(idx, idx)]
+        bordered[m, m] = 0.0
+        w[idx] = scipy.linalg.solve(bordered, np.eye(1, m + 1, m)[0], assume_a="sym")[:m]
+    return w
 
 
 def riesz_equilibrium(
@@ -318,9 +338,16 @@ def riesz_equilibrium(
     without this term the bare pairwise objective is minimized by piling
     everything onto two far-apart points, whereas with it the discrete
     minimum tracks the continuum equilibrium measure of the sampled set.
-    Away-step conditional gradient from the uniform start with exact line
-    search; the returned kkt_gap bounds the energy suboptimality, so every
-    vertex directional derivative at the returned weights is >= -kkt_gap.
+
+    Primal active set after Lawson and Hanson's NNLS, from uniform weights:
+    solve K_S w = lambda * 1, sum(w) = 1 on the free set S. If weights come
+    out negative, step toward that solution until the first weight hits
+    zero and drop every negative point at once, falling back to dropping
+    only the zeroed points if the bulk drop ends at a higher energy. Once
+    w >= 0, add every point whose gradient lies below the multiplier.
+    `iterations` counts KKT solves (at most max_iter). The returned kkt_gap
+    bounds the energy suboptimality, so every vertex directional derivative
+    at the returned weights is >= -kkt_gap; `converged` is kkt_gap <= tol.
     Duplicate points are merged; clouds with fewer than two distinct points
     get capacity 0 by convention (their energy is infinite) and are flagged
     in the note.
@@ -333,72 +360,65 @@ def riesz_equilibrium(
     n = len(pts)
     if n == 0:
         return EquilibriumResult(
-            np.zeros(0), math.inf, 0.0, alpha, 0, 0.0,
+            np.zeros(0), math.inf, 0.0, alpha, 0, 0.0, True,
             note="empty cloud: capacity 0 by convention",
         )
     if n == 1:
         return EquilibriumResult(
-            np.ones(1), math.inf, 0.0, alpha, 0, 0.0,
+            np.ones(1), math.inf, 0.0, alpha, 0, 0.0, True,
             note="singleton cloud: infinite energy, capacity 0 by convention",
         )
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    local_scale = dist.min(axis=1) / 2.0
-    np.fill_diagonal(dist, 1.0)
+    # squared distances one real coordinate at a time, summed in the same
+    # order as over a difference tensor; the kernel is then formed in place
+    kernel = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for coord in pts.T:
+        np.subtract.outer(coord, coord, out=diff)
+        diff *= diff
+        kernel += diff
+    del diff
+    np.sqrt(kernel, out=kernel)
+    np.fill_diagonal(kernel, np.inf)
+    local_scale = kernel.min(axis=1) / 2.0
+    np.fill_diagonal(kernel, 1.0)
     if alpha > 0:
-        kernel = dist ** (-alpha)
+        kernel **= -alpha
         np.fill_diagonal(kernel, local_scale ** (-alpha))
     else:
-        kernel = -np.log(dist)
+        np.log(kernel, out=kernel)
+        np.negative(kernel, out=kernel)
         np.fill_diagonal(kernel, -np.log(local_scale))
 
     w = np.full(n, 1.0 / n)
-    grad = 2.0 * (kernel @ w)
-    gap = 0.0
-    iterations = 0
+    free = np.ones(n, dtype=bool)
+    fallback = None  # free set of the plain step while a bulk drop is on trial
     for iterations in range(1, max_iter + 1):
-        i_fw = int(np.argmin(grad))
-        mean_grad = float(grad @ w)
-        gap = mean_grad - float(grad[i_fw])
-        if gap <= tol:
+        z = _face_minimizer(kernel, free)
+        negative = free & (z < 0)
+        if negative.any():
+            if fallback is None:
+                # the energy falls along the segment to z, so stepping to the
+                # first zero crossing is the guard that makes the loop end
+                idx = np.flatnonzero(negative)
+                ratio = w[idx] / (w[idx] - z[idx])
+                w += ratio.min() * (z - w)
+                w[idx[ratio == ratio.min()]] = 0.0
+                np.clip(w, 0.0, None, out=w)
+                step_energy = float(w @ kernel @ w)
+                fallback = free & ((w > 0) | ~negative)
+            free &= ~negative
+            fallback = None if np.array_equal(free, fallback) else fallback
+            continue
+        if fallback is not None and float(z @ kernel @ z) > step_energy:
+            free, fallback = fallback, None
+            continue
+        fallback, w = None, z
+        grad = 2.0 * (kernel @ w)
+        mu = float(grad @ w)
+        below = ~free & (grad < mu)
+        if mu - float(grad.min()) <= tol or not below.any():
             break
-        support = np.flatnonzero(w > 1e-15)
-        i_aw = int(support[np.argmax(grad[support])])
-        away_gap = float(grad[i_aw]) - mean_grad
-        if gap >= away_gap:
-            # toward vertex i_fw: direction e - w
-            kd = kernel[:, i_fw] - grad / 2.0
-            a = float(kd[i_fw] - kd @ w)
-            b = float(grad[i_fw]) - mean_grad
-            gamma_max = 1.0
-            toward = i_fw
-        else:
-            # away from vertex i_aw: direction w - e
-            kd = grad / 2.0 - kernel[:, i_aw]
-            a = float(kd @ w - kd[i_aw])
-            b = mean_grad - float(grad[i_aw])
-            w_a = float(w[i_aw])
-            gamma_max = w_a / (1.0 - w_a) if w_a < 1.0 else 1.0
-            toward = None
-        if a > 0:
-            gamma = min(max(-b / (2.0 * a), 0.0), gamma_max)
-        else:
-            gamma = gamma_max if b < 0 else 0.0
-        if gamma <= 0:
-            break
-        if toward is not None:
-            w *= 1.0 - gamma
-            w[toward] += gamma
-            grad = (1.0 - gamma) * grad + 2.0 * gamma * kernel[:, toward]
-        else:
-            w *= 1.0 + gamma
-            w[i_aw] -= gamma
-            grad = (1.0 + gamma) * grad - 2.0 * gamma * kernel[:, i_aw]
-        np.clip(w, 0.0, None, out=w)
-        if iterations % 256 == 0:
-            w /= w.sum()
-            grad = 2.0 * (kernel @ w)
+        free |= below
     w = np.clip(w, 0.0, None)
     w /= w.sum()
     grad = 2.0 * (kernel @ w)
@@ -408,17 +428,27 @@ def riesz_equilibrium(
         capacity = 1.0 / energy if energy > 0 else math.inf
     else:
         capacity = math.exp(-energy)
-    return EquilibriumResult(w, energy, capacity, alpha, iterations, gap)
+    return EquilibriumResult(w, energy, capacity, alpha, iterations, gap, gap <= tol)
 
 
 def _quasi_uniform_sphere(real_dim: int, count: int) -> np.ndarray:
-    """Deterministic quasi-uniform samples of the unit sphere in R^real_dim."""
+    """Deterministic quasi-uniform samples of the unit sphere in R^real_dim:
+    unscrambled Halton points 1..count (radical inverses in the first
+    real_dim prime bases), Gaussianized by the inverse normal CDF."""
     if real_dim == 2:
         theta = 2.0 * np.pi * np.arange(count) / count
         return np.column_stack([np.cos(theta), np.sin(theta)])
-    sampler = scipy.stats.qmc.Halton(d=real_dim, scramble=False, seed=0)
-    u = sampler.random(count + 1)[1:]  # skip the origin-heavy first point
-    g = scipy.stats.norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+    primes = [p for p in range(2, real_dim**2 + 3)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    u = np.zeros((count, real_dim))  # point 0 is the cube's origin and is skipped
+    for j, base in enumerate(primes[:real_dim]):
+        digits = np.arange(1, count + 1)
+        scale = 1.0 / base
+        while digits.any():
+            u[:, j] += (digits % base) * scale
+            scale /= base
+            digits //= base
+    g = scipy.special.ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 

@@ -254,6 +254,8 @@ def cmd_capacity(config: dict):
         max_iter=int(config.get("maxIter", 20000)),
         tol=float(config.get("tol", 1e-7)),
     )
+    if not result.converged:
+        log.warning("equilibrium not converged: kkt_gap %g > tol", result.kkt_gap)
     out = result.to_json()
     out["cloudSize"] = cloud.size
     return out, None
@@ -352,6 +354,8 @@ def cmd_report(config: dict):
         eps_nbhd=float(config.get("epsNbhd", 0.01)),
         seed=seed,
     )
+    if not report.riesz.converged:
+        log.warning("equilibrium not converged: kkt_gap %g > tol", report.riesz.kkt_gap)
     return report.to_json(), report.sweep.csv_rows()
 
 

@@ -285,14 +285,6 @@ def free_besov(d: int, s: float, max_length: int = 12) -> FreeSpaceSpec:
     return FreeSpaceSpec(KIND_FREE_BESOV, d, max_length, smoothness=s)
 
 
-def free_multiply(F: FreePolynomial, G: FreePolynomial) -> FreePolynomial:
-    return F * G
-
-
-def free_norm(spec: FreeSpaceSpec, F: FreePolynomial) -> float:
-    return spec.norm(F)
-
-
 def free_subspace_distance(
     spec: FreeSpaceSpec,
     g: FreePolynomial,

@@ -267,18 +267,6 @@ class Polynomial:
         return f"Polynomial(d={self.d}, {' + '.join(parts)}{tail})"
 
 
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def radial_derivative(p: Polynomial, order: int) -> Polynomial:
-    return p.radial_derivative(order)
-
-
-def evaluate(p: Polynomial, z: Sequence[complex]) -> complex:
-    return p.evaluate(z)
-
-
 def invert_power_series(p: Polynomial, length: int) -> Polynomial:
     """Truncated multiplicative inverse of p.
 

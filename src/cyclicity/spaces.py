@@ -261,18 +261,6 @@ class SpaceSpec:
         )
 
 
-def monomial_norm_sq(spec: SpaceSpec, alpha: Sequence[int]) -> float:
-    return spec.monomial_norm_sq(alpha)
-
-
-def inner_product(spec: SpaceSpec, f: Polynomial, g: Polynomial) -> complex:
-    return spec.inner_product(f, g)
-
-
-def norm(spec: SpaceSpec, f: Polynomial) -> float:
-    return spec.norm(f)
-
-
 def _lebesgue_area_moments(count: int) -> MomentSequence:
     # Moments of d(mu) = 2r dr on [0, 1]: m[j] = 2/(j+2).
     return MomentSequence(tuple(2.0 / (j + 2) for j in range(count)))
