@@ -340,14 +340,14 @@ def riesz_equilibrium(
     minimum tracks the continuum equilibrium measure of the sampled set.
 
     Primal active set after Lawson and Hanson's NNLS, from uniform weights:
-    solve K_S w = lambda * 1, sum(w) = 1 on the free set S. If weights come
-    out negative, step toward that solution until the first weight hits
-    zero and drop every negative point at once, falling back to dropping
-    only the zeroed points if the bulk drop ends at a higher energy. Once
-    w >= 0, add every point whose gradient lies below the multiplier.
-    `iterations` counts KKT solves (at most max_iter). The returned kkt_gap
-    bounds the energy suboptimality, so every vertex directional derivative
-    at the returned weights is >= -kkt_gap; `converged` is kkt_gap <= tol.
+    solve K_S w = lambda * 1, sum(w) = 1 on the free set S and drop every
+    point whose weight comes out negative. A nonnegative solution is taken
+    only if it lowers the energy, else the solve stops at the previous
+    weights; once taken, every point whose gradient lies below the
+    multiplier is added. `iterations` counts KKT solves (at most max_iter).
+    The returned kkt_gap bounds the energy suboptimality, so every vertex
+    directional derivative at the returned weights is >= -kkt_gap;
+    `converged` is kkt_gap <= tol.
     Duplicate points are merged; clouds with fewer than two distinct points
     get capacity 0 by convention (their energy is infinite) and are flagged
     in the note.
@@ -390,36 +390,27 @@ def riesz_equilibrium(
         np.fill_diagonal(kernel, -np.log(local_scale))
 
     w = np.full(n, 1.0 / n)
+    energy = float(w @ kernel @ w)
     free = np.ones(n, dtype=bool)
-    fallback = None  # free set of the plain step while a bulk drop is on trial
     for iterations in range(1, max_iter + 1):
         z = _face_minimizer(kernel, free)
         negative = free & (z < 0)
         if negative.any():
-            if fallback is None:
-                # the energy falls along the segment to z, so stepping to the
-                # first zero crossing is the guard that makes the loop end
-                idx = np.flatnonzero(negative)
-                ratio = w[idx] / (w[idx] - z[idx])
-                w += ratio.min() * (z - w)
-                w[idx[ratio == ratio.min()]] = 0.0
-                np.clip(w, 0.0, None, out=w)
-                step_energy = float(w @ kernel @ w)
-                fallback = free & ((w > 0) | ~negative)
             free &= ~negative
-            fallback = None if np.array_equal(free, fallback) else fallback
             continue
-        if fallback is not None and float(z @ kernel @ z) > step_energy:
-            free, fallback = fallback, None
-            continue
-        fallback, w = None, z
+        z_energy = float(z @ kernel @ z)
+        if z_energy >= energy:
+            # each accepted face lowers the energy, so none recurs and the
+            # loop ends; a point added on roundoff whose solve drops it
+            # again gives back the same face and stops here
+            break
+        w, energy = z, z_energy
         grad = 2.0 * (kernel @ w)
         mu = float(grad @ w)
         below = ~free & (grad < mu)
         if mu - float(grad.min()) <= tol or not below.any():
             break
         free |= below
-    w = np.clip(w, 0.0, None)
     w /= w.sum()
     grad = 2.0 * (kernel @ w)
     gap = float(grad @ w) - float(grad.min())

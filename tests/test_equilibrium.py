@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ import cyclicity
 from cyclicity import capacity as cap
 from cyclicity.capacity import (
     BoundaryCloud,
+    arc_cloud,
     circle_cloud,
     riesz_equilibrium,
     sphere_cap_cloud,
@@ -58,17 +60,51 @@ class TestActiveSet:
         assert np.all(grad >= mu - 1e-10)
         assert np.max(np.abs(grad[support] - mu)) <= 1e-10
 
-    def test_indefinite_kernel_takes_bordered_path(self):
-        n = 512
-        kernel = reference_kernel(circle_cloud(n), 0.0)
+    def test_solve_paths(self, monkeypatch):
+        bordered_solves = []
+        real_solve = scipy.linalg.solve
+
+        def spy(*args, **kwargs):
+            bordered_solves.append(args[0].shape)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve", spy)
+        # an arc's log kernel is positive definite: Cholesky answers, and
+        # its weights are those of the bordered system [K 1; 1^T 0]
+        arc = arc_cloud(math.pi / 2, 256)
+        res = riesz_equilibrium(arc, alpha=0.0)
+        assert res.converged and bordered_solves == []
+        system = np.ones((257, 257))
+        system[:256, :256] = reference_kernel(arc, 0.0)
+        system[256, 256] = 0.0
+        exact = np.linalg.solve(system, np.eye(257)[256])[:256]
+        assert np.max(np.abs(res.weights - exact)) <= 1e-12
         # the log kernel of the full circle is not positive definite, so
         # Cholesky fails and the bordered LDL^T solve is what answers
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(kernel)
+        n = 512
         res = riesz_equilibrium(circle_cloud(n), alpha=0.0)
+        assert bordered_solves == [(n + 1, n + 1)]
         assert res.converged
         assert np.max(np.abs(res.weights - 1.0 / n)) <= 1e-12
         assert abs(res.capacity - (n * math.sin(math.pi / n)) ** (1.0 / n)) <= 1e-12
+
+    def test_roundoff_add_cannot_cycle(self, monkeypatch):
+        # a face solve that always gives point 0 a roundoff-negative weight,
+        # although its gradient lies below the multiplier once it is out:
+        # the point is added, dropped again, and the same face comes back
+        real = cap._face_minimizer
+
+        def refuse_first(kernel, free):
+            z = real(kernel, free & (np.arange(len(free)) > 0))
+            if free[0]:
+                z[0] = -1e-17
+            return z
+
+        monkeypatch.setattr(cap, "_face_minimizer", refuse_first)
+        res = riesz_equilibrium(arc_cloud(math.pi / 2, 64), alpha=0.0, max_iter=1000)
+        assert res.iterations == 4
+        assert not res.converged and res.kkt_gap > 1e-7
+        assert res.weights[0] == 0.0 and res.weights.sum() == pytest.approx(1.0)
 
     def test_bulk_drop_needs_few_solves(self):
         res = riesz_equilibrium(sphere_cap_cloud(768, 1.0), alpha=0.0)
