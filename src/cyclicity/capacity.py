@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import (
@@ -63,6 +62,8 @@ class BoundaryCloud:
             pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 1)
         if pts.ndim != 2:
             raise ArgumentError("points must form a 2-d array (count, d)")
+        if not np.all(np.isfinite(pts)):
+            raise ArgumentError("cloud points must be finite")
         if len(pts):
             norms = np.linalg.norm(pts, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-6):
@@ -347,7 +348,9 @@ def riesz_equilibrium(
     multiplier is added. `iterations` counts KKT solves (at most max_iter).
     The returned kkt_gap bounds the energy suboptimality, so every vertex
     directional derivative at the returned weights is >= -kkt_gap;
-    `converged` is kkt_gap <= tol.
+    `tol` is relative to the energy's scale: the solve stops, and
+    `converged` holds, once kkt_gap <= tol * max(1, |energy|), since an
+    absolute gap cannot fall below the roundoff of energies near 1e12.
     Duplicate points are merged; clouds with fewer than two distinct points
     get capacity 0 by convention (their energy is infinite) and are flagged
     in the note.
@@ -408,7 +411,7 @@ def riesz_equilibrium(
         grad = 2.0 * (kernel @ w)
         mu = float(grad @ w)
         below = ~free & (grad < mu)
-        if mu - float(grad.min()) <= tol or not below.any():
+        if mu - float(grad.min()) <= tol * max(1.0, abs(energy)) or not below.any():
             break
         free |= below
     w /= w.sum()
@@ -419,7 +422,8 @@ def riesz_equilibrium(
         capacity = 1.0 / energy if energy > 0 else math.inf
     else:
         capacity = math.exp(-energy)
-    return EquilibriumResult(w, energy, capacity, alpha, iterations, gap, gap <= tol)
+    converged = gap <= tol * max(1.0, abs(energy))
+    return EquilibriumResult(w, energy, capacity, alpha, iterations, gap, converged)
 
 
 def _quasi_uniform_sphere(real_dim: int, count: int) -> np.ndarray:
@@ -439,6 +443,8 @@ def _quasi_uniform_sphere(real_dim: int, count: int) -> np.ndarray:
             u[:, j] += (digits % base) * scale
             scale /= base
             digits //= base
+    import scipy.special  # only here: loading it costs every fresh process ~50 ms
+
     g = scipy.special.ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 

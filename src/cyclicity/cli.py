@@ -1,6 +1,6 @@
 """Batch experiment front end.
 
-Usage: cyclicity <command> --config path.json [--out dir] [--threads K]
+Usage: cyclicity <command> --config path.json [--out dir]
 
 Every command reads a JSON config, writes <out>/<command>.json (and a CSV
 next to it where noted), and exits 0 on success, 2 on validation errors,
@@ -17,7 +17,6 @@ import csv
 import json
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -144,15 +143,9 @@ def parse_cloud(obj, seed_supplier) -> cap.BoundaryCloud:
     raise ArgumentError(f"unknown cloud kind {kind!r}")
 
 
-def parse_mixed_spec(obj) -> mx.MixedSpec:
-    spec = mx.MixedSpec.from_json(obj)
-    if spec.d >= 2 and "seed" not in obj.get("angular", {}):
-        raise ArgumentError("d >= 2 angular sampling needs an explicit seed")
-    return spec
-
-
-def parse_varexp_spec(obj) -> mx.VarExpSpec:
-    spec = mx.VarExpSpec.from_json(obj)
+def parse_quadrature_spec(cls, obj):
+    """A MixedSpec or VarExpSpec from JSON; d >= 2 sampling must be seeded."""
+    spec = cls.from_json(obj)
     if spec.d >= 2 and "seed" not in obj.get("angular", {}):
         raise ArgumentError("d >= 2 angular sampling needs an explicit seed")
     return spec
@@ -255,7 +248,7 @@ def cmd_capacity(config: dict):
         tol=float(config.get("tol", 1e-7)),
     )
     if not result.converged:
-        log.warning("equilibrium not converged: kkt_gap %g > tol", result.kkt_gap)
+        log.warning("equilibrium not converged (kkt_gap %g)", result.kkt_gap)
     out = result.to_json()
     out["cloudSize"] = cloud.size
     return out, None
@@ -303,22 +296,22 @@ def cmd_perturb(config: dict):
 
 
 def cmd_mixed_norm(config: dict):
-    spec = parse_mixed_spec(_require(config, "mixedSpec"))
+    spec = parse_quadrature_spec(mx.MixedSpec, _require(config, "mixedSpec"))
     f = parse_polynomial(_require(config, "function"), spec.d)
     return {"norm": mx.mixed_norm(spec, f), "spec": spec.to_json()}, None
 
 
 def cmd_varexp_norm(config: dict):
-    spec = parse_varexp_spec(_require(config, "varExpSpec"))
+    spec = parse_quadrature_spec(mx.VarExpSpec, _require(config, "varExpSpec"))
     f = parse_polynomial(_require(config, "function"), spec.d)
     return {"norm": mx.luxemburg_norm(spec, f), "spec": spec.to_json()}, None
 
 
 def cmd_mixed_index(config: dict):
     if "mixedSpec" in config:
-        spec = parse_mixed_spec(config["mixedSpec"])
+        spec = parse_quadrature_spec(mx.MixedSpec, config["mixedSpec"])
     elif "varExpSpec" in config:
-        spec = parse_varexp_spec(config["varExpSpec"])
+        spec = parse_quadrature_spec(mx.VarExpSpec, config["varExpSpec"])
     else:
         raise ArgumentError("mixed-index needs 'mixedSpec' or 'varExpSpec'")
     f = parse_polynomial(_require(config, "function"), spec.d)
@@ -355,7 +348,7 @@ def cmd_report(config: dict):
         seed=seed,
     )
     if not report.riesz.converged:
-        log.warning("equilibrium not converged: kkt_gap %g > tol", report.riesz.kkt_gap)
+        log.warning("equilibrium not converged (kkt_gap %g)", report.riesz.kkt_gap)
     return report.to_json(), report.sweep.csv_rows()
 
 
@@ -375,25 +368,17 @@ COMMANDS = {
 }
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        value = flag
-    else:
-        value = int(os.environ.get("CYCLICITY_THREADS", os.cpu_count() or 1))
-    if value < 1:
-        raise ArgumentError("thread count must be >= 1")
-    return value
+def _reject_constant(name: str):
+    raise ArgumentError(f"config contains the non-finite number {name}")
 
 
-def run_command(command: str, config: dict, out_dir: Path, threads: int) -> Path:
+def run_command(command: str, config: dict, out_dir: Path) -> Path:
     handler = COMMANDS[command]
     result, csv_rows = handler(config)
-    resolved = dict(config)
-    resolved["threads"] = threads
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "command": command,
-        "config": resolved,
+        "config": config,
         "result": result,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -413,13 +398,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        threads = _resolve_threads(args.threads)
         config_path = Path(args.config)
         try:
-            config = json.loads(config_path.read_text(encoding="utf-8"))
+            config = json.loads(
+                config_path.read_text(encoding="utf-8"), parse_constant=_reject_constant
+            )
         except OSError as exc:
             raise ArgumentError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -431,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ArgumentError(
                 f"unsupported schemaVersion {declared}; this build speaks {SCHEMA_VERSION}"
             )
-        json_path = run_command(args.command, config, Path(args.out), threads)
+        json_path = run_command(args.command, config, Path(args.out))
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -26,14 +26,13 @@ import numpy as np
 
 from .errors import (
     ArgumentError,
-    DegenerateInputError,
     DegreeRangeError,
     DimensionMismatchError,
     SingularInversionError,
 )
-from .indices import ApproximantResult, subspace_distance
-from .poly import Polynomial
-from .solver import DEFAULT_COND_THRESHOLD, solve_least_squares
+from .indices import ApproximantResult, subspace_distance, validate_problem
+from .poly import Polynomial, SparseSeries
+from .solver import shifted_design, solve_least_squares
 from .spaces import KIND_DRURY_ARVESON, SpaceSpec
 
 KIND_FREE_HARDY = "free_hardy"
@@ -54,28 +53,26 @@ def words(d: int, max_length: int) -> list[Word]:
     return out
 
 
-class FreePolynomial:
+class FreePolynomial(SparseSeries):
     """Finite free power series: sparse map from words to complex coefficients."""
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ()
+    _json_field = "letters"
 
-    def __init__(self, d: int, coeffs: Mapping[Word, complex] | None = None):
-        if d < 1:
-            raise ArgumentError("d must be >= 1")
-        self.d = int(d)
-        cleaned: dict[Word, complex] = {}
-        for word, value in (coeffs or {}).items():
-            key = tuple(int(a) for a in word)
-            if any(not 1 <= a <= self.d for a in key):
-                raise ArgumentError(f"word {key} has letters outside 1..{self.d}")
-            c = complex(value)
-            if c != 0:
-                cleaned[key] = cleaned.get(key, 0j) + c
-        self.coeffs = {k: v for k, v in cleaned.items() if v != 0}
+    def _key(self, word) -> Word:
+        key = tuple(int(a) for a in word)
+        if any(not 1 <= a <= self.d for a in key):
+            raise ArgumentError(f"word {key} has letters outside 1..{self.d}")
+        return key
 
-    @classmethod
-    def zero(cls, d: int) -> "FreePolynomial":
-        return cls(d, {})
+    _length = staticmethod(len)
+
+    def _unit(self) -> Word:
+        return ()
+
+    @staticmethod
+    def _label(word) -> str:
+        return f"Z{list(word)}"
 
     @classmethod
     def identity(cls, d: int) -> "FreePolynomial":
@@ -87,53 +84,6 @@ class FreePolynomial:
         if not 1 <= j <= d:
             raise ArgumentError(f"letter {j} out of range 1..{d}")
         return cls(d, {(j,): 1.0})
-
-    @classmethod
-    def word_monomial(cls, word: Sequence[int], d: int, coefficient: complex = 1.0):
-        return cls(d, {tuple(word): coefficient})
-
-    @property
-    def degree(self) -> int:
-        """Largest word length carrying a coefficient."""
-        return max((len(w) for w in self.coeffs), default=0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def constant_term(self) -> complex:
-        return self.coeffs.get((), 0j)
-
-    def coefficient(self, word: Sequence[int]) -> complex:
-        return self.coeffs.get(tuple(word), 0j)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreePolynomial):
-            return NotImplemented
-        return self.d == other.d and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.d, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "FreePolynomial") -> "FreePolynomial":
-        other = self._coerce(other)
-        merged = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            merged[w] = merged.get(w, 0j) + c
-        return FreePolynomial(self.d, merged)
-
-    def __radd__(self, other: complex) -> "FreePolynomial":
-        return self + other
-
-    def __neg__(self) -> "FreePolynomial":
-        return FreePolynomial(self.d, {w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other: "FreePolynomial") -> "FreePolynomial":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: complex) -> "FreePolynomial":
-        return (-self) + other
 
     def __mul__(self, other: "FreePolynomial | complex") -> "FreePolynomial":
         if isinstance(other, FreePolynomial):
@@ -153,18 +103,6 @@ class FreePolynomial:
         # scalar only; free multiplication is order-sensitive
         return FreePolynomial(self.d, {w: other * c for w, c in self.coeffs.items()})
 
-    def _coerce(self, other) -> "FreePolynomial":
-        if isinstance(other, FreePolynomial):
-            return other
-        return FreePolynomial(self.d, {(): complex(other)})
-
-    def to_json(self) -> list[dict]:
-        terms = []
-        for word in sorted(self.coeffs, key=lambda w: (len(w), w)):
-            c = self.coeffs[word]
-            terms.append({"letters": list(word), "re": c.real, "im": c.imag})
-        return terms
-
     @classmethod
     def from_json(cls, terms: Sequence[Mapping], d: int) -> "FreePolynomial":
         coeffs = {}
@@ -172,15 +110,6 @@ class FreePolynomial:
             word = tuple(int(a) for a in t["letters"])
             coeffs[word] = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
         return cls(d, coeffs)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"FreePolynomial(d={self.d}, 0)"
-        parts = []
-        for word in sorted(self.coeffs, key=lambda w: (len(w), w))[:6]:
-            parts.append(f"{self.coeffs[word]:.4g}*Z{list(word)}")
-        tail = " + ..." if len(self.coeffs) > 6 else ""
-        return f"FreePolynomial(d={self.d}, {' + '.join(parts)}{tail})"
 
 
 class FreeSpaceSpec:
@@ -234,17 +163,7 @@ class FreeSpaceSpec:
             raise DegreeRangeError(
                 f"word length exceeds precomputed max_length={self.max_length}"
             )
-        acc = 0j
-        small, large = (F, G) if len(F.coeffs) <= len(G.coeffs) else (G, F)
-        for word, cs in small.coeffs.items():
-            cl = large.coeffs.get(word)
-            if cl is not None:
-                w = self._weights[len(word)]
-                if small is F:
-                    acc += w * cs * cl.conjugate()
-                else:
-                    acc += w * cl * cs.conjugate()
-        return acc
+        return F.weighted_inner(G, lambda word: self._weights[len(word)])
 
     def norm(self, F: FreePolynomial) -> float:
         return math.sqrt(max(self.inner_product(F, F).real, 0.0))
@@ -290,43 +209,36 @@ def free_subspace_distance(
     g: FreePolynomial,
     G: FreePolynomial,
     n: int,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> ApproximantResult:
     """Distance from g to {Phi G : words of Phi of length <= n} with minimizer.
 
-    Same normal-equations machinery as the commutative solver, over the
-    word basis {Z^w G : |w| <= n}.
+    Same sparse least-squares core as the commutative solver, over the word
+    basis {Z^w G : |w| <= n}. A word's row is its length-then-lex rank: the
+    words shorter than it, plus its letters read as base-d digits; Z^u V
+    then lands at lex(u) * d^|V| + lex(V) among the words of length |u|+|V|.
     """
-    if G.d != spec.d or g.d != spec.d:
-        raise ArgumentError("free polynomial dimension does not match the space")
-    if G.is_zero:
-        raise DegenerateInputError("G must be nonzero")
-    if n < 0:
-        raise ArgumentError("length budget n must be >= 0")
-    if n + G.degree > spec.max_length:
-        raise DegreeRangeError(
-            f"n + deg G = {n + G.degree} exceeds max_length={spec.max_length}"
-        )
-    if g.degree > spec.max_length:
-        raise DegreeRangeError(
-            f"deg g = {g.degree} exceeds max_length={spec.max_length}"
-        )
+    validate_problem(spec.d, spec.max_length, g, G, n, "max_length")
     cols = words(spec.d, n)
     row_length = max(n + G.degree, g.degree)
-    rows = words(spec.d, row_length)
-    pos = {w: i for i, w in enumerate(rows)}
-    sqrt_w = np.array([math.sqrt(spec.weight(len(w))) for w in rows])
-    design = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, u in enumerate(cols):
-        shifted = FreePolynomial.word_monomial(u, spec.d) * G
-        for word, c in shifted.coeffs.items():
-            i = pos[word]
-            design[i, j] = c * sqrt_w[i]
-    target = np.zeros(len(rows), dtype=complex)
-    for word, c in g.coeffs.items():
-        i = pos[word]
-        target[i] = c * sqrt_w[i]
-    out = solve_least_squares(design, target, cond_threshold)
+    sizes = spec.d ** np.arange(row_length + 1)
+    start = np.concatenate([[0], np.cumsum(sizes)])
+
+    def lengths_and_lex(F):
+        lengths = np.array([len(w) for w in F.coeffs], dtype=np.int64)
+        lex = [sum((a - 1) * spec.d**k for k, a in enumerate(w[::-1])) for w in F.coeffs]
+        return lengths, np.array(lex, dtype=np.int64)
+
+    col_len = np.repeat(np.arange(n + 1), sizes[: n + 1])
+    col_lex = np.arange(len(cols)) - start[col_len]
+    G_len, G_lex = lengths_and_lex(G)
+    g_len, g_lex = lengths_and_lex(g)
+    rows = start[col_len[:, None] + G_len] + col_lex[:, None] * sizes[G_len] + G_lex
+    sqrt_w = np.repeat(np.sqrt([spec.weight(k) for k in range(row_length + 1)]), sizes)
+    design, target = shifted_design(
+        rows, list(G.coeffs.values()), start[g_len] + g_lex, list(g.coeffs.values()),
+        sqrt_w,
+    )
+    out = solve_least_squares(design, target)
     phi = FreePolynomial(spec.d, dict(zip(cols, out.coefficients)))
     return ApproximantResult(n, phi, out.residual, out.gram_condition, out.method)
 

@@ -19,8 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DegreeRangeError
-from .poly import Polynomial, invert_power_series, mult_operator_section, multi_indices
-from .solver import DEFAULT_COND_THRESHOLD, solve_least_squares
+from .poly import (
+    Polynomial,
+    graded_rank,
+    invert_power_series,
+    mult_operator_section,
+    multi_indices,
+)
+from .solver import shifted_design, solve_least_squares
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec
 
 VERDICT_CYCLIC = "numerically_cyclic"
@@ -85,50 +91,43 @@ class SweepReport:
 
     def csv_rows(self) -> list[tuple]:
         header = ("degree", "residual", "gramCondition", "solveMethod")
-        rows = [
-            (n, r, c, m)
-            for n, r, c, m in zip(
-                self.degrees, self.residuals, self.gram_conditions, self.solve_methods
-            )
-        ]
+        rows = zip(self.degrees, self.residuals, self.gram_conditions, self.solve_methods)
         return [header, *rows]
 
 
-def _validate_inputs(spec: SpaceSpec, g: Polynomial, f: Polynomial, n: int) -> None:
-    if f.d != spec.d or g.d != spec.d:
+def validate_problem(d: int, top: int, g, f, n: int, top_name="max_degree") -> None:
+    """Checks shared by the commutative and the free distance problems; `top`
+    is the space's largest degree (max_degree) or word length (max_length)."""
+    if f.d != d or g.d != d:
         raise ArgumentError("polynomial dimension does not match the space")
     if f.is_zero:
         raise DegenerateInputError("f must be nonzero")
     if n < 0:
         raise ArgumentError("degree budget n must be >= 0")
-    if n + f.degree > spec.max_degree:
+    if n + f.degree > top:
         raise DegreeRangeError(
-            f"n + deg f = {n + f.degree} exceeds max_degree={spec.max_degree}"
+            f"n + deg f = {n + f.degree} exceeds {top_name}={top}"
         )
-    if g.degree > spec.max_degree:
+    if g.degree > top:
         raise DegreeRangeError(
-            f"deg g = {g.degree} exceeds max_degree={spec.max_degree}"
+            f"deg g = {g.degree} exceeds {top_name}={top}"
         )
 
 
 def _design_matrix(spec: SpaceSpec, g: Polynomial, f: Polynomial, n: int):
-    """Columns are sqrt-weighted coefficient vectors of z^gamma f, |gamma| <= n."""
-    d = spec.d
-    cols = multi_indices(d, n)
-    row_degree = max(n + f.degree, g.degree)
-    rows = multi_indices(d, row_degree)
-    pos = {a: i for i, a in enumerate(rows)}
-    sqrt_w = np.array([math.sqrt(spec.monomial_norm_sq(a)) for a in rows])
-    design = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, gamma in enumerate(cols):
-        shifted = Polynomial.monomial(gamma) * f
-        for alpha, c in shifted.coeffs.items():
-            i = pos[alpha]
-            design[i, j] = c * sqrt_w[i]
-    target = np.zeros(len(rows), dtype=complex)
-    for alpha, c in g.coeffs.items():
-        i = pos[alpha]
-        target[i] = c * sqrt_w[i]
+    """Sparse design whose column gamma holds the sqrt-weighted coefficients of
+    z^gamma f, |gamma| <= n, with the weighted target g and the column keys."""
+
+    def keys(p):
+        return np.array(list(p.coeffs), dtype=np.int64).reshape(-1, spec.d)
+
+    cols = multi_indices(spec.d, n)
+    shifted = np.array(cols, dtype=np.int64)[:, None, :] + keys(f)[None, :, :]
+    design, target = shifted_design(
+        graded_rank(shifted), list(f.coeffs.values()),
+        graded_rank(keys(g)), list(g.coeffs.values()),
+        np.sqrt(spec.weight_vector(max(n + f.degree, g.degree))),
+    )
     return design, target, cols
 
 
@@ -137,12 +136,11 @@ def subspace_distance(
     g: Polynomial,
     f: Polynomial,
     n: int,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> ApproximantResult:
     """Distance from g to {phi f : deg phi <= n} and the minimizing phi."""
-    _validate_inputs(spec, g, f, n)
+    validate_problem(spec.d, spec.max_degree, g, f, n)
     design, target, cols = _design_matrix(spec, g, f, n)
-    out = solve_least_squares(design, target, cond_threshold)
+    out = solve_least_squares(design, target)
     phi = Polynomial(spec.d, dict(zip(cols, out.coefficients)))
     return ApproximantResult(n, phi, out.residual, out.gram_condition, out.method)
 
@@ -187,7 +185,6 @@ def index_sweep(
     n_max: int,
     tol: float = DEFAULT_TOL,
     target: Polynomial | None = None,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> SweepReport:
     """Residuals for every budget n = 0..n_max, with verdict and tail fits.
 
@@ -196,14 +193,14 @@ def index_sweep(
     a family of nested solves with identical row scaling.
     """
     target = Polynomial.one(spec.d) if target is None else target
-    _validate_inputs(spec, target, f, n_max)
+    validate_problem(spec.d, spec.max_degree, target, f, n_max)
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     design, rhs, _ = _design_matrix(spec, target, f, n_max)
     residuals, conds, methods = [], [], []
-    block_sizes = [len(multi_indices(spec.d, n)) for n in range(n_max + 1)]
-    for n, ncols in enumerate(block_sizes):
-        out = solve_least_squares(design[:, :ncols], rhs, cond_threshold)
+    for n in range(n_max + 1):
+        # the first C(n+d, d) graded-lex columns are the shifts with |gamma| <= n
+        out = solve_least_squares(design[:, : math.comb(n + spec.d, spec.d)], rhs)
         residuals.append(out.residual)
         conds.append(out.gram_condition)
         methods.append(out.method)

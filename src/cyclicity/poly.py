@@ -9,6 +9,7 @@ never stored.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -47,35 +48,166 @@ def multi_indices(d: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-class Polynomial:
-    """Polynomial in d complex variables with sparse coefficient storage.
+def graded_rank(alphas) -> np.ndarray:
+    """Positions of multi-indices (along the last axis) in `multi_indices` order.
 
-    Instances are treated as immutable: arithmetic returns new objects.
+    The C(k-1+d, d) indices of degree below k come first. Within degree k a
+    head a_i leaves C(r+m-1, m-1) compositions of the remainder r into the
+    m = d-1-i later parts, and the hockey-stick identity sums those over
+    heads below a_i.
+    """
+    alphas = np.asarray(alphas, dtype=np.int64)
+    d = alphas.shape[-1]
+    rest = alphas.sum(axis=-1)
+    top = int(rest.max(initial=0)) + d
+    binom = np.array([[math.comb(m, k) for k in range(d + 1)] for m in range(top + 1)])
+    rank = binom[rest + d - 1, d]
+    for i in range(d - 1):
+        m = d - 1 - i
+        rank = rank + binom[rest + m, m] - binom[rest - alphas[..., i] + m, m]
+        rest = rest - alphas[..., i]
+    return rank
+
+
+class SparseSeries:
+    """Sparse map from basis keys to nonzero, finite complex coefficients.
+
+    Shared by commutative polynomials (multi-index keys) and free ones (word
+    keys). A subclass normalizes and validates keys in `_key`, measures a
+    key's degree in `_length`, names the constant term's key in `_unit`,
+    prints a key in `_label` and names its JSON field in `_json_field`.
+    Keys sort by degree, then as tuples.
     """
 
     __slots__ = ("d", "coeffs")
+    _json_field = ""
 
     def __init__(self, d: int, coeffs: Mapping[tuple[int, ...], complex] | None = None):
         if d < 1:
             raise ArgumentError("d must be >= 1")
         self.d = int(d)
         cleaned: dict[tuple[int, ...], complex] = {}
-        for alpha, value in (coeffs or {}).items():
-            key = tuple(int(a) for a in alpha)
-            if len(key) != self.d:
-                raise DimensionMismatchError(
-                    f"exponent tuple {key} does not have {self.d} entries"
-                )
-            if any(a < 0 for a in key):
-                raise ArgumentError(f"negative exponent in {key}")
+        for raw, value in (coeffs or {}).items():
+            key = self._key(raw)
             c = complex(value)
+            if not cmath.isfinite(c):
+                raise ArgumentError(f"coefficient of {key} is not finite")
             if c != 0:
                 cleaned[key] = cleaned.get(key, 0j) + c
         self.coeffs = {k: v for k, v in cleaned.items() if v != 0}
 
     @classmethod
-    def zero(cls, d: int) -> "Polynomial":
+    def zero(cls, d: int):
         return cls(d, {})
+
+    @property
+    def degree(self) -> int:
+        """Largest total degree, or word length, carrying a coefficient."""
+        return max((self._length(k) for k in self.coeffs), default=0)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def constant_term(self) -> complex:
+        return self.coeffs.get(self._unit(), 0j)
+
+    def coefficient(self, key: Sequence[int]) -> complex:
+        return self.coeffs.get(tuple(key), 0j)
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        return type(self)(self.d, {self._unit(): complex(other)})
+
+    def weighted_inner(self, other, weight) -> complex:
+        """sum_k weight(k) self[k] conj(other[k]), walking the sparser operand."""
+        acc = 0j
+        small, large = self, other
+        if len(other.coeffs) < len(self.coeffs):
+            small, large = other, self
+        for k, cs in small.coeffs.items():
+            cl = large.coeffs.get(k)
+            if cl is not None:
+                a, b = (cs, cl) if small is self else (cl, cs)
+                acc += weight(k) * a * b.conjugate()
+        return acc
+
+    def _sorted_keys(self) -> list[tuple[int, ...]]:
+        return sorted(self.coeffs, key=lambda k: (self._length(k), k))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.d == other.d and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.d, frozenset(self.coeffs.items())))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        merged = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            merged[k] = merged.get(k, 0j) + c
+        return type(self)(self.d, merged)
+
+    def __radd__(self, other: complex):
+        return self + other
+
+    def __neg__(self):
+        return type(self)(self.d, {k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other: complex):
+        return (-self) + other
+
+    def to_json(self) -> list[dict]:
+        terms = []
+        for k in self._sorted_keys():
+            c = self.coeffs[k]
+            terms.append({self._json_field: list(k), "re": c.real, "im": c.imag})
+        return terms
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if self.is_zero:
+            return f"{name}(d={self.d}, 0)"
+        keys = self._sorted_keys()
+        parts = [f"{self.coeffs[k]:.4g}*{self._label(k)}" for k in keys[:6]]
+        tail = " + ..." if len(keys) > 6 else ""
+        return f"{name}(d={self.d}, {' + '.join(parts)}{tail})"
+
+
+class Polynomial(SparseSeries):
+    """Polynomial in d complex variables with sparse coefficient storage.
+
+    Instances are treated as immutable: arithmetic returns new objects.
+    """
+
+    __slots__ = ()
+    _json_field = "exponents"
+
+    def _key(self, alpha) -> tuple[int, ...]:
+        key = tuple(int(a) for a in alpha)
+        if len(key) != self.d:
+            raise DimensionMismatchError(
+                f"exponent tuple {key} does not have {self.d} entries"
+            )
+        if any(a < 0 for a in key):
+            raise ArgumentError(f"negative exponent in {key}")
+        return key
+
+    _length = staticmethod(sum)
+
+    def _unit(self) -> tuple[int, ...]:
+        return (0,) * self.d
+
+    @staticmethod
+    def _label(alpha) -> str:
+        return f"z^{alpha}"
 
     @classmethod
     def one(cls, d: int) -> "Polynomial":
@@ -99,53 +231,6 @@ class Polynomial:
     def from_coeffs1d(cls, coefficients: Sequence[complex]) -> "Polynomial":
         """Univariate polynomial from an ascending coefficient list."""
         return cls(1, {(k,): c for k, c in enumerate(coefficients)})
-
-    @property
-    def degree(self) -> int:
-        return max((sum(a) for a in self.coeffs), default=0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def constant_term(self) -> complex:
-        return self.coeffs.get((0,) * self.d, 0j)
-
-    def coefficient(self, alpha: Sequence[int]) -> complex:
-        return self.coeffs.get(tuple(alpha), 0j)
-
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            return other
-        return Polynomial(self.d, {(0,) * self.d: complex(other)})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.d == other.d and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.d, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "Polynomial | complex") -> "Polynomial":
-        other = self._coerce(other)
-        merged = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            merged[alpha] = merged.get(alpha, 0j) + c
-        return Polynomial(self.d, merged)
-
-    def __radd__(self, other: complex) -> "Polynomial":
-        return self + other
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.d, {a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Polynomial | complex") -> "Polynomial":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: complex) -> "Polynomial":
-        return (-self) + other
 
     def __mul__(self, other: "Polynomial | complex") -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -239,13 +324,6 @@ class Polynomial:
             self.d, {a: c for a, c in self.coeffs.items() if sum(a) <= max_degree}
         )
 
-    def to_json(self) -> list[dict]:
-        terms = []
-        for alpha in sorted(self.coeffs, key=lambda a: (sum(a), a)):
-            c = self.coeffs[alpha]
-            terms.append({"exponents": list(alpha), "re": c.real, "im": c.imag})
-        return terms
-
     @classmethod
     def from_json(cls, terms: Sequence[Mapping], d: int | None = None) -> "Polynomial":
         if not terms and d is None:
@@ -256,15 +334,6 @@ class Polynomial:
             coeffs[alpha] = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
         dim = d if d is not None else len(next(iter(coeffs)))
         return cls(dim, coeffs)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"Polynomial(d={self.d}, 0)"
-        parts = []
-        for alpha in sorted(self.coeffs, key=lambda a: (sum(a), a))[:6]:
-            parts.append(f"{self.coeffs[alpha]:.4g}*z^{alpha}")
-        tail = " + ..." if len(self.coeffs) > 6 else ""
-        return f"Polynomial(d={self.d}, {' + '.join(parts)}{tail})"
 
 
 def invert_power_series(p: Polynomial, length: int) -> Polynomial:
@@ -321,14 +390,11 @@ def mult_operator_section(
         raise DegreeRangeError(
             f"n_out={n_out} exceeds precomputed max_degree={spec.max_degree}"
         )
-    rows = multi_indices(spec.d, n_out)
-    cols = multi_indices(spec.d, n_in)
-    pos = {a: i for i, a in enumerate(rows)}
-    section = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, beta in enumerate(cols):
-        nb = math.sqrt(spec.monomial_norm_sq(beta))
-        for tau, c in phi.coeffs.items():
-            alpha = tuple(b + t for b, t in zip(beta, tau))
-            na = math.sqrt(spec.monomial_norm_sq(alpha))
-            section[pos[alpha], j] += c * na / nb
+    cols = np.array(multi_indices(spec.d, n_in), dtype=np.int64)
+    rows = graded_rank(cols[:, None, :] + np.array(list(phi.coeffs), dtype=np.int64))
+    norms = np.sqrt(spec.weight_vector(n_out))
+    section = np.zeros((len(norms), len(cols)), dtype=complex)
+    coeffs = np.array(list(phi.coeffs.values()), dtype=complex)
+    columns = np.arange(len(cols))[:, None]
+    section[rows, columns] = coeffs * norms[rows] / norms[: len(cols), None]
     return section

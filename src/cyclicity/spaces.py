@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     ArgumentError,
     DegreeRangeError,
@@ -64,6 +66,8 @@ class MomentSequence:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ArgumentError("moment sequence is empty")
+        if not all(map(math.isfinite, vals)):
+            raise ArgumentError("moments must be finite")
         if vals[0] <= 0:
             raise ArgumentError("m[0] must be positive")
         for j in range(1, len(vals)):
@@ -190,6 +194,16 @@ class SpaceSpec:
                 f"|alpha|={sum(key)} beyond precomputed max_degree={self.max_degree}"
             ) from None
 
+    def weight_vector(self, max_degree: int) -> np.ndarray:
+        """c_alpha for every |alpha| <= max_degree, in graded-lex order."""
+        if max_degree > self.max_degree:
+            raise DegreeRangeError(
+                f"degree {max_degree} beyond precomputed max_degree={self.max_degree}"
+            )
+        # the table was filled in graded-lex order, so its head is the answer
+        count = math.comb(max_degree + self.d, self.d)
+        return np.fromiter(self._weights.values(), dtype=float, count=count)
+
     def inner_product(self, f: Polynomial, g: Polynomial) -> complex:
         """<f, g> = sum_alpha c_alpha fhat(alpha) conj(ghat(alpha))."""
         if f.d != self.d or g.d != self.d:
@@ -198,16 +212,7 @@ class SpaceSpec:
             raise DegreeRangeError(
                 f"degree exceeds precomputed max_degree={self.max_degree}"
             )
-        acc = 0j
-        small, large = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
-        for alpha, cs in small.coeffs.items():
-            cl = large.coeffs.get(alpha)
-            if cl is not None:
-                if small is f:
-                    acc += self._weights[alpha] * cs * cl.conjugate()
-                else:
-                    acc += self._weights[alpha] * cl * cs.conjugate()
-        return acc
+        return f.weighted_inner(g, self._weights.__getitem__)
 
     def norm(self, f: Polynomial) -> float:
         return math.sqrt(max(self.inner_product(f, f).real, 0.0))

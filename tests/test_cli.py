@@ -47,7 +47,7 @@ class TestCommands:
         payload = json.loads(path.read_text())
         assert payload["schemaVersion"] == 1
         assert payload["result"]["residual"] == pytest.approx(math.sqrt(1 / 7))
-        assert payload["config"]["threads"] >= 1
+        assert "threads" not in payload["config"]
 
     def test_sweep_csv_squares_to_closed_form(self, tmp_path):
         rc, path = run_cli(
