@@ -114,21 +114,27 @@ def validate_problem(d: int, top: int, g, f, n: int, top_name="max_degree") -> N
         )
 
 
-def _design_matrix(spec: SpaceSpec, g: Polynomial, f: Polynomial, n: int):
-    """Sparse design whose column gamma holds the sqrt-weighted coefficients of
-    z^gamma f, |gamma| <= n, with the weighted target g and the column keys."""
+def shifted_columns(g: Polynomial, f: Polynomial, n: int, row_scale: np.ndarray):
+    """Sparse design whose column gamma holds the coefficients of z^gamma f,
+    |gamma| <= n, with the target g and the column keys. Row r is the r-th
+    multi-index in graded-lex order and is multiplied by row_scale[r]."""
 
     def keys(p):
-        return np.array(list(p.coeffs), dtype=np.int64).reshape(-1, spec.d)
+        return np.array(list(p.coeffs), dtype=np.int64).reshape(-1, f.d)
 
-    cols = multi_indices(spec.d, n)
+    cols = multi_indices(f.d, n)
     shifted = np.array(cols, dtype=np.int64)[:, None, :] + keys(f)[None, :, :]
     design, target = shifted_design(
         graded_rank(shifted), list(f.coeffs.values()),
-        graded_rank(keys(g)), list(g.coeffs.values()),
-        np.sqrt(spec.weight_vector(max(n + f.degree, g.degree))),
+        graded_rank(keys(g)), list(g.coeffs.values()), row_scale,
     )
     return design, target, cols
+
+
+def _design_matrix(spec: SpaceSpec, g: Polynomial, f: Polynomial, n: int):
+    """The shifted design in the space norm: row alpha is scaled by ||z^alpha||."""
+    weights = spec.weight_vector(max(n + f.degree, g.degree))
+    return shifted_columns(g, f, n, np.sqrt(weights))
 
 
 def subspace_distance(

@@ -25,18 +25,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    DegenerateInputError,
-    DimensionMismatchError,
-    NumericFailureError,
-)
-from .indices import subspace_distance
+from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
+from .indices import shifted_columns, subspace_distance
 from .poly import Polynomial, multi_indices
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec
 
 RADIAL_POINT_MASS = "point_mass"
 RADIAL_AREA = "area"
+
+# magnitudes raised to negative powers in IRLS weights are floored here
+_FLOOR = 1e-12
 
 
 def radial_rule(measure: str, count: int = 40) -> tuple[np.ndarray, np.ndarray]:
@@ -59,7 +57,14 @@ def radial_rule(measure: str, count: int = 40) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _QuadratureSpec:
-    """Shared radial-times-angular evaluation grid."""
+    """Shared radial-times-angular evaluation grid.
+
+    A subclass takes its own exponent parameters after (d, N), converts them
+    to and from JSON in `_params_json` and `_params_from_json`, and owns one
+    norm formula: `_norm` of grid values of R^N f plus the constant term f(0)
+    (counted only when `uses_constant_term`), and `_irls_weights`, the
+    weights of that norm's reweighted least-squares step.
+    """
 
     def __init__(
         self,
@@ -105,34 +110,70 @@ class _QuadratureSpec:
         raw = rng.standard_normal((m, self.d)) + 1j * rng.standard_normal((m, self.d))
         return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
+    @classmethod
+    def with_measure(cls, measure: str, d: int, N: int, *params, radial_count: int = 40,
+                     **kwargs):
+        """Spec on the named radial rule; params are the subclass's exponents."""
+        nodes, weights = radial_rule(measure, radial_count)
+        descriptor = {"measure": measure, "count": radial_count}
+        return cls(d, N, *params, nodes, weights, descriptor=descriptor, **kwargs)
+
     @property
     def mass(self) -> float:
         """Total mass of the radial measure (= measure of the whole ball)."""
         return float(self.radial_weights.sum())
 
+    @property
+    def uses_constant_term(self) -> bool:
+        return self.N > 0 and self.include_constant_term
+
+    def _check_resolution(self, degree: int) -> None:
+        # stacklevel points past grid_values or the index builder to the caller
+        if self.d == 1 and self.angular_count < 8 * max(degree, 1):
+            warnings.warn(
+                "angular resolution below 8x polynomial degree; "
+                "the circle rule may lose exactness",
+                stacklevel=4,
+            )
+
     def grid_values(self, h: Polynomial) -> np.ndarray:
         """Values of h on the (radial node) x (angular point) grid."""
         if h.d != self.d:
             raise DimensionMismatchError("polynomial does not match the spec dimension")
-        if self.d == 1 and self.angular_count < 8 * max(h.degree, 1):
-            warnings.warn(
-                "angular resolution below 8x polynomial degree; "
-                "the circle rule may lose exactness",
-                stacklevel=3,
-            )
+        self._check_resolution(h.degree)
         grid = self.radial_nodes[:, None, None] * self._angular[None, :, :]
         return h.evaluate_grid(grid)
 
-    def differentiated(self, f: Polynomial) -> Polynomial:
-        return f.radial_derivative(self.N) if self.N > 0 else f
-
-    def _radial_json(self) -> dict:
-        if self.descriptor:
-            return dict(self.descriptor)
-        return {
-            "nodes": [float(x) for x in self.radial_nodes],
-            "weights": [float(x) for x in self.radial_weights],
+    def to_json(self) -> dict:
+        radial = dict(self.descriptor) if self.descriptor else {
+            "nodes": self.radial_nodes.tolist(), "weights": self.radial_weights.tolist(),
         }
+        return {
+            "d": self.d,
+            "N": self.N,
+            **self._params_json(),
+            "radial": radial,
+            "angular": {"count": self.angular_count, "seed": self.seed},
+            "includeConstantTerm": self.include_constant_term,
+        }
+
+    @classmethod
+    def from_json(cls, obj: Mapping):
+        radial = obj["radial"]
+        angular = obj.get("angular", {})
+        params, kwargs = cls._params_from_json(obj)
+        kwargs.update(
+            angular_count=int(angular.get("count", 256)),
+            seed=int(angular.get("seed", 0)),
+            include_constant_term=bool(obj.get("includeConstantTerm", True)),
+        )
+        d, N = int(obj["d"]), int(obj.get("N", 0))
+        if "measure" in radial:
+            return cls.with_measure(
+                radial["measure"], d, N, *params,
+                radial_count=int(radial.get("count", 40)), **kwargs,
+            )
+        return cls(d, N, *params, radial["nodes"], radial["weights"], **kwargs)
 
 
 class MixedSpec(_QuadratureSpec):
@@ -145,45 +186,31 @@ class MixedSpec(_QuadratureSpec):
         self.p = float(p)
         self.q = float(q)
 
-    @classmethod
-    def with_measure(
-        cls, measure: str, d: int, N: int, p: float, q: float,
-        radial_count: int = 40, **kwargs,
-    ) -> "MixedSpec":
-        nodes, weights = radial_rule(measure, radial_count)
-        descriptor = {"measure": measure, "count": radial_count}
-        return cls(d, N, p, q, nodes, weights, descriptor=descriptor, **kwargs)
+    def _params_json(self) -> dict:
+        return {"p": self.p, "q": self.q}
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "N": self.N,
-            "p": self.p,
-            "q": self.q,
-            "radial": self._radial_json(),
-            "angular": {"count": self.angular_count, "seed": self.seed},
-            "includeConstantTerm": self.include_constant_term,
-        }
+    @staticmethod
+    def _params_from_json(obj: Mapping) -> tuple[tuple, dict]:
+        return (float(obj["p"]), float(obj["q"])), {}
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "MixedSpec":
-        radial = obj["radial"]
-        angular = obj.get("angular", {})
-        kwargs = {
-            "angular_count": int(angular.get("count", 256)),
-            "seed": int(angular.get("seed", 0)),
-            "include_constant_term": bool(obj.get("includeConstantTerm", True)),
-        }
-        if "measure" in radial:
-            return cls.with_measure(
-                radial["measure"], int(obj["d"]), int(obj.get("N", 0)),
-                float(obj["p"]), float(obj["q"]),
-                radial_count=int(radial.get("count", 40)), **kwargs,
-            )
-        return cls(
-            int(obj["d"]), int(obj.get("N", 0)), float(obj["p"]), float(obj["q"]),
-            radial["nodes"], radial["weights"], **kwargs,
+    def _norm(self, values: np.ndarray, constant: complex) -> float:
+        inner = np.mean(np.abs(values) ** self.p, axis=1)
+        total = float(self.radial_weights @ inner ** (self.q / self.p))
+        if self.uses_constant_term:
+            total += self.mass * abs(constant) ** self.q
+        return total ** (1.0 / self.q)
+
+    def _irls_weights(self, values: np.ndarray, constant: complex):
+        # the gradient of the q-th power of the norm over 2|v|, up to q/2
+        mags = np.maximum(np.abs(values), _FLOOR)
+        inner = np.maximum(np.mean(np.abs(values) ** self.p, axis=1), _FLOOR)
+        grid = (
+            self.radial_weights[:, None]
+            / self.angular_count
+            * inner[:, None] ** (self.q / self.p - 1.0)
+            * mags ** (self.p - 2.0)
         )
+        return grid, self.mass * max(abs(constant), _FLOOR) ** (self.q - 2.0)
 
 
 class VarExpSpec(_QuadratureSpec):
@@ -211,71 +238,73 @@ class VarExpSpec(_QuadratureSpec):
         self.c = float(c)
         self.bisection_tol = float(bisection_tol)
 
-    @classmethod
-    def with_measure(
-        cls, measure: str, d: int, N: int, a: float, b: float, c: float,
-        radial_count: int = 40, **kwargs,
-    ) -> "VarExpSpec":
-        nodes, weights = radial_rule(measure, radial_count)
-        descriptor = {"measure": measure, "count": radial_count}
-        return cls(d, N, a, b, c, nodes, weights, descriptor=descriptor, **kwargs)
-
     def exponents(self) -> np.ndarray:
         """p evaluated at the radial nodes."""
         return self.a + self.b * self.radial_nodes**self.c
 
-    def to_json(self) -> dict:
+    def _params_json(self) -> dict:
         return {
-            "d": self.d,
-            "N": self.N,
             "exponent": {"a": self.a, "b": self.b, "c": self.c},
             "bisectionTol": self.bisection_tol,
-            "radial": self._radial_json(),
-            "angular": {"count": self.angular_count, "seed": self.seed},
-            "includeConstantTerm": self.include_constant_term,
         }
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "VarExpSpec":
-        radial = obj["radial"]
-        angular = obj.get("angular", {})
+    @staticmethod
+    def _params_from_json(obj: Mapping) -> tuple[tuple, dict]:
         exp = obj["exponent"]
-        kwargs = {
-            "angular_count": int(angular.get("count", 256)),
-            "seed": int(angular.get("seed", 0)),
-            "include_constant_term": bool(obj.get("includeConstantTerm", True)),
-            "bisection_tol": float(obj.get("bisectionTol", 1e-12)),
-        }
-        if "measure" in radial:
-            return cls.with_measure(
-                radial["measure"], int(obj["d"]), int(obj.get("N", 0)),
-                float(exp["a"]), float(exp.get("b", 0.0)), float(exp.get("c", 1.0)),
-                radial_count=int(radial.get("count", 40)), **kwargs,
-            )
-        return cls(
-            int(obj["d"]), int(obj.get("N", 0)),
-            float(exp["a"]), float(exp.get("b", 0.0)), float(exp.get("c", 1.0)),
-            radial["nodes"], radial["weights"], **kwargs,
-        )
+        params = (float(exp["a"]), float(exp.get("b", 0.0)), float(exp.get("c", 1.0)))
+        return params, {"bisection_tol": float(obj.get("bisectionTol", 1e-12))}
+
+    def _node_sums(self, values: np.ndarray) -> tuple[float, np.ndarray]:
+        """s = max|v| and sums[r] = w_r mean(|v / s|^p_r), so that the modular
+        at lam is sum_r sums[r] (lam / s)^(-p_r)."""
+        scale = float(np.max(np.abs(values), initial=0.0))
+        if scale == 0.0:
+            return 1.0, np.zeros_like(self.radial_weights)
+        pexp = self.exponents()[:, None]
+        return scale, self.radial_weights * np.mean((np.abs(values) / scale) ** pexp, axis=1)
+
+    def _luxemburg(self, values: np.ndarray) -> float:
+        """Root lam of modular(lam) = 1 by bisection on a closed-form bracket.
+
+        With M = sum of the node sums, M * mu^(-p_max) and M * mu^(-p_min)
+        bound the scaled modular on either side of mu = 1, so its root lies
+        between M^(1/p_max) and M^(1/p_min).
+        """
+        scale, sums = self._node_sums(values)
+        total = float(sums.sum())
+        if total == 0.0:
+            return 0.0
+        pexp = self.exponents()
+        lo, hi = sorted((total ** (1.0 / pexp.max()), total ** (1.0 / pexp.min())))
+        # a few ulps is the finest width at which a midpoint still splits
+        tol = max(self.bisection_tol, 4.0 * np.finfo(float).eps)
+        while hi - lo > tol * hi:
+            mid = (lo + hi) / 2.0
+            lo, hi = (lo, mid) if sums @ mid ** -pexp <= 1.0 else (mid, hi)
+        return scale * hi
+
+    def _norm(self, values: np.ndarray, constant: complex) -> float:
+        lam = self._luxemburg(values)
+        if self.uses_constant_term:
+            return math.hypot(math.sqrt(self.mass) * abs(constant), lam)
+        return lam
+
+    def _irls_weights(self, values: np.ndarray, constant: complex):
+        # On modular(v, lam) = 1, d lam / d|v| = lam (w/m) p |v|^(p-1) lam^-p / S
+        # with S = sum (w/m) p (|v|/lam)^p. The factor lam^2 / S turns that
+        # gradient over 2|v| into the one of lam^2, whose scale the constant
+        # term's weight, the gradient of mass |c|^2 over 2|c|, shares.
+        lam = max(self._luxemburg(values), _FLOOR)
+        pexp = self.exponents()[:, None]
+        mags = np.maximum(np.abs(values), _FLOOR)
+        grid = self.radial_weights[:, None] / self.angular_count * pexp * (mags / lam) ** pexp
+        return grid * (lam * lam / grid.sum()) / (mags * mags), self.mass
 
 
 def mixed_norm(spec: MixedSpec, f: Polynomial) -> float:
     """(integral of (angular p-mean of |R^N f|)^(q/p) d(mu))^(1/q), plus the
     constant-term contribution when N > 0 and the flag is on."""
-    h = spec.differentiated(f)
-    values = spec.grid_values(h)
-    inner = np.mean(np.abs(values) ** spec.p, axis=1)
-    total = float(spec.radial_weights @ inner ** (spec.q / spec.p))
-    if spec.N > 0 and spec.include_constant_term:
-        total += spec.mass * abs(f.constant_term) ** spec.q
-    return total ** (1.0 / spec.q)
-
-
-def _modular_from_values(spec: VarExpSpec, values: np.ndarray, lam: float) -> float:
-    pexp = spec.exponents()[:, None]
-    return float(
-        spec.radial_weights @ np.mean((np.abs(values) / lam) ** pexp, axis=1)
-    )
+    return spec._norm(spec.grid_values(f.radial_derivative(spec.N)), f.constant_term)
 
 
 def modular(spec: VarExpSpec, f: Polynomial, lam: float) -> float:
@@ -286,52 +315,8 @@ def modular(spec: VarExpSpec, f: Polynomial, lam: float) -> float:
     """
     if lam <= 0:
         raise ArgumentError("lam must be positive")
-    h = spec.differentiated(f)
-    if h.is_zero:
-        return 0.0
-    return _modular_from_values(spec, spec.grid_values(h), lam)
-
-
-def _luxemburg_from_values(spec: VarExpSpec, values: np.ndarray) -> float:
-    if not np.any(values):
-        return 0.0
-    lam = 1.0
-    m = _modular_from_values(spec, values, lam)
-    if m > 1.0:
-        lo = lam
-        for _ in range(200):
-            lam *= 2.0
-            m = _modular_from_values(spec, values, lam)
-            if m <= 1.0:
-                break
-            lo = lam
-        else:
-            raise NumericFailureError("Luxemburg bracket expansion failed upward")
-        hi = lam
-    else:
-        hi = lam
-        for _ in range(200):
-            lam /= 2.0
-            if lam < 1e-300:
-                return 0.0
-            m = _modular_from_values(spec, values, lam)
-            if m > 1.0:
-                break
-            hi = lam
-        else:
-            raise NumericFailureError("Luxemburg bracket expansion failed downward")
-        lo = lam
-    for _ in range(200):
-        if hi - lo <= spec.bisection_tol * hi:
-            break
-        mid = (lo + hi) / 2.0
-        if _modular_from_values(spec, values, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    else:
-        raise NumericFailureError("Luxemburg bisection did not converge")
-    return hi
+    scale, sums = spec._node_sums(spec.grid_values(f.radial_derivative(spec.N)))
+    return float(sums @ (lam / scale) ** -spec.exponents())
 
 
 def luxemburg_norm(spec: VarExpSpec, f: Polynomial) -> float:
@@ -340,11 +325,7 @@ def luxemburg_norm(spec: VarExpSpec, f: Polynomial) -> float:
     When N > 0 the constant term joins as sqrt(mass |f(0)|^2 + lam^2)
     (Hilbert-compatible convention, see module docstring).
     """
-    h = spec.differentiated(f)
-    lam = 0.0 if h.is_zero else _luxemburg_from_values(spec, spec.grid_values(h))
-    if spec.N > 0 and spec.include_constant_term:
-        return math.sqrt(spec.mass * abs(f.constant_term) ** 2 + lam * lam)
-    return lam
+    return spec._norm(spec.grid_values(f.radial_derivative(spec.N)), f.constant_term)
 
 
 @dataclass
@@ -358,21 +339,13 @@ class MixedIndexResult:
     converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "value": self.value,
-            "phi": self.phi.to_json(),
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return {**vars(self), "phi": self.phi.to_json()}
 
 
 def _hilbert_twin(spec: _QuadratureSpec, max_degree: int) -> SpaceSpec:
     """Diagonal Hilbert space whose moments are the radial rule's moments."""
     powers = np.arange(2 * max_degree + 1)[:, None]
-    moments = (spec.radial_weights[None, :] * spec.radial_nodes[None, :] ** powers).sum(
-        axis=1
-    )
+    moments = (spec.radial_weights * spec.radial_nodes**powers).sum(axis=1)
     # guard against roundoff bumps in what is mathematically nonincreasing
     moments = np.minimum.accumulate(moments)
     return SpaceSpec(
@@ -381,7 +354,32 @@ def _hilbert_twin(spec: _QuadratureSpec, max_degree: int) -> SpaceSpec:
     )
 
 
-_FLOOR = 1e-12
+def _shifted_grid(spec: _QuadratureSpec, f: Polynomial, n: int):
+    """Least-squares data of min ||1 - phi f|| over deg(phi) <= n.
+
+    Column gamma of the design holds R^N(z^gamma f) on the grid (radial node
+    major), then in a last row its constant term, which the norm counts
+    only when `uses_constant_term`. R^N scales z^alpha by |alpha|^N, so the
+    grid values are a table of monomial values times the shifted coefficient
+    columns with that row scale.
+    """
+    top = n + f.degree
+    spec._check_resolution(top)
+    exponents = np.array(multi_indices(spec.d, top))
+    degrees = exponents.sum(axis=1)
+    one = Polynomial.one(spec.d)
+    coeffs, target, cols = shifted_columns(one, f, n, degrees ** float(spec.N))
+    # z^alpha at radial node r and angular point u is r^|alpha| u^alpha
+    angular = np.prod(spec._angular[:, None, :] ** exponents, axis=2)
+    radial = spec.radial_nodes[:, None] ** degrees
+    design = np.zeros((radial.shape[0] * spec.angular_count + 1, len(cols)), dtype=complex)
+    grid = design[:-1].reshape(radial.shape[0], spec.angular_count, len(cols))
+    np.matmul(angular, radial[:, :, None] * coeffs.toarray(), out=grid)
+    design[-1, 0] = f.constant_term
+    # the target R^N 1 is the constant target[0] on the grid
+    rhs = np.full(len(design), target[0])
+    rhs[-1] = 1.0
+    return design, rhs, cols
 
 
 def mixed_index(
@@ -404,110 +402,40 @@ def mixed_index(
         raise DimensionMismatchError("f does not match the spec dimension")
     if n < 0:
         raise ArgumentError("n must be >= 0")
-    cols = multi_indices(spec.d, n)
-    shifted = [Polynomial.monomial(gamma) * f for gamma in cols]
-    k_nodes = len(spec.radial_nodes)
-    m_ang = spec.angular_count
+    design, rhs, cols = _shifted_grid(spec, f, n)
 
-    one = Polynomial.one(spec.d)
-    if spec.N > 0:
-        v0 = np.zeros(k_nodes * m_ang, dtype=complex)
-    else:
-        v0 = spec.grid_values(one).ravel()
-    columns = np.column_stack(
-        [spec.grid_values(spec.differentiated(p)).ravel() for p in shifted]
-    )
-    use_constant = spec.N > 0 and spec.include_constant_term
-    if use_constant:
-        vc0 = 1.0 + 0j
-        cc = np.array([p.constant_term for p in shifted], dtype=complex)
-
-    is_mixed = isinstance(spec, MixedSpec)
-    if is_mixed:
-        qp = spec.q / spec.p
+    def residual(x: np.ndarray):
+        r = rhs - design @ x
+        return r[:-1].reshape(-1, spec.angular_count), r[-1]
 
     def objective(x: np.ndarray) -> float:
-        v = (v0 - columns @ x).reshape(k_nodes, m_ang)
-        if is_mixed:
-            inner = np.mean(np.abs(v) ** spec.p, axis=1)
-            total = float(spec.radial_weights @ inner**qp)
-            if use_constant:
-                total += spec.mass * abs(vc0 - cc @ x) ** spec.q
-            return total ** (1.0 / spec.q)
-        lam = _luxemburg_from_values(spec, v)
-        if use_constant:
-            return math.sqrt(spec.mass * abs(vc0 - cc @ x) ** 2 + lam * lam)
-        return lam
+        return spec._norm(*residual(x))
 
-    def irls_weights(x: np.ndarray):
-        v = (v0 - columns @ x).reshape(k_nodes, m_ang)
-        mags = np.maximum(np.abs(v), _FLOOR)
-        if is_mixed:
-            inner = np.maximum(np.mean(np.abs(v) ** spec.p, axis=1), _FLOOR)
-            u = (
-                spec.radial_weights[:, None]
-                / m_ang
-                * inner[:, None] ** (qp - 1.0)
-                * mags ** (spec.p - 2.0)
-            )
-        else:
-            lam = max(_luxemburg_from_values(spec, v), _FLOOR)
-            pexp = spec.exponents()[:, None]
-            u = (
-                spec.radial_weights[:, None]
-                / m_ang
-                * pexp
-                * mags ** (pexp - 2.0)
-                * lam ** (-pexp)
-            )
-        u = u.ravel()
-        if use_constant:
-            u = np.concatenate([u, [spec.mass * max(abs(vc0 - cc @ x), _FLOOR)
-                                    ** ((spec.q if is_mixed else 2.0) - 2.0)]])
-        return u
-
-    full_columns = columns
-    full_v0 = v0
-    if use_constant:
-        full_columns = np.vstack([columns, cc[None, :]])
-        full_v0 = np.concatenate([v0, [vc0]])
+    def irls_weights(x: np.ndarray) -> np.ndarray:
+        grid, constant = spec._irls_weights(*residual(x))
+        return np.append(grid, constant if spec.uses_constant_term else 0.0)
 
     twin = _hilbert_twin(spec, n + f.degree)
-    x = np.asarray(
-        [subspace_distance(twin, one, f, n).phi.coefficient(gamma) for gamma in cols],
-        dtype=complex,
-    )
+    start = subspace_distance(twin, Polynomial.one(spec.d), f, n).phi
+    x = np.array([start.coefficient(gamma) for gamma in cols], dtype=complex)
     best_value = objective(x)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        u = irls_weights(x)
-        sqrt_u = np.sqrt(u)
-        proposal = np.linalg.lstsq(
-            full_columns * sqrt_u[:, None], full_v0 * sqrt_u, rcond=None
-        )[0]
-        improved = False
-        tau = 1.0
-        candidate = x
-        candidate_value = best_value
-        for _ in range(30):
+        sqrt_u = np.sqrt(irls_weights(x))
+        proposal = np.linalg.lstsq(design * sqrt_u[:, None], rhs * sqrt_u, rcond=None)[0]
+        for tau in 0.5 ** np.arange(30):
             trial = x + tau * (proposal - x)
             trial_value = objective(trial)
             if trial_value < best_value - 1e-15 * max(best_value, 1.0):
-                candidate, candidate_value, improved = trial, trial_value, True
                 break
-            tau *= 0.5
-        if not improved:
-            converged = np.linalg.norm(proposal - x) <= 1e-8 * (
-                1.0 + np.linalg.norm(x)
-            )
+        else:
+            converged = np.linalg.norm(proposal - x) <= 1e-8 * (1.0 + np.linalg.norm(x))
             break
-        decrease = best_value - candidate_value
-        x, best_value = candidate, candidate_value
+        decrease = best_value - trial_value
+        x, best_value = trial, trial_value
         if decrease < decrease_tol:
             converged = True
             break
     phi = Polynomial(spec.d, dict(zip(cols, x)))
-    return MixedIndexResult(
-        n=n, value=best_value, phi=phi, iterations=iterations, converged=converged
-    )
+    return MixedIndexResult(n, best_value, phi, iterations, converged)

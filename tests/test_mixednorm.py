@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from cyclicity import mixednorm
 from cyclicity.errors import ArgumentError, DegenerateInputError
 from cyclicity.indices import subspace_distance
 from cyclicity.mixednorm import (
@@ -115,6 +118,32 @@ class TestLuxemburgNorm:
             4.0 * luxemburg_norm(spec, f), abs=1e-8
         )
 
+    @pytest.mark.parametrize("N", [0, 1])
+    @pytest.mark.parametrize("scale", [1e-200, 1e70])
+    def test_homogeneity_at_extreme_scales(self, N, scale):
+        spec = varexp(a=1.5, b=2.0, c=1.0, N=N)
+        f = p1d(1, -0.5, 0.3)
+        assert luxemburg_norm(spec, scale * f) == pytest.approx(
+            scale * luxemburg_norm(spec, f), rel=1e-9
+        )
+
+    def test_matches_root_of_direct_modular(self):
+        # independent oracle: brentq on the modular summed over the whole grid
+        import scipy.optimize
+
+        rng = np.random.default_rng(71)
+        spec = varexp(a=1.2, b=2.5, c=0.7, radial_count=16, angular_count=64)
+        weights, pexp = spec.radial_weights, spec.a + spec.b * spec.radial_nodes**spec.c
+        for _ in range(5):
+            f = random_polynomial(rng, 1, 4)
+            mags = np.abs(spec.grid_values(f))
+
+            def excess(lam):
+                return weights @ np.mean((mags / lam) ** pexp[:, None], axis=1) - 1.0
+
+            root = scipy.optimize.brentq(excess, 1e-3, 1e3, xtol=1e-15, rtol=1e-14)
+            assert luxemburg_norm(spec, f) == pytest.approx(root, rel=1e-10)
+
     def test_bisection_certificate(self):
         rng = np.random.default_rng(67)
         spec = varexp(a=1.5, b=1.0, c=1.0)
@@ -212,6 +241,65 @@ class TestMixedIndex:
     def test_rejects_zero_function(self):
         with pytest.raises(DegenerateInputError):
             mixed_index(hardy_type(), Polynomial.zero(1), 2)
+
+    @pytest.mark.parametrize("N", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_design_matches_shifted_products(self, d, N):
+        # oracle: grid values and constant terms of each product z^gamma f
+        rng = np.random.default_rng(73 + d)
+        spec = MixedSpec.with_measure("area", d, N, 3.0, 2.0, radial_count=6,
+                                      angular_count=64, seed=5)
+        f = random_polynomial(rng, d, 2)
+        n = 3
+        design, rhs, cols = mixednorm._shifted_grid(spec, f, n)
+        for j, gamma in enumerate(cols):
+            product = Polynomial.monomial(gamma) * f
+            want = spec.grid_values(product.radial_derivative(N)).ravel()
+            np.testing.assert_allclose(design[:-1, j], want, rtol=1e-13, atol=1e-13)
+            assert design[-1, j] == product.constant_term
+        assert np.all(rhs[:-1] == (1.0 if N == 0 else 0.0)) and rhs[-1] == 1.0
+
+    def test_resolution_warning_on_index(self):
+        # n + deg f = 4 needs 8 * 4 = 32 angular points on the circle
+        with pytest.warns(UserWarning, match="angular resolution"):
+            mixed_index(hardy_type(angular_count=16), p1d(1, -1), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed_index(hardy_type(angular_count=32), p1d(1, -1), 3)
+
+    def test_hilbert_warm_start_solved_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return subspace_distance(*args)
+
+        monkeypatch.setattr(mixednorm, "subspace_distance", counting)
+        mixed_index(area_type(p=3.0, q=1.5, radial_count=12, angular_count=64), p1d(1, -1), 4)
+        assert len(calls) == 1
+
+
+class TestVarExpIndex:
+    """Variable-exponent indices with N > 0, where the constant term joins."""
+
+    def test_constant_exponent_two_is_dirichlet_index(self):
+        # p = 2 is the Dirichlet-type space, where the warm start is optimal
+        spec = varexp(a=2.0, N=1)
+        f = p1d(1, -1)
+        for n in (0, 2, 5):
+            res = mixed_index(spec, f, n)
+            want = subspace_distance(dirichlet_type(1), ONE, f, n).residual
+            assert res.converged
+            assert res.value == pytest.approx(want, abs=1e-8)
+
+    def test_sweep_converges_and_is_nonincreasing(self):
+        # the budgets are nested, so a larger budget cannot do worse
+        spec = varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24, angular_count=256)
+        results = [mixed_index(spec, p1d(1, -1), n) for n in range(17)]
+        assert all(r.converged for r in results), [r.n for r in results if not r.converged]
+        values = [r.value for r in results]
+        for lo, hi in zip(values[1:], values):
+            assert lo <= hi * (1 + 1e-12)
 
 
 class TestSerialization:
