@@ -100,16 +100,11 @@ def parse_polynomial(obj, d: int | None = None) -> Polynomial:
     if isinstance(obj, list):
         return Polynomial.from_json(obj, d)
     if isinstance(obj, dict) and "coeffs1d" in obj:
-        coeffs = []
-        for entry in obj["coeffs1d"]:
-            if isinstance(entry, (list, tuple)):
-                coeffs.append(complex(entry[0], entry[1]))
-            else:
-                coeffs.append(complex(entry))
-        return Polynomial.from_coeffs1d(coeffs)
-    raise ArgumentError(
-        "function must be a JSON term array or {'coeffs1d': [...]}"
-    )
+        return Polynomial.from_coeffs1d([
+            complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
+            for e in obj["coeffs1d"]
+        ])
+    raise ArgumentError("function must be a JSON term array or {'coeffs1d': [...]}")
 
 
 def parse_free_polynomial(obj, d: int) -> free.FreePolynomial:
@@ -134,12 +129,8 @@ def parse_cloud(obj, seed_supplier) -> cap.BoundaryCloud:
         )
     if kind == "zero_set":
         f = parse_polynomial(_require(obj, "function"), obj.get("d"))
-        seed = 0
-        if f.d >= 2:
-            seed = seed_supplier()
-        return cap.sample_zero_set(
-            f, int(obj.get("resolution", 2048)), obj.get("tol"), seed
-        )
+        seed = seed_supplier() if f.d >= 2 else 0
+        return cap.sample_zero_set(f, int(obj.get("resolution", 2048)), obj.get("tol"), seed)
     raise ArgumentError(f"unknown cloud kind {kind!r}")
 
 
@@ -241,12 +232,8 @@ def cmd_capacity(config: dict):
     alpha = float(_require(config, "alpha"))
     if cloud.size == 0:
         log.warning("capacity requested on an empty cloud; returning 0 by convention")
-    result = cap.riesz_equilibrium(
-        cloud,
-        alpha,
-        max_iter=int(config.get("maxIter", 20000)),
-        tol=float(config.get("tol", 1e-7)),
-    )
+    result = cap.riesz_equilibrium(cloud, alpha, max_iter=int(config.get("maxIter", 20000)),
+                                   tol=float(config.get("tol", 1e-7)))
     if not result.converged:
         log.warning("equilibrium not converged (kkt_gap %g)", result.kkt_gap)
     out = result.to_json()
@@ -256,9 +243,7 @@ def cmd_capacity(config: dict):
 
 def cmd_dimension(config: dict):
     cloud = parse_cloud(_require(config, "cloud"), lambda: _require_seed(config))
-    estimate = cap.box_dimension(
-        cloud, int(config.get("jMin", 2)), int(config.get("jMax", 7))
-    )
+    estimate = cap.box_dimension(cloud, int(config.get("jMin", 2)), int(config.get("jMax", 7)))
     out = estimate.to_json()
     out["cloudSize"] = cloud.size
     return out, None
@@ -320,13 +305,12 @@ def cmd_mixed_index(config: dict):
     else:
         budgets = [int(_require(config, "n"))]
     results = [mx.mixed_index(spec, f, n) for n in budgets]
+    for r in results:
+        if not r.converged:
+            log.warning("IRLS not converged at n=%d after %d iterations", r.n, r.iterations)
     rows = [("n", "objective", "iterations", "converged")]
     rows += [(r.n, r.value, r.iterations, str(r.converged).lower()) for r in results]
-    payload = {
-        "results": [r.to_json() for r in results],
-        "spec": spec.to_json(),
-    }
-    return payload, rows
+    return {"results": [r.to_json() for r in results], "spec": spec.to_json()}, rows
 
 
 def cmd_report(config: dict):

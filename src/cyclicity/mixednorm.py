@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import shifted_columns, subspace_distance
 from .poly import Polynomial, multi_indices
+from .solver import solve_least_squares
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec
 
 RADIAL_POINT_MASS = "point_mass"
@@ -194,11 +195,13 @@ class MixedSpec(_QuadratureSpec):
         return (float(obj["p"]), float(obj["q"])), {}
 
     def _norm(self, values: np.ndarray, constant: complex) -> float:
-        inner = np.mean(np.abs(values) ** self.p, axis=1)
+        # powers of |v / s| stay in range at any scale s of finite values
+        constant = abs(constant) if self.uses_constant_term else 0.0
+        scale = max(float(np.max(np.abs(values), initial=0.0)), constant) or 1.0
+        inner = np.mean((np.abs(values) / scale) ** self.p, axis=1)
         total = float(self.radial_weights @ inner ** (self.q / self.p))
-        if self.uses_constant_term:
-            total += self.mass * abs(constant) ** self.q
-        return total ** (1.0 / self.q)
+        total += self.mass * (constant / scale) ** self.q
+        return scale * total ** (1.0 / self.q)
 
     def _irls_weights(self, values: np.ndarray, constant: complex):
         # the gradient of the q-th power of the norm over 2|v|, up to q/2
@@ -372,9 +375,12 @@ def _shifted_grid(spec: _QuadratureSpec, f: Polynomial, n: int):
     # z^alpha at radial node r and angular point u is r^|alpha| u^alpha
     angular = np.prod(spec._angular[:, None, :] ** exponents, axis=2)
     radial = spec.radial_nodes[:, None] ** degrees
-    design = np.zeros((radial.shape[0] * spec.angular_count + 1, len(cols)), dtype=complex)
-    grid = design[:-1].reshape(radial.shape[0], spec.angular_count, len(cols))
-    np.matmul(angular, radial[:, :, None] * coeffs.toarray(), out=grid)
+    # column-major, so each IRLS step's weighted copy is too and the solver's
+    # zherk reads it without a copy; a column's grid block is (node, point)
+    design = np.zeros((radial.shape[0] * spec.angular_count + 1, len(cols)), dtype=complex,
+                      order="F")
+    grid = design[:-1].T.reshape(len(cols), radial.shape[0], spec.angular_count)
+    np.matmul(radial[:, None, :] * coeffs.toarray().T, angular.T, out=grid.transpose(1, 0, 2))
     design[-1, 0] = f.constant_term
     # the target R^N 1 is the constant target[0] on the grid
     rhs = np.full(len(design), target[0])
@@ -411,10 +417,6 @@ def mixed_index(
     def objective(x: np.ndarray) -> float:
         return spec._norm(*residual(x))
 
-    def irls_weights(x: np.ndarray) -> np.ndarray:
-        grid, constant = spec._irls_weights(*residual(x))
-        return np.append(grid, constant if spec.uses_constant_term else 0.0)
-
     twin = _hilbert_twin(spec, n + f.degree)
     start = subspace_distance(twin, Polynomial.one(spec.d), f, n).phi
     x = np.array([start.coefficient(gamma) for gamma in cols], dtype=complex)
@@ -422,8 +424,9 @@ def mixed_index(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        sqrt_u = np.sqrt(irls_weights(x))
-        proposal = np.linalg.lstsq(design * sqrt_u[:, None], rhs * sqrt_u, rcond=None)[0]
+        grid, constant = spec._irls_weights(*residual(x))
+        sqrt_u = np.sqrt(np.append(grid, constant if spec.uses_constant_term else 0.0))
+        proposal = solve_least_squares(design * sqrt_u[:, None], rhs * sqrt_u).coefficients
         for tau in 0.5 ** np.arange(30):
             trial = x + tau * (proposal - x)
             trial_value = objective(trial)

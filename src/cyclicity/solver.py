@@ -4,9 +4,11 @@ A design column holds one shifted basis element (z^gamma f, or Z^w G over
 words), so it has only |f| nonzeros. The primary route factors the sparse
 Gram matrix A^H A by SuperLU in symmetric mode (an unpivoted LDL^H under a
 minimum-degree ordering) and estimates its 1-norm condition from the
-factors. Gram matrices of shifted bases grow ill-conditioned with degree,
-so past a condition threshold the solve falls back to a dense orthogonal
-factorization of the design matrix itself.
+factors. A dense design (the quadrature grids of the IRLS index steps)
+stays dense and forms its small dense Gram by one Hermitian BLAS product
+(zherk) before the same factorization. Gram matrices of shifted bases grow
+ill-conditioned with degree, so past a condition threshold the solve falls
+back to a dense orthogonal factorization of the design matrix itself.
 """
 
 from __future__ import annotations
@@ -66,10 +68,17 @@ def solve_least_squares(design, target: np.ndarray) -> LeastSquaresOutcome:
     import scipy.sparse
     from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-    design = scipy.sparse.csc_matrix(design, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    adjoint = design.conj().T
-    gram = (adjoint @ design).tocsc()
+    if scipy.sparse.issparse(design):
+        design = scipy.sparse.csc_matrix(design, dtype=complex)
+        gram = (design.conj().T @ design).tocsc()
+    else:
+        from scipy.linalg.blas import zherk
+
+        # one Hermitian rank-k product, with no conjugated copy of the design
+        design = np.asarray(design, dtype=complex)
+        upper = zherk(1.0, design, trans=2)
+        gram = scipy.sparse.csc_matrix(np.triu(upper) + np.triu(upper, 1).conj().T)
     cond = math.inf
     try:
         factor = splu(gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -82,11 +91,13 @@ def solve_least_squares(design, target: np.ndarray) -> LeastSquaresOutcome:
     except RuntimeError:
         pass  # SuperLU found an exactly zero pivot
     if cond <= DEFAULT_COND_THRESHOLD:
-        method, x = CHOLESKY, factor.solve(adjoint @ target)
+        # A^H b as conj(b^H A), again without a conjugated copy of A
+        method, x = CHOLESKY, factor.solve((target.conj() @ design).conj())
     else:
         method = QR_FALLBACK
         try:
-            x = np.linalg.lstsq(design.toarray(), target, rcond=None)[0]
+            dense = design.toarray() if scipy.sparse.issparse(design) else design
+            x = np.linalg.lstsq(dense, target, rcond=None)[0]
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"least-squares fallback failed: {exc}") from exc
     if not np.all(np.isfinite(x)):

@@ -1,7 +1,9 @@
 """Shared generators and independent oracles for the test suite."""
 
 import numpy as np
+import pytest
 
+from cyclicity import solver
 from cyclicity.freespace import FreePolynomial, words
 from cyclicity.poly import Polynomial, multi_indices
 
@@ -27,6 +29,22 @@ def random_free_polynomial(rng, d, max_length, density=1.0):
         coeffs[w] = rng.standard_normal() + 1j * rng.standard_normal()
     p = FreePolynomial(d, coeffs)
     return p + 1.0 if p.is_zero else p
+
+
+def solves_of(module, call):
+    """(design, target, outcome) of every solve that `call` makes through `module`."""
+    seen = []
+    real = solver.solve_least_squares
+
+    def spy(design, target):
+        out = real(design, target)
+        seen.append((design, target, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "solve_least_squares", spy)
+        result = call()
+    return result, seen
 
 
 def coeff_distance(p, q):

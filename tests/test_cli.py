@@ -1,10 +1,12 @@
 import json
+import logging
 import math
 import subprocess
 import sys
 
 import pytest
 
+from cyclicity import mixednorm
 from cyclicity.cli import main, parse_polynomial, parse_space
 from cyclicity.errors import ArgumentError
 
@@ -111,6 +113,29 @@ class TestCommands:
         cfg2.write_text(json.dumps(embedded))
         rc2 = main(["index", "--config", str(cfg2), "--out", str(tmp_path / "again")])
         assert rc2 == 0
+
+    def test_mixed_index_warns_per_unconverged_budget(self, tmp_path, monkeypatch, caplog):
+        real = mixednorm.mixed_index
+
+        def stalled_at_one(spec, f, n):
+            result = real(spec, f, n)
+            result.converged = n != 1
+            return result
+
+        monkeypatch.setattr(mixednorm, "mixed_index", stalled_at_one)
+        config = {
+            "mixedSpec": {"d": 1, "N": 0, "p": 3, "q": 2, "radial": {"measure": "point_mass"},
+                          "angular": {"count": 64}},
+            "function": {"coeffs1d": [1, -1]},
+            "nMax": 2,
+        }
+        with caplog.at_level(logging.WARNING, logger="cyclicity"):
+            rc, path = run_cli(tmp_path, "mixed-index", config)
+        assert rc == 0
+        results = json.loads(path.read_text())["result"]["results"]
+        assert [r["converged"] for r in results] == [True, False, True]
+        warned = [r.getMessage() for r in caplog.records if "not converged" in r.getMessage()]
+        assert len(warned) == 1 and "n=1" in warned[0]
 
 
 class TestValidationAndExitCodes:

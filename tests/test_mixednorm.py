@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cyclicity import mixednorm
+from cyclicity import mixednorm, solver
 from cyclicity.errors import ArgumentError, DegenerateInputError
 from cyclicity.indices import subspace_distance
 from cyclicity.mixednorm import (
@@ -16,7 +16,7 @@ from cyclicity.mixednorm import (
 )
 from cyclicity.poly import Polynomial
 from cyclicity.spaces import bergman, dirichlet_type, hardy
-from helpers import random_polynomial
+from helpers import random_polynomial, solves_of
 
 
 def p1d(*coeffs):
@@ -71,6 +71,18 @@ class TestMixedNorm:
                 nf, ng = mixed_norm(spec, f), mixed_norm(spec, g)
                 assert mixed_norm(spec, f + g) <= nf + ng + 1e-8
                 assert mixed_norm(spec, 3.5 * f) == pytest.approx(3.5 * nf, abs=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-120, 1e120, 1e200])
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_homogeneous_at_extreme_scales(self, N, scale):
+        # unscaled |v|^p underflows to 0 or overflows to inf at these scales
+        spec = area_type(p=3.0, q=2.0, N=N)
+        f = p1d(1, -0.5, 0.3)
+        base = mixed_norm(spec, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = mixed_norm(spec, scale * f)
+        assert scaled / scale == pytest.approx(base, rel=1e-14)
 
     def test_resolution_warning(self):
         spec = hardy_type(angular_count=8)
@@ -277,6 +289,43 @@ class TestMixedIndex:
         monkeypatch.setattr(mixednorm, "subspace_distance", counting)
         mixed_index(area_type(p=3.0, q=1.5, radial_count=12, angular_count=64), p1d(1, -1), 4)
         assert len(calls) == 1
+
+
+class TestIrlsStep:
+    """Each IRLS step goes through the shared Gram solver."""
+
+    @pytest.mark.parametrize("spec, f", [
+        (area_type(p=3.0, q=2.0, radial_count=12, angular_count=64), p1d(1, -1)),
+        (area_type(p=1.5, q=2.0, N=1, radial_count=12, angular_count=64), p1d(1, -0.5, 0.3)),
+        (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=8, angular_count=256,
+                                seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
+        (MixedSpec.with_measure("area", 2, 1, 1.5, 2.0, radial_count=8, angular_count=256,
+                                seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
+        (varexp(a=1.5, b=1.0, c=2.0, radial_count=12, angular_count=64), p1d(1, -0.5, 0.3)),
+        (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=12, angular_count=64), p1d(1, -1)),
+    ], ids=["mixed-d1", "mixed-d1-p<2", "mixed-d2", "mixed-d2-p<2", "varexp-N0", "varexp-N1"])
+    def test_proposal_matches_dense_lstsq(self, spec, f):
+        _, seen = solves_of(mixednorm, lambda: mixed_index(spec, f, 3))
+        assert seen
+        for design, target, out in seen:
+            assert isinstance(design, np.ndarray) and design.flags.f_contiguous
+            want = np.linalg.lstsq(design, target, rcond=None)[0]
+            assert np.linalg.norm(out.coefficients - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_well_conditioned_index_skips_dense_lstsq(self, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        spec = area_type(p=3.0, q=2.0, radial_count=12, angular_count=64)
+        result, seen = solves_of(mixednorm, lambda: mixed_index(spec, p1d(1, -1), 3))
+        assert result.converged and len(seen) == result.iterations
+        assert {out.method for _, _, out in seen} == {solver.CHOLESKY}
+        assert calls == []
 
 
 class TestVarExpIndex:

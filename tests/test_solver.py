@@ -1,6 +1,7 @@
 """Sparse least-squares core: assembly against dense polynomial products, the
-sparse Gram solve against a dense oracle, the condition estimate, residual
-invariants of index, sweep and free index, and non-finite input."""
+sparse Gram solve against a dense oracle, the dense-design route, the
+condition estimate, residual invariants of index, sweep and free index, and
+non-finite input."""
 
 import json
 import math
@@ -32,6 +33,7 @@ from cyclicity.spaces import (
     drury_arveson,
     hardy,
 )
+from helpers import solves_of
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -63,24 +65,8 @@ def free_polynomials(draw, d=2, max_length=2):
     return p + 1.0 if p.is_zero else p
 
 
-def solves_of(module, call):
-    """(design, target, outcome) of every solve that `call` makes through `module`."""
-    seen = []
-    real = solver.solve_least_squares
-
-    def spy(design, target):
-        out = real(design, target)
-        seen.append((design, target, out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "solve_least_squares", spy)
-        result = call()
-    return result, seen
-
-
 def assert_matches_dense_oracle(design, target, out):
-    dense = design.toarray()
+    dense = design if isinstance(design, np.ndarray) else design.toarray()
     x_ref = np.linalg.lstsq(dense, target, rcond=None)[0]
     residual_ref = float(np.linalg.norm(target - dense @ x_ref))
     # g in the span gives a zero residual, which each side hits only to roundoff
@@ -245,6 +231,48 @@ class TestConditionEstimate:
         gram = design.T @ design
         kappa1 = np.linalg.norm(gram, 1) * np.linalg.norm(np.linalg.inv(gram), 1)
         assert out.gram_condition == pytest.approx(kappa1, rel=1e-12)
+
+
+class TestDenseRoute:
+    """A dense ndarray design forms its Gram densely, then takes the sparse route's
+    factorization, condition estimate and fallback."""
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_matches_sparse_form(self, name):
+        spec = SPACES[name]
+        f = Polynomial(spec.d, {a: 1.0 - 0.5j * sum(a) for a in multi_indices(spec.d, 2)})
+        design, target, _ = indices._design_matrix(spec, Polynomial.one(spec.d), f, 5)
+        sparse = solver.solve_least_squares(design, target)
+        dense = solver.solve_least_squares(np.asfortranarray(design.toarray()), target)
+        assert dense.method == sparse.method
+        assert dense.residual == pytest.approx(sparse.residual, rel=1e-12, abs=1e-15)
+        assert dense.gram_condition == pytest.approx(sparse.gram_condition, rel=1e-12)
+        np.testing.assert_allclose(dense.coefficients, sparse.coefficients, rtol=1e-12,
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_real_design_is_accepted(self, order):
+        rng = np.random.default_rng(11)
+        design = np.asarray(rng.standard_normal((40, 6)), order=order)
+        target = rng.standard_normal(40)
+        out = solver.solve_least_squares(design, target)
+        assert out.method == solver.CHOLESKY
+        assert_matches_dense_oracle(design, target, out)
+
+    def test_ill_conditioned_vandermonde_falls_back(self):
+        t = np.linspace(0.0, 1.0, 60)
+        design = np.vander(t, 14, increasing=True)
+        # an alternating part keeps the target off the span by far more than roundoff
+        target = np.cos(3.0 * t) + 1e-3 * (-1.0) ** np.arange(60)
+        out = solver.solve_least_squares(design, target)
+        assert out.method == solver.QR_FALLBACK
+        assert out.gram_condition > solver.DEFAULT_COND_THRESHOLD
+        # at kappa(A) near 1e9 real and complex LAPACK drivers part at 1e-9, so the
+        # oracle takes the complex one that the solver takes
+        want = np.linalg.lstsq(design.astype(complex), target.astype(complex), rcond=None)[0]
+        np.testing.assert_allclose(out.coefficients, want, rtol=1e-12, atol=0)
+        # the residual cancels coefficients near 1e5 down to 1e-2
+        assert out.residual == pytest.approx(np.linalg.norm(target - design @ want), rel=1e-8)
 
 
 class TestNonFiniteInput:
