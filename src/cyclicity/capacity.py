@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import (
@@ -151,25 +150,6 @@ def sphere_cap_cloud(count: int, polar_angle: float) -> BoundaryCloud:
     return BoundaryCloud(np.column_stack([z1, z2]))
 
 
-def _golden_minimize(fun, lo: float, hi: float, iterations: int = 80):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    x = (a + b) / 2.0
-    return x, fun(x)
-
-
 def _gauss_newton_polish(f: Polynomial, pts: np.ndarray, steps: int, project: bool):
     """Least-squares Newton steps toward f = 0; optionally reproject to the sphere."""
     grads = [f.partial_derivative(j) for j in range(f.d)]
@@ -195,14 +175,19 @@ def sample_zero_set(
 ) -> BoundaryCloud:
     """Sample the boundary zero set {|z| = 1 : f(z) = 0}.
 
-    d = 1: scan a theta grid, refine every local minimum of |f(e^(i theta))|
-    by golden-section search to ~1e-12 in angle, and keep refined points
-    with |f| <= tol (default 1e-9).
+    Candidates at d = 1 are the nonzero roots of f (companion eigenvalues)
+    projected onto the circle; `resolution` is not used. At d >= 2 they are
+    `resolution` seeded samples of the sphere with |f| < tol (default 1e-4);
+    the acceptance band of a hypersurface zero set scales like tol, so
+    `resolution` must grow as tol shrinks. Either way 10 projected
+    least-squares descent steps on |f|^2 follow, and points with
+    |f| <= tol (default 1e-9 at d = 1) are kept.
 
-    d >= 2: rejection sampling on the sphere keeping |f| < tol (default
-    1e-4), then 10 projected least-squares descent steps on |f|^2. The
-    acceptance band of a hypersurface zero set scales like tol, so
-    `resolution` must grow as tol shrinks. Deterministic for a fixed seed.
+    Duplicates merge. At d = 1 a point is dropped when |f| <= tol also holds
+    midway to its predecessor by angle, which leaves one point per arc of
+    {|f| <= tol}: a k-fold zero, or zeros closer than that arc, give one
+    point inside it. At d >= 2 points that agree on a 1e-8 grid merge.
+    Deterministic for a fixed seed.
     """
     if f.is_zero:
         raise DegenerateInputError("f must be nonzero")
@@ -212,61 +197,31 @@ def sample_zero_set(
     if tol is None:
         tol = 1e-9 if d == 1 else 1e-4
     if d == 1:
-        theta = 2.0 * np.pi * np.arange(resolution) / resolution
-        vals = np.abs(f.evaluate_grid(np.exp(1j * theta)[:, None])).ravel()
-        step = 2.0 * np.pi / resolution
-
-        def absf(t: float) -> float:
-            return abs(f.evaluate((np.exp(1j * t),)))
-
-        # a zero within one grid step forces |f| at the nearest node below a
-        # few times the largest adjacent variation, so flat minima far from
-        # tol need no refinement
-        max_jump = float(np.max(np.abs(np.diff(vals, append=vals[0]))))
-        candidate_cut = tol + 4.0 * max_jump
-        roots: list[float] = []
-        for i in range(resolution):
-            left = vals[(i - 1) % resolution]
-            right = vals[(i + 1) % resolution]
-            if vals[i] <= left and vals[i] <= right and vals[i] <= candidate_cut:
-                t_star, v_star = _golden_minimize(
-                    absf, theta[i] - step, theta[i] + step
-                )
-                if v_star <= tol:
-                    roots.append(t_star % (2.0 * np.pi))
-        points = np.exp(1j * np.array(sorted(roots)))[:, None]
-        if len(points) > 1:
-            keep = [0]
-            for i in range(1, len(points)):
-                if np.linalg.norm(points[i] - points[keep[-1]]) > 1e-8:
-                    keep.append(i)
-            # the grid wraps; the last root can duplicate the first
-            if (
-                len(keep) > 1
-                and np.linalg.norm(points[keep[-1]] - points[keep[0]]) <= 1e-8
-            ):
-                keep.pop()
-            points = points[keep]
-        return BoundaryCloud(points, source_tol=tol)
-
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal(
-        (resolution, d)
-    )
-    sphere = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    keep = np.abs(f.evaluate_grid(sphere)) < tol
-    accepted = sphere[keep]
-    if len(accepted) == 0:
-        return BoundaryCloud(np.zeros((0, d), dtype=complex), source_tol=tol)
-    polished = _gauss_newton_polish(f, accepted, steps=10, project=True)
-    final_keep = np.abs(f.evaluate_grid(polished)) < tol
-    polished = polished[final_keep]
-    # dedup points that collapsed onto the same zero
-    unique: list[np.ndarray] = []
-    for row in polished:
-        if not any(np.linalg.norm(row - u) < 1e-8 for u in unique):
-            unique.append(row)
-    pts = np.asarray(unique) if unique else np.zeros((0, d), dtype=complex)
+        ascending = np.zeros(f.degree + 1, dtype=complex)
+        for (k,), c in f.coeffs.items():
+            ascending[k] = c
+        roots = np.roots(ascending[::-1])
+        roots = roots[roots != 0]
+        candidates = (roots / np.abs(roots))[:, None]
+    else:
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal(
+            (resolution, d)
+        )
+        sphere = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        candidates = sphere[np.abs(f.evaluate_grid(sphere)) < tol]
+    polished = _gauss_newton_polish(f, candidates, steps=10, project=True)
+    pts = polished[np.abs(f.evaluate_grid(polished)) <= tol]
+    if d > 1:
+        pts = _dedup_rows(pts, 1e-8)
+    elif len(pts) > 1:
+        theta = np.angle(pts[:, 0]) % (2.0 * np.pi)
+        order = np.argsort(theta)
+        theta, pts = theta[order], pts[order]
+        gap = np.diff(theta, prepend=theta[-1]) % (2.0 * np.pi)
+        keep = np.abs(f.evaluate_grid(np.exp(1j * (theta - gap / 2.0))[:, None])) > tol
+        keep[0] |= not keep.any()  # every gap lies in {|f| <= tol}: keep one point
+        pts = pts[keep]
     return BoundaryCloud(pts, source_tol=tol)
 
 
@@ -308,6 +263,8 @@ def _face_minimizer(kernel: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Minimizer of w^T K w over sum(w) = 1, w = 0 off `free`: K_S w = lambda * 1,
     by Cholesky when K_S is positive definite, else (the log kernel is only
     conditionally so) by LDL^T of the bordered system [K_S 1; 1^T 0]."""
+    import scipy.linalg  # only here: loading it costs every fresh process ~0.3 s
+
     idx = np.flatnonzero(free)
     m, w = len(idx), np.zeros(len(kernel))
     try:

@@ -6,8 +6,8 @@ Every command reads a JSON config, writes <out>/<command>.json (and a CSV
 next to it where noted), and exits 0 on success, 2 on validation errors,
 3 on numeric failures. Identical config plus seed produces byte-identical
 JSON: keys are sorted, floats use shortest round-trip formatting, line
-endings are LF, and every stochastic step takes an explicit seed. The
-resolved config is embedded in each result for round-trip validation.
+endings are LF, and every stochastic step takes an explicit seed. Each
+result embeds its input config as given, without defaults filled in.
 """
 
 from __future__ import annotations

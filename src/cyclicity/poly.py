@@ -319,11 +319,6 @@ class Polynomial(SparseSeries):
             out[key] = out.get(key, 0j) + c * alpha[j]
         return Polynomial(self.d, out)
 
-    def truncate(self, max_degree: int) -> "Polynomial":
-        return Polynomial(
-            self.d, {a: c for a, c in self.coeffs.items() if sum(a) <= max_degree}
-        )
-
     @classmethod
     def from_json(cls, terms: Sequence[Mapping], d: int | None = None) -> "Polynomial":
         if not terms and d is None:

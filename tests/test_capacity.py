@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,46 @@ class TestZeroSetSampling:
         with pytest.raises(DegenerateInputError):
             sample_zero_set(Polynomial.zero(1), resolution=64)
 
+    def test_multiple_zero_gives_one_point_at_any_resolution(self):
+        f = p1d(1, -1) ** 6
+        cloud = sample_zero_set(f, resolution=65536)
+        assert cloud.size == 1
+        assert abs(f.evaluate(cloud.points[0])) <= cloud.source_tol
+
+    def test_zeros_wider_apart_than_their_tol_arc_stay_distinct(self):
+        # |f| at the midpoint of the two zeros is about 2.5e-9 > tol = 1e-9
+        f = p1d(1, -1) * p1d(1, -np.exp(1e-4j))
+        cloud = sample_zero_set(f)
+        assert cloud.size == 2
+        assert np.max(np.abs(f.evaluate_grid(cloud.points))) <= cloud.source_tol
+
+    def test_clustered_high_order_zeros(self):
+        eighth = p1d(-1, *[0] * 7, 1)
+        f = eighth**5
+        cloud = sample_zero_set(f)
+        assert cloud.size == 8
+        roots = np.exp(2j * np.pi * np.arange(8) / 8)
+        dist = np.abs(cloud.points[:, 0][:, None] - roots[None, :]).min(axis=1)
+        assert np.max(dist) <= 1e-3
+        assert np.max(np.abs(f.evaluate_grid(cloud.points))) <= cloud.source_tol
+
+    @pytest.mark.parametrize("resolution", [64, 65536])
+    def test_roots_of_unity_exact_at_any_resolution(self, resolution):
+        cloud = sample_zero_set(p1d(-1, *[0] * 63, 1), resolution=resolution)
+        angles = np.sort(np.angle(cloud.points[:, 0]) % (2 * np.pi))
+        # the zero at angle 0 may come out just below 2 pi
+        angles = np.where(angles > 2 * np.pi - 1e-9, angles - 2 * np.pi, angles)
+        np.testing.assert_allclose(
+            np.sort(angles), 2 * np.pi * np.arange(64) / 64, rtol=0, atol=1e-12
+        )
+
+    def test_zero_only_at_origin_gives_empty_cloud(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = sample_zero_set(p1d(0, 1))
+        assert cloud.size == 0
+        assert cloud.dimension == 1
+
     def test_higher_dimensional_smoke(self):
         # zero set of z1 - z2 meets the sphere in a circle; rejection plus
         # polish should land points on it
@@ -54,10 +95,14 @@ class TestZeroSetSampling:
         z2 = Polynomial.variable(1, 2)
         f = z1 - z2
         cloud = sample_zero_set(f, resolution=20000, tol=0.05, seed=3)
-        assert cloud.size > 0
+        assert cloud.size > 1
         vals = np.abs(f.evaluate_grid(cloud.points))
         assert np.max(vals) < 1e-6
         assert np.allclose(np.linalg.norm(cloud.points, axis=1), 1.0, atol=1e-9)
+        # no two points closer than the dedup grid
+        gaps = cloud.points[:, None, :] - cloud.points[None, :, :]
+        dist = np.linalg.norm(gaps, axis=-1) + np.eye(cloud.size)
+        assert dist.min() > 1e-8
 
 
 class TestRieszEquilibrium:

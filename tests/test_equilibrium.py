@@ -216,16 +216,22 @@ class TestQuasiUniformSphere:
         assert np.array_equal(cap._quasi_uniform_sphere(real_dim, count), expected)
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.special and scipy.sparse load on first use, inside the
-        # sphere sampler and the least-squares solver; older scipy.linalg
-        # releases load some of them itself, so only what cyclicity adds counts
-        heavy = ("scipy.stats", "scipy.special", "scipy.sparse")
-        script = (
-            "import sys, scipy.linalg; before = set(sys.modules); import cyclicity; "
-            f"print([m for m in {heavy!r} if m in sys.modules and m not in before])"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "[]"
+        # scipy.special, scipy.sparse and scipy.linalg load on first use,
+        # inside the sphere sampler, the least-squares solver and the
+        # equilibrium face solve; older scipy.linalg releases load some of
+        # the others itself, so only what cyclicity adds to the baseline counts
+        cases = [
+            ("scipy.linalg", "cyclicity", ("scipy.stats", "scipy.special", "scipy.sparse")),
+            ("numpy, scipy", "cyclicity.cli", ("scipy.linalg",)),
+        ]
+        for baseline, module, heavy in cases:
+            script = (
+                f"import sys, {baseline}; before = set(sys.modules); import {module}; "
+                f"print([m for m in {heavy!r} if m in sys.modules and m not in before])"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env=subprocess_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", module
