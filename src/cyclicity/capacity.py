@@ -46,6 +46,7 @@ CONSISTENT = "consistent with cyclicity"
 TENSION = "tension"
 
 DEFAULT_CAPACITY_THRESHOLD = 1e-3
+MAX_ROOT_DEGREE = 512  # d = 1 root solve: a 4 MB companion matrix, cost grows as deg^3
 
 
 @dataclass
@@ -175,35 +176,35 @@ def sample_zero_set(
 ) -> BoundaryCloud:
     """Sample the boundary zero set {|z| = 1 : f(z) = 0}.
 
-    Candidates at d = 1 are the nonzero roots of f (companion eigenvalues)
-    projected onto the circle; `resolution` is not used. At d >= 2 they are
-    `resolution` seeded samples of the sphere with |f| < tol (default 1e-4);
-    the acceptance band of a hypersurface zero set scales like tol, so
-    `resolution` must grow as tol shrinks. Either way 10 projected
-    least-squares descent steps on |f|^2 follow, and points with
-    |f| <= tol (default 1e-9 at d = 1) are kept.
+    Candidates at d = 1 are the nonzero roots of f (companion eigenvalues,
+    so deg f <= MAX_ROOT_DEGREE) projected onto the circle; `resolution` is
+    ignored. At d >= 2 they are `resolution` (>= 8) seeded samples of the
+    sphere with |f| < tol (default 1e-4); the acceptance band of a
+    hypersurface zero set scales like tol, so `resolution` must grow as tol
+    shrinks. Either way 10 projected least-squares descent steps on |f|^2
+    follow, and points with |f| <= tol (default 1e-9 at d = 1) are kept.
 
-    Duplicates merge. At d = 1 a point is dropped when |f| <= tol also holds
-    midway to its predecessor by angle, which leaves one point per arc of
-    {|f| <= tol}: a k-fold zero, or zeros closer than that arc, give one
-    point inside it. At d >= 2 points that agree on a 1e-8 grid merge.
-    Deterministic for a fixed seed.
+    Duplicates merge. At d = 1 a point is dropped when |f| <= tol holds at
+    31 evenly spaced points of the arc back to its predecessor by angle,
+    which leaves one point per arc of {|f| <= tol}: a k-fold zero, or zeros
+    closer than that arc, give one point inside it. At d >= 2 points that
+    agree on a 1e-8 grid merge. Deterministic for a fixed seed.
     """
     if f.is_zero:
         raise DegenerateInputError("f must be nonzero")
-    if resolution < 8:
-        raise ArgumentError("resolution must be >= 8")
     d = f.d
     if tol is None:
         tol = 1e-9 if d == 1 else 1e-4
     if d == 1:
-        ascending = np.zeros(f.degree + 1, dtype=complex)
-        for (k,), c in f.coeffs.items():
-            ascending[k] = c
-        roots = np.roots(ascending[::-1])
+        if f.degree > MAX_ROOT_DEGREE:
+            raise ArgumentError(f"d = 1 zero sets need degree <= {MAX_ROOT_DEGREE}")
+        top_first = [f.coeffs.get((k,), 0) for k in range(f.degree, -1, -1)]
+        roots = np.roots(np.asarray(top_first, dtype=complex))
         roots = roots[roots != 0]
         candidates = (roots / np.abs(roots))[:, None]
     else:
+        if resolution < 8:
+            raise ArgumentError("resolution must be >= 8")
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal(
             (resolution, d)
@@ -219,7 +220,8 @@ def sample_zero_set(
         order = np.argsort(theta)
         theta, pts = theta[order], pts[order]
         gap = np.diff(theta, prepend=theta[-1]) % (2.0 * np.pi)
-        keep = np.abs(f.evaluate_grid(np.exp(1j * (theta - gap / 2.0))[:, None])) > tol
+        arcs = np.exp(1j * (theta[:, None] - np.outer(gap, np.arange(1, 32) / 32)))
+        keep = np.any(np.abs(f.evaluate_grid(arcs[..., None])) > tol, axis=1)
         keep[0] |= not keep.any()  # every gap lies in {|f| <= tol}: keep one point
         pts = pts[keep]
     return BoundaryCloud(pts, source_tol=tol)

@@ -8,6 +8,7 @@ from cyclicity.capacity import (
     CONSISTENT,
     OBSTRUCTION,
     BoundaryCloud,
+    _dedup_rows,
     arc_cloud,
     box_dimension,
     circle_cloud,
@@ -61,6 +62,14 @@ class TestZeroSetSampling:
         assert cloud.size == 2
         assert np.max(np.abs(f.evaluate_grid(cloud.points))) <= cloud.source_tol
 
+    def test_flat_arc_of_multiple_zero_keeps_nearby_simple_zero(self):
+        # |f| <= tol at the midpoint to the 10-fold zero, but about 2.8e-8 near
+        # angle 0.25: the simple zero lies in an arc of its own
+        f = p1d(-1, 1) ** 10 * p1d(-np.exp(0.28j), 1)
+        cloud = sample_zero_set(f)
+        assert cloud.size == 2
+        assert np.min(np.abs(cloud.points[:, 0] - np.exp(0.28j))) < 1e-6
+
     def test_clustered_high_order_zeros(self):
         eighth = p1d(-1, *[0] * 7, 1)
         f = eighth**5
@@ -81,6 +90,16 @@ class TestZeroSetSampling:
             np.sort(angles), 2 * np.pi * np.arange(64) / 64, rtol=0, atol=1e-12
         )
 
+    def test_resolution_ignored_at_d1_and_checked_at_higher_d(self):
+        assert sample_zero_set(p1d(1, -1), resolution=1).size == 1
+        with pytest.raises(ArgumentError):
+            sample_zero_set(Polynomial.variable(0, 2), resolution=4)
+
+    def test_rejects_degree_beyond_root_solve(self):
+        f = Polynomial(1, {(0,): -1.0, (20000,): 1.0})
+        with pytest.raises(ArgumentError):
+            sample_zero_set(f)
+
     def test_zero_only_at_origin_gives_empty_cloud(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -99,10 +118,12 @@ class TestZeroSetSampling:
         vals = np.abs(f.evaluate_grid(cloud.points))
         assert np.max(vals) < 1e-6
         assert np.allclose(np.linalg.norm(cloud.points, axis=1), 1.0, atol=1e-9)
-        # no two points closer than the dedup grid
-        gaps = cloud.points[:, None, :] - cloud.points[None, :, :]
-        dist = np.linalg.norm(gaps, axis=-1) + np.eye(cloud.size)
-        assert dist.min() > 1e-8
+
+    def test_higher_dimensional_duplicates_merge(self):
+        # every polished point sampled twice must come out once, in order
+        f = Polynomial.variable(0, 2) - Polynomial.variable(1, 2)
+        pts = sample_zero_set(f, resolution=20000, tol=0.05, seed=3).points
+        np.testing.assert_array_equal(_dedup_rows(np.vstack([pts, pts]), 1e-8), pts)
 
 
 class TestRieszEquilibrium:

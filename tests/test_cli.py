@@ -159,6 +159,12 @@ class TestValidationAndExitCodes:
         )
         assert rc == 2
 
+    def test_sparse_high_degree_zero_set_exits_two(self, tmp_path):
+        terms = [{"exponents": [0], "re": -1.0}, {"exponents": [20000], "re": 1.0}]
+        cloud = {"kind": "zero_set", "function": terms, "d": 1}
+        rc, _ = run_cli(tmp_path, "capacity", {"cloud": cloud, "alpha": 0.0})
+        assert rc == 2
+
     def test_schema_version_gate(self, tmp_path):
         rc, _ = run_cli(
             tmp_path,
