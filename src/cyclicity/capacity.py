@@ -38,7 +38,7 @@ from .indices import (
     SweepReport,
     index_sweep,
 )
-from .poly import Polynomial
+from .poly import JsonRecord, Polynomial
 from .spaces import SpaceSpec
 
 OBSTRUCTION = "obstruction detected"
@@ -228,7 +228,7 @@ def sample_zero_set(
 
 
 @dataclass
-class EquilibriumResult:
+class EquilibriumResult(JsonRecord):
     """Energy-minimizing weights over a cloud with optimality certificate."""
 
     weights: np.ndarray
@@ -239,18 +239,6 @@ class EquilibriumResult:
     kkt_gap: float
     converged: bool
     note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "weights": [float(w) for w in self.weights],
-            "energy": None if math.isinf(self.energy) else self.energy,
-            "capacity": self.capacity,
-            "alpha": self.alpha,
-            "iterations": self.iterations,
-            "kktGap": self.kkt_gap,
-            "converged": self.converged,
-            "note": self.note,
-        }
 
 
 def _dedup_rows(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -445,21 +433,13 @@ def neighborhood_capacity(
 
 
 @dataclass
-class DimensionEstimate:
+class DimensionEstimate(JsonRecord):
     """Box-counting slope with fit diagnostics."""
 
     dimension: float
     r_squared: float
     scales: list[int]
     counts: list[int]
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "rSquared": self.r_squared,
-            "scales": self.scales,
-            "counts": self.counts,
-        }
 
 
 def box_dimension(
@@ -541,7 +521,7 @@ def interior_zero_probe(
 
 
 @dataclass
-class ObstructionReport:
+class ObstructionReport(JsonRecord):
     """Geometric obstructions versus sweep behavior, with a heuristic verdict."""
 
     verdict: str
@@ -552,18 +532,6 @@ class ObstructionReport:
     dimension: DimensionEstimate | None
     interior_zero: dict | None
     capacity_threshold: float
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "sweep": self.sweep.to_json(),
-            "cloudSize": self.cloud_size,
-            "riesz": self.riesz.to_json(),
-            "neighborhoodMeasure": self.neighborhood_measure,
-            "dimension": self.dimension.to_json() if self.dimension else None,
-            "interiorZero": self.interior_zero,
-            "capacityThreshold": self.capacity_threshold,
-        }
 
 
 def obstruction_report(
@@ -577,8 +545,6 @@ def obstruction_report(
     zero_tol: float | None = None,
     eps_nbhd: float = 0.01,
     seed: int = 0,
-    probe_radius: float = 0.95,
-    probe_tol: float = 1e-6,
 ) -> ObstructionReport:
     """Bundle sweep, capacity, dimension, and interior-zero evidence.
 
@@ -594,7 +560,7 @@ def obstruction_report(
     riesz = riesz_equilibrium(cloud, alpha)
     nbhd = neighborhood_capacity(cloud, alpha, eps_nbhd) if cloud.size else 0.0
     dim = box_dimension(cloud) if cloud.size >= 1 else None
-    interior = interior_zero_probe(f, probe_radius, probe_tol, seed=seed)
+    interior = interior_zero_probe(f, seed=seed)
     plateau = sweep.verdict == VERDICT_PLATEAU
     decreasing = (
         sweep.verdict == VERDICT_CYCLIC

@@ -16,18 +16,15 @@ import argparse
 import csv
 import json
 import logging
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import capacity as cap
 from . import freespace as free
 from . import indices as idx
 from . import mixednorm as mx
 from .errors import ArgumentError, CyclicityError, NumericFailureError
-from .poly import Polynomial
+from .poly import Polynomial, jsonsafe
 from .spaces import PRESET_BUILDERS, SpaceSpec, preset
 
 SCHEMA_VERSION = 1
@@ -35,28 +32,8 @@ SCHEMA_VERSION = 1
 log = logging.getLogger("cyclicity")
 
 
-def _jsonsafe(value):
-    """Recursively coerce to JSON-serializable values; non-finite floats to None."""
-    if isinstance(value, dict):
-        return {str(k): _jsonsafe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonsafe(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonsafe(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonsafe(payload), sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(jsonsafe(payload), sort_keys=True, indent=2, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
 
 

@@ -31,7 +31,7 @@ from .errors import (
     SingularInversionError,
 )
 from .indices import ApproximantResult, subspace_distance, validate_problem
-from .poly import Polynomial, SparseSeries
+from .poly import JsonRecord, Polynomial, SparseSeries
 from .solver import shifted_design, solve_least_squares
 from .spaces import KIND_DRURY_ARVESON, SpaceSpec
 
@@ -123,7 +123,6 @@ class FreeSpaceSpec:
         d: int,
         max_length: int,
         smoothness: float = 0.0,
-        weights: Sequence[float] | None = None,
     ):
         if kind not in (KIND_FREE_HARDY, KIND_FREE_BESOV):
             raise ArgumentError(f"unknown free space kind {kind!r}")
@@ -135,16 +134,12 @@ class FreeSpaceSpec:
         self.d = int(d)
         self.max_length = int(max_length)
         self.smoothness = float(smoothness)
-        if weights is not None:
-            table = tuple(float(w) for w in weights)
-        elif kind == KIND_FREE_HARDY:
+        if kind == KIND_FREE_HARDY:
             table = (1.0,) * (max_length + 1)
         else:
             table = tuple(
                 float(k + 1) ** (2.0 * self.smoothness) for k in range(max_length + 1)
             )
-        if len(table) < max_length + 1:
-            raise ArgumentError("weight table shorter than max_length + 1")
         if any(w <= 0 or not math.isfinite(w) for w in table):
             raise ArgumentError("word-length weights must be positive finite")
         self._weights = table
@@ -176,6 +171,8 @@ class FreeSpaceSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FreeSpaceSpec":
+        if not isinstance(obj, Mapping):
+            raise ArgumentError("free space must be an object")
         kind = obj.get("kind")
         if kind == KIND_FREE_HARDY:
             return free_hardy(int(obj["d"]), int(obj.get("maxLength", 12)))
@@ -310,6 +307,10 @@ def evaluate_on_tuple(F: FreePolynomial, mats: Sequence[np.ndarray]) -> np.ndarr
 def _row_contraction_from_rng(
     rng: np.random.Generator, d: int, size: int, rho: float
 ) -> tuple[np.ndarray, ...]:
+    if d < 1 or size < 1:
+        raise ArgumentError("d and size must be >= 1")
+    if not 0 <= rho < 1:
+        raise ArgumentError("rho must lie in [0, 1)")
     blocks = [
         (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
         / math.sqrt(2.0)
@@ -329,10 +330,6 @@ def sample_row_contraction(
 
     Gaussian blocks rescaled exactly; reproducible for a fixed seed.
     """
-    if d < 1 or size < 1:
-        raise ArgumentError("d and size must be >= 1")
-    if not 0 <= rho < 1:
-        raise ArgumentError("rho must lie in [0, 1)")
     return _row_contraction_from_rng(np.random.default_rng(seed), d, size, rho)
 
 
@@ -353,7 +350,7 @@ def tuple_from_json(data: Sequence[Mapping]) -> tuple[np.ndarray, ...]:
 
 
 @dataclass
-class CompressionReport:
+class CompressionReport(JsonRecord):
     """Free index against the commutative index of the abelianization."""
 
     n: int
@@ -361,15 +358,6 @@ class CompressionReport:
     commutative_residual: float
     gap: float
     holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "freeResidual": self.free_residual,
-            "commutativeResidual": self.commutative_residual,
-            "gap": self.gap,
-            "holds": self.holds,
-        }
 
 
 def compression_check(
@@ -406,7 +394,7 @@ def compression_check(
 
 
 @dataclass
-class RowContractionInversionReport:
+class RowContractionInversionReport(JsonRecord):
     """Spectral floor of 2I - Z_1 on sampled tuples plus inverse-truncation data."""
 
     d: int
@@ -420,21 +408,6 @@ class RowContractionInversionReport:
     theta_stabilized: bool
     max_tuple_norm: float
     tuple_norm_envelope: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "rho": self.rho,
-            "samples": self.samples,
-            "size": self.size,
-            "minSingularValues": self.min_singular_values,
-            "minOverSamples": self.min_over_samples,
-            "thetaLengths": self.theta_lengths,
-            "thetaNorms": self.theta_norms,
-            "thetaStabilized": self.theta_stabilized,
-            "maxTupleNorm": self.max_tuple_norm,
-            "tupleNormEnvelope": self.tuple_norm_envelope,
-        }
 
 
 def row_contraction_inversion_report(

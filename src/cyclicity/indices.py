@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DegreeRangeError
 from .poly import (
+    JsonRecord,
     Polynomial,
     graded_rank,
     invert_power_series,
@@ -43,7 +44,7 @@ PLATEAU_VARIATION = 1e-6
 
 
 @dataclass
-class ApproximantResult:
+class ApproximantResult(JsonRecord):
     """Optimal degree-n multiplier with its residual and solve diagnostics."""
 
     n: int
@@ -52,18 +53,9 @@ class ApproximantResult:
     gram_condition: float
     solve_method: str
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "phi": self.phi.to_json(),
-            "residual": self.residual,
-            "gramCondition": self.gram_condition,
-            "solveMethod": self.solve_method,
-        }
-
 
 @dataclass
-class SweepReport:
+class SweepReport(JsonRecord):
     """Residuals over a degree range with verdict and extrapolation fits."""
 
     degrees: list[int]
@@ -75,19 +67,6 @@ class SweepReport:
     fitted_limit: float | None = None
     fit_model: str = FIT_NONE
     fit_diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "degrees": self.degrees,
-            "residuals": self.residuals,
-            "gramConditions": self.gram_conditions,
-            "solveMethods": self.solve_methods,
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "fittedLimit": self.fitted_limit,
-            "fitModel": self.fit_model,
-            "fitDiagnostics": self.fit_diagnostics,
-        }
 
     def csv_rows(self) -> list[tuple]:
         header = ("degree", "residual", "gramCondition", "solveMethod")
@@ -190,7 +169,6 @@ def index_sweep(
     f: Polynomial,
     n_max: int,
     tol: float = DEFAULT_TOL,
-    target: Polynomial | None = None,
 ) -> SweepReport:
     """Residuals for every budget n = 0..n_max, with verdict and tail fits.
 
@@ -198,7 +176,7 @@ def index_sweep(
     leading column blocks (graded order makes them nested), so the sweep is
     a family of nested solves with identical row scaling.
     """
-    target = Polynomial.one(spec.d) if target is None else target
+    target = Polynomial.one(spec.d)
     validate_problem(spec.d, spec.max_degree, target, f, n_max)
     if tol <= 0:
         raise ArgumentError("tol must be positive")
@@ -248,7 +226,7 @@ def multiplier_norm_lower(spec: SpaceSpec, phi: Polynomial, n_in: int) -> float:
 
 
 @dataclass
-class PerturbationReport:
+class PerturbationReport(JsonRecord):
     """Realized triangle-inequality budget for replacing f by a nearby g."""
 
     n: int
@@ -262,27 +240,12 @@ class PerturbationReport:
     slack: float
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "multiplierLowerBound": self.multiplier_lower_bound,
-            "multiplierSectionDegree": self.multiplier_section_degree,
-            "realizedRatio": self.realized_ratio,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-        }
-
 
 def check_perturbation_bound(
     spec: SpaceSpec,
     f: Polynomial,
     g: Polynomial,
     n: int,
-    n_in: int | None = None,
 ) -> PerturbationReport:
     """Verify ||1 - phi* g|| <= epsilon + M'' delta for the f-optimal phi*.
 
@@ -304,8 +267,7 @@ def check_perturbation_bound(
     diff = f - g
     delta = spec.norm(diff)
     realized = spec.norm(phi * diff) / delta if delta > 0 else 0.0
-    if n_in is None:
-        n_in = min(spec.max_degree - phi.degree, max(2 * n, 16))
+    n_in = min(spec.max_degree - phi.degree, max(2 * n, 16))
     lower = multiplier_norm_lower(spec, phi, n_in)
     lhs = spec.norm(one - phi * g)
     rhs = epsilon + realized * delta
@@ -355,7 +317,7 @@ def realized_weight_deviation(spec: SpaceSpec, perturbed: SpaceSpec) -> float:
 
 
 @dataclass
-class WeightStabilityReport:
+class WeightStabilityReport(JsonRecord):
     """Index comparison between a space and a perturbed-weight copy."""
 
     n: int
@@ -365,17 +327,6 @@ class WeightStabilityReport:
     bound: float
     ratio: float | None
     holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "baseResidual": self.base_residual,
-            "perturbedResidual": self.perturbed_residual,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "holds": self.holds,
-        }
 
 
 def check_weight_stability(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import shifted_columns, subspace_distance
-from .poly import Polynomial, multi_indices
+from .poly import JsonRecord, Polynomial, multi_indices
 from .solver import solve_least_squares
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec
 
@@ -36,6 +36,9 @@ RADIAL_AREA = "area"
 
 # magnitudes raised to negative powers in IRLS weights are floored here
 _FLOOR = 1e-12
+# IRLS stops after this many steps, or once a step lowers the objective by less
+IRLS_MAX_ITER = 60
+IRLS_DECREASE_TOL = 1e-10
 
 
 def radial_rule(measure: str, count: int = 40) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +165,8 @@ class _QuadratureSpec:
     def from_json(cls, obj: Mapping):
         radial = obj["radial"]
         angular = obj.get("angular", {})
+        if not isinstance(angular, Mapping):
+            raise ArgumentError("angular must be an object")
         params, kwargs = cls._params_from_json(obj)
         kwargs.update(
             angular_count=int(angular.get("count", 256)),
@@ -332,7 +337,7 @@ def luxemburg_norm(spec: VarExpSpec, f: Polynomial) -> float:
 
 
 @dataclass
-class MixedIndexResult:
+class MixedIndexResult(JsonRecord):
     """Finite-degree index value in a quadrature norm, with IRLS diagnostics."""
 
     n: int
@@ -340,9 +345,6 @@ class MixedIndexResult:
     phi: Polynomial
     iterations: int
     converged: bool
-
-    def to_json(self) -> dict:
-        return {**vars(self), "phi": self.phi.to_json()}
 
 
 def _hilbert_twin(spec: _QuadratureSpec, max_degree: int) -> SpaceSpec:
@@ -392,8 +394,6 @@ def mixed_index(
     spec: MixedSpec | VarExpSpec,
     f: Polynomial,
     n: int,
-    max_iter: int = 60,
-    decrease_tol: float = 1e-10,
 ) -> MixedIndexResult:
     """Minimize ||1 - phi f|| over deg(phi) <= n in the quadrature norm.
 
@@ -423,7 +423,7 @@ def mixed_index(
     best_value = objective(x)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, IRLS_MAX_ITER + 1):
         grid, constant = spec._irls_weights(*residual(x))
         sqrt_u = np.sqrt(np.append(grid, constant if spec.uses_constant_term else 0.0))
         proposal = solve_least_squares(design * sqrt_u[:, None], rhs * sqrt_u).coefficients
@@ -437,7 +437,7 @@ def mixed_index(
             break
         decrease = best_value - trial_value
         x, best_value = trial, trial_value
-        if decrease < decrease_tol:
+        if decrease < IRLS_DECREASE_TOL:
             converged = True
             break
     phi = Polynomial(spec.d, dict(zip(cols, x)))

@@ -4,12 +4,13 @@ Exponent tuples ("multi-indices") index monomials z^alpha. The canonical
 basis order used by every matrix-producing routine in this package is
 graded lexicographic: total degree first, ties broken by plain tuple
 comparison. Coefficients are double-precision complex; exact zeros are
-never stored.
+never stored. `JsonRecord` is the JSON encoding every result shares.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -393,3 +394,44 @@ def mult_operator_section(
     columns = np.arange(len(cols))[:, None]
     section[rows, columns] = coeffs * norms[rows] / norms[: len(cols), None]
     return section
+
+
+def jsonsafe(value):
+    """Recursively coerce to JSON-serializable values; non-finite floats to None."""
+    kind = type(value)  # exact types of the common leaves first, for speed
+    if kind in (str, int, bool, type(None)):
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {str(k): jsonsafe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonsafe(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [jsonsafe(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        return v if math.isfinite(v) else None
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+class JsonRecord:
+    """Dataclass mixin: `to_json` maps each field, in order, to its camelCase
+    key (kkt_gap -> kktGap). A value with its own `to_json` is replaced by
+    that method's output, and the whole dict goes through `jsonsafe`."""
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in dataclasses.fields(self):
+            head, *rest = f.name.split("_")
+            value = getattr(self, f.name)
+            out[head + "".join(w.capitalize() for w in rest)] = (
+                value.to_json() if hasattr(value, "to_json") else value
+            )
+        return jsonsafe(out)

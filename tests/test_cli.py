@@ -1,14 +1,20 @@
+import dataclasses
 import json
 import logging
 import math
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from cyclicity import mixednorm
+import cyclicity.cli as cli_mod
+from cyclicity import capacity, freespace, indices, mixednorm
 from cyclicity.cli import main, parse_polynomial, parse_space
 from cyclicity.errors import ArgumentError
+from cyclicity.poly import Polynomial
+from cyclicity.spaces import dirichlet_type, drury_arveson, hardy
 
 
 def run_cli(tmp_path, command, config, out="out", extra=()):
@@ -159,6 +165,30 @@ class TestValidationAndExitCodes:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("change", [{"rho": 1.5}, {"size": 0}])
+    def test_free_corona_rejects_non_contractions_exits_two(self, tmp_path, change):
+        config = {"mode": "free", "d": 2, "rho": 0.5, "seed": 1, "samples": 2, "size": 3}
+        rc, path = run_cli(tmp_path, "corona-check", {**config, **change})
+        assert rc == 2
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, spec",
+        [
+            ("mixed-norm", "mixedSpec", {"p": 2, "q": 2}),
+            ("varexp-norm", "varExpSpec", {"exponent": {"a": 2, "b": 1, "c": 2}}),
+        ],
+    )
+    def test_non_object_angular_exits_two(self, tmp_path, command, key, spec):
+        spec = {"d": 1, "N": 0, "radial": {"measure": "area", "count": 8}, "angular": 5, **spec}
+        rc, _ = run_cli(tmp_path, command, {key: spec, "function": {"coeffs1d": [1, -1]}})
+        assert rc == 2
+
+    def test_non_object_free_space_exits_two(self, tmp_path):
+        config = {"freeSpace": 3, "function": [{"letters": [], "re": 1}], "n": 1}
+        rc, _ = run_cli(tmp_path, "free-index", config)
+        assert rc == 2
+
     def test_sparse_high_degree_zero_set_exits_two(self, tmp_path):
         terms = [{"exponents": [0], "re": -1.0}, {"exponents": [20000], "re": 1.0}]
         cloud = {"kind": "zero_set", "function": terms, "d": 1}
@@ -180,7 +210,6 @@ class TestValidationAndExitCodes:
 
     def test_numeric_failure_exits_three(self, tmp_path, monkeypatch):
         from cyclicity.errors import NumericFailureError
-        import cyclicity.cli as cli_mod
 
         def boom(config):
             raise NumericFailureError("synthetic")
@@ -221,3 +250,62 @@ class TestDeterminism:
             assert proc.returncode == 0
             outputs.append((tmp_path / name / "sweep.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _one_minus_z():
+    return Polynomial.from_coeffs1d([1.0, -1.0])
+
+
+def _free_affine():
+    return freespace.FreePolynomial(2, {(): 1.0, (1,): -0.5, (2,): -0.5})
+
+
+# one small real instance of every result class that `to_json` writes
+RESULTS = {
+    "approximant-infinite-condition": lambda: indices.subspace_distance(
+        hardy(1), Polynomial.one(1), Polynomial.from_coeffs1d([1e308, 1e308]), 2
+    ),
+    "approximant-free": lambda: freespace.free_subspace_distance(
+        freespace.free_hardy(2, 6), freespace.FreePolynomial.identity(2), _free_affine(), 3
+    ),
+    "sweep": lambda: indices.index_sweep(dirichlet_type(1), _one_minus_z(), 8),
+    "perturbation": lambda: indices.check_perturbation_bound(
+        hardy(1), _one_minus_z(), 1.01 * _one_minus_z(), 4
+    ),
+    "weight-stability": lambda: indices.check_weight_stability(
+        hardy(1), indices.perturb_weights(hardy(1), 0.05, 1), _one_minus_z(), 4
+    ),
+    "equilibrium": lambda: capacity.riesz_equilibrium(capacity.arc_cloud(math.pi / 2, 16), 0.0),
+    "equilibrium-singleton": lambda: capacity.riesz_equilibrium(
+        capacity.BoundaryCloud(np.ones((1, 1))), 1.0
+    ),
+    "dimension": lambda: capacity.box_dimension(capacity.arc_cloud(math.pi, 256)),
+    "obstruction": lambda: capacity.obstruction_report(
+        hardy(1), Polynomial.from_coeffs1d([0.0, 1.0]), n_max=6, alpha=0.0, seed=1
+    ),
+    "compression": lambda: freespace.compression_check(
+        freespace.free_hardy(2, 8), drury_arveson(2, 8), _free_affine(), 3
+    ),
+    "row-contraction": lambda: freespace.row_contraction_inversion_report(
+        d=2, rho=0.5, samples=2, size=3, seed=1, l_max=4
+    ),
+    "mixed-index": lambda: mixednorm.mixed_index(
+        mixednorm.MixedSpec.with_measure("point_mass", 1, 0, 3.0, 2.0, angular_count=64),
+        _one_minus_z(), 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("build", RESULTS.values(), ids=RESULTS.keys())
+def test_result_json_is_camel_case_fields_as_written(tmp_path, monkeypatch, build):
+    result = build()
+    encoded = result.to_json()
+    camel = [
+        re.sub(r"_([a-z])", lambda m: m.group(1).upper(), f.name)
+        for f in dataclasses.fields(result)
+    ]
+    assert list(encoded) == camel
+    json.dumps(encoded, allow_nan=False)
+    monkeypatch.setitem(cli_mod.COMMANDS, "index", lambda config: (result.to_json(), None))
+    written = cli_mod.run_command("index", {}, tmp_path)
+    assert json.loads(written.read_text())["result"] == encoded

@@ -279,3 +279,8 @@ class TestCoronaWitness:
         assert rep.max_tuple_norm <= rep.tuple_norm_envelope + 1e-9
         for lo, hi in zip(rep.theta_norms, rep.theta_norms[1:]):
             assert hi >= lo - 1e-12
+
+    @pytest.mark.parametrize("rho, size", [(1.5, 3), (-0.1, 3), (0.5, 0)])
+    def test_rejects_non_contractions_and_empty_tuples(self, rho, size):
+        with pytest.raises(ArgumentError):
+            row_contraction_inversion_report(d=2, rho=rho, samples=2, size=size, seed=1)
