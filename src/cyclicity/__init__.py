@@ -4,8 +4,8 @@ Submodules:
 
 * `spaces`: radially weighted Besov and Drury-Arveson spaces in diagonal
   (monomial-orthogonal) form.
-* `poly`: sparse multivariate polynomial algebra, series inversion, and
-  multiplication-operator sections.
+* `poly`: the sparse series algebra and truncated series inversion shared
+  by commutative and free polynomials, and multiplication-operator sections.
 * `indices`: finite-degree cyclicity indices, degree sweeps, perturbation
   and weight-stability harnesses.
 * `freespace`: word-indexed free function spaces, free indices,
@@ -51,7 +51,6 @@ from .freespace import (
     evaluate_on_tuple,
     free_besov,
     free_hardy,
-    free_invert,
     free_subspace_distance,
     row_contraction_inversion_report,
     sample_row_contraction,

@@ -39,7 +39,7 @@ from .indices import (
     index_sweep,
 )
 from .poly import JsonRecord, Polynomial
-from .spaces import SpaceSpec
+from .spaces import SpaceSpec, sphere_sample
 
 OBSTRUCTION = "obstruction detected"
 CONSISTENT = "consistent with cyclicity"
@@ -195,6 +195,8 @@ def sample_zero_set(
     d = f.d
     if tol is None:
         tol = 1e-9 if d == 1 else 1e-4
+    if not tol > 0:
+        raise ArgumentError("tol must be positive")
     if d == 1:
         if f.degree > MAX_ROOT_DEGREE:
             raise ArgumentError(f"d = 1 zero sets need degree <= {MAX_ROOT_DEGREE}")
@@ -205,11 +207,7 @@ def sample_zero_set(
     else:
         if resolution < 8:
             raise ArgumentError("resolution must be >= 8")
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal(
-            (resolution, d)
-        )
-        sphere = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        sphere = sphere_sample(np.random.default_rng(seed), resolution, d)
         candidates = sphere[np.abs(f.evaluate_grid(sphere)) < tol]
     polished = _gauss_newton_polish(f, candidates, steps=10, project=True)
     pts = polished[np.abs(f.evaluate_grid(polished)) <= tol]
@@ -306,6 +304,8 @@ def riesz_equilibrium(
         raise ArgumentError("alpha must be >= 0")
     if max_iter < 1:
         raise ArgumentError("max_iter must be >= 1")
+    if not tol > 0:
+        raise ArgumentError("tol must be positive")
     pts = _dedup_rows(cloud.as_real())
     n = len(pts)
     if n == 0:
@@ -496,10 +496,7 @@ def interior_zero_probe(
         grid = (r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1, 1)
     else:
         rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal(
-            (resolution, d)
-        )
-        sphere = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        sphere = sphere_sample(rng, resolution, d)
         radii = radius * rng.random(resolution) ** (1.0 / (2 * d))
         grid = np.vstack([sphere * radii[:, None], np.zeros((1, d), dtype=complex)])
     vals = np.abs(f.evaluate_grid(grid))

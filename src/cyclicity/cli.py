@@ -84,12 +84,6 @@ def parse_polynomial(obj, d: int | None = None) -> Polynomial:
     raise ArgumentError("function must be a JSON term array or {'coeffs1d': [...]}")
 
 
-def parse_free_polynomial(obj, d: int) -> free.FreePolynomial:
-    if not isinstance(obj, list):
-        raise ArgumentError("free function must be a JSON array of {letters, re, im}")
-    return free.FreePolynomial.from_json(obj, d)
-
-
 def parse_cloud(obj, seed_supplier) -> cap.BoundaryCloud:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ArgumentError("cloud must be an object with a 'kind'")
@@ -143,10 +137,10 @@ def cmd_sweep(config: dict):
 
 def cmd_free_index(config: dict):
     spec = free.FreeSpaceSpec.from_json(_require(config, "freeSpace"))
-    g = parse_free_polynomial(_require(config, "function"), spec.d)
+    g = free.FreePolynomial.from_json(_require(config, "function"), spec.d)
     n = int(_require(config, "n"))
     target = (
-        parse_free_polynomial(config["target"], spec.d)
+        free.FreePolynomial.from_json(config["target"], spec.d)
         if "target" in config
         else free.FreePolynomial.identity(spec.d)
     )
@@ -158,7 +152,7 @@ def cmd_compress_check(config: dict):
     d = int(_require(config, "d"))
     n = int(_require(config, "n"))
     max_length = int(config.get("maxLength", max(12, n + 4)))
-    g = parse_free_polynomial(_require(config, "function"), d)
+    g = free.FreePolynomial.from_json(_require(config, "function"), d)
     from .spaces import drury_arveson
 
     spec_free = free.free_hardy(d, max_length)
@@ -278,7 +272,10 @@ def cmd_mixed_index(config: dict):
         raise ArgumentError("mixed-index needs 'mixedSpec' or 'varExpSpec'")
     f = parse_polynomial(_require(config, "function"), spec.d)
     if "nMax" in config:
-        budgets = list(range(int(config["nMax"]) + 1))
+        n_max = int(config["nMax"])
+        if n_max < 0:
+            raise ArgumentError("nMax must be >= 0")
+        budgets = list(range(n_max + 1))
     else:
         budgets = [int(_require(config, "n"))]
     results = [mx.mixed_index(spec, f, n) for n in budgets]

@@ -19,19 +19,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    DegreeRangeError,
-    DimensionMismatchError,
-    SingularInversionError,
-)
+from .errors import ArgumentError, DegreeRangeError, DimensionMismatchError
 from .indices import ApproximantResult, subspace_distance, validate_problem
-from .poly import JsonRecord, Polynomial, SparseSeries
+from .poly import JsonRecord, Polynomial, SparseSeries, invert_power_series
 from .solver import shifted_design, solve_least_squares
 from .spaces import KIND_DRURY_ARVESON, SpaceSpec
 
@@ -70,6 +66,15 @@ class FreePolynomial(SparseSeries):
     def _unit(self) -> Word:
         return ()
 
+    _concat = staticmethod(operator.add)
+
+    def _keys_of_length(self, k: int) -> Iterator[Word]:
+        return itertools.product(range(1, self.d + 1), repeat=k)
+
+    @staticmethod
+    def _remainder(word: Word, prefix: Word) -> Word | None:
+        return word[len(prefix) :] if word[: len(prefix)] == prefix else None
+
     @staticmethod
     def _label(word) -> str:
         return f"Z{list(word)}"
@@ -84,32 +89,6 @@ class FreePolynomial(SparseSeries):
         if not 1 <= j <= d:
             raise ArgumentError(f"letter {j} out of range 1..{d}")
         return cls(d, {(j,): 1.0})
-
-    def __mul__(self, other: "FreePolynomial | complex") -> "FreePolynomial":
-        if isinstance(other, FreePolynomial):
-            if other.d != self.d:
-                raise DimensionMismatchError(
-                    f"cannot multiply free polynomials over {self.d} and {other.d} letters"
-                )
-            prod: dict[Word, complex] = {}
-            for u, cu in self.coeffs.items():
-                for v, cv in other.coeffs.items():
-                    key = u + v
-                    prod[key] = prod.get(key, 0j) + cu * cv
-            return FreePolynomial(self.d, prod)
-        return FreePolynomial(self.d, {w: c * other for w, c in self.coeffs.items()})
-
-    def __rmul__(self, other: complex) -> "FreePolynomial":
-        # scalar only; free multiplication is order-sensitive
-        return FreePolynomial(self.d, {w: other * c for w, c in self.coeffs.items()})
-
-    @classmethod
-    def from_json(cls, terms: Sequence[Mapping], d: int) -> "FreePolynomial":
-        coeffs = {}
-        for t in terms:
-            word = tuple(int(a) for a in t["letters"])
-            coeffs[word] = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
-        return cls(d, coeffs)
 
 
 class FreeSpaceSpec:
@@ -254,33 +233,6 @@ def abelianize(F: FreePolynomial) -> Polynomial:
         key = tuple(alpha)
         coeffs[key] = coeffs.get(key, 0j) + c
     return Polynomial(F.d, coeffs)
-
-
-def free_invert(Psi: FreePolynomial, length: int) -> FreePolynomial:
-    """Truncated two-sided-inverse candidate: Psi * Theta - I has no words
-    of length <= length. Recursion on word length; requires a nonzero
-    coefficient at the empty word."""
-    if length < 0:
-        raise ArgumentError("truncation length must be >= 0")
-    c0 = Psi.constant_term
-    if c0 == 0:
-        raise SingularInversionError(
-            "cannot invert a free series whose identity coefficient vanishes"
-        )
-    inv0 = 1.0 / c0
-    out: dict[Word, complex] = {(): inv0}
-    lower = {w: c for w, c in Psi.coeffs.items() if 0 < len(w) <= length}
-    for k in range(1, length + 1):
-        for word in itertools.product(range(1, Psi.d + 1), repeat=k):
-            acc = 0j
-            for u, cu in lower.items():
-                if len(u) <= k and word[: len(u)] == u:
-                    tv = out.get(word[len(u) :])
-                    if tv is not None:
-                        acc += cu * tv
-            if acc != 0:
-                out[word] = -inv0 * acc
-    return FreePolynomial(Psi.d, out)
 
 
 def evaluate_on_tuple(F: FreePolynomial, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -432,11 +384,11 @@ def row_contraction_inversion_report(
         raise ArgumentError("l_max must be >= 1")
     psi = 2.0 * FreePolynomial.identity(d) - FreePolynomial.letter(1, d)
     norm_space = free_hardy(d, max_length=l_max)
+    theta = invert_power_series(psi, l_max)
     theta_norms = [
-        norm_space.norm(free_invert(psi, length)) for length in range(l_max + 1)
+        norm_space.norm(theta.truncated(length)) for length in range(l_max + 1)
     ]
     stabilized = abs(theta_norms[-1] - theta_norms[-2]) < 1e-3
-    theta = free_invert(psi, l_max)
     rng = np.random.default_rng(seed)
     min_svs = []
     max_tuple_norm = 0.0

@@ -393,8 +393,8 @@ def inverse_truncation_multiplier_norms(
     """
     if l_max < 0:
         raise ArgumentError("l_max must be >= 0")
-    values = []
-    for length in range(l_max + 1):
-        q = invert_power_series(psi, length)
-        values.append(multiplier_norm_lower(spec, q, n_in))
-    return values
+    q = invert_power_series(psi, l_max)
+    return [
+        multiplier_norm_lower(spec, q.truncated(length), n_in)
+        for length in range(l_max + 1)
+    ]

@@ -29,7 +29,7 @@ from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import shifted_columns, subspace_distance
 from .poly import JsonRecord, Polynomial, multi_indices
 from .solver import solve_least_squares
-from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec
+from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 
 RADIAL_POINT_MASS = "point_mass"
 RADIAL_AREA = "area"
@@ -110,9 +110,7 @@ class _QuadratureSpec:
         if self.d == 1:
             theta = 2.0 * np.pi * np.arange(m) / m
             return np.exp(1j * theta)[:, None]
-        rng = np.random.default_rng(self.seed)
-        raw = rng.standard_normal((m, self.d)) + 1j * rng.standard_normal((m, self.d))
-        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        return sphere_sample(np.random.default_rng(self.seed), m, self.d)
 
     @classmethod
     def with_measure(cls, measure: str, d: int, N: int, *params, radial_count: int = 40,

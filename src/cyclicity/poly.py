@@ -1,4 +1,8 @@
-"""Sparse commutative polynomial algebra over multi-indices.
+"""Sparse series algebra, and commutative polynomials over multi-indices.
+
+The series algebra of `SparseSeries` (sums, products, JSON term arrays) and
+the truncated inverse `invert_power_series` serve both commutative
+polynomials and free (word-indexed) series.
 
 Exponent tuples ("multi-indices") index monomials z^alpha. The canonical
 basis order used by every matrix-producing routine in this package is
@@ -12,6 +16,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import operator
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -76,7 +81,11 @@ class SparseSeries:
     Shared by commutative polynomials (multi-index keys) and free ones (word
     keys). A subclass normalizes and validates keys in `_key`, measures a
     key's degree in `_length`, names the constant term's key in `_unit`,
-    prints a key in `_label` and names its JSON field in `_json_field`.
+    prints a key in `_label` and names its JSON field in `_json_field`. The
+    product and the inversion use three more hooks: `_concat(a, b)` is the
+    key of the product of the basis elements a and b, `_keys_of_length(k)`
+    lists the keys of degree k in canonical order, and `_remainder(key, u)`
+    is the key v with `_concat(u, v) == key`, or None when there is none.
     Keys sort by degree, then as tuples.
     """
 
@@ -165,6 +174,47 @@ class SparseSeries:
     def __rsub__(self, other: complex):
         return (-self) + other
 
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return type(self)(self.d, {k: c * other for k, c in self.coeffs.items()})
+        if other.d != self.d:
+            raise DimensionMismatchError(
+                f"cannot multiply series with d={self.d} and d={other.d}"
+            )
+        concat = self._concat
+        prod: dict[tuple[int, ...], complex] = {}
+        for a, ca in self.coeffs.items():
+            for b, cb in other.coeffs.items():
+                key = concat(a, b)
+                prod[key] = prod.get(key, 0j) + ca * cb
+        return type(self)(self.d, prod)
+
+    def __rmul__(self, other: complex):
+        # scalars only: a series on the left goes through its own __mul__,
+        # which keeps free products in their order
+        return self * other
+
+    def truncated(self, length: int):
+        """The terms of degree <= length, in their stored order."""
+        return type(self)(
+            self.d, {k: c for k, c in self.coeffs.items() if self._length(k) <= length}
+        )
+
+    @classmethod
+    def from_json(cls, terms: list[Mapping], d: int):
+        """Series from a JSON term array; each key may appear in one term only."""
+        if not isinstance(terms, list):
+            raise ArgumentError(
+                f"terms must be a JSON array of {{{cls._json_field}, re, im}}"
+            )
+        coeffs = {}
+        for t in terms:
+            key = tuple(int(a) for a in t[cls._json_field])
+            if key in coeffs:
+                raise ArgumentError(f"repeated term: {cls._json_field} {list(key)}")
+            coeffs[key] = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
+        return cls(d, coeffs)
+
     def to_json(self) -> list[dict]:
         terms = []
         for k in self._sorted_keys():
@@ -207,6 +257,18 @@ class Polynomial(SparseSeries):
         return (0,) * self.d
 
     @staticmethod
+    def _concat(alpha, beta) -> tuple[int, ...]:
+        return tuple(map(operator.add, alpha, beta))
+
+    def _keys_of_length(self, k: int) -> Iterator[tuple[int, ...]]:
+        return compositions(k, self.d)
+
+    @staticmethod
+    def _remainder(alpha, beta) -> tuple[int, ...] | None:
+        rest = tuple(map(operator.sub, alpha, beta))
+        return rest if min(rest) >= 0 else None
+
+    @staticmethod
     def _label(alpha) -> str:
         return f"z^{alpha}"
 
@@ -232,23 +294,6 @@ class Polynomial(SparseSeries):
     def from_coeffs1d(cls, coefficients: Sequence[complex]) -> "Polynomial":
         """Univariate polynomial from an ascending coefficient list."""
         return cls(1, {(k,): c for k, c in enumerate(coefficients)})
-
-    def __mul__(self, other: "Polynomial | complex") -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if other.d != self.d:
-                raise DimensionMismatchError(
-                    f"cannot multiply polynomials in {self.d} and {other.d} variables"
-                )
-            prod: dict[tuple[int, ...], complex] = {}
-            for a, ca in self.coeffs.items():
-                for b, cb in other.coeffs.items():
-                    key = tuple(x + y for x, y in zip(a, b))
-                    prod[key] = prod.get(key, 0j) + ca * cb
-            return Polynomial(self.d, prod)
-        return Polynomial(self.d, {a: c * other for a, c in self.coeffs.items()})
-
-    def __rmul__(self, other: complex) -> "Polynomial":
-        return self * other
 
     def __truediv__(self, scalar: complex) -> "Polynomial":
         return self * (1.0 / scalar)
@@ -321,44 +366,43 @@ class Polynomial(SparseSeries):
         return Polynomial(self.d, out)
 
     @classmethod
-    def from_json(cls, terms: Sequence[Mapping], d: int | None = None) -> "Polynomial":
-        if not terms and d is None:
-            raise ArgumentError("zero polynomial needs an explicit dimension d")
-        coeffs = {}
-        for t in terms:
-            alpha = tuple(int(a) for a in t["exponents"])
-            coeffs[alpha] = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
-        dim = d if d is not None else len(next(iter(coeffs)))
-        return cls(dim, coeffs)
+    def from_json(cls, terms: list[Mapping], d: int | None = None) -> "Polynomial":
+        """`SparseSeries.from_json`; d defaults to the first term's length."""
+        if d is None and isinstance(terms, list):
+            if not terms:
+                raise ArgumentError("zero polynomial needs an explicit dimension d")
+            d = len(terms[0]["exponents"])
+        return super().from_json(terms, d)
 
 
-def invert_power_series(p: Polynomial, length: int) -> Polynomial:
-    """Truncated multiplicative inverse of p.
+def invert_power_series(p: SparseSeries, length: int) -> SparseSeries:
+    """Truncated multiplicative inverse of p, a `Polynomial` or a `FreePolynomial`.
 
-    The result q has degree <= length and p*q - 1 carries no term of total
-    degree <= length; coefficients are produced by recursion on the graded
-    terms. Requires p(0) != 0.
+    The result q has degree <= length and p*q - 1 carries no term of degree
+    <= length. Degree by degree, q[key] = -q[unit] * sum of p[u] q[v] over
+    terms u != unit of p and keys v with u*v = key. Degree k uses only terms
+    of degree <= k, so truncating the inverse at length L to degree k gives
+    the inverse at length k. Requires p(0) != 0.
     """
     if length < 0:
         raise ArgumentError("truncation length must be >= 0")
     c0 = p.constant_term
     if c0 == 0:
         raise SingularInversionError("cannot invert a series with vanishing constant term")
-    d = p.d
     inv0 = 1.0 / c0
-    out: dict[tuple[int, ...], complex] = {(0,) * d: inv0}
-    lower = {a: c for a, c in p.coeffs.items() if 0 < sum(a) <= length}
+    out: dict[tuple[int, ...], complex] = {p._unit(): inv0}
+    lower = {u: c for u, c in p.coeffs.items() if 0 < p._length(u) <= length}
+    remainder = p._remainder
     for k in range(1, length + 1):
-        for alpha in compositions(k, d):
+        for key in p._keys_of_length(k):
             acc = 0j
-            for beta, pb in lower.items():
-                if all(b <= a for b, a in zip(beta, alpha)):
-                    qg = out.get(tuple(a - b for a, b in zip(alpha, beta)))
-                    if qg is not None:
-                        acc += pb * qg
+            for u, pu in lower.items():
+                qv = out.get(remainder(key, u))  # None is never a key
+                if qv is not None:
+                    acc += pu * qv
             if acc != 0:
-                out[alpha] = -inv0 * acc
-    return Polynomial(d, out)
+                out[key] = -inv0 * acc
+    return type(p)(p.d, out)
 
 
 def mult_operator_section(

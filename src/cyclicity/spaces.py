@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -102,7 +101,14 @@ def sphere_moment(d: int, alpha: Sequence[int]) -> float:
     for a in key:
         num *= math.factorial(a)
     den = math.factorial(d - 1 + sum(key))
-    return float(Fraction(num, den))
+    return num / den
+
+
+def sphere_sample(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """`count` uniform points on the unit sphere of C^d, shape (count, d):
+    normalized complex Gaussians, real parts drawn before imaginary parts."""
+    raw = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 class SpaceSpec:
@@ -146,7 +152,7 @@ class SpaceSpec:
                 num = 1
                 for a in alpha:
                     num *= math.factorial(a)
-                table[alpha] = float(Fraction(num, math.factorial(sum(alpha))))
+                table[alpha] = num / math.factorial(sum(alpha))
         elif self.kind == KIND_DIAGONAL_BESOV:
             if self.moments is None:
                 raise ArgumentError("diagonal Besov spaces require a moment sequence")

@@ -45,6 +45,13 @@ class TestZeroSetSampling:
         assert abs(found[0] + 1j) < 1e-9
         assert abs(found[1] - 1j) < 1e-9
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ArgumentError, match="tol"):
+            sample_zero_set(p1d(1, -1), tol=tol)
+        with pytest.raises(ArgumentError, match="tol"):
+            sample_zero_set(Polynomial.variable(0, 2), resolution=64, tol=tol)
+
     def test_rejects_zero_polynomial(self):
         with pytest.raises(DegenerateInputError):
             sample_zero_set(Polynomial.zero(1), resolution=64)
@@ -152,6 +159,11 @@ class TestRieszEquilibrium:
         res = riesz_equilibrium(arc_cloud(math.pi / 2.0, 512), alpha=0.0)
         expected = math.sin(math.pi / 8.0)
         assert abs(res.capacity - expected) / expected < 0.05
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ArgumentError, match="tol"):
+            riesz_equilibrium(arc_cloud(math.pi / 2.0, 64), alpha=0.0, tol=tol)
 
     def test_kkt_certificate(self):
         res = riesz_equilibrium(arc_cloud(math.pi, 256), alpha=0.0, tol=1e-6)

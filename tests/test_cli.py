@@ -195,6 +195,45 @@ class TestValidationAndExitCodes:
         rc, _ = run_cli(tmp_path, "capacity", {"cloud": cloud, "alpha": 0.0})
         assert rc == 2
 
+    def test_mixed_index_negative_n_max_exits_two(self, tmp_path):
+        spec = {"d": 1, "N": 0, "p": 2, "q": 2, "radial": {"measure": "point_mass"},
+                "angular": {"count": 16}}
+        config = {"mixedSpec": spec, "function": {"coeffs1d": [1, -1]}, "nMax": -1}
+        rc, path = run_cli(tmp_path, "mixed-index", config)
+        assert rc == 2
+        assert not path.exists()
+
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_nonpositive_equilibrium_tol_exits_two(self, tmp_path, tol):
+        cloud = {"kind": "arc", "angle": 1.5707963267948966, "count": 64}
+        rc, _ = run_cli(tmp_path, "capacity", {"cloud": cloud, "alpha": 0.0, "tol": tol})
+        assert rc == 2
+
+    def test_nonpositive_zero_set_tol_exits_two(self, tmp_path):
+        terms = [{"exponents": [0], "re": 1.0}, {"exponents": [1], "re": -1.0}]
+        cloud = {"kind": "zero_set", "function": terms, "tol": -1}
+        rc, _ = run_cli(tmp_path, "capacity", {"cloud": cloud, "alpha": 0.0})
+        assert rc == 2
+        config = {"space": "hardy(1)", "function": terms, "nMax": 2, "alpha": 0.0,
+                  "zeroTol": -1}
+        rc, _ = run_cli(tmp_path, "report", config)
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("index", {"space": "hardy(1)", "n": 2, "function": [
+                {"exponents": [0], "re": 1}, {"exponents": [1], "re": -1},
+                {"exponents": [1], "re": -1}]}),
+            ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2}, "n": 2, "function": [
+                {"letters": [], "re": 1}, {"letters": [2], "re": -1},
+                {"letters": [2], "re": -1}]}),
+        ],
+    )
+    def test_repeated_term_exits_two(self, tmp_path, command, config):
+        rc, _ = run_cli(tmp_path, command, config)
+        assert rc == 2
+
     def test_schema_version_gate(self, tmp_path):
         rc, _ = run_cli(
             tmp_path,

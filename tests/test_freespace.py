@@ -16,12 +16,12 @@ from cyclicity.freespace import (
     evaluate_on_tuple,
     free_besov,
     free_hardy,
-    free_invert,
     free_subspace_distance,
     row_contraction_inversion_report,
     sample_row_contraction,
     words,
 )
+from cyclicity.poly import invert_power_series
 from cyclicity.spaces import drury_arveson
 from helpers import coeff_distance, random_free_polynomial
 
@@ -46,6 +46,7 @@ class TestWordsAndArithmetic:
         assert (Z1 * Z2).coeffs == {(1, 2): 1.0}
         assert (Z2 * Z1).coeffs == {(2, 1): 1.0}
         assert Z1 * Z2 != Z2 * Z1
+        assert 2 * (Z1 * Z2) == (Z1 * Z2) * 2 == 2 * Z1 * Z2
 
     def test_identity(self):
         rng = np.random.default_rng(2)
@@ -67,6 +68,15 @@ class TestWordsAndArithmetic:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Z1 * FreePolynomial.letter(1, 3)
+
+    def test_repeated_word_rejected(self):
+        terms = [{"letters": [], "re": 1}, {"letters": [1], "re": -1}, {"letters": [1], "re": -1}]
+        with pytest.raises(ArgumentError, match="repeated"):
+            FreePolynomial.from_json(terms, 2)
+
+    def test_terms_must_be_a_list(self):
+        with pytest.raises(ArgumentError):
+            FreePolynomial.from_json({"letters": [1], "re": 1.0}, 2)
 
 
 class TestFreeNorms:
@@ -148,10 +158,10 @@ class TestAbelianize:
 
 class TestFreeInversion:
     def test_identity(self):
-        assert free_invert(I2, 4) == I2
+        assert invert_power_series(I2, 4) == I2
 
     def test_free_geometric_series(self):
-        theta = free_invert(2 * I2 - Z1, 2)
+        theta = invert_power_series(2 * I2 - Z1, 2)
         assert theta.coeffs == {
             (): 0.5,
             (1,): 0.25,
@@ -160,12 +170,12 @@ class TestFreeInversion:
 
     def test_vanishing_identity_coefficient(self):
         with pytest.raises(SingularInversionError):
-            free_invert(Z1, 2)
+            invert_power_series(Z1, 2)
 
     def test_truncated_defect_vanishes(self):
         rng = np.random.default_rng(29)
         Psi = random_free_polynomial(rng, 2, 2, density=0.7) + 4.0
-        theta = free_invert(Psi, 4)
+        theta = invert_power_series(Psi, 4)
         defect = Psi * theta - I2
         low = [c for w, c in defect.coeffs.items() if len(w) <= 4]
         assert max((abs(c) for c in low), default=0.0) < 1e-13

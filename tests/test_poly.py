@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cyclicity.errors import (
+    ArgumentError,
     DegreeRangeError,
     DimensionMismatchError,
     SingularInversionError,
@@ -13,7 +14,7 @@ from cyclicity.poly import (
     multi_indices,
 )
 from cyclicity.spaces import hardy
-from helpers import coeff_distance, random_polynomial
+from helpers import coeff_distance, random_free_polynomial, random_polynomial
 
 
 def p1d(*coeffs):
@@ -188,3 +189,39 @@ class TestSerialization:
 
     def test_zero_needs_dimension(self):
         assert Polynomial.from_json([], 2).is_zero
+
+    def test_repeated_term_rejected(self):
+        # 1 - z - z would otherwise be read as 1 - z
+        terms = [
+            {"exponents": [0], "re": 1},
+            {"exponents": [1], "re": -1},
+            {"exponents": [1], "re": -1},
+        ]
+        with pytest.raises(ArgumentError, match="repeated"):
+            Polynomial.from_json(terms)
+
+    def test_terms_must_be_a_list(self):
+        with pytest.raises(ArgumentError):
+            Polynomial.from_json({"exponents": [1], "re": 1.0}, 1)
+
+
+class TestSharedSeriesAlgebra:
+    @pytest.mark.parametrize(
+        "random_series, d",
+        [
+            (random_polynomial, 1),
+            (random_polynomial, 2),
+            (random_free_polynomial, 2),
+            (random_free_polynomial, 3),
+        ],
+    )
+    def test_inverse_truncations_are_shorter_inverses(self, random_series, d):
+        rng = np.random.default_rng(41 + d)
+        l_max = 5
+        p = random_series(rng, d, 2, density=0.7) + 3.0  # keep p(0) away from 0
+        q = invert_power_series(p, l_max)
+        for length in range(l_max + 1):
+            shorter = invert_power_series(p, length)
+            truncated = q.truncated(length)
+            assert truncated == shorter
+            assert list(truncated.coeffs) == list(shorter.coeffs)
