@@ -188,7 +188,7 @@ def free_subspace_distance(
 ) -> ApproximantResult:
     """Distance from g to {Phi G : words of Phi of length <= n} with minimizer.
 
-    Same sparse least-squares core as the commutative solver, over the word
+    Same least-squares core as the commutative solver, over the word
     basis {Z^w G : |w| <= n}. A word's row is its length-then-lex rank: the
     words shorter than it, plus its letters read as base-d digits; Z^u V
     then lands at lex(u) * d^|V| + lex(V) among the words of length |u|+|V|.
@@ -215,7 +215,7 @@ def free_subspace_distance(
         sqrt_w,
     )
     out = solve_least_squares(design, target)
-    phi = FreePolynomial(spec.d, dict(zip(cols, out.coefficients)))
+    phi = FreePolynomial.from_solution(spec.d, cols, out.coefficients)
     return ApproximantResult(n, phi, out.residual, out.gram_condition, out.method)
 
 

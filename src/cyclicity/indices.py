@@ -93,10 +93,13 @@ def validate_problem(d: int, top: int, g, f, n: int, top_name="max_degree") -> N
         )
 
 
-def shifted_columns(g: Polynomial, f: Polynomial, n: int, row_scale: np.ndarray):
-    """Sparse design whose column gamma holds the coefficients of z^gamma f,
+def shifted_columns(g: Polynomial, f: Polynomial, n: int, row_scale: np.ndarray,
+                    dense=False):
+    """Design whose column gamma holds the coefficients of z^gamma f,
     |gamma| <= n, with the target g and the column keys. Row r is the r-th
-    multi-index in graded-lex order and is multiplied by row_scale[r]."""
+    multi-index in graded-lex order and is multiplied by row_scale[r]. The
+    design is an ndarray up to `solver.DENSE_MAX_COLUMNS` columns or when
+    `dense` is set, else a CSC matrix."""
 
     def keys(p):
         return np.array(list(p.coeffs), dtype=np.int64).reshape(-1, f.d)
@@ -105,7 +108,7 @@ def shifted_columns(g: Polynomial, f: Polynomial, n: int, row_scale: np.ndarray)
     shifted = np.array(cols, dtype=np.int64)[:, None, :] + keys(f)[None, :, :]
     design, target = shifted_design(
         graded_rank(shifted), list(f.coeffs.values()),
-        graded_rank(keys(g)), list(g.coeffs.values()), row_scale,
+        graded_rank(keys(g)), list(g.coeffs.values()), row_scale, dense,
     )
     return design, target, cols
 
@@ -126,7 +129,7 @@ def subspace_distance(
     validate_problem(spec.d, spec.max_degree, g, f, n)
     design, target, cols = _design_matrix(spec, g, f, n)
     out = solve_least_squares(design, target)
-    phi = Polynomial(spec.d, dict(zip(cols, out.coefficients)))
+    phi = Polynomial.from_solution(spec.d, cols, out.coefficients)
     return ApproximantResult(n, phi, out.residual, out.gram_condition, out.method)
 
 

@@ -371,16 +371,16 @@ def _shifted_grid(spec: _QuadratureSpec, f: Polynomial, n: int):
     exponents = np.array(multi_indices(spec.d, top))
     degrees = exponents.sum(axis=1)
     one = Polynomial.one(spec.d)
-    coeffs, target, cols = shifted_columns(one, f, n, degrees ** float(spec.N))
+    coeffs, target, cols = shifted_columns(one, f, n, degrees ** float(spec.N), dense=True)
     # z^alpha at radial node r and angular point u is r^|alpha| u^alpha
     angular = np.prod(spec._angular[:, None, :] ** exponents, axis=2)
     radial = spec.radial_nodes[:, None] ** degrees
-    # column-major, so each IRLS step's weighted copy is too and the solver's
-    # zherk reads it without a copy; a column's grid block is (node, point)
+    # column-major, so that each column's grid block, (node, point), is a
+    # view written in place below
     design = np.zeros((radial.shape[0] * spec.angular_count + 1, len(cols)), dtype=complex,
                       order="F")
     grid = design[:-1].T.reshape(len(cols), radial.shape[0], spec.angular_count)
-    np.matmul(radial[:, None, :] * coeffs.toarray().T, angular.T, out=grid.transpose(1, 0, 2))
+    np.matmul(radial[:, None, :] * coeffs.T, angular.T, out=grid.transpose(1, 0, 2))
     design[-1, 0] = f.constant_term
     # the target R^N 1 is the constant target[0] on the grid
     rhs = np.full(len(design), target[0])
@@ -438,5 +438,5 @@ def mixed_index(
         if decrease < IRLS_DECREASE_TOL:
             converged = True
             break
-    phi = Polynomial(spec.d, dict(zip(cols, x)))
+    phi = Polynomial.from_solution(spec.d, cols, x)
     return MixedIndexResult(n, best_value, phi, iterations, converged)

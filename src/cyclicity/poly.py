@@ -110,6 +110,18 @@ class SparseSeries:
     def zero(cls, d: int):
         return cls(d, {})
 
+    @classmethod
+    def from_solution(cls, d: int, keys: Sequence, values: np.ndarray):
+        """Series with coefficient values[i] at keys[i], as the constructor
+        builds it (same order, zeros dropped, -0.0 parts made +0.0), minus its
+        checks: the keys must be distinct and normalized, as the solvers
+        generate them, and the values finite, as the solver guarantees."""
+        series = cls.__new__(cls)
+        series.d = int(d)
+        # 0j + c is the constructor's running sum, which turns -0.0 into +0.0
+        series.coeffs = {k: c for k, c in zip(keys, (np.asarray(values) + 0j).tolist()) if c}
+        return series
+
     @property
     def degree(self) -> int:
         """Largest total degree, or word length, carrying a coefficient."""

@@ -1,8 +1,12 @@
 """Shared generators and independent oracles for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cyclicity
 from cyclicity import solver
 from cyclicity.freespace import FreePolynomial, words
 from cyclicity.poly import Polynomial, multi_indices
@@ -31,6 +35,15 @@ def random_free_polynomial(rng, d, max_length, density=1.0):
     return p + 1.0 if p.is_zero else p
 
 
+SRC = str(Path(cyclicity.__file__).resolve().parents[1])
+
+
+def subprocess_env():
+    """The environment with the package's source directory on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+
+
 def solves_of(module, call):
     """(design, target, outcome) of every solve that `call` makes through `module`."""
     seen = []
@@ -45,6 +58,13 @@ def solves_of(module, call):
         mp.setattr(module, "solve_least_squares", spy)
         result = call()
     return result, seen
+
+
+def design_entries(design):
+    """A dense or CSC design as (ndarray, count of its stored entries)."""
+    if isinstance(design, np.ndarray):
+        return design, np.count_nonzero(design)
+    return design.toarray(), design.nnz
 
 
 def coeff_distance(p, q):

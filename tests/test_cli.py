@@ -15,6 +15,8 @@ from cyclicity.cli import main, parse_polynomial, parse_space
 from cyclicity.errors import ArgumentError
 from cyclicity.poly import Polynomial
 from cyclicity.spaces import dirichlet_type, drury_arveson, hardy
+from helpers import subprocess_env
+from test_acceptance import CLI_CONFIGS
 
 
 def run_cli(tmp_path, command, config, out="out", extra=()):
@@ -263,6 +265,31 @@ class TestValidationAndExitCodes:
 
 
 class TestDeterminism:
+    def test_small_solves_load_no_scipy(self, tmp_path):
+        # every design these commands solve on the acceptance configs has at
+        # most solver.DENSE_MAX_COLUMNS columns, which numpy solves alone
+        commands = ("index", "sweep", "free-index", "compress-check", "perturb",
+                    "mixed-index", "report")
+        args = [str(tmp_path / "out")]
+        for command in commands:
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps(CLI_CONFIGS[command]))
+            args += [command, str(cfg)]
+        script = (
+            "import json, sys\n"
+            "from cyclicity.cli import main\n"
+            "out, loaded = sys.argv[1], {}\n"
+            "for command, cfg in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+            "    assert main([command, '--config', cfg, '--out', out]) == 0\n"
+            "    loaded[command] = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print(json.dumps(loaded))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == {command: [] for command in commands}
+
     def test_subprocess_runs_are_byte_identical(self, tmp_path):
         config = {
             "space": "hardy(1)",

@@ -5,10 +5,8 @@ measure."""
 import json
 import logging
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cyclicity
 from cyclicity import capacity as cap
 from cyclicity.capacity import (
     BoundaryCloud,
@@ -26,8 +23,7 @@ from cyclicity.capacity import (
     sphere_cap_cloud,
 )
 from cyclicity.cli import main
-
-SRC = str(Path(cyclicity.__file__).resolve().parents[1])
+from helpers import subprocess_env
 
 
 def reference_kernel(cloud, alpha):
@@ -41,11 +37,6 @@ def reference_kernel(cloud, alpha):
     kernel = safe ** (-alpha) if alpha > 0 else -np.log(safe)
     np.fill_diagonal(kernel, scale ** (-alpha) if alpha > 0 else -np.log(scale))
     return kernel
-
-
-def subprocess_env():
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
 
 
 class TestActiveSet:

@@ -225,3 +225,22 @@ class TestSharedSeriesAlgebra:
             truncated = q.truncated(length)
             assert truncated == shorter
             assert list(truncated.coeffs) == list(shorter.coeffs)
+
+    @pytest.mark.parametrize("free", [False, True])
+    def test_from_solution_matches_validating_constructor(self, free):
+        from cyclicity.freespace import FreePolynomial, words
+
+        cls, keys = (FreePolynomial, words(2, 3)) if free else (Polynomial, multi_indices(2, 3))
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+        # exact zeros are dropped; parts of -0.0 come out as +0.0
+        values[[1, 4, 9]] = [0j, complex(-0.0, -0.0), complex(0.0, -0.0)]
+        values[[2, 5]] = [complex(-0.0, 1.5), complex(-2.5, -0.0)]
+        trusted = cls.from_solution(2, keys, values)
+        checked = cls(2, dict(zip(keys, values)))
+        assert type(trusted) is cls and trusted.d == checked.d
+        assert list(trusted.coeffs.items()) == list(checked.coeffs.items())
+        signs = [(np.signbit(c.real), np.signbit(c.imag)) for c in checked.coeffs.values()]
+        assert [(np.signbit(c.real), np.signbit(c.imag))
+                for c in trusted.coeffs.values()] == signs
+        assert all(type(c) is complex for c in trusted.coeffs.values())

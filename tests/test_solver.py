@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from cyclicity.spaces import (
     drury_arveson,
     hardy,
 )
-from helpers import solves_of
+from helpers import design_entries, solves_of
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -81,21 +82,27 @@ class TestAssembly:
         keys = multi_indices(d, degree)
         assert np.array_equal(graded_rank(keys), np.arange(len(keys)))
 
-    @pytest.mark.parametrize("name", sorted(SPACES))
-    def test_design_matches_polynomial_products(self, name):
+    # n = 10 on Drury-Arveson d=2 gives 66 columns, past the dense limit
+    @pytest.mark.parametrize(
+        "name, n",
+        [pytest.param(name, 4, id=name) for name in sorted(SPACES)]
+        + [pytest.param("drury_arveson_2", 10, id="drury_arveson_2-csc")],
+    )
+    def test_design_matches_polynomial_products(self, name, n):
         spec = SPACES[name]
         rng = np.random.default_rng(3)
         f = Polynomial(spec.d, {a: complex(*rng.standard_normal(2))
                                 for a in multi_indices(spec.d, 2)})
-        n = 4
         design, target, cols = indices._design_matrix(spec, Polynomial.one(spec.d), f, n)
+        assert isinstance(design, np.ndarray) == (len(cols) <= solver.DENSE_MAX_COLUMNS)
         rows = multi_indices(spec.d, n + f.degree)
         dense = np.zeros((len(rows), len(cols)), dtype=complex)
         for j, gamma in enumerate(cols):
             for alpha, c in (Polynomial.monomial(gamma) * f).coeffs.items():
                 dense[rows.index(alpha), j] = c * math.sqrt(spec.monomial_norm_sq(alpha))
-        assert design.nnz == len(cols) * len(f.coeffs)
-        np.testing.assert_allclose(design.toarray(), dense, rtol=1e-15, atol=0)
+        array, stored = design_entries(design)
+        assert stored == len(cols) * len(f.coeffs)
+        np.testing.assert_allclose(array, dense, rtol=1e-15, atol=0)
         assert target[0] == math.sqrt(spec.monomial_norm_sq((0,) * spec.d))
         assert np.count_nonzero(target) == 1
 
@@ -116,8 +123,9 @@ class TestAssembly:
         expected_target = np.zeros(len(rows), dtype=complex)
         for w, c in g.coeffs.items():
             expected_target[rows.index(w)] = c * math.sqrt(spec.weight(len(w)))
-        assert design.nnz == len(cols) * len(G.coeffs)
-        np.testing.assert_allclose(design.toarray(), dense, rtol=1e-15, atol=0)
+        array, stored = design_entries(design)
+        assert stored == len(cols) * len(G.coeffs)
+        np.testing.assert_allclose(array, dense, rtol=1e-15, atol=0)
         np.testing.assert_allclose(target, expected_target, rtol=1e-15, atol=0)
 
 
@@ -148,7 +156,7 @@ class TestDenseOracle:
         g = data.draw(polynomials(spec.d))
         _, seen = solves_of(indices, lambda: subspace_distance(spec, g, f, n))
         ((design, target, out),) = seen
-        assert design.nnz == design.shape[1] * len(f.coeffs)
+        assert design_entries(design)[1] == design.shape[1] * len(f.coeffs)
         assert_matches_dense_oracle(design, target, out)
 
     @pytest.mark.parametrize("name", sorted(FREE_SPACES))
@@ -196,6 +204,25 @@ class TestResidualInvariants:
         assert scaled == pytest.approx(base, rel=1e-9, abs=1e-13)
         assert rotated == pytest.approx(base, rel=1e-9, abs=1e-13)
 
+    def test_sweep_and_index_agree_across_dense_limit(self):
+        # the n_max = 70 sweep solves column slices of one CSC design, while
+        # single indices are dense up to n = 63 and sparse from n = 64
+        spec = hardy(1, 71)
+        f = Polynomial.from_coeffs1d([1.0, -1.0])
+        one = Polynomial.one(1)
+        report, seen = solves_of(indices, lambda: index_sweep(spec, f, 70))
+        assert not any(isinstance(design, np.ndarray) for design, _, _ in seen)
+        singles = []
+        for n in range(71):
+            out, ((design, _, _),) = solves_of(
+                indices, lambda: subspace_distance(spec, one, f, n))
+            assert isinstance(design, np.ndarray) == (n < solver.DENSE_MAX_COLUMNS)
+            singles.append(out.residual)
+        np.testing.assert_allclose(report.residuals, singles, rtol=1e-12, atol=0)
+        for n, (swept, single) in enumerate(zip(report.residuals, singles)):
+            assert swept**2 == pytest.approx(1.0 / (n + 2), rel=1e-9)
+            assert single**2 == pytest.approx(1.0 / (n + 2), rel=1e-9)
+
     @PROPERTY
     @given(G=free_polynomials(), n=st.integers(0, 4))
     def test_free_residual_dominates_abelianization(self, G, n):
@@ -234,21 +261,26 @@ class TestConditionEstimate:
 
 
 class TestDenseRoute:
-    """A dense ndarray design forms its Gram densely, then takes the sparse route's
-    factorization, condition estimate and fallback."""
+    """An ndarray design takes the numpy route (a dense Gram, its exact kappa_1 and
+    an LU solve), a sparse one SuperLU and Hager's estimate; both share the
+    threshold, the fallback and the residual."""
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_matches_sparse_form(self, name):
         spec = SPACES[name]
         f = Polynomial(spec.d, {a: 1.0 - 0.5j * sum(a) for a in multi_indices(spec.d, 2)})
         design, target, _ = indices._design_matrix(spec, Polynomial.one(spec.d), f, 5)
-        sparse = solver.solve_least_squares(design, target)
-        dense = solver.solve_least_squares(np.asfortranarray(design.toarray()), target)
+        assert isinstance(design, np.ndarray)
+        dense = solver.solve_least_squares(design, target)
+        sparse = solver.solve_least_squares(scipy.sparse.csc_matrix(design), target)
         assert dense.method == sparse.method
         assert dense.residual == pytest.approx(sparse.residual, rel=1e-12, abs=1e-15)
-        assert dense.gram_condition == pytest.approx(sparse.gram_condition, rel=1e-12)
         np.testing.assert_allclose(dense.coefficients, sparse.coefficients, rtol=1e-12,
                                    atol=1e-14)
+        gram = design.conj().T @ design
+        kappa1 = np.linalg.norm(gram, 1) * np.linalg.norm(np.linalg.inv(gram), 1)
+        assert dense.gram_condition == pytest.approx(kappa1, rel=1e-12)
+        assert kappa1 / 10 <= sparse.gram_condition <= kappa1 * (1 + 1e-9)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_real_design_is_accepted(self, order):
