@@ -2,26 +2,40 @@
 
 A design column holds one shifted basis element (z^gamma f, or Z^w G over
 words), so it has only |f| nonzeros. `shifted_design` picks the design's
-representation by its column count:
+representation by its shape:
 
-* at most DENSE_MAX_COLUMNS = 64 columns: a dense column-major ndarray.
-  The Gram A^H A is summed over row blocks in numpy, its 1-norm condition
-  kappa_1 = ||G||_1 ||G^-1||_1 is computed exactly from the explicit
-  inverse, and the normal equations are solved by LU. Every index of the
-  acceptance configs has 6-31 columns, so these solves load no scipy.
-* more columns: a CSC matrix (scipy.sparse is loaded only here). The
-  sparse Gram is factored by SuperLU in symmetric mode (an unpivoted LDL^H
-  under a minimum-degree ordering), and kappa_1 is Hager's estimate from
-  the factors.
+* at most DENSE_MAX_COLUMNS = 64 columns and at most DENSE_MAX_ENTRIES =
+  2^15 entries (rows x columns): a dense column-major ndarray. The Gram
+  A^H A is summed over row blocks in numpy and LU-factored once, which
+  gives both the solve and the exact 1-norm condition
+  kappa_1 = ||G||_1 ||G^-1||_1. Every index of the acceptance configs is
+  such a design, so these solves load no scipy.
+* otherwise: a CSC matrix (scipy.sparse is loaded only here). The sparse
+  Gram is factored by SuperLU in symmetric mode (an unpivoted LDL^H under
+  a minimum-degree ordering), and kappa_1 is Hager's estimate from the
+  factors.
 
 The dense IRLS grids of the mixed indices always take the dense route.
-The crossover was measured per solve (Gram, condition, solve):
+Both limits are measured crossovers. Per solve (Gram, condition, solve):
 
     design              columns   dense     SuperLU
     d=1 Dirichlet           65   0.31 ms   0.35 ms
     d=1 Dirichlet          129   1.4 ms    0.39 ms
     Drury-Arveson d=3       84   0.53 ms   0.54 ms
     Drury-Arveson d=3      165   2.0 ms    0.79 ms
+
+The dense route's cost also grows with the rows, which a free design has
+for every word up to its longest length, touched or not; the sparse
+route's cost follows the stored entries. Assembly and solve of designs
+with 2 stored entries per column (lower quartile of 31 runs, 2-core host):
+
+    columns   rows    entries   dense     SuperLU
+        16    2048     32768   0.69 ms   0.84 ms
+        16    4096     65536   1.28 ms   0.87 ms
+        32    1024     32768   0.55 ms   0.95 ms
+        32    2048     65536   0.82 ms   0.75 ms
+        64     512     32768   1.03 ms   1.07 ms
+        64    1024     65536   1.49 ms   1.06 ms
 
 Gram matrices of shifted bases grow ill-conditioned with degree, so on
 either route a kappa_1 past DEFAULT_COND_THRESHOLD switches the solve to a
@@ -43,6 +57,7 @@ QR_FALLBACK = "qr_fallback"
 
 DEFAULT_COND_THRESHOLD = 1e10
 DENSE_MAX_COLUMNS = 64
+DENSE_MAX_ENTRIES = 1 << 15
 # the dense Gram is summed over blocks of this many rows, so that no
 # conjugated copy of a whole IRLS grid design is held at once
 GRAM_BLOCK_ROWS = 4096
@@ -61,12 +76,14 @@ def shifted_design(rows, coeffs, target_rows, target_coeffs, sqrt_weights, dense
 
     Column j holds coeffs[t] * sqrt_weights[r] at row r = rows[j, t], and the
     target holds target_coeffs[t] * sqrt_weights[r] at r = target_rows[t].
-    The design is a column-major ndarray when it has at most
-    DENSE_MAX_COLUMNS columns or `dense` is set, and a CSC matrix otherwise.
+    The design is a column-major ndarray when `dense` is set or it has at
+    most DENSE_MAX_COLUMNS columns and DENSE_MAX_ENTRIES entries, and a CSC
+    matrix otherwise.
     """
     ncols, nterms = rows.shape
     values = np.asarray(coeffs, dtype=complex) * sqrt_weights[rows]
-    if dense or ncols <= DENSE_MAX_COLUMNS:
+    if dense or (ncols <= DENSE_MAX_COLUMNS
+                 and len(sqrt_weights) * ncols <= DENSE_MAX_ENTRIES):
         design = np.zeros((len(sqrt_weights), ncols), dtype=complex, order="F")
         design[rows, np.arange(ncols)[:, None]] = values
     else:
@@ -95,18 +112,22 @@ def solve_least_squares(design, target: np.ndarray) -> LeastSquaresOutcome:
     target = np.asarray(target, dtype=complex)
     if isinstance(design, np.ndarray):
         design = design.astype(complex, copy=False)
-        cond, solve_gram = _dense_gram(design)
+        normal_solve = _dense_normal_solve
     else:
         import scipy.sparse
 
         design = scipy.sparse.csc_matrix(design, dtype=complex)
-        cond, solve_gram = _sparse_gram(design)
-    return _gated_solve(design, target, cond, solve_gram)
+        normal_solve = _sparse_normal_solve
+    # A^H b as conj(b^H A), without a conjugated copy of A
+    cond, x = normal_solve(design, (target.conj() @ design).conj())
+    return _gated_solve(design, target, cond, x)
 
 
-def _dense_gram(design: np.ndarray):
-    """Exact kappa_1 of the Gram of a dense design, and its LU solve."""
-    gram = np.zeros((design.shape[1], design.shape[1]), dtype=complex)
+def _dense_normal_solve(design: np.ndarray, rhs: np.ndarray):
+    """Exact kappa_1 of the Gram of a dense design and the normal-equation
+    solution, from one LU factorization."""
+    k = design.shape[1]
+    gram = np.zeros((k, k), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(design), GRAM_BLOCK_ROWS):
             block = design[start : start + GRAM_BLOCK_ROWS]
@@ -114,16 +135,17 @@ def _dense_gram(design: np.ndarray):
     if not np.all(np.isfinite(gram)):
         return math.inf, None  # the Gram overflowed, so it cannot be inverted
     try:
-        inverse = np.linalg.inv(gram)
+        # solving for [I | rhs] reads G^-1 and x off the same factors
+        solved = np.linalg.solve(gram, np.column_stack([np.eye(k), rhs]))
     except np.linalg.LinAlgError:
         return math.inf, None
-    cond = float(np.linalg.norm(gram, 1) * np.linalg.norm(inverse, 1))
-    return cond, lambda rhs: np.linalg.solve(gram, rhs)
+    cond = float(np.linalg.norm(gram, 1) * np.linalg.norm(solved[:, :k], 1))
+    return cond, solved[:, k]
 
 
-def _sparse_gram(design):
-    """Hager's estimate of kappa_1 of the Gram of a CSC design, and its
-    SuperLU solve."""
+def _sparse_normal_solve(design, rhs: np.ndarray):
+    """Hager's estimate of kappa_1 of the Gram of a CSC design and the
+    normal-equation solution, from one SuperLU factorization."""
     from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
     gram = (design.conj().T @ design).tocsc()
@@ -137,16 +159,15 @@ def _sparse_gram(design):
     inverse = LinearOperator(gram.shape, matvec=factor.solve, rmatvec=factor.solve,
                              dtype=complex)
     cond = float(abs(gram).sum(axis=0).max() * onenormest(inverse, t=1))
-    return cond, factor.solve
+    return cond, factor.solve(rhs)
 
 
-def _gated_solve(design, target: np.ndarray, cond: float, solve_gram) -> LeastSquaresOutcome:
-    """Solve the normal equations by `solve_gram` when kappa_1 is at most the
-    threshold, else the dense least-squares problem; report the residual of
-    the returned x."""
+def _gated_solve(design, target: np.ndarray, cond: float, x) -> LeastSquaresOutcome:
+    """Keep the normal-equation solution x when kappa_1 is at most the
+    threshold, else solve the dense least-squares problem; report the
+    residual of the returned x."""
     if cond <= DEFAULT_COND_THRESHOLD:
-        # A^H b as conj(b^H A), without a conjugated copy of A
-        method, x = CHOLESKY, solve_gram((target.conj() @ design).conj())
+        method = CHOLESKY
     else:
         method = QR_FALLBACK
         try:

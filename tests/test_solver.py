@@ -94,7 +94,9 @@ class TestAssembly:
         f = Polynomial(spec.d, {a: complex(*rng.standard_normal(2))
                                 for a in multi_indices(spec.d, 2)})
         design, target, cols = indices._design_matrix(spec, Polynomial.one(spec.d), f, n)
-        assert isinstance(design, np.ndarray) == (len(cols) <= solver.DENSE_MAX_COLUMNS)
+        assert isinstance(design, np.ndarray) == (
+            len(cols) <= solver.DENSE_MAX_COLUMNS
+            and design.shape[0] * len(cols) <= solver.DENSE_MAX_ENTRIES)
         rows = multi_indices(spec.d, n + f.degree)
         dense = np.zeros((len(rows), len(cols)), dtype=complex)
         for j, gamma in enumerate(cols):
@@ -128,6 +130,20 @@ class TestAssembly:
         np.testing.assert_allclose(array, dense, rtol=1e-15, atol=0)
         np.testing.assert_allclose(target, expected_target, rtol=1e-15, atol=0)
 
+    def test_tall_free_design_stays_sparse(self):
+        # 40 columns over every word of length <= 12 in 3 letters: a dense
+        # array would hold 797,161 x 40 entries for the 80 that are stored
+        spec = free_hardy(3, 12)
+        G = FreePolynomial(3, {(): 1.0, (1,): -1.0})
+        g = FreePolynomial(3, {(): 1.0, (2,) * 12: 1.0})
+        out, seen = solves_of(freespace, lambda: free_subspace_distance(spec, g, G, 3))
+        ((design, _, _),) = seen
+        assert not isinstance(design, np.ndarray)
+        assert design.shape == ((3**13 - 1) // 2, 40)
+        assert design.nnz == 80
+        # only the columns Z1^k G touch the powers of Z1, so 1 sits at the
+        # d=1 distance 1/(n+2) and Z2^12 is orthogonal to every column
+        assert out.residual**2 == pytest.approx(1.0 + 1.0 / 5.0, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_multiplication_section_matches_loop(self, name):
