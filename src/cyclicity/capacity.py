@@ -31,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
+from .errors import (ArgumentError, DegenerateInputError, DimensionMismatchError,
+                     NumericFailureError)
 from .indices import (
     VERDICT_CYCLIC,
     VERDICT_PLATEAU,
@@ -46,6 +47,9 @@ CONSISTENT = "consistent with cyclicity"
 TENSION = "tension"
 
 DEFAULT_CAPACITY_THRESHOLD = 1e-3
+PROBE_RADIUS = 0.95  # interior_zero_probe searches the ball of this radius
+PROBE_TOL = 1e-6
+PROBE_RESOLUTION = 4096
 MAX_ROOT_DEGREE = 512  # d = 1 root solve: a 4 MB companion matrix, cost grows as deg^3
 
 
@@ -101,15 +105,10 @@ class BoundaryCloud:
 
     @classmethod
     def from_json(cls, rows: Sequence[Sequence[float]], d: int) -> "BoundaryCloud":
-        if not rows:
-            return cls(np.zeros((0, d), dtype=complex))
-        pts = []
-        for row in rows:
-            if len(row) != 2 * d:
-                raise ArgumentError(f"point rows need {2 * d} real coordinates")
-            vals = np.asarray(row, dtype=float)
-            pts.append(vals[0::2] + 1j * vals[1::2])
-        return cls(np.asarray(pts))
+        if any(len(row) != 2 * d for row in rows):
+            raise ArgumentError(f"point rows need {2 * d} real coordinates")
+        vals = np.asarray(rows, dtype=float).reshape(len(rows), 2 * d)
+        return cls(vals[:, 0::2] + 1j * vals[:, 1::2])
 
 
 def circle_cloud(count: int) -> BoundaryCloud:
@@ -308,16 +307,10 @@ def riesz_equilibrium(
         raise ArgumentError("tol must be positive")
     pts = _dedup_rows(cloud.as_real())
     n = len(pts)
-    if n == 0:
-        return EquilibriumResult(
-            np.zeros(0), math.inf, 0.0, alpha, 0, 0.0, True,
-            note="empty cloud: capacity 0 by convention",
-        )
-    if n == 1:
-        return EquilibriumResult(
-            np.ones(1), math.inf, 0.0, alpha, 0, 0.0, True,
-            note="singleton cloud: infinite energy, capacity 0 by convention",
-        )
+    if n < 2:
+        note = ("empty cloud: capacity 0 by convention",
+                "singleton cloud: infinite energy, capacity 0 by convention")[n]
+        return EquilibriumResult(np.ones(n), math.inf, 0.0, alpha, 0, 0.0, True, note=note)
     # squared distances one real coordinate at a time, summed in the same
     # order as over a difference tensor; the kernel is then formed in place
     kernel = np.zeros((n, n))
@@ -369,6 +362,8 @@ def riesz_equilibrium(
         capacity = 1.0 / energy if energy > 0 else math.inf
     else:
         capacity = math.exp(-energy)
+    if not (math.isfinite(energy) and np.all(np.isfinite(w))):
+        raise NumericFailureError(f"equilibrium energy {energy} at alpha={alpha} is not finite")
     converged = gap <= tol * max(1.0, abs(energy))
     return EquilibriumResult(w, energy, capacity, alpha, iterations, gap, converged)
 
@@ -472,43 +467,36 @@ def box_dimension(
     return DimensionEstimate(float(slope), r2, scales, counts)
 
 
-def interior_zero_probe(
-    f: Polynomial,
-    radius: float = 0.95,
-    tol: float = 1e-6,
-    resolution: int = 4096,
-    seed: int = 0,
-) -> dict | None:
-    """Grid-plus-polish search for a zero of f inside the ball of `radius`.
+def interior_zero_probe(f: Polynomial, seed: int = 0) -> dict | None:
+    """Grid-plus-polish search for a zero of f inside the ball of radius
+    PROBE_RADIUS, from PROBE_RESOLUTION seeded samples at d >= 2.
 
     Returns {"point": ..., "value": ...} when the polished minimum of |f|
-    falls below tol strictly inside the ball, else None. Points that drift
-    to the boundary are clipped back, so boundary zeros do not register.
+    falls below PROBE_TOL strictly inside the ball, else None. Points that
+    drift to the boundary are clipped back, so boundary zeros do not register.
     """
     if f.is_zero:
         raise DegenerateInputError("f must be nonzero")
-    if not 0 < radius < 1:
-        raise ArgumentError("radius must lie in (0, 1)")
     d = f.d
     if d == 1:
-        r = np.linspace(0.0, radius, 48)
+        r = np.linspace(0.0, PROBE_RADIUS, 48)
         theta = 2.0 * np.pi * np.arange(96) / 96
         grid = (r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1, 1)
     else:
         rng = np.random.default_rng(seed)
-        sphere = sphere_sample(rng, resolution, d)
-        radii = radius * rng.random(resolution) ** (1.0 / (2 * d))
+        sphere = sphere_sample(rng, PROBE_RESOLUTION, d)
+        radii = PROBE_RADIUS * rng.random(PROBE_RESOLUTION) ** (1.0 / (2 * d))
         grid = np.vstack([sphere * radii[:, None], np.zeros((1, d), dtype=complex)])
     vals = np.abs(f.evaluate_grid(grid))
     order = np.argsort(vals)[:8]
     candidates = grid[order]
     polished = _gauss_newton_polish(f, candidates, steps=12, project=False)
     norms = np.linalg.norm(polished, axis=1)
-    over = norms > radius
-    polished[over] = polished[over] * (radius / norms[over])[:, None]
+    over = norms > PROBE_RADIUS
+    polished[over] = polished[over] * (PROBE_RADIUS / norms[over])[:, None]
     final = np.abs(f.evaluate_grid(polished))
     best = int(np.argmin(final))
-    if final[best] <= tol:
+    if final[best] <= PROBE_TOL:
         point = polished[best]
         return {
             "point": [v for x in point for v in (x.real, x.imag)],

@@ -25,7 +25,7 @@ from . import indices as idx
 from . import mixednorm as mx
 from .errors import ArgumentError, CyclicityError, NumericFailureError
 from .poly import Polynomial, jsonsafe
-from .spaces import PRESET_BUILDERS, SpaceSpec, preset
+from .spaces import SpaceSpec, preset
 
 SCHEMA_VERSION = 1
 
@@ -66,21 +66,23 @@ def parse_space(obj) -> SpaceSpec:
     if not isinstance(obj, dict):
         raise ArgumentError("space must be a string or an object")
     if "preset" in obj:
-        name = obj["preset"]
-        if name not in PRESET_BUILDERS:
-            raise ArgumentError(f"unknown preset {name!r}")
-        return preset(name, int(_require(obj, "d")), obj.get("maxDegree"))
+        return preset(obj["preset"], int(_require(obj, "d")), obj.get("maxDegree"))
     return SpaceSpec.from_json(obj)
+
+
+def _coefficient(entry) -> complex:
+    """A coeffs1d entry: a number, or an [re, im] pair of numbers."""
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+    if not all(type(v) in (int, float) for v in parts):  # bool is not a number here
+        raise ArgumentError(f"coeffs1d entry {entry!r} is not a number or an [re, im] pair")
+    return complex(*parts)
 
 
 def parse_polynomial(obj, d: int | None = None) -> Polynomial:
     if isinstance(obj, list):
         return Polynomial.from_json(obj, d)
-    if isinstance(obj, dict) and "coeffs1d" in obj:
-        return Polynomial.from_coeffs1d([
-            complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-            for e in obj["coeffs1d"]
-        ])
+    if isinstance(obj, dict) and isinstance(obj.get("coeffs1d"), list):
+        return Polynomial.from_coeffs1d([_coefficient(e) for e in obj["coeffs1d"]])
     raise ArgumentError("function must be a JSON term array or {'coeffs1d': [...]}")
 
 
@@ -167,7 +169,8 @@ def cmd_corona_check(config: dict):
         space = parse_space(_require(config, "space"))
         psi = parse_polynomial(_require(config, "function"), space.d)
         l_max = int(config.get("lMax", 10))
-        n_in = int(config.get("nIn", 40))
+        # the sections of the inverse truncations need n_in + l_max <= max_degree
+        n_in = int(config.get("nIn", min(40, space.max_degree - l_max)))
         norms = idx.inverse_truncation_multiplier_norms(space, psi, l_max, n_in)
         return {
             "mode": mode,

@@ -109,6 +109,10 @@ class FreeSpaceSpec:
             raise ArgumentError("d must be >= 1")
         if max_length < 0:
             raise ArgumentError("max_length must be >= 0")
+        if smoothness < 0:
+            raise ArgumentError("smoothness s must be >= 0")
+        if kind == KIND_FREE_HARDY and smoothness != 0:
+            raise ArgumentError("free_hardy has unit weights; smoothness s must be 0")
         self.kind = kind
         self.d = int(d)
         self.max_length = int(max_length)
@@ -152,14 +156,8 @@ class FreeSpaceSpec:
     def from_json(cls, obj: Mapping) -> "FreeSpaceSpec":
         if not isinstance(obj, Mapping):
             raise ArgumentError("free space must be an object")
-        kind = obj.get("kind")
-        if kind == KIND_FREE_HARDY:
-            return free_hardy(int(obj["d"]), int(obj.get("maxLength", 12)))
-        if kind == KIND_FREE_BESOV:
-            return free_besov(
-                int(obj["d"]), float(obj.get("s", 0.0)), int(obj.get("maxLength", 12))
-            )
-        raise ArgumentError(f"unknown free space kind {kind!r}")
+        return cls(obj.get("kind"), int(obj["d"]), int(obj.get("maxLength", 12)),
+                   float(obj.get("s", 0.0)))
 
     def __repr__(self) -> str:
         return (
@@ -175,8 +173,6 @@ def free_hardy(d: int, max_length: int = 12) -> FreeSpaceSpec:
 
 def free_besov(d: int, s: float, max_length: int = 12) -> FreeSpaceSpec:
     """Length weights (k+1)^(2s), mirroring commutative radial-derivative scaling."""
-    if s < 0:
-        raise ArgumentError("smoothness s must be >= 0")
     return FreeSpaceSpec(KIND_FREE_BESOV, d, max_length, smoothness=s)
 
 
@@ -256,13 +252,19 @@ def evaluate_on_tuple(F: FreePolynomial, mats: Sequence[np.ndarray]) -> np.ndarr
     return out
 
 
-def _row_contraction_from_rng(
-    rng: np.random.Generator, d: int, size: int, rho: float
+def sample_row_contraction(
+    d: int, size: int, rho: float, seed: int | np.random.Generator
 ) -> tuple[np.ndarray, ...]:
+    """Random matrix tuple whose row block [Z_1 ... Z_d] has operator norm rho.
+
+    Gaussian blocks rescaled exactly; reproducible for a fixed seed. A
+    `Generator` passed as the seed is drawn from in place.
+    """
     if d < 1 or size < 1:
         raise ArgumentError("d and size must be >= 1")
     if not 0 <= rho < 1:
         raise ArgumentError("rho must lie in [0, 1)")
+    rng = np.random.default_rng(seed)
     blocks = [
         (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
         / math.sqrt(2.0)
@@ -273,16 +275,6 @@ def _row_contraction_from_rng(
     row = np.hstack(blocks)
     scale = rho / np.linalg.svd(row, compute_uv=False)[0]
     return tuple(b * scale for b in blocks)
-
-
-def sample_row_contraction(
-    d: int, size: int, rho: float, seed: int
-) -> tuple[np.ndarray, ...]:
-    """Random matrix tuple whose row block [Z_1 ... Z_d] has operator norm rho.
-
-    Gaussian blocks rescaled exactly; reproducible for a fixed seed.
-    """
-    return _row_contraction_from_rng(np.random.default_rng(seed), d, size, rho)
 
 
 def tuple_to_json(mats: Sequence[np.ndarray]) -> list[dict]:
@@ -393,7 +385,7 @@ def row_contraction_inversion_report(
     min_svs = []
     max_tuple_norm = 0.0
     for _ in range(samples):
-        mats = _row_contraction_from_rng(rng, d, size, rho)
+        mats = sample_row_contraction(d, size, rho, rng)
         psi_eval = evaluate_on_tuple(psi, mats)
         min_svs.append(float(np.linalg.svd(psi_eval, compute_uv=False)[-1]))
         theta_eval = evaluate_on_tuple(theta, mats)

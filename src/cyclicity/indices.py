@@ -22,12 +22,11 @@ from .errors import ArgumentError, DegenerateInputError, DegreeRangeError
 from .poly import (
     JsonRecord,
     Polynomial,
-    graded_rank,
     invert_power_series,
     mult_operator_section,
-    multi_indices,
+    shifted_columns,
 )
-from .solver import shifted_design, solve_least_squares
+from .solver import solve_least_squares
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec
 
 VERDICT_CYCLIC = "numerically_cyclic"
@@ -91,26 +90,6 @@ def validate_problem(d: int, top: int, g, f, n: int, top_name="max_degree") -> N
         raise DegreeRangeError(
             f"deg g = {g.degree} exceeds {top_name}={top}"
         )
-
-
-def shifted_columns(g: Polynomial, f: Polynomial, n: int, row_scale: np.ndarray,
-                    dense=False):
-    """Design whose column gamma holds the coefficients of z^gamma f,
-    |gamma| <= n, with the target g and the column keys. Row r is the r-th
-    multi-index in graded-lex order and is multiplied by row_scale[r]. The
-    design is an ndarray up to `solver.DENSE_MAX_COLUMNS` columns or when
-    `dense` is set, else a CSC matrix."""
-
-    def keys(p):
-        return np.array(list(p.coeffs), dtype=np.int64).reshape(-1, f.d)
-
-    cols = multi_indices(f.d, n)
-    shifted = np.array(cols, dtype=np.int64)[:, None, :] + keys(f)[None, :, :]
-    design, target = shifted_design(
-        graded_rank(shifted), list(f.coeffs.values()),
-        graded_rank(keys(g)), list(g.coeffs.values()), row_scale, dense,
-    )
-    return design, target, cols
 
 
 def _design_matrix(spec: SpaceSpec, g: Polynomial, f: Polynomial, n: int):
@@ -306,7 +285,8 @@ def perturb_weights(spec: SpaceSpec, epsilon: float, seed: int) -> SpaceSpec:
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(1.0 - epsilon, 1.0 + epsilon, size=base.shape)
     repaired = np.minimum.accumulate(base * jitter)
-    return spec.with_moments(MomentSequence(tuple(repaired)))
+    moments = MomentSequence(tuple(repaired))
+    return SpaceSpec(KIND_DIAGONAL_BESOV, spec.d, spec.N, spec.max_degree, moments=moments)
 
 
 def realized_weight_deviation(spec: SpaceSpec, perturbed: SpaceSpec) -> float:
@@ -371,17 +351,9 @@ def power_membership_residual(
     """Distance from phi^k to the degree-n multiples of phi^(k+1).
 
     A vanishing limit over n is the finite-degree proxy for phi^k lying in
-    the invariant subspace generated by phi^(k+1).
+    the invariant subspace generated by phi^(k+1). `subspace_distance` and
+    the power check its inputs.
     """
-    if phi.is_zero:
-        raise DegenerateInputError("phi must be nonzero")
-    if k < 0:
-        raise ArgumentError("k must be >= 0")
-    if (k + 1) * phi.degree + n > spec.max_degree:
-        raise DegreeRangeError(
-            f"(k+1) deg(phi) + n = {(k + 1) * phi.degree + n} exceeds "
-            f"max_degree={spec.max_degree}"
-        )
     return subspace_distance(spec, phi**k, phi ** (k + 1), n).residual
 
 

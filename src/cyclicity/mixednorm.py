@@ -26,8 +26,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
-from .indices import shifted_columns, subspace_distance
-from .poly import JsonRecord, Polynomial, multi_indices
+from .indices import subspace_distance
+from .poly import JsonRecord, Polynomial, multi_indices, shifted_columns
 from .solver import solve_least_squares
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     SingularInversionError,
 )
+from .solver import shifted_design
 
 if TYPE_CHECKING:
     from .spaces import SpaceSpec
@@ -73,6 +74,26 @@ def graded_rank(alphas) -> np.ndarray:
         rank = rank + binom[rest + m, m] - binom[rest - alphas[..., i] + m, m]
         rest = rest - alphas[..., i]
     return rank
+
+
+def shifted_columns(g: Polynomial, f: Polynomial, n: int, row_scale: np.ndarray,
+                    dense=False):
+    """Design whose column gamma holds the coefficients of z^gamma f,
+    |gamma| <= n, with the target g and the column keys. Row r is the r-th
+    multi-index in graded-lex order and is multiplied by row_scale[r]. The
+    design is an ndarray up to `solver.DENSE_MAX_COLUMNS` columns or when
+    `dense` is set, else a CSC matrix."""
+
+    def keys(p):
+        return np.array(list(p.coeffs), dtype=np.int64).reshape(-1, f.d)
+
+    cols = multi_indices(f.d, n)
+    shifted = np.array(cols, dtype=np.int64)[:, None, :] + keys(f)[None, :, :]
+    design, target = shifted_design(
+        graded_rank(shifted), list(f.coeffs.values()),
+        graded_rank(keys(g)), list(g.coeffs.values()), row_scale, dense,
+    )
+    return design, target, cols
 
 
 class SparseSeries:
@@ -427,7 +448,8 @@ def mult_operator_section(
     <phi z^beta, z^alpha> / (||z^alpha|| ||z^beta||). Because n_out covers
     n_in + deg(phi), the section represents multiplication exactly on its
     column space, so its top singular value is a certified lower bound for
-    the multiplier norm of phi and is nondecreasing in n_in.
+    the multiplier norm of phi and is nondecreasing in n_in. It is the shifted
+    design of phi in the space norm with each column divided by its norm.
     """
     if phi.d != spec.d:
         raise DimensionMismatchError(
@@ -442,14 +464,9 @@ def mult_operator_section(
         raise DegreeRangeError(
             f"n_out={n_out} exceeds precomputed max_degree={spec.max_degree}"
         )
-    cols = np.array(multi_indices(spec.d, n_in), dtype=np.int64)
-    rows = graded_rank(cols[:, None, :] + np.array(list(phi.coeffs), dtype=np.int64))
     norms = np.sqrt(spec.weight_vector(n_out))
-    section = np.zeros((len(norms), len(cols)), dtype=complex)
-    coeffs = np.array(list(phi.coeffs.values()), dtype=complex)
-    columns = np.arange(len(cols))[:, None]
-    section[rows, columns] = coeffs * norms[rows] / norms[: len(cols), None]
-    return section
+    design, _, cols = shifted_columns(Polynomial.zero(spec.d), phi, n_in, norms, dense=True)
+    return design / norms[: len(cols)]
 
 
 def jsonsafe(value):

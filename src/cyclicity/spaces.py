@@ -135,6 +135,8 @@ class SpaceSpec:
             raise ArgumentError("d must be >= 1")
         if N < 0:
             raise ArgumentError("N must be >= 0")
+        if N != 0 and kind != KIND_DIAGONAL_BESOV:
+            raise ArgumentError(f"{kind} spaces take no derivative order; N must be 0")
         self.kind = kind
         self.d = int(d)
         self.N = int(N)
@@ -223,12 +225,6 @@ class SpaceSpec:
     def norm(self, f: Polynomial) -> float:
         return math.sqrt(max(self.inner_product(f, f).real, 0.0))
 
-    def with_moments(self, moments: MomentSequence) -> "SpaceSpec":
-        """Same geometry over a different radial measure."""
-        return SpaceSpec(
-            KIND_DIAGONAL_BESOV, self.d, self.N, self.max_degree, moments=moments
-        )
-
     def to_json(self) -> dict:
         out = {
             "kind": self.kind,
@@ -256,7 +252,7 @@ class SpaceSpec:
                 kind, d, N, max_degree, moments=MomentSequence(tuple(obj["moments"]))
             )
         if kind == KIND_DRURY_ARVESON:
-            return cls(kind, d, 0, max_degree)
+            return cls(kind, d, N, max_degree)
         if kind == KIND_CUSTOM_DIAGONAL:
             table = {
                 tuple(int(a) for a in t["exponents"]): float(t["value"])
@@ -272,32 +268,31 @@ class SpaceSpec:
         )
 
 
-def _lebesgue_area_moments(count: int) -> MomentSequence:
-    # Moments of d(mu) = 2r dr on [0, 1]: m[j] = 2/(j+2).
-    return MomentSequence(tuple(2.0 / (j + 2) for j in range(count)))
+def _moment_space(d: int, max_degree: int | None, N: int, moment) -> SpaceSpec:
+    """Diagonal Besov space of derivative order N whose j-th radial moment is
+    moment(j), tabulated for j <= 2 * max_degree."""
+    md = max_degree if max_degree is not None else default_max_degree(d)
+    moments = MomentSequence(tuple(moment(j) for j in range(2 * md + 1)))
+    return SpaceSpec(KIND_DIAGONAL_BESOV, d, N, md, moments=moments)
 
 
 def hardy(d: int, max_degree: int | None = None) -> SpaceSpec:
     """Boundary L2 space: radial measure is the unit point mass at r = 1."""
-    md = max_degree if max_degree is not None else default_max_degree(d)
-    moments = MomentSequence((1.0,) * (2 * md + 1))
-    return SpaceSpec(KIND_DIAGONAL_BESOV, d, 0, md, moments=moments)
+    return _moment_space(d, max_degree, 0, lambda j: 1.0)
+
+
+def _area_moment(j: int) -> float:
+    return 2.0 / (j + 2)  # the moments of d(mu) = 2r dr on [0, 1]
 
 
 def bergman(d: int, max_degree: int | None = None) -> SpaceSpec:
     """Volume L2 space: radial measure 2r dr, no derivative."""
-    md = max_degree if max_degree is not None else default_max_degree(d)
-    return SpaceSpec(
-        KIND_DIAGONAL_BESOV, d, 0, md, moments=_lebesgue_area_moments(2 * md + 1)
-    )
+    return _moment_space(d, max_degree, 0, _area_moment)
 
 
 def dirichlet_type(d: int, max_degree: int | None = None) -> SpaceSpec:
     """One radial derivative against the measure 2r dr."""
-    md = max_degree if max_degree is not None else default_max_degree(d)
-    return SpaceSpec(
-        KIND_DIAGONAL_BESOV, d, 1, md, moments=_lebesgue_area_moments(2 * md + 1)
-    )
+    return _moment_space(d, max_degree, 1, _area_moment)
 
 
 def drury_arveson(d: int, max_degree: int | None = None) -> SpaceSpec:

@@ -133,6 +133,24 @@ class TestZeroSetSampling:
         np.testing.assert_array_equal(_dedup_rows(np.vstack([pts, pts]), 1e-8), pts)
 
 
+class TestCloudJson:
+    def test_round_trip(self):
+        cloud = sphere_cap_cloud(7, 1.0)
+        rows = cloud.to_json()
+        assert len(rows) == 7 and all(len(row) == 4 for row in rows)
+        back = BoundaryCloud.from_json(rows, 2)
+        np.testing.assert_allclose(back.points, cloud.points, rtol=0, atol=1e-15)
+
+    def test_empty_rows_keep_the_dimension(self):
+        cloud = BoundaryCloud.from_json([], 3)
+        assert cloud.size == 0 and cloud.dimension == 3
+
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0]]])
+    def test_rejects_rows_of_the_wrong_length(self, rows):
+        with pytest.raises(ArgumentError, match="2 real coordinates"):
+            BoundaryCloud.from_json(rows, 1)
+
+
 class TestRieszEquilibrium:
     def test_full_circle_log_capacity(self):
         res = riesz_equilibrium(circle_cloud(512), alpha=0.0)

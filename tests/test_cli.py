@@ -263,6 +263,149 @@ class TestValidationAndExitCodes:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            # N is a derivative order, which only moment-based spaces apply
+            ("index", {"space": {"kind": "drury_arveson", "d": 1, "N": 1},
+                       "function": {"coeffs1d": [1, -1]}, "n": 2}),
+            # free Hardy has unit weights, so a smoothness would be dropped
+            ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2, "s": 2.0},
+                            "function": [{"letters": [], "re": 1}], "n": 1}),
+            # a string is not a coefficient list
+            ("index", {"space": "hardy(1)", "function": {"coeffs1d": "12"}, "n": 2}),
+            # an entry is a number or an [re, im] pair, never a longer list
+            ("index", {"space": "hardy(1)", "function": {"coeffs1d": [[1, 2, 3]]}, "n": 2}),
+        ],
+        ids=["drury-arveson-N", "free-hardy-s", "coeffs1d-string", "coeffs1d-triple"],
+    )
+    def test_ignored_config_values_exit_two(self, tmp_path, command, config):
+        rc, path = run_cli(tmp_path, command, config)
+        assert rc == 2
+        assert not path.exists()
+
+    def test_overflowed_equilibrium_exits_three(self, tmp_path, capsys):
+        # ||x - y||^-200 overflows on a 64-point arc of opening 1
+        cloud = {"kind": "arc", "angle": 1.0, "count": 64}
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, path = run_cli(tmp_path, "capacity", {"cloud": cloud, "alpha": 200})
+        assert rc == 3
+        assert not path.exists()
+        assert "numeric failure" in capsys.readouterr().err
+
+
+class TestCommandPaths:
+    """Config forms and command modes beyond the acceptance configs."""
+
+    @staticmethod
+    def result(tmp_path, command, config, out="out"):
+        rc, path = run_cli(tmp_path, command, config, out)
+        assert rc == 0
+        return json.loads(path.read_text())["result"]
+
+    def test_commutative_corona_default_section_fits_any_d(self, tmp_path):
+        # psi = 2 - z1 on hardy(2), whose tables stop at degree 20: the
+        # default section degree is 20 - lMax = 10
+        psi = [{"exponents": [0, 0], "re": 2.0}, {"exponents": [1, 0], "re": -1.0}]
+        config = {"mode": "commutative", "space": "hardy(2)", "function": psi}
+        out = self.result(tmp_path, "corona-check", config)
+        assert out["nIn"] == 10
+        assert out["lengths"] == list(range(11))
+        # the (0, 0) entry of every section is |q(0)| = 1/2
+        assert all(b >= 0.5 for b in out["multiplierLowerBounds"])
+        for lo, hi in zip(out["multiplierLowerBounds"], out["multiplierLowerBounds"][1:]):
+            assert hi >= lo - 1e-12
+
+    def test_commutative_corona_default_section_at_d1(self, tmp_path):
+        config = {"mode": "commutative", "space": "hardy(1)",
+                  "function": {"coeffs1d": [2, -1]}, "lMax": 4}
+        out = self.result(tmp_path, "corona-check", config)
+        assert out["nIn"] == 40
+        # truncations of 1/(2 - z) stay below sup |1/(2 - z)| = 1 on the circle
+        assert all(0.5 <= b <= 1.0 + 1e-12 for b in out["multiplierLowerBounds"])
+
+    def test_free_corona_exports_the_first_draw(self, tmp_path):
+        config = {"mode": "free", "d": 2, "rho": 0.7, "samples": 3, "size": 4, "seed": 13,
+                  "lMax": 4, "exportTuples": True}
+        out = self.result(tmp_path, "corona-check", config)
+        mats = freespace.tuple_from_json(out["firstTuple"])
+        assert len(mats) == 2 and mats[0].shape == (4, 4)
+        psi = 2.0 * freespace.FreePolynomial.identity(2) - freespace.FreePolynomial.letter(1, 2)
+        floor = np.linalg.svd(freespace.evaluate_on_tuple(psi, mats), compute_uv=False)[-1]
+        assert floor == pytest.approx(out["minSingularValues"][0], rel=1e-12)
+        assert np.linalg.norm(np.hstack(mats), 2) == pytest.approx(0.7, rel=1e-12)
+
+    def test_function_perturbation_forms_agree(self, tmp_path):
+        base = {"variant": "function", "space": "hardy(1)",
+                "function": {"coeffs1d": [1, -1]}, "n": 6}
+        given = self.result(tmp_path, "perturb",
+                            {**base, "perturbed": {"coeffs1d": [1, -0.75]}}, out="given")
+        shifted = self.result(tmp_path, "perturb",
+                              {**base, "delta": {"coeffs1d": [0, 0.25]}}, out="delta")
+        assert given == shifted
+        assert given["variant"] == "function"
+        assert given["delta"] == pytest.approx(0.25)
+        assert given["lhs"] <= given["rhs"]
+        assert given["holds"]
+
+    def test_index_against_a_target(self, tmp_path):
+        # multiples of f = 1 of degree <= 2 leave the z^3 term of 1 + 2 z^3
+        config = {"space": "hardy(1)", "function": {"coeffs1d": [1]}, "n": 2,
+                  "target": {"coeffs1d": [1, 0, 0, 2]}}
+        out = self.result(tmp_path, "index", config)
+        assert out["residual"] == pytest.approx(2.0, rel=1e-12)
+        assert out["phi"] == [{"exponents": [0], "re": 1.0, "im": 0.0}]
+
+    def test_free_index_against_a_target(self, tmp_path):
+        # words of length <= 1 leave the Z1 Z2 term of 1 + 3 Z1 Z2
+        config = {"freeSpace": {"kind": "free_hardy", "d": 2, "maxLength": 4},
+                  "function": [{"letters": [], "re": 1}], "n": 1,
+                  "target": [{"letters": [], "re": 1}, {"letters": [1, 2], "re": 3}]}
+        out = self.result(tmp_path, "free-index", config)
+        assert out["residual"] == pytest.approx(3.0, rel=1e-12)
+        assert out["phi"] == [{"letters": [], "re": 1.0, "im": 0.0}]
+
+    def test_circle_cloud_capacity(self, tmp_path):
+        # 16 equispaced points: the log energy with the half-spacing self
+        # term is -log(16 sin(pi/16)) / 16
+        out = self.result(tmp_path, "capacity",
+                          {"cloud": {"kind": "circle", "count": 16}, "alpha": 0})
+        assert out["cloudSize"] == 16
+        assert out["capacity"] == pytest.approx((16 * math.sin(math.pi / 16)) ** (1 / 16),
+                                                rel=1e-12)
+        assert out["weights"] == pytest.approx([1 / 16] * 16, rel=1e-12)
+
+    def test_points_cloud_capacity(self, tmp_path):
+        # an equilateral triangle on the circle: sides sqrt(3), self scale sqrt(3)/2
+        pts = [[math.cos(t), math.sin(t)] for t in (0, 2 * math.pi / 3, 4 * math.pi / 3)]
+        out = self.result(tmp_path, "capacity",
+                          {"cloud": {"kind": "points", "d": 1, "points": pts}, "alpha": 0})
+        energy = -(6 * math.log(math.sqrt(3)) + 3 * math.log(math.sqrt(3) / 2)) / 9
+        assert out["cloudSize"] == 3
+        assert out["capacity"] == pytest.approx(math.exp(-energy), rel=1e-12)
+
+    def test_variable_exponent_mixed_index(self, tmp_path):
+        spec = {"d": 1, "N": 0, "exponent": {"a": 2, "b": 1, "c": 2},
+                "radial": {"measure": "area", "count": 12}, "angular": {"count": 64}}
+        config = {"varExpSpec": spec, "function": {"coeffs1d": [1, -1]}, "nMax": 2}
+        out = self.result(tmp_path, "mixed-index", config)
+        expected = [mixednorm.mixed_index(mixednorm.VarExpSpec.from_json(spec),
+                                          Polynomial.from_coeffs1d([1, -1]), n)
+                    for n in range(3)]
+        assert [r["n"] for r in out["results"]] == [0, 1, 2]
+        assert [r["value"] for r in out["results"]] == [r.value for r in expected]
+        assert out["spec"] == mixednorm.VarExpSpec.from_json(spec).to_json()
+
+    def test_mixed_index_single_budget(self, tmp_path):
+        spec = {"d": 1, "N": 0, "p": 3, "q": 2, "radial": {"measure": "point_mass"},
+                "angular": {"count": 64}}
+        config = {"mixedSpec": spec, "function": {"coeffs1d": [1, -1]}, "n": 3}
+        rc, path = run_cli(tmp_path, "mixed-index", config)
+        assert rc == 0
+        results = json.loads(path.read_text())["result"]["results"]
+        assert [r["n"] for r in results] == [3]
+        assert path.with_suffix(".csv").read_text().splitlines()[1].startswith("3,")
+
 
 class TestDeterminism:
     def test_small_solves_load_no_scipy(self, tmp_path):

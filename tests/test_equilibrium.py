@@ -23,6 +23,7 @@ from cyclicity.capacity import (
     sphere_cap_cloud,
 )
 from cyclicity.cli import main
+from cyclicity.errors import NumericFailureError
 from helpers import subprocess_env
 
 
@@ -156,6 +157,12 @@ class TestConvergenceReporting:
         assert riesz_equilibrium(circle_cloud(1), alpha=0.0).converged
         empty = BoundaryCloud(np.zeros((0, 1), dtype=complex))
         assert riesz_equilibrium(empty, alpha=1.0).converged
+
+    def test_overflowed_kernel_is_a_numeric_failure(self):
+        # ||x - y||^-200 on a 64-point arc of opening 1 exceeds the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailureError, match="not finite"):
+                riesz_equilibrium(arc_cloud(1.0, 64), alpha=200.0)
 
     def test_capacity_command_warns_once(self, tmp_path):
         cloud = {"kind": "sphere_cap", "count": 300, "polarAngle": 1.0}

@@ -11,6 +11,7 @@ from cyclicity.errors import (
 )
 from cyclicity.freespace import (
     FreePolynomial,
+    FreeSpaceSpec,
     abelianize,
     compression_check,
     evaluate_on_tuple,
@@ -95,6 +96,22 @@ class TestFreeNorms:
         spec = free_hardy(2, max_length=2)
         with pytest.raises(Exception):
             spec.norm(Z1 * Z1 * Z1)
+
+    def test_spec_json(self):
+        assert free_hardy(2, 5).to_json() == {"kind": "free_hardy", "d": 2, "maxLength": 5}
+        besov = free_besov(3, 0.5, 4)
+        obj = besov.to_json()
+        assert obj == {"kind": "free_besov", "d": 3, "maxLength": 4, "s": 0.5}
+        clone = FreeSpaceSpec.from_json(obj)
+        assert (clone.kind, clone.d, clone.max_length) == ("free_besov", 3, 4)
+        assert [clone.weight(k) for k in range(5)] == [besov.weight(k) for k in range(5)]
+
+    def test_free_hardy_rejects_a_smoothness(self):
+        with pytest.raises(ArgumentError):
+            FreeSpaceSpec.from_json({"kind": "free_hardy", "d": 2, "s": 2.0})
+        with pytest.raises(ArgumentError):
+            FreeSpaceSpec("free_hardy", 2, 4, smoothness=1.0)
+        assert FreeSpaceSpec.from_json({"kind": "free_hardy", "d": 2, "s": 0}).max_length == 12
 
 
 class TestFreeSubspaceDistance:
@@ -230,6 +247,14 @@ class TestRowContractions:
         a = sample_row_contraction(2, 5, 0.7, seed=99)
         b = sample_row_contraction(2, 5, 0.7, seed=99)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_generator_seed_is_drawn_in_place(self):
+        rng = np.random.default_rng(99)
+        first = sample_row_contraction(2, 5, 0.7, rng)
+        second = sample_row_contraction(2, 5, 0.7, rng)
+        fresh = sample_row_contraction(2, 5, 0.7, seed=99)
+        assert all(np.array_equal(x, y) for x, y in zip(first, fresh))
+        assert not np.array_equal(first[0], second[0])
 
     def test_tuple_replay_round_trip(self):
         from cyclicity.freespace import tuple_from_json, tuple_to_json

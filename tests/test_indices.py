@@ -333,6 +333,12 @@ class TestPowerMembership:
         with pytest.raises(DegreeRangeError):
             power_membership_residual(spec, p1d(1, -1, 1), 2, 2)
 
+    def test_degenerate_inputs(self):
+        with pytest.raises(DegenerateInputError):
+            power_membership_residual(hardy(1), Polynomial.zero(1), 1, 2)
+        with pytest.raises(ArgumentError):
+            power_membership_residual(hardy(1), p1d(1, -1), -1, 2)
+
 
 class TestIndexContinuity:
     def test_residual_continuous_under_function_limits(self):

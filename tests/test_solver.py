@@ -323,6 +323,25 @@ class TestDenseRoute:
         assert out.residual == pytest.approx(np.linalg.norm(target - design @ want), rel=1e-8)
 
 
+class TestSingularGram:
+    """A zero column makes the Gram exactly singular: numpy's LU raises on the
+    dense route, SuperLU finds a zero pivot on the sparse one. Either way the
+    condition is infinite and the dense least-squares fallback answers."""
+
+    @pytest.mark.parametrize("cols, sparse", [(6, False), (80, True)])
+    def test_zero_column_falls_back(self, cols, sparse):
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((2 * cols, cols)) + 1j * rng.standard_normal((2 * cols, cols))
+        dense[:, cols // 2] = 0
+        target = rng.standard_normal(2 * cols) + 0j
+        design = scipy.sparse.csc_matrix(dense) if sparse else np.asfortranarray(dense)
+        out = solver.solve_least_squares(design, target)
+        assert out.method == solver.QR_FALLBACK
+        assert out.gram_condition == math.inf
+        want = np.linalg.lstsq(dense, target, rcond=None)[0]
+        assert out.residual == pytest.approx(np.linalg.norm(target - dense @ want), rel=1e-12)
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_constructors_reject(self, bad):

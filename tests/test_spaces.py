@@ -183,6 +183,16 @@ class TestSerializationAndPresets:
         clone = SpaceSpec.from_json(spec.to_json())
         assert clone.monomial_norm_sq((2,)) == 5.0
 
+    def test_derivative_order_only_for_moment_spaces(self):
+        with pytest.raises(ArgumentError, match="N must be 0"):
+            SpaceSpec("drury_arveson", 2, N=3)
+        with pytest.raises(ArgumentError, match="N must be 0"):
+            SpaceSpec("custom_diagonal", 1, 1, 2, custom_weights={(0,): 1.0, (1,): 2.0, (2,): 5.0})
+        with pytest.raises(ArgumentError, match="N must be 0"):
+            SpaceSpec.from_json({"kind": "drury_arveson", "d": 1, "N": 1})
+        assert SpaceSpec.from_json({"kind": "drury_arveson", "d": 1, "N": 0}).N == 0
+        assert SpaceSpec("diagonal_besov", 1, 2, 3, moments=MomentSequence((1.0,) * 7)).N == 2
+
     def test_preset_by_name(self):
         assert preset("hardy", 2).monomial_norm_sq((1, 0)) == pytest.approx(0.5)
         with pytest.raises(ArgumentError):
