@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import inspect
 import json
 import logging
 import sys
@@ -24,10 +26,11 @@ from . import freespace as free
 from . import indices as idx
 from . import mixednorm as mx
 from .errors import ArgumentError, CyclicityError, NumericFailureError
-from .poly import Polynomial, jsonsafe
-from .spaces import SpaceSpec, preset
+from .poly import Polynomial, camel, jsonsafe, read_keys
+from .spaces import SpaceSpec, drury_arveson, preset
 
 SCHEMA_VERSION = 1
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 log = logging.getLogger("cyclicity")
 
@@ -44,16 +47,60 @@ def write_csv(path: Path, rows: list[tuple]) -> None:
             writer.writerow([v if isinstance(v, str) else repr(v) for v in row])
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ArgumentError(f"config is missing required key {key!r}")
-    return config[key]
+def bind(fn, obj, what: str = "config"):
+    """fn called with the keys of the JSON object obj as its arguments.
+
+    A key is the `camel` name of a parameter (n_max <- nMax); a parameter
+    without a default is required, and null is admitted only under `| None`.
+    An int, float or bool annotation admits that JSON type only: int takes
+    integers, float takes integers or floats and converts them with float(),
+    and bool is never a number. Any other key is an error.
+    """
+    params = {camel(name): p for name, p in inspect.signature(fn).parameters.items()}
+    kwargs = {}
+    for key, value in read_keys(obj, params, what).items():
+        annotation = str(params[key].annotation)  # a string, under postponed evaluation
+        kind = annotation.removesuffix(" | None")
+        if value is None and kind == annotation:
+            raise ArgumentError(f"{what} key {key!r} may not be null")
+        if value is not None and kind in _JSON_TYPES:
+            if type(value) not in _JSON_TYPES[kind]:
+                raise ArgumentError(f"{what} key {key!r} must be {kind}, not {value!r}")
+            value = float(value) if kind == "float" else value
+        kwargs[params[key].name] = value
+    missing = [k for k, p in params.items() if p.default is p.empty and p.name not in kwargs]
+    if missing:
+        raise ArgumentError(f"{what} is missing required key(s) {missing}")
+    return fn(**kwargs)
 
 
-def _require_seed(config: dict) -> int:
-    if "seed" not in config:
-        raise ArgumentError("this command samples; config must carry an explicit seed")
-    return int(config["seed"])
+def choose(key: str, table: dict, default: str | None = None, what: str = "config"):
+    """A function that binds a JSON object, less `key`, to table[obj[key]]:
+    each mode or kind is a function, and its signature is its schema."""
+
+    def run(obj):
+        choice = obj.get(key, default) if isinstance(obj, dict) else None
+        if choice not in table:
+            raise ArgumentError(f"{what} must be an object with a {key} in {sorted(table)}")
+        return bind(table[choice], {k: v for k, v in obj.items() if k != key}, what)
+
+    return run
+
+
+def command(fn):
+    """Decorator: the COMMANDS entry that binds a config to fn."""
+    return functools.partial(bind, fn)
+
+
+def _seed(seed: int | None, d: int) -> int:
+    if seed is None and d >= 2:
+        raise ArgumentError("sampling at d >= 2 needs an explicit seed in the config")
+    return seed or 0
+
+
+def _exactly_one(**pair) -> None:
+    if sum(v is not None for v in pair.values()) != 1:
+        raise ArgumentError(f"config needs exactly one of {[camel(k) for k in pair]}")
 
 
 def parse_space(obj) -> SpaceSpec:
@@ -65,9 +112,7 @@ def parse_space(obj) -> SpaceSpec:
         return preset(name.strip(), int(rest[:-1]))
     if not isinstance(obj, dict):
         raise ArgumentError("space must be a string or an object")
-    if "preset" in obj:
-        return preset(obj["preset"], int(_require(obj, "d")), obj.get("maxDegree"))
-    return SpaceSpec.from_json(obj)
+    return bind(preset, obj, "preset space") if "preset" in obj else SpaceSpec.from_json(obj)
 
 
 def _coefficient(entry) -> complex:
@@ -81,207 +126,156 @@ def _coefficient(entry) -> complex:
 def parse_polynomial(obj, d: int | None = None) -> Polynomial:
     if isinstance(obj, list):
         return Polynomial.from_json(obj, d)
-    if isinstance(obj, dict) and isinstance(obj.get("coeffs1d"), list):
+    if isinstance(obj, dict) and list(obj) == ["coeffs1d"] and isinstance(obj["coeffs1d"], list):
         return Polynomial.from_coeffs1d([_coefficient(e) for e in obj["coeffs1d"]])
     raise ArgumentError("function must be a JSON term array or {'coeffs1d': [...]}")
 
 
-def parse_cloud(obj, seed_supplier) -> cap.BoundaryCloud:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ArgumentError("cloud must be an object with a 'kind'")
-    kind = obj["kind"]
-    if kind == "points":
-        return cap.BoundaryCloud.from_json(obj.get("points", []), int(_require(obj, "d")))
-    if kind == "circle":
-        return cap.circle_cloud(int(_require(obj, "count")))
-    if kind == "arc":
-        return cap.arc_cloud(float(_require(obj, "angle")), int(_require(obj, "count")))
-    if kind == "sphere_cap":
-        return cap.sphere_cap_cloud(
-            int(_require(obj, "count")), float(_require(obj, "polarAngle"))
-        )
-    if kind == "zero_set":
-        f = parse_polynomial(_require(obj, "function"), obj.get("d"))
-        seed = seed_supplier() if f.d >= 2 else 0
-        return cap.sample_zero_set(f, int(obj.get("resolution", 2048)), obj.get("tol"), seed)
-    raise ArgumentError(f"unknown cloud kind {kind!r}")
+def parse_cloud(obj, seed: int | None) -> cap.BoundaryCloud:
+    """A boundary cloud from its JSON object; `seed` seeds a zero set's sampling."""
+
+    def points(d: int, points=()):
+        return cap.BoundaryCloud.from_json(points, d)
+
+    def zero_set(function, d: int | None = None, resolution: int = 2048,
+                 tol: float | None = None):
+        f = parse_polynomial(function, d)
+        return cap.sample_zero_set(f, resolution, tol, _seed(seed, f.d))
+
+    kinds = {"arc": cap.arc_cloud, "circle": cap.circle_cloud, "points": points,
+             "sphere_cap": cap.sphere_cap_cloud, "zero_set": zero_set}
+    return choose("kind", kinds, what="cloud")(obj)
 
 
 def parse_quadrature_spec(cls, obj):
     """A MixedSpec or VarExpSpec from JSON; d >= 2 sampling must be seeded."""
     spec = cls.from_json(obj)
-    if spec.d >= 2 and "seed" not in obj.get("angular", {}):
-        raise ArgumentError("d >= 2 angular sampling needs an explicit seed")
+    _seed(obj.get("angular", {}).get("seed"), spec.d)
     return spec
 
 
-def cmd_index(config: dict):
-    space = parse_space(_require(config, "space"))
-    f = parse_polynomial(_require(config, "function"), space.d)
-    n = int(_require(config, "n"))
-    target = (
-        parse_polynomial(config["target"], space.d)
-        if "target" in config
-        else Polynomial.one(space.d)
-    )
-    result = idx.subspace_distance(space, target, f, n)
-    return result.to_json(), None
+@command
+def cmd_index(space, function, n: int, target=None):
+    space = parse_space(space)
+    f = parse_polynomial(function, space.d)
+    g = Polynomial.one(space.d) if target is None else parse_polynomial(target, space.d)
+    return idx.subspace_distance(space, g, f, n).to_json(), None
 
 
-def cmd_sweep(config: dict):
-    space = parse_space(_require(config, "space"))
-    f = parse_polynomial(_require(config, "function"), space.d)
-    n_max = int(_require(config, "nMax"))
-    tol = float(config.get("tol", idx.DEFAULT_TOL))
-    report = idx.index_sweep(space, f, n_max, tol)
+@command
+def cmd_sweep(space, function, n_max: int, tol: float = idx.DEFAULT_TOL):
+    space = parse_space(space)
+    report = idx.index_sweep(space, parse_polynomial(function, space.d), n_max, tol)
     return report.to_json(), report.csv_rows()
 
 
-def cmd_free_index(config: dict):
-    spec = free.FreeSpaceSpec.from_json(_require(config, "freeSpace"))
-    g = free.FreePolynomial.from_json(_require(config, "function"), spec.d)
-    n = int(_require(config, "n"))
-    target = (
-        free.FreePolynomial.from_json(config["target"], spec.d)
-        if "target" in config
-        else free.FreePolynomial.identity(spec.d)
-    )
-    result = free.free_subspace_distance(spec, target, g, n)
-    return result.to_json(), None
+@command
+def cmd_free_index(free_space, function, n: int, target=None):
+    spec = free.FreeSpaceSpec.from_json(free_space)
+    g = free.FreePolynomial.from_json(function, spec.d)
+    target = (free.FreePolynomial.identity(spec.d) if target is None
+              else free.FreePolynomial.from_json(target, spec.d))
+    return free.free_subspace_distance(spec, target, g, n).to_json(), None
 
 
-def cmd_compress_check(config: dict):
-    d = int(_require(config, "d"))
-    n = int(_require(config, "n"))
-    max_length = int(config.get("maxLength", max(12, n + 4)))
-    g = free.FreePolynomial.from_json(_require(config, "function"), d)
-    from .spaces import drury_arveson
-
-    spec_free = free.free_hardy(d, max_length)
+@command
+def cmd_compress_check(d: int, function, n: int, max_length: int | None = None):
+    g = free.FreePolynomial.from_json(function, d)
+    spec_free = free.free_hardy(d, max(12, n + 4) if max_length is None else max_length)
     spec_comm = drury_arveson(d, max(n + g.degree, 1))
-    report = free.compression_check(spec_free, spec_comm, g, n)
-    return report.to_json(), None
+    return free.compression_check(spec_free, spec_comm, g, n).to_json(), None
 
 
-def cmd_corona_check(config: dict):
-    mode = config.get("mode", "commutative")
-    if mode == "commutative":
-        space = parse_space(_require(config, "space"))
-        psi = parse_polynomial(_require(config, "function"), space.d)
-        l_max = int(config.get("lMax", 10))
+def corona_commutative(space, function, l_max: int = 10, n_in: int | None = None):
+    space = parse_space(space)
+    psi = parse_polynomial(function, space.d)
+    if n_in is None:
         # the sections of the inverse truncations need n_in + l_max <= max_degree
-        n_in = int(config.get("nIn", min(40, space.max_degree - l_max)))
-        norms = idx.inverse_truncation_multiplier_norms(space, psi, l_max, n_in)
-        return {
-            "mode": mode,
-            "lengths": list(range(l_max + 1)),
-            "multiplierLowerBounds": norms,
-            "nIn": n_in,
-        }, None
-    if mode == "free":
-        seed = _require_seed(config)
-        d = int(_require(config, "d"))
-        rho = float(_require(config, "rho"))
-        size = int(config.get("size", 8))
-        report = free.row_contraction_inversion_report(
-            d=d,
-            rho=rho,
-            samples=int(config.get("samples", 100)),
-            size=size,
-            seed=seed,
-            l_max=int(config.get("lMax", 10)),
-        )
-        out = report.to_json()
-        out["mode"] = mode
-        if config.get("exportTuples"):
-            out["firstTuple"] = free.tuple_to_json(
-                free.sample_row_contraction(d, size, rho, seed)
-            )
-        return out, None
-    raise ArgumentError(f"unknown corona mode {mode!r}")
+        n_in = min(40, space.max_degree - l_max)
+    norms = idx.inverse_truncation_multiplier_norms(space, psi, l_max, n_in)
+    return {"mode": "commutative", "lengths": list(range(l_max + 1)),
+            "multiplierLowerBounds": norms, "nIn": n_in}, None
 
 
-def cmd_capacity(config: dict):
-    cloud = parse_cloud(_require(config, "cloud"), lambda: _require_seed(config))
-    alpha = float(_require(config, "alpha"))
+def corona_free(d: int, rho: float, seed: int, samples: int = 100, size: int = 8,
+                l_max: int = 10, export_tuples: bool = False):
+    out = free.row_contraction_inversion_report(d, rho, samples, size, seed, l_max).to_json()
+    out["mode"] = "free"
+    if export_tuples:
+        out["firstTuple"] = free.tuple_to_json(free.sample_row_contraction(d, size, rho, seed))
+    return out, None
+
+
+cmd_corona_check = choose("mode", {"commutative": corona_commutative, "free": corona_free},
+                          "commutative")
+
+
+@command
+def cmd_capacity(cloud, alpha: float, seed: int | None = None, max_iter: int = 20000,
+                 tol: float = 1e-7):
+    cloud = parse_cloud(cloud, seed)
     if cloud.size == 0:
         log.warning("capacity requested on an empty cloud; returning 0 by convention")
-    result = cap.riesz_equilibrium(cloud, alpha, max_iter=int(config.get("maxIter", 20000)),
-                                   tol=float(config.get("tol", 1e-7)))
+    result = cap.riesz_equilibrium(cloud, alpha, max_iter, tol)
     if not result.converged:
         log.warning("equilibrium not converged (kkt_gap %g)", result.kkt_gap)
-    out = result.to_json()
-    out["cloudSize"] = cloud.size
-    return out, None
+    return {**result.to_json(), "cloudSize": cloud.size}, None
 
 
-def cmd_dimension(config: dict):
-    cloud = parse_cloud(_require(config, "cloud"), lambda: _require_seed(config))
-    estimate = cap.box_dimension(cloud, int(config.get("jMin", 2)), int(config.get("jMax", 7)))
-    out = estimate.to_json()
-    out["cloudSize"] = cloud.size
-    return out, None
+@command
+def cmd_dimension(cloud, seed: int | None = None, j_min: int = 2, j_max: int = 7):
+    cloud = parse_cloud(cloud, seed)
+    return {**cap.box_dimension(cloud, j_min, j_max).to_json(), "cloudSize": cloud.size}, None
 
 
-def cmd_perturb(config: dict):
-    variant = config.get("variant", "function")
-    space = parse_space(_require(config, "space"))
-    f = parse_polynomial(_require(config, "function"), space.d)
-    n = int(_require(config, "n"))
-    if variant == "function":
-        if "perturbed" in config:
-            g = parse_polynomial(config["perturbed"], space.d)
-        elif "delta" in config:
-            g = f + parse_polynomial(config["delta"], space.d)
-        else:
-            raise ArgumentError("function perturbation needs 'perturbed' or 'delta'")
-        report = idx.check_perturbation_bound(space, f, g, n)
-        out = report.to_json()
-        out["variant"] = variant
-        return out, None
-    if variant == "weight":
-        seed = _require_seed(config)
-        epsilon = float(_require(config, "epsilon"))
-        perturbed = idx.perturb_weights(space, epsilon, seed)
-        realized = idx.realized_weight_deviation(space, perturbed)
-        report = idx.check_weight_stability(space, perturbed, f, n, epsilon=realized)
-        out = report.to_json()
-        out["variant"] = variant
-        out["requestedEpsilon"] = epsilon
-        out["realizedEpsilon"] = realized
-        out["perturbedSpace"] = perturbed.to_json()
-        return out, None
-    raise ArgumentError(f"unknown perturb variant {variant!r}")
+def perturb_function(space, function, n: int, perturbed=None, delta=None):
+    _exactly_one(perturbed=perturbed, delta=delta)
+    space = parse_space(space)
+    f = parse_polynomial(function, space.d)
+    g = (parse_polynomial(perturbed, space.d) if delta is None
+         else f + parse_polynomial(delta, space.d))
+    return {**idx.check_perturbation_bound(space, f, g, n).to_json(), "variant": "function"}, None
 
 
-def cmd_mixed_norm(config: dict):
-    spec = parse_quadrature_spec(mx.MixedSpec, _require(config, "mixedSpec"))
-    f = parse_polynomial(_require(config, "function"), spec.d)
+def perturb_weight(space, function, n: int, epsilon: float, seed: int):
+    space = parse_space(space)
+    f = parse_polynomial(function, space.d)
+    perturbed = idx.perturb_weights(space, epsilon, seed)
+    realized = idx.realized_weight_deviation(space, perturbed)
+    report = idx.check_weight_stability(space, perturbed, f, n, epsilon=realized)
+    return {**report.to_json(), "variant": "weight", "requestedEpsilon": epsilon,
+            "realizedEpsilon": realized, "perturbedSpace": perturbed.to_json()}, None
+
+
+cmd_perturb = choose("variant", {"function": perturb_function, "weight": perturb_weight},
+                     "function")
+
+
+@command
+def cmd_mixed_norm(mixed_spec, function):
+    spec = parse_quadrature_spec(mx.MixedSpec, mixed_spec)
+    f = parse_polynomial(function, spec.d)
     return {"norm": mx.mixed_norm(spec, f), "spec": spec.to_json()}, None
 
 
-def cmd_varexp_norm(config: dict):
-    spec = parse_quadrature_spec(mx.VarExpSpec, _require(config, "varExpSpec"))
-    f = parse_polynomial(_require(config, "function"), spec.d)
+@command
+def cmd_varexp_norm(var_exp_spec, function):
+    spec = parse_quadrature_spec(mx.VarExpSpec, var_exp_spec)
+    f = parse_polynomial(function, spec.d)
     return {"norm": mx.luxemburg_norm(spec, f), "spec": spec.to_json()}, None
 
 
-def cmd_mixed_index(config: dict):
-    if "mixedSpec" in config:
-        spec = parse_quadrature_spec(mx.MixedSpec, config["mixedSpec"])
-    elif "varExpSpec" in config:
-        spec = parse_quadrature_spec(mx.VarExpSpec, config["varExpSpec"])
-    else:
-        raise ArgumentError("mixed-index needs 'mixedSpec' or 'varExpSpec'")
-    f = parse_polynomial(_require(config, "function"), spec.d)
-    if "nMax" in config:
-        n_max = int(config["nMax"])
-        if n_max < 0:
-            raise ArgumentError("nMax must be >= 0")
-        budgets = list(range(n_max + 1))
-    else:
-        budgets = [int(_require(config, "n"))]
-    results = [mx.mixed_index(spec, f, n) for n in budgets]
+@command
+def cmd_mixed_index(function, mixed_spec=None, var_exp_spec=None, n_max: int | None = None,
+                    n: int | None = None):
+    _exactly_one(mixed_spec=mixed_spec, var_exp_spec=var_exp_spec)
+    _exactly_one(n_max=n_max, n=n)
+    cls, obj = (mx.MixedSpec, mixed_spec) if var_exp_spec is None else (mx.VarExpSpec, var_exp_spec)
+    spec = parse_quadrature_spec(cls, obj)
+    f = parse_polynomial(function, spec.d)
+    if n_max is not None and n_max < 0:
+        raise ArgumentError("nMax must be >= 0")
+    results = [mx.mixed_index(spec, f, k) for k in ([n] if n_max is None else range(n_max + 1))]
     for r in results:
         if not r.converged:
             log.warning("IRLS not converged at n=%d after %d iterations", r.n, r.iterations)
@@ -290,24 +284,14 @@ def cmd_mixed_index(config: dict):
     return {"results": [r.to_json() for r in results], "spec": spec.to_json()}, rows
 
 
-def cmd_report(config: dict):
-    space = parse_space(_require(config, "space"))
-    f = parse_polynomial(_require(config, "function"), space.d)
-    seed = int(config.get("seed", 0)) if space.d == 1 else _require_seed(config)
-    report = cap.obstruction_report(
-        space,
-        f,
-        n_max=int(_require(config, "nMax")),
-        alpha=float(_require(config, "alpha")),
-        tol=float(config.get("tol", 1e-3)),
-        capacity_threshold=float(
-            config.get("capacityThreshold", cap.DEFAULT_CAPACITY_THRESHOLD)
-        ),
-        resolution=int(config.get("resolution", 2048)),
-        zero_tol=config.get("zeroTol"),
-        eps_nbhd=float(config.get("epsNbhd", 0.01)),
-        seed=seed,
-    )
+@command
+def cmd_report(space, function, n_max: int, alpha: float, seed: int | None = None,
+               tol: float = 1e-3, capacity_threshold: float = cap.DEFAULT_CAPACITY_THRESHOLD,
+               resolution: int = 2048, zero_tol: float | None = None, eps_nbhd: float = 0.01):
+    space = parse_space(space)
+    f = parse_polynomial(function, space.d)
+    report = cap.obstruction_report(space, f, n_max, alpha, tol, capacity_threshold,
+                                    resolution, zero_tol, eps_nbhd, _seed(seed, space.d))
     if not report.riesz.converged:
         log.warning("equilibrium not converged (kkt_gap %g)", report.riesz.kkt_gap)
     return report.to_json(), report.sweep.csv_rows()
@@ -335,7 +319,7 @@ def _reject_constant(name: str):
 
 def run_command(command: str, config: dict, out_dir: Path) -> Path:
     handler = COMMANDS[command]
-    result, csv_rows = handler(config)
+    result, csv_rows = handler({k: v for k, v in config.items() if k != "schemaVersion"})
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "command": command,

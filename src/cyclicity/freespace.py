@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegreeRangeError, DimensionMismatchError
 from .indices import ApproximantResult, subspace_distance, validate_problem
-from .poly import JsonRecord, Polynomial, SparseSeries, invert_power_series
+from .poly import JsonRecord, Polynomial, SparseSeries, invert_power_series, read_keys
 from .solver import shifted_design, solve_least_squares
 from .spaces import KIND_DRURY_ARVESON, SpaceSpec
 
@@ -154,8 +154,7 @@ class FreeSpaceSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FreeSpaceSpec":
-        if not isinstance(obj, Mapping):
-            raise ArgumentError("free space must be an object")
+        read_keys(obj, ("kind", "d", "maxLength", "s"), "free space")
         return cls(obj.get("kind"), int(obj["d"]), int(obj.get("maxLength", 12)),
                    float(obj.get("s", 0.0)))
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
-from .poly import JsonRecord, Polynomial, multi_indices, shifted_columns
+from .poly import JsonRecord, Polynomial, multi_indices, read_keys, shifted_columns
 from .solver import solve_least_squares
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 
@@ -162,9 +162,7 @@ class _QuadratureSpec:
     @classmethod
     def from_json(cls, obj: Mapping):
         radial = obj["radial"]
-        angular = obj.get("angular", {})
-        if not isinstance(angular, Mapping):
-            raise ArgumentError("angular must be an object")
+        angular = read_keys(obj.get("angular", {}), ("count", "seed"), "angular")
         params, kwargs = cls._params_from_json(obj)
         kwargs.update(
             angular_count=int(angular.get("count", 256)),
@@ -173,11 +171,17 @@ class _QuadratureSpec:
         )
         d, N = int(obj["d"]), int(obj.get("N", 0))
         if "measure" in radial:
-            return cls.with_measure(
+            spec = cls.with_measure(
                 radial["measure"], d, N, *params,
                 radial_count=int(radial.get("count", 40)), **kwargs,
             )
-        return cls(d, N, *params, radial["nodes"], radial["weights"], **kwargs)
+        else:
+            spec = cls(d, N, *params, radial["nodes"], radial["weights"], **kwargs)
+        # a spec reads the keys it writes, and no others
+        written = spec.to_json()
+        read_keys(radial, written["radial"], "radial")
+        read_keys(obj, written, "spec")
+        return spec
 
 
 class MixedSpec(_QuadratureSpec):
@@ -256,7 +260,7 @@ class VarExpSpec(_QuadratureSpec):
 
     @staticmethod
     def _params_from_json(obj: Mapping) -> tuple[tuple, dict]:
-        exp = obj["exponent"]
+        exp = read_keys(obj["exponent"], ("a", "b", "c"), "exponent")
         params = (float(exp["a"]), float(exp.get("b", 0.0)), float(exp.get("c", 1.0)))
         return params, {"bisection_tol": float(obj.get("bisectionTol", 1e-12))}
 

@@ -242,6 +242,7 @@ class SparseSeries:
             )
         coeffs = {}
         for t in terms:
+            read_keys(t, (cls._json_field, "re", "im"), "term")
             key = tuple(int(a) for a in t[cls._json_field])
             if key in coeffs:
                 raise ArgumentError(f"repeated term: {cls._json_field} {list(key)}")
@@ -494,17 +495,27 @@ def jsonsafe(value):
     return value
 
 
+def camel(name: str) -> str:
+    """The JSON key of a Python name: kkt_gap -> kktGap."""
+    head, *rest = name.split("_")
+    return head + "".join(w.capitalize() for w in rest)
+
+
+def read_keys(obj, allowed, what: str) -> Mapping:
+    """obj, once it is known to be a JSON object whose keys all lie in allowed."""
+    if not isinstance(obj, Mapping):
+        raise ArgumentError(f"{what} must be an object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ArgumentError(f"unknown {what} key(s) {unknown}; allowed: {sorted(allowed)}")
+    return obj
+
+
 class JsonRecord:
-    """Dataclass mixin: `to_json` maps each field, in order, to its camelCase
-    key (kkt_gap -> kktGap). A value with its own `to_json` is replaced by
-    that method's output, and the whole dict goes through `jsonsafe`."""
+    """Dataclass mixin: `to_json` maps each field, in order, to its `camel`
+    key. A value with its own `to_json` is replaced by that method's output,
+    and the whole dict goes through `jsonsafe`."""
 
     def to_json(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            head, *rest = f.name.split("_")
-            value = getattr(self, f.name)
-            out[head + "".join(w.capitalize() for w in rest)] = (
-                value.to_json() if hasattr(value, "to_json") else value
-            )
-        return jsonsafe(out)
+        values = {camel(f.name): getattr(self, f.name) for f in dataclasses.fields(self)}
+        return jsonsafe({k: v.to_json() if hasattr(v, "to_json") else v for k, v in values.items()})

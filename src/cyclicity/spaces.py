@@ -34,7 +34,7 @@ from .errors import (
     DegreeRangeError,
     DimensionMismatchError,
 )
-from .poly import Polynomial, multi_indices
+from .poly import Polynomial, multi_indices, read_keys
 
 KIND_DIAGONAL_BESOV = "diagonal_besov"
 KIND_DRURY_ARVESON = "drury_arveson"
@@ -244,6 +244,8 @@ class SpaceSpec:
     @classmethod
     def from_json(cls, obj: Mapping) -> "SpaceSpec":
         kind = obj.get("kind")
+        extra = {KIND_DIAGONAL_BESOV: "moments", KIND_CUSTOM_DIAGONAL: "weights"}.get(kind)
+        read_keys(obj, {"kind", "d", "N", "maxDegree", extra} - {None}, f"{kind} space")
         d = int(obj.get("d", 0))
         N = int(obj.get("N", 0))
         max_degree = obj.get("maxDegree")
@@ -254,10 +256,8 @@ class SpaceSpec:
         if kind == KIND_DRURY_ARVESON:
             return cls(kind, d, N, max_degree)
         if kind == KIND_CUSTOM_DIAGONAL:
-            table = {
-                tuple(int(a) for a in t["exponents"]): float(t["value"])
-                for t in obj["weights"]
-            }
+            entries = (read_keys(t, ("exponents", "value"), "weight") for t in obj["weights"])
+            table = {tuple(int(a) for a in t["exponents"]): float(t["value"]) for t in entries}
             return cls(kind, d, N, max_degree, custom_weights=table)
         raise ArgumentError(f"unknown space kind {kind!r}")
 
@@ -308,12 +308,12 @@ PRESET_BUILDERS = {
 }
 
 
-def preset(name: str, d: int, max_degree: int | None = None) -> SpaceSpec:
+def preset(preset: str, d: int, max_degree: int | None = None) -> SpaceSpec:
     """Build a preset space by string name, e.g. preset("hardy", 1)."""
     try:
-        builder = PRESET_BUILDERS[name]
+        builder = PRESET_BUILDERS[preset]
     except KeyError:
         raise ArgumentError(
-            f"unknown preset {name!r}; choose from {sorted(PRESET_BUILDERS)}"
+            f"unknown preset {preset!r}; choose from {sorted(PRESET_BUILDERS)}"
         ) from None
     return builder(d, max_degree)

@@ -5,6 +5,8 @@ import math
 import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +294,155 @@ class TestValidationAndExitCodes:
         assert rc == 3
         assert not path.exists()
         assert "numeric failure" in capsys.readouterr().err
+
+
+_ONE_MINUS_Z = {"coeffs1d": [1, -1]}
+_ARC = {"kind": "arc", "angle": 1.5707963267948966, "count": 64}
+_MIXED = {"d": 1, "N": 0, "p": 2, "q": 2, "radial": {"measure": "point_mass"},
+          "angular": {"count": 16}}
+_VAREXP = {"d": 1, "N": 0, "exponent": {"a": 2, "b": 1, "c": 2},
+           "radial": {"measure": "area", "count": 8}, "angular": {"count": 16}}
+_FREE_CORONA = {"mode": "free", "d": 2, "rho": 0.5, "samples": 2, "size": 3, "seed": 1}
+
+
+def _index(**change):
+    return "index", {"space": "hardy(1)", "function": _ONE_MINUS_Z, "n": 2, **change}
+
+
+# configs whose key is misspelt, misplaced or of the wrong JSON type; a reader
+# that dropped the key or cast its value would run each of them with exit 0
+MISREAD = {
+    "index-traget": _index(traget={"coeffs1d": [1, 1]}),
+    "commutative-corona-rho": ("corona-check", {"mode": "commutative", "space": "hardy(1)",
+                                                "function": {"coeffs1d": [2, -1]}, "rho": 0.5}),
+    "weight-perturb-delta": ("perturb", {"variant": "weight", "space": "hardy(1)",
+                                         "function": _ONE_MINUS_Z, "n": 2, "epsilon": 0.05,
+                                         "seed": 1, "delta": {"coeffs1d": [0, 0.1]}}),
+    "arc-cloud-alpha": ("capacity", {"cloud": {**_ARC, "alpha": 2}, "alpha": 0}),
+    "preset-N": _index(space={"preset": "hardy", "d": 1, "N": 1}),
+    "preset-moments": _index(space={"preset": "bergman", "d": 1, "moments": [1, 1, 1]}),
+    "coeffs1d-d": _index(function={"coeffs1d": [1, -1], "d": 1}),
+    "n-float": _index(n=2.5),
+    "n-bool": _index(n=True),
+    "n-string": _index(n="3"),
+    "sweep-tol-string": ("sweep", {"space": "hardy(1)", "function": _ONE_MINUS_Z, "nMax": 3,
+                                   "tol": "0.5"}),
+    "arc-count-float": ("capacity", {"cloud": {**_ARC, "count": 64.9}, "alpha": 0}),
+    "free-corona-seed-float": ("corona-check", {**_FREE_CORONA, "seed": 1.7}),
+    "export-tuples-string": ("corona-check", {**_FREE_CORONA, "exportTuples": "no"}),
+    "term-imag": _index(function=[{"exponents": [0], "re": 1}, {"exponents": [1], "imag": -1}]),
+    "drury-arveson-moments": _index(space={"kind": "drury_arveson", "d": 1,
+                                           "moments": [1, 1, 1]}),
+    "free-space-maxlength": ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2,
+                                                          "maxlength": 4},
+                                            "function": [{"letters": [], "re": 1}], "n": 1}),
+    "mixed-spec-include-constantterm": ("mixed-norm", {
+        "mixedSpec": {**_MIXED, "includeConstantterm": False}, "function": _ONE_MINUS_Z}),
+    "radial-cout": ("mixed-norm", {"mixedSpec": {**_MIXED, "radial": {"measure": "area",
+                                                                      "cout": 8}},
+                                   "function": _ONE_MINUS_Z}),
+    "exponent-B": ("varexp-norm", {"varExpSpec": {**_VAREXP, "exponent": {"a": 2, "B": 1}},
+                                   "function": _ONE_MINUS_Z}),
+}
+
+# pairs of keys of which a config gives exactly one
+BOTH_OF_A_PAIR = {
+    "perturbed-and-delta": ("perturb", {"space": "hardy(1)", "function": _ONE_MINUS_Z, "n": 2,
+                                        "perturbed": {"coeffs1d": [1, -0.9]},
+                                        "delta": {"coeffs1d": [0, 0.1]}}),
+    "mixed-spec-and-var-exp-spec": ("mixed-index", {"mixedSpec": _MIXED, "varExpSpec": _VAREXP,
+                                                    "function": _ONE_MINUS_Z, "n": 1}),
+    "n-max-and-n": ("mixed-index", {"mixedSpec": _MIXED, "function": _ONE_MINUS_Z,
+                                    "nMax": 2, "n": 1}),
+}
+
+
+def readme_key_tables():
+    """{(object, selector or None): [(key, required)]} from the README's
+    "Config keys" section, one entry per command, mode and cloud kind."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for block in section.split("\n#### ")[1:]:
+        heading, *lines = block.splitlines()
+        name = re.fullmatch(r'`([a-z-]+)`(?: with `"\w+": "(\w+)"`)?', heading).groups()
+        rows = [re.fullmatch(r"\| `(\w+)` \|.*\| ([^|]+) \|", line) for line in lines]
+        tables[name] = [(row[1], row[2].strip()) for row in rows if row]
+    return tables
+
+
+# a valid value for every documented key; OVERRIDES holds those that differ per object
+DOCUMENTED_VALUES = {
+    "space": "hardy(1)", "function": _ONE_MINUS_Z, "n": 2, "target": {"coeffs1d": [1]},
+    "nMax": 2, "tol": 0.01, "freeSpace": {"kind": "free_hardy", "d": 2, "maxLength": 6},
+    "d": 2, "maxLength": 6, "lMax": 2, "nIn": 4, "rho": 0.5, "seed": 1, "samples": 2,
+    "size": 3, "exportTuples": True, "cloud": _ARC, "alpha": 0.0, "maxIter": 100, "jMin": 2,
+    "jMax": 5, "perturbed": {"coeffs1d": [1, -0.9]}, "delta": {"coeffs1d": [0, 0.1]},
+    "epsilon": 0.05, "mixedSpec": _MIXED, "varExpSpec": _VAREXP, "capacityThreshold": 0.01,
+    "resolution": 64, "zeroTol": 1e-8, "epsNbhd": 0.05, "angle": 1.0, "count": 16,
+    "polarAngle": 0.5, "points": [[1.0, 0.0]],
+}
+_FREE_G = [{"letters": [], "re": 1}, {"letters": [1], "re": -0.5}]
+OVERRIDES = {
+    ("free-index", "function"): _FREE_G, ("free-index", "target"): [{"letters": [], "re": 1}],
+    ("compress-check", "function"): _FREE_G, ("cloud", "d"): 1,
+}
+
+
+def documented_configs():
+    """(command, config) pairs that together set every documented key, one
+    per member of each exclusive pair; a cloud runs through `capacity`."""
+    for (name, selector), rows in readme_key_tables().items():
+        pairs = {}
+        for key, required in rows:
+            pairs.setdefault(required if required.startswith("one of") else key, []).append(key)
+        for i in range(max(map(len, pairs.values()))):
+            config = {}
+            for group in pairs.values():
+                key = group[min(i, len(group) - 1)]
+                if key in ("mode", "variant", "kind"):
+                    config[key] = selector
+                else:
+                    config[key] = OVERRIDES.get((name, key), DOCUMENTED_VALUES[key])
+            label = name if selector is None else f"{name}-{selector}"
+            if name == "cloud":
+                yield label, ("capacity", {"cloud": config, "alpha": 0, "seed": 1})
+            else:
+                yield f"{label}-{i}", (name, config)
+
+
+DOCUMENTED = dict(documented_configs())
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command, config", MISREAD.values(), ids=MISREAD.keys())
+    def test_misread_config_exits_two(self, tmp_path, command, config):
+        rc, path = run_cli(tmp_path, command, config)
+        assert rc == 2
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("command, config", BOTH_OF_A_PAIR.values(),
+                             ids=BOTH_OF_A_PAIR.keys())
+    def test_both_keys_of_an_exclusive_pair_exit_two(self, tmp_path, command, config):
+        rc, path = run_cli(tmp_path, command, config)
+        assert rc == 2
+        assert not path.parent.exists()
+
+    def test_readme_documents_every_command_and_mode(self):
+        tables = readme_key_tables()
+        assert {name for name, _ in tables} == set(cli_mod.COMMANDS) | {"cloud"}
+        assert {s for name, s in tables if name in ("corona-check", "perturb")} == {
+            "commutative", "free", "function", "weight"}
+        assert {s for name, s in tables if name == "cloud"} == {
+            "arc", "circle", "sphere_cap", "points", "zero_set"}
+
+    @pytest.mark.parametrize("command, config", DOCUMENTED.values(), ids=DOCUMENTED.keys())
+    def test_every_documented_key_is_accepted(self, tmp_path, command, config):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc, path = run_cli(tmp_path, command, config)
+        assert rc == 0
+        assert json.loads(path.read_text())["config"] == config
 
 
 class TestCommandPaths:
