@@ -15,29 +15,110 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import inspect
 import json
 import logging
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import capacity as cap
 from . import freespace as free
 from . import indices as idx
 from . import mixednorm as mx
 from .errors import ArgumentError, CyclicityError, NumericFailureError
-from .poly import Polynomial, camel, jsonsafe, read_keys
+from .poly import Polynomial, bind, camel, choose, jsonsafe
 from .spaces import SpaceSpec, drury_arveson, preset
 
 SCHEMA_VERSION = 1
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_LEAVES = {str, int, float, bool, type(None)}
+_NUMBERS = (int, float)
+_INT = {int}
 
 log = logging.getLogger("cyclicity")
 
 
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(jsonsafe(payload), sort_keys=True, indent=2, allow_nan=False)
+    """Write payload as `json.dumps(jsonsafe(payload), sort_keys=True, indent=2)`
+    and a final newline would, in one walk: term arrays are laid out by
+    `_term_array`, and only what holds none goes to json.dumps."""
+    text = _encode(payload, "")
+    if type(text) is not _Text:
+        text = json.dumps(text, sort_keys=True, indent=2, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
+
+
+class _Text(str):
+    """JSON text already laid out for its nesting level."""
+
+
+def _encode(value, pad: str):
+    """value as `jsonsafe` maps it, except that a container holding a term
+    array comes back as the `_Text` json.dumps would lay out for it at
+    indentation pad."""
+    if type(value) in _LEAVES:  # the common leaves first, for speed
+        return jsonsafe(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = {str(k): _encode(v, inner) for k, v in value.items()}
+        if _Text not in map(type, items.values()):
+            return items
+        lines = [f"{inner}{json.dumps(k)}: {_nested(items[k], inner)}" for k in sorted(items)]
+        return _Text("{\n" + ",\n".join(lines) + f"\n{pad}}}")
+    if isinstance(value, (list, tuple)):
+        text = _term_array(value, pad)
+        if text is not None:
+            return text
+        items = [_encode(v, inner) for v in value]
+        if _Text not in map(type, items):
+            return items
+        lines = [inner + _nested(v, inner) for v in items]
+        return _Text("[\n" + ",\n".join(lines) + f"\n{pad}]")
+    return jsonsafe(value)
+
+
+def _nested(value, pad: str) -> str:
+    """JSON text of an `_encode` result whose first line starts at indentation pad."""
+    if type(value) is _Text:
+        return value
+    # JSON text holds no raw newline but those of its layout
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+
+
+def _number(x) -> str:
+    return repr(x) if type(x) is int or math.isfinite(x) else "null"
+
+
+def _term_array(terms, pad: str) -> _Text | None:
+    """A nonempty array of {exponents|letters, re, im} objects with int keys
+    and int or float parts, laid out with f-strings as json.dumps lays it out
+    at indentation pad (floats by repr, which json uses); None for any other
+    value."""
+    first = terms[0] if terms else None
+    if type(first) is not dict or len(first) != 3:
+        return None
+    field = "exponents" if "exponents" in first else "letters"
+    p2, p4, p6 = pad + "  ", pad + "    ", pad + "      "
+    sep = ",\n" + p6
+    entries = []
+    for term in terms:
+        if type(term) is not dict or len(term) != 3:
+            return None
+        key, re, im = term.get(field), term.get("re"), term.get("im")
+        if (type(key) is not list or type(re) not in _NUMBERS or type(im) not in _NUMBERS
+                or not set(map(type, key)) <= _INT):
+            return None
+        word = f"[\n{p6}{sep.join(map(repr, key))}\n{p4}]" if key else "[]"
+        if field == "exponents":  # keys in sorted order: exponents < im < letters < re
+            entries.append(f'{p2}{{\n{p4}"exponents": {word},\n{p4}"im": {_number(im)},\n'
+                           f'{p4}"re": {_number(re)}\n{p2}}}')
+        else:
+            entries.append(f'{p2}{{\n{p4}"im": {_number(im)},\n{p4}"letters": {word},\n'
+                           f'{p4}"re": {_number(re)}\n{p2}}}')
+    return _Text("[\n" + ",\n".join(entries) + f"\n{pad}]")
 
 
 def write_csv(path: Path, rows: list[tuple]) -> None:
@@ -45,46 +126,6 @@ def write_csv(path: Path, rows: list[tuple]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         for row in rows:
             writer.writerow([v if isinstance(v, str) else repr(v) for v in row])
-
-
-def bind(fn, obj, what: str = "config"):
-    """fn called with the keys of the JSON object obj as its arguments.
-
-    A key is the `camel` name of a parameter (n_max <- nMax); a parameter
-    without a default is required, and null is admitted only under `| None`.
-    An int, float or bool annotation admits that JSON type only: int takes
-    integers, float takes integers or floats and converts them with float(),
-    and bool is never a number. Any other key is an error.
-    """
-    params = {camel(name): p for name, p in inspect.signature(fn).parameters.items()}
-    kwargs = {}
-    for key, value in read_keys(obj, params, what).items():
-        annotation = str(params[key].annotation)  # a string, under postponed evaluation
-        kind = annotation.removesuffix(" | None")
-        if value is None and kind == annotation:
-            raise ArgumentError(f"{what} key {key!r} may not be null")
-        if value is not None and kind in _JSON_TYPES:
-            if type(value) not in _JSON_TYPES[kind]:
-                raise ArgumentError(f"{what} key {key!r} must be {kind}, not {value!r}")
-            value = float(value) if kind == "float" else value
-        kwargs[params[key].name] = value
-    missing = [k for k, p in params.items() if p.default is p.empty and p.name not in kwargs]
-    if missing:
-        raise ArgumentError(f"{what} is missing required key(s) {missing}")
-    return fn(**kwargs)
-
-
-def choose(key: str, table: dict, default: str | None = None, what: str = "config"):
-    """A function that binds a JSON object, less `key`, to table[obj[key]]:
-    each mode or kind is a function, and its signature is its schema."""
-
-    def run(obj):
-        choice = obj.get(key, default) if isinstance(obj, dict) else None
-        if choice not in table:
-            raise ArgumentError(f"{what} must be an object with a {key} in {sorted(table)}")
-        return bind(table[choice], {k: v for k, v in obj.items() if k != key}, what)
-
-    return run
 
 
 def command(fn):

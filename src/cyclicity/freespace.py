@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegreeRangeError, DimensionMismatchError
 from .indices import ApproximantResult, subspace_distance, validate_problem
-from .poly import JsonRecord, Polynomial, SparseSeries, invert_power_series, read_keys
+from .poly import JsonRecord, Polynomial, SparseSeries, bind, invert_power_series
 from .solver import shifted_design, solve_least_squares
 from .spaces import KIND_DRURY_ARVESON, SpaceSpec
 
@@ -154,9 +154,10 @@ class FreeSpaceSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FreeSpaceSpec":
-        read_keys(obj, ("kind", "d", "maxLength", "s"), "free space")
-        return cls(obj.get("kind"), int(obj["d"]), int(obj.get("maxLength", 12)),
-                   float(obj.get("s", 0.0)))
+        def read(kind: str, d: int, max_length: int = 12, s: float = 0.0):
+            return cls(kind, d, max_length, s)
+
+        return bind(read, obj, "free space")
 
     def __repr__(self) -> str:
         return (

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
-from .poly import JsonRecord, Polynomial, multi_indices, read_keys, shifted_columns
+from .poly import JsonRecord, Polynomial, bind, multi_indices, shifted_columns
 from .solver import solve_least_squares
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 
@@ -39,6 +39,8 @@ _FLOOR = 1e-12
 # IRLS stops after this many steps, or once a step lowers the objective by less
 IRLS_MAX_ITER = 60
 IRLS_DECREASE_TOL = 1e-10
+# the JSON keys of every spec; the rest are a subclass's exponent keys
+_SHARED_KEYS = ("d", "N", "radial", "angular", "includeConstantTerm")
 
 
 def radial_rule(measure: str, count: int = 40) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +66,8 @@ class _QuadratureSpec:
     """Shared radial-times-angular evaluation grid.
 
     A subclass takes its own exponent parameters after (d, N), converts them
-    to and from JSON in `_params_json` and `_params_from_json`, and owns one
+    to JSON in `_params_json` and from JSON in `_params_from_json`, a
+    function whose signature is the subclass's own keys, and owns one
     norm formula: `_norm` of grid values of R^N f plus the constant term f(0)
     (counted only when `uses_constant_term`), and `_irls_weights`, the
     weights of that norm's reweighted least-squares step.
@@ -161,27 +164,33 @@ class _QuadratureSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping):
-        radial = obj["radial"]
-        angular = read_keys(obj.get("angular", {}), ("count", "seed"), "angular")
-        params, kwargs = cls._params_from_json(obj)
-        kwargs.update(
-            angular_count=int(angular.get("count", 256)),
-            seed=int(angular.get("seed", 0)),
-            include_constant_term=bool(obj.get("includeConstantTerm", True)),
+        """A spec from its JSON object, read by `bind`: the keys every spec
+        shares here, the subclass's exponent keys by `_params_from_json`. A
+        spec reads exactly the keys that its `to_json` writes."""
+        what = cls.__name__
+        if not isinstance(obj, Mapping):
+            raise ArgumentError(f"{what} must be an object")
+        params, kwargs = bind(
+            cls._params_from_json, {k: v for k, v in obj.items() if k not in _SHARED_KEYS}, what
         )
-        d, N = int(obj["d"]), int(obj.get("N", 0))
-        if "measure" in radial:
-            spec = cls.with_measure(
-                radial["measure"], d, N, *params,
-                radial_count=int(radial.get("count", 40)), **kwargs,
-            )
-        else:
-            spec = cls(d, N, *params, radial["nodes"], radial["weights"], **kwargs)
-        # a spec reads the keys it writes, and no others
-        written = spec.to_json()
-        read_keys(radial, written["radial"], "radial")
-        read_keys(obj, written, "spec")
-        return spec
+
+        def grid(count: int = 256, seed: int = 0):
+            return {"angular_count": count, "seed": seed}
+
+        def shared(d: int, radial, N: int = 0, angular=None, include_constant_term: bool = True):
+            kwargs.update(bind(grid, {} if angular is None else angular, "angular"),
+                          include_constant_term=include_constant_term)
+
+            def measured(measure: str, count: int = 40):
+                return cls.with_measure(measure, d, N, *params, radial_count=count, **kwargs)
+
+            def tabulated(nodes, weights):
+                return cls(d, N, *params, nodes, weights, **kwargs)
+
+            measure = isinstance(radial, Mapping) and "measure" in radial
+            return bind(measured if measure else tabulated, radial, "radial")
+
+        return bind(shared, {k: v for k, v in obj.items() if k in _SHARED_KEYS}, what)
 
 
 class MixedSpec(_QuadratureSpec):
@@ -198,8 +207,8 @@ class MixedSpec(_QuadratureSpec):
         return {"p": self.p, "q": self.q}
 
     @staticmethod
-    def _params_from_json(obj: Mapping) -> tuple[tuple, dict]:
-        return (float(obj["p"]), float(obj["q"])), {}
+    def _params_from_json(p: float, q: float) -> tuple[tuple, dict]:
+        return (p, q), {}
 
     def _norm(self, values: np.ndarray, constant: complex) -> float:
         # powers of |v / s| stay in range at any scale s of finite values
@@ -259,10 +268,11 @@ class VarExpSpec(_QuadratureSpec):
         }
 
     @staticmethod
-    def _params_from_json(obj: Mapping) -> tuple[tuple, dict]:
-        exp = read_keys(obj["exponent"], ("a", "b", "c"), "exponent")
-        params = (float(exp["a"]), float(exp.get("b", 0.0)), float(exp.get("c", 1.0)))
-        return params, {"bisection_tol": float(obj.get("bisectionTol", 1e-12))}
+    def _params_from_json(exponent, bisection_tol: float = 1e-12) -> tuple[tuple, dict]:
+        def profile(a: float, b: float = 0.0, c: float = 1.0):
+            return a, b, c
+
+        return bind(profile, exponent, "exponent"), {"bisection_tol": bisection_tol}
 
     def _node_sums(self, values: np.ndarray) -> tuple[float, np.ndarray]:
         """s = max|v| and sums[r] = w_r mean(|v / s|^p_r), so that the modular

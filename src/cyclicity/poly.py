@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import inspect
 import math
 import operator
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
@@ -234,6 +235,18 @@ class SparseSeries:
         )
 
     @classmethod
+    def _read_term(cls, term) -> tuple[tuple[int, ...], complex]:
+        """The key and coefficient of one JSON term, read by `bind`'s rules:
+        the key an array of JSON integers, re and im numbers, 0 by default."""
+        field = cls._json_field
+        read_keys(term, (field, "re", "im"), "term")
+        if field not in term:
+            raise ArgumentError(f"term is missing required key {field!r}")
+        key = int_tuple(term[field], f"term key {field!r}")
+        re, im = (json_value(term.get(k, 0.0), "float", f"term key {k!r}") for k in ("re", "im"))
+        return key, complex(re, im)
+
+    @classmethod
     def from_json(cls, terms: list[Mapping], d: int):
         """Series from a JSON term array; each key may appear in one term only."""
         if not isinstance(terms, list):
@@ -242,19 +255,18 @@ class SparseSeries:
             )
         coeffs = {}
         for t in terms:
-            read_keys(t, (cls._json_field, "re", "im"), "term")
-            key = tuple(int(a) for a in t[cls._json_field])
+            key, c = cls._read_term(t)
             if key in coeffs:
                 raise ArgumentError(f"repeated term: {cls._json_field} {list(key)}")
-            coeffs[key] = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
+            coeffs[key] = c
         return cls(d, coeffs)
 
     def to_json(self) -> list[dict]:
-        terms = []
-        for k in self._sorted_keys():
-            c = self.coeffs[k]
-            terms.append({self._json_field: list(k), "re": c.real, "im": c.imag})
-        return terms
+        """The JSON term array, in key order. It is JSON-safe as built: keys
+        hold Python ints and coefficients are finite Python complex numbers."""
+        field, coeffs = self._json_field, self.coeffs
+        return [{field: list(k), "re": coeffs[k].real, "im": coeffs[k].imag}
+                for k in self._sorted_keys()]
 
     def __repr__(self) -> str:
         name = type(self).__name__
@@ -405,7 +417,7 @@ class Polynomial(SparseSeries):
         if d is None and isinstance(terms, list):
             if not terms:
                 raise ArgumentError("zero polynomial needs an explicit dimension d")
-            d = len(terms[0]["exponents"])
+            d = len(cls._read_term(terms[0])[0])
         return super().from_json(terms, d)
 
 
@@ -489,7 +501,7 @@ def jsonsafe(value):
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return jsonsafe({"re": value.real, "im": value.imag})
     if isinstance(value, (np.bool_,)):
         return bool(value)
     return value
@@ -511,11 +523,72 @@ def read_keys(obj, allowed, what: str) -> Mapping:
     return obj
 
 
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_INT = {int}
+
+
+def json_value(value, kind: str, what: str):
+    """value, once it is of the JSON type kind names: "int" a JSON integer,
+    "float" an integer or float (returned as float), "bool" true or false.
+    A bool is never a number."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ArgumentError(f"{what} must be {kind}, not {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """values, a JSON array of integers, as a tuple."""
+    if not isinstance(values, (list, tuple)) or not set(map(type, values)) <= _INT:
+        raise ArgumentError(f"{what} must be an array of integers, not {values!r}")
+    return tuple(values)
+
+
+def bind(fn, obj, what: str = "config"):
+    """fn called with the keys of the JSON object obj as its arguments.
+
+    A key is the `camel` name of a parameter (n_max <- nMax); a parameter
+    without a default is required, and null is admitted only under `| None`.
+    An int, float or bool annotation admits that JSON type only, as
+    `json_value` reads it. Any other key is an error.
+    """
+    params = {camel(name): p for name, p in inspect.signature(fn).parameters.items()}
+    kwargs = {}
+    for key, value in read_keys(obj, params, what).items():
+        annotation = str(params[key].annotation)  # a string, under postponed evaluation
+        kind = annotation.removesuffix(" | None")
+        if value is None and kind == annotation:
+            raise ArgumentError(f"{what} key {key!r} may not be null")
+        if value is not None and kind in _JSON_TYPES:
+            value = json_value(value, kind, f"{what} key {key!r}")
+        kwargs[params[key].name] = value
+    missing = [k for k, p in params.items() if p.default is p.empty and p.name not in kwargs]
+    if missing:
+        raise ArgumentError(f"{what} is missing required key(s) {missing}")
+    return fn(**kwargs)
+
+
+def choose(key: str, table: dict, default: str | None = None, what: str = "config"):
+    """A function that binds a JSON object, less `key`, to table[obj[key]]:
+    each mode or kind is a function, and its signature is its schema."""
+
+    def run(obj):
+        choice = obj.get(key, default) if isinstance(obj, dict) else None
+        if choice not in table:
+            raise ArgumentError(f"{what} must be an object with a {key} in {sorted(table)}")
+        return bind(table[choice], {k: v for k, v in obj.items() if k != key}, what)
+
+    return run
+
+
 class JsonRecord:
     """Dataclass mixin: `to_json` maps each field, in order, to its `camel`
     key. A value with its own `to_json` is replaced by that method's output,
-    and the whole dict goes through `jsonsafe`."""
+    which is JSON-safe by contract and is not walked again; every other value
+    goes through `jsonsafe`."""
 
     def to_json(self) -> dict:
-        values = {camel(f.name): getattr(self, f.name) for f in dataclasses.fields(self)}
-        return jsonsafe({k: v.to_json() if hasattr(v, "to_json") else v for k, v in values.items()})
+        out = {}
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            out[camel(f.name)] = v.to_json() if hasattr(v, "to_json") else jsonsafe(v)
+        return out

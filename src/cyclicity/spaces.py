@@ -34,7 +34,7 @@ from .errors import (
     DegreeRangeError,
     DimensionMismatchError,
 )
-from .poly import Polynomial, multi_indices, read_keys
+from .poly import Polynomial, bind, choose, int_tuple, multi_indices
 
 KIND_DIAGONAL_BESOV = "diagonal_besov"
 KIND_DRURY_ARVESON = "drury_arveson"
@@ -243,23 +243,26 @@ class SpaceSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SpaceSpec":
-        kind = obj.get("kind")
-        extra = {KIND_DIAGONAL_BESOV: "moments", KIND_CUSTOM_DIAGONAL: "weights"}.get(kind)
-        read_keys(obj, {"kind", "d", "N", "maxDegree", extra} - {None}, f"{kind} space")
-        d = int(obj.get("d", 0))
-        N = int(obj.get("N", 0))
-        max_degree = obj.get("maxDegree")
-        if kind == KIND_DIAGONAL_BESOV:
-            return cls(
-                kind, d, N, max_degree, moments=MomentSequence(tuple(obj["moments"]))
-            )
-        if kind == KIND_DRURY_ARVESON:
-            return cls(kind, d, N, max_degree)
-        if kind == KIND_CUSTOM_DIAGONAL:
-            entries = (read_keys(t, ("exponents", "value"), "weight") for t in obj["weights"])
-            table = {tuple(int(a) for a in t["exponents"]): float(t["value"]) for t in entries}
-            return cls(kind, d, N, max_degree, custom_weights=table)
-        raise ArgumentError(f"unknown space kind {kind!r}")
+        """A spec from its JSON object, whose kind picks the function that
+        `bind` reads the other keys with."""
+
+        def diagonal_besov(d: int, moments, N: int = 0, max_degree: int | None = None):
+            return cls(KIND_DIAGONAL_BESOV, d, N, max_degree,
+                       moments=MomentSequence(tuple(moments)))
+
+        def drury_arveson(d: int, N: int = 0, max_degree: int | None = None):
+            return cls(KIND_DRURY_ARVESON, d, N, max_degree)
+
+        def weight(exponents, value: float):
+            return int_tuple(exponents, "weight key 'exponents'"), value
+
+        def custom_diagonal(d: int, weights, N: int = 0, max_degree: int | None = None):
+            table = dict(bind(weight, t, "weight") for t in weights)
+            return cls(KIND_CUSTOM_DIAGONAL, d, N, max_degree, custom_weights=table)
+
+        readers = {KIND_DIAGONAL_BESOV: diagonal_besov, KIND_DRURY_ARVESON: drury_arveson,
+                   KIND_CUSTOM_DIAGONAL: custom_diagonal}
+        return choose("kind", readers, what="space")(obj)
 
     def __repr__(self) -> str:
         return (

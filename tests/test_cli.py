@@ -10,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cyclicity.cli as cli_mod
 from cyclicity import capacity, freespace, indices, mixednorm
 from cyclicity.cli import main, parse_polynomial, parse_space
 from cyclicity.errors import ArgumentError
-from cyclicity.poly import Polynomial
+from cyclicity.poly import Polynomial, jsonsafe
 from cyclicity.spaces import dirichlet_type, drury_arveson, hardy
 from helpers import subprocess_env
 from test_acceptance import CLI_CONFIGS
@@ -343,6 +345,44 @@ MISREAD = {
                                    "function": _ONE_MINUS_Z}),
     "exponent-B": ("varexp-norm", {"varExpSpec": {**_VAREXP, "exponent": {"a": 2, "B": 1}},
                                    "function": _ONE_MINUS_Z}),
+    # nested integer and bool fields are checked, not cast: d = 2.7 read as 2,
+    # 4.9 radial nodes as 4 and seed 1.5 as 1
+    "free-space-d-float": ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2.7},
+                                          "function": [{"letters": [], "re": 1}], "n": 1}),
+    "radial-count-float": ("mixed-norm", {"mixedSpec": {**_MIXED, "radial": {
+        "measure": "area", "count": 4.9}}, "function": _ONE_MINUS_Z}),
+    "angular-seed-float": ("mixed-norm", {"mixedSpec": {**_MIXED, "angular": {
+        "count": 16, "seed": 1.5}}, "function": _ONE_MINUS_Z}),
+    "include-constant-term-int": ("mixed-norm", {
+        "mixedSpec": {**_MIXED, "includeConstantTerm": 0}, "function": _ONE_MINUS_Z}),
+    "space-max-degree-float": _index(space={"kind": "drury_arveson", "d": 1,
+                                            "maxDegree": 8.5}),
+    "weight-exponent-float": _index(space={"kind": "custom_diagonal", "d": 1, "maxDegree": 3,
+                                           "weights": [{"exponents": [k], "value": 1}
+                                                       for k in (0, 1, 2, 3.0)]}),
+    "term-exponent-float": _index(function=[{"exponents": [0], "re": 1},
+                                            {"exponents": [1.5], "re": -1}]),
+    "term-letter-bool": ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2},
+                                        "function": [{"letters": [True], "re": 1}], "n": 1}),
+    "term-re-string": _index(function=[{"exponents": [0], "re": "1"}]),
+}
+
+# a nested object without a required key names the object and the key
+MISSING = {
+    "mixed-spec-radial": ("mixed-norm", {"mixedSpec": {"d": 1, "p": 2, "q": 2},
+                                         "function": _ONE_MINUS_Z},
+                          "MixedSpec is missing required key(s) ['radial']"),
+    "free-space-d": ("free-index", {"freeSpace": {"kind": "free_hardy"},
+                                    "function": [{"letters": [], "re": 1}], "n": 1},
+                     "free space is missing required key(s) ['d']"),
+    "space-moments": (_index(space={"kind": "diagonal_besov", "d": 1})
+                      + ("space is missing required key(s) ['moments']",)),
+    "term-letters": ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2},
+                                    "function": [{"re": 1}], "n": 1},
+                     "term is missing required key 'letters'"),
+    "first-term-exponents": ("capacity", {"cloud": {"kind": "zero_set", "function": [{"re": 1}]},
+                                          "alpha": 0},
+                             "term is missing required key 'exponents'"),
 }
 
 # pairs of keys of which a config gives exactly one
@@ -420,6 +460,13 @@ class TestConfigKeys:
         rc, path = run_cli(tmp_path, command, config)
         assert rc == 2
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("command, config, message", MISSING.values(), ids=MISSING.keys())
+    def test_missing_nested_key_is_named(self, tmp_path, capsys, command, config, message):
+        rc, path = run_cli(tmp_path, command, config)
+        assert rc == 2
+        assert not path.parent.exists()
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
 
     @pytest.mark.parametrize("command, config", BOTH_OF_A_PAIR.values(),
                              ids=BOTH_OF_A_PAIR.keys())
@@ -669,3 +716,63 @@ def test_result_json_is_camel_case_fields_as_written(tmp_path, monkeypatch, buil
     monkeypatch.setitem(cli_mod.COMMANDS, "index", lambda config: (result.to_json(), None))
     written = cli_mod.run_command("index", {}, tmp_path)
     assert json.loads(written.read_text())["result"] == encoded
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e308, -1e308, 1e16, 3.0, -2.0, 0.1,
+                   math.nan, math.inf, -math.inf]
+_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_NUMPY = (_FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+          | st.booleans().map(np.bool_) | st.lists(_FLOATS, max_size=3).map(np.array))
+_LEAVES = (st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=6)
+           | st.complex_numbers() | _NUMPY)
+def _terms(field, parts, word):
+    term = st.fixed_dictionaries({field: st.lists(word, max_size=3), "re": parts, "im": parts})
+    return st.lists(term, min_size=1, max_size=3)
+
+
+# term arrays as SparseSeries.to_json writes them, and near misses that the
+# writer must leave to json.dumps: a bool or numpy entry, a missing or null part
+_WELL_FORMED = [_terms(field, _FLOATS | st.integers(), st.integers(0, 3))
+                for field in ("exponents", "letters")]
+_NEAR_MISSES = (
+    _terms("exponents", st.sampled_from([True, None, np.float64(1.5)]), st.integers(0, 3))
+    | _terms("letters", _FLOATS, st.sampled_from([True, np.int64(2)]))
+    | _WELL_FORMED[0].map(lambda ts: ts + [{k: ts[0][k] for k in ("exponents", "re")}])
+)
+_JSON = st.recursive(
+    st.one_of(_LEAVES, *_WELL_FORMED, *_WELL_FORMED, _NEAR_MISSES),
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4) | st.integers(0, 3), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=_JSON)
+    def test_writes_the_bytes_of_json_dumps(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        cli_mod.write_json(path, value)
+        expected = json.dumps(jsonsafe(value), sort_keys=True, indent=2, allow_nan=False)
+        assert path.read_bytes() == (expected + "\n").encode()
+
+    def test_series_terms_at_depth(self, tmp_path):
+        p = Polynomial(2, {(0, 0): 1.0, (3, 1): -0.0 + 2j, (1, 0): 5e-324, (0, 2): 1e16})
+        f = freespace.FreePolynomial(2, {(): 1e308, (2, 1, 2): -1.5j})
+        payload = {"a": [{"b": p.to_json()}, f.to_json(), [f.to_json()]], "c": p.to_json()}
+        path = tmp_path / "out.json"
+        cli_mod.write_json(path, payload)
+        expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        assert path.read_text() == expected + "\n"
+
+    @pytest.mark.parametrize("command", CLI_CONFIGS)
+    def test_acceptance_outputs_have_the_documented_layout(self, tmp_path, command):
+        # sorted keys, 2-space indent, repr floats, ASCII escapes, LF and a
+        # final newline: what json.dumps writes for the same values
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc, path = run_cli(tmp_path, command, CLI_CONFIGS[command])
+        assert rc == 0
+        text = path.read_bytes().decode("ascii")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
