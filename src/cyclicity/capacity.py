@@ -447,8 +447,8 @@ def box_dimension(
     """
     if cloud.size == 0:
         raise DegenerateInputError("cannot estimate the dimension of an empty cloud")
-    if not 1 <= j_min < j_max:
-        raise ArgumentError("need 1 <= j_min < j_max")
+    if not 1 <= j_min < j_max <= 62:  # a box index floor(x 2^j), |x| <= 1, fits an int64
+        raise ArgumentError(f"need 1 <= j_min < j_max <= 62, not {j_min} and {j_max}")
     pts = cloud.as_real()
     scales = list(range(j_min, j_max + 1))
     counts = []

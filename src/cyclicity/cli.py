@@ -2,12 +2,14 @@
 
 Usage: cyclicity <command> --config path.json [--out dir]
 
-Every command reads a JSON config, writes <out>/<command>.json (and a CSV
-next to it where noted), and exits 0 on success, 2 on validation errors,
-3 on numeric failures. Identical config plus seed produces byte-identical
-JSON: keys are sorted, floats use shortest round-trip formatting, line
-endings are LF, and every stochastic step takes an explicit seed. Each
-result embeds its input config as given, without defaults filled in.
+Every command reads a JSON config and writes <out>/<command>.json (and a
+CSV next to it where noted). Exit codes: 0 success, 2 a validation error
+(`ArgumentError`), 3 a numeric failure (`NumericFailureError`), 1 an
+internal error: any other exception, with Python's traceback. Identical
+config plus seed produces byte-identical JSON: keys are sorted, floats use
+shortest round-trip formatting, line endings are LF, and every stochastic
+step takes an explicit seed. Each result embeds its input config as given,
+without defaults filled in.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from . import capacity as cap
 from . import freespace as free
 from . import indices as idx
 from . import mixednorm as mx
-from .errors import ArgumentError, CyclicityError, NumericFailureError
-from .poly import Polynomial, bind, camel, choose, jsonsafe
+from .errors import ArgumentError, NumericFailureError
+from .poly import Polynomial, bind, camel, choose, jsonsafe, read_keys
 from .spaces import SpaceSpec, drury_arveson, preset
 
 SCHEMA_VERSION = 1
@@ -134,6 +136,8 @@ def command(fn):
 
 
 def _seed(seed: int | None, d: int) -> int:
+    if seed is not None and seed < 0:
+        raise ArgumentError(f"config key 'seed' must be >= 0, not {seed}")
     if seed is None and d >= 2:
         raise ArgumentError("sampling at d >= 2 needs an explicit seed in the config")
     return seed or 0
@@ -148,7 +152,7 @@ def parse_space(obj) -> SpaceSpec:
     if isinstance(obj, str):
         # "hardy(1)" style preset addressing
         name, _, rest = obj.partition("(")
-        if not rest.endswith(")"):
+        if not (rest.endswith(")") and rest[:-1].strip().isdecimal()):
             raise ArgumentError(f"cannot parse space string {obj!r}; use name(d)")
         return preset(name.strip(), int(rest[:-1]))
     if not isinstance(obj, dict):
@@ -167,7 +171,9 @@ def _coefficient(entry) -> complex:
 def parse_polynomial(obj, d: int | None = None) -> Polynomial:
     if isinstance(obj, list):
         return Polynomial.from_json(obj, d)
-    if isinstance(obj, dict) and list(obj) == ["coeffs1d"] and isinstance(obj["coeffs1d"], list):
+    if isinstance(obj, dict):
+        read_keys(obj, ("coeffs1d",), "function")
+    if isinstance(obj, dict) and isinstance(obj.get("coeffs1d"), list):
         return Polynomial.from_coeffs1d([_coefficient(e) for e in obj["coeffs1d"]])
     raise ArgumentError("function must be a JSON term array or {'coeffs1d': [...]}")
 
@@ -175,7 +181,7 @@ def parse_polynomial(obj, d: int | None = None) -> Polynomial:
 def parse_cloud(obj, seed: int | None) -> cap.BoundaryCloud:
     """A boundary cloud from its JSON object; `seed` seeds a zero set's sampling."""
 
-    def points(d: int, points=()):
+    def points(d: int, points: list[list[float]] = ()):
         return cap.BoundaryCloud.from_json(points, d)
 
     def zero_set(function, d: int | None = None, resolution: int = 2048,
@@ -240,6 +246,7 @@ def corona_commutative(space, function, l_max: int = 10, n_in: int | None = None
 
 def corona_free(d: int, rho: float, seed: int, samples: int = 100, size: int = 8,
                 l_max: int = 10, export_tuples: bool = False):
+    seed = _seed(seed, d)
     out = free.row_contraction_inversion_report(d, rho, samples, size, seed, l_max).to_json()
     out["mode"] = "free"
     if export_tuples:
@@ -281,7 +288,7 @@ def perturb_function(space, function, n: int, perturbed=None, delta=None):
 def perturb_weight(space, function, n: int, epsilon: float, seed: int):
     space = parse_space(space)
     f = parse_polynomial(function, space.d)
-    perturbed = idx.perturb_weights(space, epsilon, seed)
+    perturbed = idx.perturb_weights(space, epsilon, _seed(seed, space.d))
     realized = idx.realized_weight_deviation(space, perturbed)
     report = idx.check_weight_stability(space, perturbed, f, n, epsilon=realized)
     return {**report.to_json(), "variant": "weight", "requestedEpsilon": epsilon,
@@ -406,12 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ArgumentError, ValueError, KeyError, TypeError) as exc:
+    except ArgumentError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    except CyclicityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     print(json_path)
     return 0
 

@@ -1,8 +1,12 @@
 """Exception taxonomy shared across the package.
 
-Validation problems (bad arguments, violated preconditions) derive from
-ValueError; numeric failures discovered mid-computation derive from
-RuntimeError. The CLI maps the former to exit code 2 and the latter to 3.
+Validation problems (bad arguments, violated preconditions) raise an
+`ArgumentError`, a ValueError; numeric failures discovered mid-computation
+raise a `NumericFailureError`, a RuntimeError. The class alone sets the
+CLI's exit code: 0 on success, 2 on an `ArgumentError`, 3 on a
+`NumericFailureError`, and 1 with Python's traceback on any other
+exception, a builtin ValueError or KeyError included, which is an internal
+error.
 """
 
 

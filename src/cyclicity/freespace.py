@@ -120,9 +120,13 @@ class FreeSpaceSpec:
         if kind == KIND_FREE_HARDY:
             table = (1.0,) * (max_length + 1)
         else:
-            table = tuple(
-                float(k + 1) ** (2.0 * self.smoothness) for k in range(max_length + 1)
-            )
+            try:
+                table = tuple(
+                    float(k + 1) ** (2.0 * self.smoothness) for k in range(max_length + 1)
+                )
+            except OverflowError:
+                raise ArgumentError(f"smoothness s = {smoothness!r} overflows the word-length "
+                                    "weight (k + 1)^(2s)") from None
         if any(w <= 0 or not math.isfinite(w) for w in table):
             raise ArgumentError("word-length weights must be positive finite")
         self._weights = table

@@ -98,6 +98,8 @@ class _QuadratureSpec:
             raise ArgumentError("radial weights must be positive")
         if angular_count < 8:
             raise ArgumentError("angular_count must be >= 8")
+        if seed < 0:  # the d >= 2 grid is drawn here, before a caller could check
+            raise ArgumentError(f"angular seed must be >= 0, not {seed}")
         self.d = int(d)
         self.N = int(N)
         self.radial_nodes = nodes
@@ -184,7 +186,7 @@ class _QuadratureSpec:
             def measured(measure: str, count: int = 40):
                 return cls.with_measure(measure, d, N, *params, radial_count=count, **kwargs)
 
-            def tabulated(nodes, weights):
+            def tabulated(nodes: list[float], weights: list[float]):
                 return cls(d, N, *params, nodes, weights, **kwargs)
 
             measure = isinstance(radial, Mapping) and "measure" in radial

@@ -242,7 +242,7 @@ class SparseSeries:
         read_keys(term, (field, "re", "im"), "term")
         if field not in term:
             raise ArgumentError(f"term is missing required key {field!r}")
-        key = int_tuple(term[field], f"term key {field!r}")
+        key = json_value(term[field], "list[int]", f"term key {field!r}")
         re, im = (json_value(term.get(k, 0.0), "float", f"term key {k!r}") for k in ("re", "im"))
         return key, complex(re, im)
 
@@ -523,24 +523,25 @@ def read_keys(obj, allowed, what: str) -> Mapping:
     return obj
 
 
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
-_INT = {int}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+               "dict": (dict,)}
 
 
 def json_value(value, kind: str, what: str):
     """value, once it is of the JSON type kind names: "int" a JSON integer,
-    "float" an integer or float (returned as float), "bool" true or false.
-    A bool is never a number."""
-    if type(value) not in _JSON_TYPES[kind]:
-        raise ArgumentError(f"{what} must be {kind}, not {value!r}")
-    return float(value) if kind == "float" else value
-
-
-def int_tuple(values, what: str) -> tuple[int, ...]:
-    """values, a JSON array of integers, as a tuple."""
-    if not isinstance(values, (list, tuple)) or not set(map(type, values)) <= _INT:
-        raise ArgumentError(f"{what} must be an array of integers, not {values!r}")
-    return tuple(values)
+    "float" an integer or float (returned as float), "bool" true or false,
+    "str" a string, "dict" an object, and "list[k]" an array whose entries
+    are of kind k (returned as a tuple, so "list[list[float]]" nests). A
+    bool is never a number."""
+    if kind.startswith("list["):
+        if type(value) in (list, tuple):
+            try:
+                return tuple(json_value(v, kind[5:-1], what) for v in value)
+            except ArgumentError:
+                pass
+    elif type(value) in _JSON_TYPES[kind]:
+        return float(value) if kind == "float" else value
+    raise ArgumentError(f"{what} must be {kind}, not {value!r}")
 
 
 def bind(fn, obj, what: str = "config"):
@@ -548,8 +549,9 @@ def bind(fn, obj, what: str = "config"):
 
     A key is the `camel` name of a parameter (n_max <- nMax); a parameter
     without a default is required, and null is admitted only under `| None`.
-    An int, float or bool annotation admits that JSON type only, as
-    `json_value` reads it. Any other key is an error.
+    An annotation that `json_value` knows (int, float, bool, str, dict or
+    list[...]) admits that JSON type only, read as `json_value` reads it.
+    Any other key is an error.
     """
     params = {camel(name): p for name, p in inspect.signature(fn).parameters.items()}
     kwargs = {}
@@ -558,7 +560,7 @@ def bind(fn, obj, what: str = "config"):
         kind = annotation.removesuffix(" | None")
         if value is None and kind == annotation:
             raise ArgumentError(f"{what} key {key!r} may not be null")
-        if value is not None and kind in _JSON_TYPES:
+        if value is not None and (kind in _JSON_TYPES or kind.startswith("list[")):
             value = json_value(value, kind, f"{what} key {key!r}")
         kwargs[params[key].name] = value
     missing = [k for k, p in params.items() if p.default is p.empty and p.name not in kwargs]
@@ -573,7 +575,7 @@ def choose(key: str, table: dict, default: str | None = None, what: str = "confi
 
     def run(obj):
         choice = obj.get(key, default) if isinstance(obj, dict) else None
-        if choice not in table:
+        if type(choice) is not str or choice not in table:
             raise ArgumentError(f"{what} must be an object with a {key} in {sorted(table)}")
         return bind(table[choice], {k: v for k, v in obj.items() if k != key}, what)
 

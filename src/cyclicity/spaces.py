@@ -34,7 +34,7 @@ from .errors import (
     DegreeRangeError,
     DimensionMismatchError,
 )
-from .poly import Polynomial, bind, choose, int_tuple, multi_indices
+from .poly import Polynomial, bind, choose, multi_indices
 
 KIND_DIAGONAL_BESOV = "diagonal_besov"
 KIND_DRURY_ARVESON = "drury_arveson"
@@ -164,16 +164,20 @@ class SpaceSpec:
                     f"moment sequence has {len(self.moments)} entries, "
                     f"needs {needed} for max_degree={self.max_degree}"
                 )
-            for alpha in indices:
-                k = sum(alpha)
-                if k == 0:
-                    table[alpha] = self.moments[0]
-                else:
-                    table[alpha] = (
-                        float(k) ** (2 * self.N)
-                        * self.moments[2 * k]
-                        * sphere_moment(self.d, alpha)
-                    )
+            try:
+                for alpha in indices:
+                    k = sum(alpha)
+                    if k == 0:
+                        table[alpha] = self.moments[0]
+                    else:
+                        table[alpha] = (
+                            float(k) ** (2 * self.N)
+                            * self.moments[2 * k]
+                            * sphere_moment(self.d, alpha)
+                        )
+            except OverflowError:
+                raise ArgumentError(f"derivative order N = {self.N} overflows the weight "
+                                    f"factor |alpha|^(2N) at degree {k}") from None
         else:
             if custom is None:
                 raise ArgumentError("custom diagonal spaces require a weight table")
@@ -246,17 +250,16 @@ class SpaceSpec:
         """A spec from its JSON object, whose kind picks the function that
         `bind` reads the other keys with."""
 
-        def diagonal_besov(d: int, moments, N: int = 0, max_degree: int | None = None):
-            return cls(KIND_DIAGONAL_BESOV, d, N, max_degree,
-                       moments=MomentSequence(tuple(moments)))
+        def diagonal_besov(d: int, moments: list[float], N: int = 0, max_degree: int | None = None):
+            return cls(KIND_DIAGONAL_BESOV, d, N, max_degree, moments=MomentSequence(moments))
 
         def drury_arveson(d: int, N: int = 0, max_degree: int | None = None):
             return cls(KIND_DRURY_ARVESON, d, N, max_degree)
 
-        def weight(exponents, value: float):
-            return int_tuple(exponents, "weight key 'exponents'"), value
+        def weight(exponents: list[int], value: float):
+            return exponents, value
 
-        def custom_diagonal(d: int, weights, N: int = 0, max_degree: int | None = None):
+        def custom_diagonal(d: int, weights: list[dict], N: int = 0, max_degree: int | None = None):
             table = dict(bind(weight, t, "weight") for t in weights)
             return cls(KIND_CUSTOM_DIAGONAL, d, N, max_degree, custom_weights=table)
 

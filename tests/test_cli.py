@@ -267,6 +267,33 @@ class TestValidationAndExitCodes:
         )
         assert rc == 3
 
+    def test_internal_error_exits_one_with_a_traceback(self, tmp_path):
+        # a builtin error inside a solver is a bug, not a bad config
+        code = ("import sys, cyclicity.cli, cyclicity.indices\n"
+                "def broken(design, target):\n"
+                "    raise KeyError('injected')\n"
+                "cyclicity.indices.solve_least_squares = broken\n"
+                "sys.exit(cyclicity.cli.main(sys.argv[1:]))\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": "hardy(1)", "function": _ONE_MINUS_Z, "n": 2}))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "index", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, env=subprocess_env(),
+        )
+        assert proc.returncode == 1
+        assert b"Traceback" in proc.stderr and b"KeyError: 'injected'" in proc.stderr
+        assert not (tmp_path / "out" / "index.json").exists()
+
+    def test_box_scales_stop_where_box_indices_fit_an_int64(self, tmp_path, capsys):
+        config = {"cloud": {"kind": "arc", "angle": 1.0, "count": 64}, "jMax": 62}
+        rc, _ = run_cli(tmp_path, "dimension", config, out="fits")
+        assert rc == 0
+        rc, path = run_cli(tmp_path, "dimension", {**config, "jMax": 63}, out="overflows")
+        assert rc == 2
+        assert not path.exists()
+        assert "j_max <= 62" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, config",
         [
@@ -311,60 +338,119 @@ def _index(**change):
     return "index", {"space": "hardy(1)", "function": _ONE_MINUS_Z, "n": 2, **change}
 
 
-# configs whose key is misspelt, misplaced or of the wrong JSON type; a reader
-# that dropped the key or cast its value would run each of them with exit 0
+# configs whose key is misspelt, misplaced, of the wrong JSON type or out of
+# range, each with the part of its `invalid config` line that names the object
+# and the key
 MISREAD = {
-    "index-traget": _index(traget={"coeffs1d": [1, 1]}),
+    "index-traget": (*_index(traget={"coeffs1d": [1, 1]}), "config key(s) ['traget']"),
     "commutative-corona-rho": ("corona-check", {"mode": "commutative", "space": "hardy(1)",
-                                                "function": {"coeffs1d": [2, -1]}, "rho": 0.5}),
+                                                "function": {"coeffs1d": [2, -1]}, "rho": 0.5},
+                               "config key(s) ['rho']"),
     "weight-perturb-delta": ("perturb", {"variant": "weight", "space": "hardy(1)",
                                          "function": _ONE_MINUS_Z, "n": 2, "epsilon": 0.05,
-                                         "seed": 1, "delta": {"coeffs1d": [0, 0.1]}}),
-    "arc-cloud-alpha": ("capacity", {"cloud": {**_ARC, "alpha": 2}, "alpha": 0}),
-    "preset-N": _index(space={"preset": "hardy", "d": 1, "N": 1}),
-    "preset-moments": _index(space={"preset": "bergman", "d": 1, "moments": [1, 1, 1]}),
-    "coeffs1d-d": _index(function={"coeffs1d": [1, -1], "d": 1}),
-    "n-float": _index(n=2.5),
-    "n-bool": _index(n=True),
-    "n-string": _index(n="3"),
+                                         "seed": 1, "delta": {"coeffs1d": [0, 0.1]}},
+                             "config key(s) ['delta']"),
+    "arc-cloud-alpha": ("capacity", {"cloud": {**_ARC, "alpha": 2}, "alpha": 0},
+                        "cloud key(s) ['alpha']"),
+    "preset-N": (*_index(space={"preset": "hardy", "d": 1, "N": 1}),
+                 "preset space key(s) ['N']"),
+    "preset-moments": (*_index(space={"preset": "bergman", "d": 1, "moments": [1, 1, 1]}),
+                       "preset space key(s) ['moments']"),
+    "coeffs1d-d": (*_index(function={"coeffs1d": [1, -1], "d": 1}), "function key(s) ['d']"),
+    "n-float": (*_index(n=2.5), "config key 'n'"),
+    "n-bool": (*_index(n=True), "config key 'n'"),
+    "n-string": (*_index(n="3"), "config key 'n'"),
     "sweep-tol-string": ("sweep", {"space": "hardy(1)", "function": _ONE_MINUS_Z, "nMax": 3,
-                                   "tol": "0.5"}),
-    "arc-count-float": ("capacity", {"cloud": {**_ARC, "count": 64.9}, "alpha": 0}),
-    "free-corona-seed-float": ("corona-check", {**_FREE_CORONA, "seed": 1.7}),
-    "export-tuples-string": ("corona-check", {**_FREE_CORONA, "exportTuples": "no"}),
-    "term-imag": _index(function=[{"exponents": [0], "re": 1}, {"exponents": [1], "imag": -1}]),
-    "drury-arveson-moments": _index(space={"kind": "drury_arveson", "d": 1,
-                                           "moments": [1, 1, 1]}),
+                                   "tol": "0.5"}, "config key 'tol'"),
+    "arc-count-float": ("capacity", {"cloud": {**_ARC, "count": 64.9}, "alpha": 0},
+                        "cloud key 'count'"),
+    "free-corona-seed-float": ("corona-check", {**_FREE_CORONA, "seed": 1.7},
+                               "config key 'seed'"),
+    "export-tuples-string": ("corona-check", {**_FREE_CORONA, "exportTuples": "no"},
+                             "config key 'exportTuples'"),
+    "term-imag": (*_index(function=[{"exponents": [0], "re": 1},
+                                    {"exponents": [1], "imag": -1}]),
+                  "term key(s) ['imag']"),
+    "drury-arveson-moments": (*_index(space={"kind": "drury_arveson", "d": 1,
+                                             "moments": [1, 1, 1]}),
+                              "space key(s) ['moments']"),
     "free-space-maxlength": ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2,
                                                           "maxlength": 4},
-                                            "function": [{"letters": [], "re": 1}], "n": 1}),
+                                            "function": [{"letters": [], "re": 1}], "n": 1},
+                             "free space key(s) ['maxlength']"),
     "mixed-spec-include-constantterm": ("mixed-norm", {
-        "mixedSpec": {**_MIXED, "includeConstantterm": False}, "function": _ONE_MINUS_Z}),
+        "mixedSpec": {**_MIXED, "includeConstantterm": False}, "function": _ONE_MINUS_Z},
+        "MixedSpec key(s) ['includeConstantterm']"),
     "radial-cout": ("mixed-norm", {"mixedSpec": {**_MIXED, "radial": {"measure": "area",
                                                                       "cout": 8}},
-                                   "function": _ONE_MINUS_Z}),
+                                   "function": _ONE_MINUS_Z}, "radial key(s) ['cout']"),
     "exponent-B": ("varexp-norm", {"varExpSpec": {**_VAREXP, "exponent": {"a": 2, "B": 1}},
-                                   "function": _ONE_MINUS_Z}),
+                                   "function": _ONE_MINUS_Z}, "exponent key(s) ['B']"),
     # nested integer and bool fields are checked, not cast: d = 2.7 read as 2,
     # 4.9 radial nodes as 4 and seed 1.5 as 1
     "free-space-d-float": ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2.7},
-                                          "function": [{"letters": [], "re": 1}], "n": 1}),
+                                          "function": [{"letters": [], "re": 1}], "n": 1},
+                           "free space key 'd'"),
     "radial-count-float": ("mixed-norm", {"mixedSpec": {**_MIXED, "radial": {
-        "measure": "area", "count": 4.9}}, "function": _ONE_MINUS_Z}),
+        "measure": "area", "count": 4.9}}, "function": _ONE_MINUS_Z}, "radial key 'count'"),
     "angular-seed-float": ("mixed-norm", {"mixedSpec": {**_MIXED, "angular": {
-        "count": 16, "seed": 1.5}}, "function": _ONE_MINUS_Z}),
+        "count": 16, "seed": 1.5}}, "function": _ONE_MINUS_Z}, "angular key 'seed'"),
     "include-constant-term-int": ("mixed-norm", {
-        "mixedSpec": {**_MIXED, "includeConstantTerm": 0}, "function": _ONE_MINUS_Z}),
-    "space-max-degree-float": _index(space={"kind": "drury_arveson", "d": 1,
-                                            "maxDegree": 8.5}),
-    "weight-exponent-float": _index(space={"kind": "custom_diagonal", "d": 1, "maxDegree": 3,
-                                           "weights": [{"exponents": [k], "value": 1}
-                                                       for k in (0, 1, 2, 3.0)]}),
-    "term-exponent-float": _index(function=[{"exponents": [0], "re": 1},
-                                            {"exponents": [1.5], "re": -1}]),
+        "mixedSpec": {**_MIXED, "includeConstantTerm": 0}, "function": _ONE_MINUS_Z},
+        "MixedSpec key 'includeConstantTerm'"),
+    "space-max-degree-float": (*_index(space={"kind": "drury_arveson", "d": 1,
+                                              "maxDegree": 8.5}),
+                               "space key 'maxDegree'"),
+    "weight-exponent-float": (*_index(space={"kind": "custom_diagonal", "d": 1, "maxDegree": 3,
+                                             "weights": [{"exponents": [k], "value": 1}
+                                                         for k in (0, 1, 2, 3.0)]}),
+                              "weight key 'exponents'"),
+    "term-exponent-float": (*_index(function=[{"exponents": [0], "re": 1},
+                                              {"exponents": [1.5], "re": -1}]),
+                            "term key 'exponents'"),
     "term-letter-bool": ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2},
-                                        "function": [{"letters": [True], "re": 1}], "n": 1}),
-    "term-re-string": _index(function=[{"exponents": [0], "re": "1"}]),
+                                        "function": [{"letters": [True], "re": 1}], "n": 1},
+                         "term key 'letters'"),
+    "term-re-string": (*_index(function=[{"exponents": [0], "re": "1"}]), "term key 're'"),
+    # values that a builtin or numpy would reject with a message naming no key:
+    # tuple(3), float("a"), an unhashable selector, int("x"), default_rng(-1)
+    "space-moments-number": (*_index(space={"kind": "diagonal_besov", "d": 1, "moments": 3}),
+                             "space key 'moments'"),
+    "space-moments-string": (*_index(space={"kind": "diagonal_besov", "d": 1,
+                                            "moments": ["a"]}),
+                             "space key 'moments'"),
+    "custom-weights-number": (*_index(space={"kind": "custom_diagonal", "d": 1, "weights": 3}),
+                              "space key 'weights'"),
+    "space-kind-array": (*_index(space={"kind": [], "d": 1}),
+                         "space must be an object with a kind"),
+    "space-preset-array": (*_index(space={"preset": [], "d": 1}), "preset space key 'preset'"),
+    "space-string-degree": (*_index(space="hardy(x)"), "space string 'hardy(x)'"),
+    "corona-mode-array": ("corona-check", {**_FREE_CORONA, "mode": []},
+                          "config must be an object with a mode"),
+    "free-corona-seed-negative": ("corona-check", {**_FREE_CORONA, "seed": -1},
+                                  "config key 'seed'"),
+    "points-cloud-number": ("capacity", {"cloud": {"kind": "points", "d": 1, "points": 3},
+                                         "alpha": 0}, "cloud key 'points'"),
+    "points-cloud-strings": ("capacity", {"cloud": {"kind": "points", "d": 1,
+                                                    "points": [["a", "b"]]}, "alpha": 0},
+                             "cloud key 'points'"),
+    "radial-nodes-string": ("mixed-norm", {"mixedSpec": {**_MIXED, "radial": {
+        "nodes": ["a"], "weights": [1]}}, "function": _ONE_MINUS_Z}, "radial key 'nodes'"),
+    "angular-seed-negative": ("mixed-norm", {"mixedSpec": {**_MIXED, "d": 2, "angular": {
+        "count": 16, "seed": -1}}, "function": [{"exponents": [0, 0], "re": 1}]},
+        "angular seed"),
+    "weight-perturb-seed-negative": ("perturb", {"variant": "weight", "space": "hardy(1)",
+                                                 "function": _ONE_MINUS_Z, "n": 2,
+                                                 "epsilon": 0.05, "seed": -1},
+                                     "config key 'seed'"),
+    # weight tables that overflow a double
+    "free-besov-s-overflow": ("free-index", {"freeSpace": {"kind": "free_besov", "d": 2,
+                                                           "s": 1e6},
+                                             "function": [{"letters": [], "re": 1}], "n": 1},
+                              "smoothness s = 1000000.0"),
+    "besov-N-overflow": (*_index(space={"kind": "diagonal_besov", "d": 1, "N": 400,
+                                        "maxDegree": 60, "moments": [1] * 121}),
+                         "derivative order N = 400"),
 }
 
 # a nested object without a required key names the object and the key
@@ -455,11 +541,13 @@ DOCUMENTED = dict(documented_configs())
 
 
 class TestConfigKeys:
-    @pytest.mark.parametrize("command, config", MISREAD.values(), ids=MISREAD.keys())
-    def test_misread_config_exits_two(self, tmp_path, command, config):
+    @pytest.mark.parametrize("command, config, named", MISREAD.values(), ids=MISREAD.keys())
+    def test_misread_config_exits_two(self, tmp_path, capsys, command, config, named):
         rc, path = run_cli(tmp_path, command, config)
         assert rc == 2
         assert not path.parent.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: ") and named in err
 
     @pytest.mark.parametrize("command, config, message", MISSING.values(), ids=MISSING.keys())
     def test_missing_nested_key_is_named(self, tmp_path, capsys, command, config, message):
