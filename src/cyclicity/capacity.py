@@ -53,6 +53,15 @@ PROBE_RESOLUTION = 4096
 MAX_ROOT_DEGREE = 512  # d = 1 root solve: a 4 MB companion matrix, cost grows as deg^3
 
 
+def as_real(points: np.ndarray) -> np.ndarray:
+    """Points of C^d, along the last axis, in R^(2d): interleaved real and
+    imaginary parts."""
+    out = np.empty(points.shape[:-1] + (2 * points.shape[-1],))
+    out[..., 0::2] = points.real
+    out[..., 1::2] = points.imag
+    return out
+
+
 @dataclass
 class BoundaryCloud:
     """Finite set of unit vectors in C^d sampled from a boundary zero set."""
@@ -85,10 +94,7 @@ class BoundaryCloud:
 
     def as_real(self) -> np.ndarray:
         """View in R^(2d): interleaved real and imaginary parts."""
-        out = np.empty((self.size, 2 * self.dimension), dtype=float)
-        out[:, 0::2] = self.points.real
-        out[:, 1::2] = self.points.imag
-        return out
+        return as_real(self.points)
 
     def union(self, other: "BoundaryCloud") -> "BoundaryCloud":
         if self.dimension != other.dimension:
@@ -99,9 +105,7 @@ class BoundaryCloud:
         )
 
     def to_json(self) -> list[list[float]]:
-        return [
-            [v for x in row for v in (x.real, x.imag)] for row in self.points
-        ]
+        return self.as_real().tolist()
 
     @classmethod
     def from_json(cls, rows: Sequence[Sequence[float]], d: int) -> "BoundaryCloud":
@@ -499,7 +503,7 @@ def interior_zero_probe(f: Polynomial, seed: int = 0) -> dict | None:
     if final[best] <= PROBE_TOL:
         point = polished[best]
         return {
-            "point": [v for x in point for v in (x.real, x.imag)],
+            "point": as_real(point).tolist(),
             "value": float(final[best]),
         }
     return None
@@ -540,6 +544,8 @@ def obstruction_report(
       interior zero, and residuals that reached tol or keep decreasing;
     * tension: anything else.
     """
+    if capacity_threshold < 0:
+        raise ArgumentError(f"capacity threshold must be >= 0, not {capacity_threshold}")
     sweep = index_sweep(spec, f, n_max, tol)
     cloud = sample_zero_set(f, resolution, zero_tol, seed)
     riesz = riesz_equilibrium(cloud, alpha)

@@ -23,104 +23,48 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import capacity as cap
 from . import freespace as free
 from . import indices as idx
 from . import mixednorm as mx
 from .errors import ArgumentError, NumericFailureError
-from .poly import Polynomial, bind, camel, choose, jsonsafe, read_keys
+from .poly import Polynomial, TermArray, bind, camel, choose, jsonsafe, read_keys
 from .spaces import SpaceSpec, drury_arveson, preset
 
 SCHEMA_VERSION = 1
-_LEAVES = {str, int, float, bool, type(None)}
-_NUMBERS = (int, float)
-_INT = {int}
 
 log = logging.getLogger("cyclicity")
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """Write payload as `json.dumps(jsonsafe(payload), sort_keys=True, indent=2)`
-    and a final newline would, in one walk: term arrays are laid out by
-    `_term_array`, and only what holds none goes to json.dumps."""
-    text = _encode(payload, "")
-    if type(text) is not _Text:
-        text = json.dumps(text, sort_keys=True, indent=2, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    """Write the bytes of `json.dumps(jsonsafe(payload), sort_keys=True,
+    indent=2)` and a final newline, in one walk that makes values JSON-safe
+    as it writes them. A `TermArray`, most of a large result, lays itself out."""
+    path.write_text(_layout(payload, "") + "\n", encoding="utf-8")
 
 
-class _Text(str):
-    """JSON text already laid out for its nesting level."""
-
-
-def _encode(value, pad: str):
-    """value as `jsonsafe` maps it, except that a container holding a term
-    array comes back as the `_Text` json.dumps would lay out for it at
-    indentation pad."""
-    if type(value) in _LEAVES:  # the common leaves first, for speed
-        return jsonsafe(value)
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
+def _layout(value, pad: str) -> str:
+    """The JSON text of `jsonsafe(value)` as json.dumps lays it out when it
+    starts at indentation pad."""
+    kind = type(value)  # exact types of the common leaves first, for speed
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    if kind is str:
+        return json.dumps(value)
+    if isinstance(value, TermArray):
+        return value.layout(pad)
     inner = pad + "  "
     if isinstance(value, dict):
-        items = {str(k): _encode(v, inner) for k, v in value.items()}
-        if _Text not in map(type, items.values()):
-            return items
-        lines = [f"{inner}{json.dumps(k)}: {_nested(items[k], inner)}" for k in sorted(items)]
-        return _Text("{\n" + ",\n".join(lines) + f"\n{pad}}}")
+        items = {str(k): v for k, v in value.items()}
+        lines = [f"{inner}{json.dumps(k)}: {_layout(items[k], inner)}" for k in sorted(items)]
+        return "{\n" + ",\n".join(lines) + f"\n{pad}}}" if lines else "{}"
     if isinstance(value, (list, tuple)):
-        text = _term_array(value, pad)
-        if text is not None:
-            return text
-        items = [_encode(v, inner) for v in value]
-        if _Text not in map(type, items):
-            return items
-        lines = [inner + _nested(v, inner) for v in items]
-        return _Text("[\n" + ",\n".join(lines) + f"\n{pad}]")
-    return jsonsafe(value)
-
-
-def _nested(value, pad: str) -> str:
-    """JSON text of an `_encode` result whose first line starts at indentation pad."""
-    if type(value) is _Text:
-        return value
-    # JSON text holds no raw newline but those of its layout
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
-
-
-def _number(x) -> str:
-    return repr(x) if type(x) is int or math.isfinite(x) else "null"
-
-
-def _term_array(terms, pad: str) -> _Text | None:
-    """A nonempty array of {exponents|letters, re, im} objects with int keys
-    and int or float parts, laid out with f-strings as json.dumps lays it out
-    at indentation pad (floats by repr, which json uses); None for any other
-    value."""
-    first = terms[0] if terms else None
-    if type(first) is not dict or len(first) != 3:
-        return None
-    field = "exponents" if "exponents" in first else "letters"
-    p2, p4, p6 = pad + "  ", pad + "    ", pad + "      "
-    sep = ",\n" + p6
-    entries = []
-    for term in terms:
-        if type(term) is not dict or len(term) != 3:
-            return None
-        key, re, im = term.get(field), term.get("re"), term.get("im")
-        if (type(key) is not list or type(re) not in _NUMBERS or type(im) not in _NUMBERS
-                or not set(map(type, key)) <= _INT):
-            return None
-        word = f"[\n{p6}{sep.join(map(repr, key))}\n{p4}]" if key else "[]"
-        if field == "exponents":  # keys in sorted order: exponents < im < letters < re
-            entries.append(f'{p2}{{\n{p4}"exponents": {word},\n{p4}"im": {_number(im)},\n'
-                           f'{p4}"re": {_number(re)}\n{p2}}}')
-        else:
-            entries.append(f'{p2}{{\n{p4}"im": {_number(im)},\n{p4}"letters": {word},\n'
-                           f'{p4}"re": {_number(re)}\n{p2}}}')
-    return _Text("[\n" + ",\n".join(entries) + f"\n{pad}]")
+        lines = [inner + _layout(v, inner) for v in value]
+        return "[\n" + ",\n".join(lines) + f"\n{pad}]" if lines else "[]"
+    value = jsonsafe(value)
+    if isinstance(value, (dict, list)):
+        return _layout(value, pad)
+    return json.dumps(value)
 
 
 def write_csv(path: Path, rows: list[tuple]) -> None:
@@ -135,7 +79,7 @@ def command(fn):
     return functools.partial(bind, fn)
 
 
-def _seed(seed: int | None, d: int) -> int:
+def _seed(seed: int | None, d: int = 1) -> int:
     if seed is not None and seed < 0:
         raise ArgumentError(f"config key 'seed' must be >= 0, not {seed}")
     if seed is None and d >= 2:
@@ -180,6 +124,7 @@ def parse_polynomial(obj, d: int | None = None) -> Polynomial:
 
 def parse_cloud(obj, seed: int | None) -> cap.BoundaryCloud:
     """A boundary cloud from its JSON object; `seed` seeds a zero set's sampling."""
+    _seed(seed)  # a negative seed is an error with any kind
 
     def points(d: int, points: list[list[float]] = ()):
         return cap.BoundaryCloud.from_json(points, d)

@@ -18,6 +18,7 @@ reduction is exact; disable it for the bare double-integral norm.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,8 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
-from .poly import JsonRecord, Polynomial, bind, multi_indices, shifted_columns
+from .poly import (JsonRecord, Polynomial, bind, camel, multi_indices, read_keys,
+                   shifted_columns)
 from .solver import solve_least_squares
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 
@@ -170,8 +172,8 @@ class _QuadratureSpec:
         shares here, the subclass's exponent keys by `_params_from_json`. A
         spec reads exactly the keys that its `to_json` writes."""
         what = cls.__name__
-        if not isinstance(obj, Mapping):
-            raise ArgumentError(f"{what} must be an object")
+        own = map(camel, inspect.signature(cls._params_from_json).parameters)
+        read_keys(obj, (*_SHARED_KEYS, *own), what)  # an unknown key is named with all allowed
         params, kwargs = bind(
             cls._params_from_json, {k: v for k, v in obj.items() if k not in _SHARED_KEYS}, what
         )

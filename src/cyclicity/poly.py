@@ -97,6 +97,30 @@ def shifted_columns(g: Polynomial, f: Polynomial, n: int, row_scale: np.ndarray,
     return design, target, cols
 
 
+class TermArray(list):
+    """The term array of `SparseSeries.to_json`: {"exponents" | "letters":
+    [int, ...], "re": float, "im": float} objects, JSON-safe as built."""
+
+    def layout(self, pad: str) -> str:
+        """The text `json.dumps(self, sort_keys=True, indent=2)` writes for this
+        array at indentation pad; floats by `repr`, as json writes them."""
+        if not self:
+            return "[]"
+        p2, p4, p6 = pad + "  ", pad + "    ", pad + "      "
+        sep = ",\n" + p6
+
+        def word(key):
+            return f"[\n{p6}{sep.join(map(repr, key))}\n{p4}]" if key else "[]"
+
+        if "exponents" in self[0]:  # keys in sorted order: exponents < im < letters < re
+            entries = [f'{p2}{{\n{p4}"exponents": {word(t["exponents"])},\n{p4}"im": '
+                       f'{t["im"]!r},\n{p4}"re": {t["re"]!r}\n{p2}}}' for t in self]
+        else:
+            entries = [f'{p2}{{\n{p4}"im": {t["im"]!r},\n{p4}"letters": '
+                       f'{word(t["letters"])},\n{p4}"re": {t["re"]!r}\n{p2}}}' for t in self]
+        return "[\n" + ",\n".join(entries) + f"\n{pad}]"
+
+
 class SparseSeries:
     """Sparse map from basis keys to nonzero, finite complex coefficients.
 
@@ -261,12 +285,11 @@ class SparseSeries:
             coeffs[key] = c
         return cls(d, coeffs)
 
-    def to_json(self) -> list[dict]:
-        """The JSON term array, in key order. It is JSON-safe as built: keys
-        hold Python ints and coefficients are finite Python complex numbers."""
+    def to_json(self) -> TermArray:
+        """The JSON term array, in key order."""
         field, coeffs = self._json_field, self.coeffs
-        return [{field: list(k), "re": coeffs[k].real, "im": coeffs[k].imag}
-                for k in self._sorted_keys()]
+        return TermArray({field: list(k), "re": coeffs[k].real, "im": coeffs[k].imag}
+                         for k in self._sorted_keys())
 
     def __repr__(self) -> str:
         name = type(self).__name__

@@ -143,6 +143,11 @@ class TestCloudJson:
         back = BoundaryCloud.from_json(rows, 2)
         np.testing.assert_allclose(back.points, cloud.points, rtol=0, atol=1e-15)
 
+    def test_entries_are_python_floats(self):
+        # JSON-safe as built, so the writer takes its float fast path
+        rows = arc_cloud(1.0, 4).to_json()
+        assert len(rows) == 4 and all(type(v) is float for row in rows for v in row)
+
     def test_empty_rows_keep_the_dimension(self):
         cloud = BoundaryCloud.from_json([], 3)
         assert cloud.size == 0 and cloud.dimension == 3
@@ -343,6 +348,7 @@ class TestInteriorProbe:
         z1 = Polynomial.variable(0, 2)
         hit = interior_zero_probe(z1, seed=7)
         assert hit is not None
+        assert len(hit["point"]) == 4 and all(type(v) is float for v in hit["point"])
 
 
 class TestObstructionReport:
@@ -357,6 +363,14 @@ class TestObstructionReport:
     )
     def test_consistent_examples(self, coeffs):
         report = obstruction_report(hardy(1), p1d(*coeffs), n_max=12, alpha=0.0, seed=1)
+        assert report.verdict == CONSISTENT
+
+    def test_capacity_threshold_range(self):
+        with pytest.raises(ArgumentError, match="capacity threshold must be >= 0"):
+            obstruction_report(hardy(1), p1d(1, -1), n_max=4, alpha=0.0, capacity_threshold=-1.0)
+        # zero is valid: any positive capacity counts as large, and a point has none
+        report = obstruction_report(hardy(1), p1d(1, -1), n_max=12, alpha=0.0,
+                                    capacity_threshold=0.0)
         assert report.verdict == CONSISTENT
 
     def test_report_serializes(self):

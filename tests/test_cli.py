@@ -17,7 +17,7 @@ import cyclicity.cli as cli_mod
 from cyclicity import capacity, freespace, indices, mixednorm
 from cyclicity.cli import main, parse_polynomial, parse_space
 from cyclicity.errors import ArgumentError
-from cyclicity.poly import Polynomial, jsonsafe
+from cyclicity.poly import Polynomial, TermArray, jsonsafe
 from cyclicity.spaces import dirichlet_type, drury_arveson, hardy
 from helpers import subprocess_env
 from test_acceptance import CLI_CONFIGS
@@ -384,6 +384,11 @@ MISREAD = {
     "radial-cout": ("mixed-norm", {"mixedSpec": {**_MIXED, "radial": {"measure": "area",
                                                                       "cout": 8}},
                                    "function": _ONE_MINUS_Z}, "radial key(s) ['cout']"),
+    # an unknown spec key is named with every key the spec takes
+    "varexp-spec-bisectiontol": ("varexp-norm", {"varExpSpec": {**_VAREXP, "bisectiontol": 1e-9},
+                                                 "function": _ONE_MINUS_Z},
+                                 "allowed: ['N', 'angular', 'bisectionTol', 'd', 'exponent', "
+                                 "'includeConstantTerm', 'radial']"),
     "exponent-B": ("varexp-norm", {"varExpSpec": {**_VAREXP, "exponent": {"a": 2, "B": 1}},
                                    "function": _ONE_MINUS_Z}, "exponent key(s) ['B']"),
     # nested integer and bool fields are checked, not cast: d = 2.7 read as 2,
@@ -439,6 +444,14 @@ MISREAD = {
     "angular-seed-negative": ("mixed-norm", {"mixedSpec": {**_MIXED, "d": 2, "angular": {
         "count": 16, "seed": -1}}, "function": [{"exponents": [0, 0], "re": 1}]},
         "angular seed"),
+    "arc-capacity-seed-negative": ("capacity", {"cloud": _ARC, "alpha": 0, "seed": -5},
+                                   "config key 'seed'"),
+    "arc-dimension-seed-negative": ("dimension", {"cloud": _ARC, "seed": -5},
+                                    "config key 'seed'"),
+    "report-capacity-threshold-negative": ("report", {"space": "hardy(1)",
+                                                      "function": _ONE_MINUS_Z, "nMax": 2,
+                                                      "alpha": 0, "capacityThreshold": -1},
+                                           "capacity threshold must be >= 0"),
     "weight-perturb-seed-negative": ("perturb", {"variant": "weight", "space": "hardy(1)",
                                                  "function": _ONE_MINUS_Z, "n": 2,
                                                  "epsilon": 0.05, "seed": -1},
@@ -818,8 +831,9 @@ def _terms(field, parts, word):
     return st.lists(term, min_size=1, max_size=3)
 
 
-# term arrays as SparseSeries.to_json writes them, and near misses that the
-# writer must leave to json.dumps: a bool or numpy entry, a missing or null part
+# plain term arrays shaped as SparseSeries.to_json builds them, and near
+# misses: a bool or numpy entry, a missing or null part. Neither is a
+# TermArray, so the writer lays both out by its generic walk
 _WELL_FORMED = [_terms(field, _FLOATS | st.integers(), st.integers(0, 3))
                 for field in ("exponents", "letters")]
 _NEAR_MISSES = (
@@ -848,11 +862,24 @@ class TestJsonWriter:
     def test_series_terms_at_depth(self, tmp_path):
         p = Polynomial(2, {(0, 0): 1.0, (3, 1): -0.0 + 2j, (1, 0): 5e-324, (0, 2): 1e16})
         f = freespace.FreePolynomial(2, {(): 1e308, (2, 1, 2): -1.5j})
-        payload = {"a": [{"b": p.to_json()}, f.to_json(), [f.to_json()]], "c": p.to_json()}
+        zero = Polynomial.zero(2).to_json()
+        payload = {"a": [{"b": p.to_json()}, f.to_json(), [f.to_json()]], "c": p.to_json(),
+                   "t": (f.to_json(), zero), "z": zero}
         path = tmp_path / "out.json"
         cli_mod.write_json(path, payload)
         expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         assert path.read_text() == expected + "\n"
+        assert '"z": []' in expected
+
+    def test_series_and_results_hold_term_arrays(self):
+        # a plain list would still be written right, by the slower generic walk
+        mixed = RESULTS["mixed-index"]().to_json()
+        assert type(_one_minus_z().to_json()) is TermArray
+        assert type(_free_affine().to_json()) is TermArray
+        assert type(RESULTS["approximant-free"]().to_json()["phi"]) is TermArray
+        approximant = indices.subspace_distance(hardy(1), Polynomial.one(1), _one_minus_z(), 2)
+        assert type(approximant.to_json()["phi"]) is TermArray
+        assert type(mixed["phi"]) is TermArray
 
     @pytest.mark.parametrize("command", CLI_CONFIGS)
     def test_acceptance_outputs_have_the_documented_layout(self, tmp_path, command):
