@@ -28,7 +28,7 @@ from . import freespace as free
 from . import indices as idx
 from . import mixednorm as mx
 from .errors import ArgumentError, NumericFailureError
-from .poly import Polynomial, TermArray, bind, camel, choose, jsonsafe, read_keys
+from .poly import Polynomial, TermArray, bind, camel, choose, json_value, jsonsafe, read_keys
 from .spaces import SpaceSpec, drury_arveson, preset
 
 SCHEMA_VERSION = 1
@@ -106,10 +106,9 @@ def parse_space(obj) -> SpaceSpec:
 
 def _coefficient(entry) -> complex:
     """A coeffs1d entry: a number, or an [re, im] pair of numbers."""
-    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
-    if not all(type(v) in (int, float) for v in parts):  # bool is not a number here
-        raise ArgumentError(f"coeffs1d entry {entry!r} is not a number or an [re, im] pair")
-    return complex(*parts)
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(*json_value(entry, "list[float]", "coeffs1d entry"))
+    return complex(json_value(entry, "float", "coeffs1d entry"))
 
 
 def parse_polynomial(obj, d: int | None = None) -> Polynomial:
@@ -347,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ArgumentError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ArgumentError(f"config is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+            raise ArgumentError(f"cannot read config: {exc}") from exc
         if not isinstance(config, dict):
             raise ArgumentError("config must be a JSON object")
         declared = config.get("schemaVersion", SCHEMA_VERSION)

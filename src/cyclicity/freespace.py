@@ -26,9 +26,9 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DegreeRangeError, DimensionMismatchError
-from .indices import ApproximantResult, subspace_distance, validate_problem
+from .indices import ApproximantResult, _design_matrix, subspace_distance, validate_problem
 from .poly import JsonRecord, Polynomial, SparseSeries, bind, invert_power_series
-from .solver import shifted_design, solve_least_squares
+from .solver import solve_least_squares
 from .spaces import KIND_DRURY_ARVESON, SpaceSpec
 
 KIND_FREE_HARDY = "free_hardy"
@@ -70,6 +70,18 @@ class FreePolynomial(SparseSeries):
 
     def _keys_of_length(self, k: int) -> Iterator[Word]:
         return itertools.product(range(1, self.d + 1), repeat=k)
+
+    def _shifted_ranks(self, n: int, keys: list) -> tuple[list, np.ndarray]:
+        # u k ranks at start[|u|+|k|] + lex(u) d^|k| + lex(k); lex reads letters as base-d digits
+        cols = words(self.d, n)
+        sizes = self.d ** np.arange(n + max(map(len, keys), default=0) + 1)
+        start = np.concatenate([[0], np.cumsum(sizes)])
+        col_len = np.repeat(np.arange(n + 1), sizes[: n + 1])
+        lengths = np.array([len(k) for k in keys], dtype=np.int64)
+        lex = np.array([sum((a - 1) * self.d**i for i, a in enumerate(k[::-1])) for k in keys],
+                       dtype=np.int64)
+        col_lex = np.arange(len(cols)) - start[col_len]
+        return cols, start[col_len[:, None] + lengths] + col_lex[:, None] * sizes[lengths] + lex
 
     @staticmethod
     def _remainder(word: Word, prefix: Word) -> Word | None:
@@ -131,6 +143,11 @@ class FreeSpaceSpec:
             raise ArgumentError("word-length weights must be positive finite")
         self._weights = table
 
+    def weight_vector(self, max_length: int) -> np.ndarray:
+        """The weight of every word of length <= max_length, length-then-lex."""
+        lengths = range(max_length + 1)
+        return np.repeat([self.weight(k) for k in lengths], [self.d**k for k in lengths])
+
     def weight(self, length: int) -> float:
         if not 0 <= length <= self.max_length:
             raise DegreeRangeError(
@@ -188,32 +205,12 @@ def free_subspace_distance(
 ) -> ApproximantResult:
     """Distance from g to {Phi G : words of Phi of length <= n} with minimizer.
 
-    Same least-squares core as the commutative solver, over the word
-    basis {Z^w G : |w| <= n}. A word's row is its length-then-lex rank: the
-    words shorter than it, plus its letters read as base-d digits; Z^u V
-    then lands at lex(u) * d^|V| + lex(V) among the words of length |u|+|V|.
+    Same least-squares core and design builder, `poly.shifted_columns`, as
+    the commutative index, over the word basis {Z^w G : |w| <= n}; rows are
+    the words in length-then-lex order, each scaled by its weight's root.
     """
     validate_problem(spec.d, spec.max_length, g, G, n, "max_length")
-    cols = words(spec.d, n)
-    row_length = max(n + G.degree, g.degree)
-    sizes = spec.d ** np.arange(row_length + 1)
-    start = np.concatenate([[0], np.cumsum(sizes)])
-
-    def lengths_and_lex(F):
-        lengths = np.array([len(w) for w in F.coeffs], dtype=np.int64)
-        lex = [sum((a - 1) * spec.d**k for k, a in enumerate(w[::-1])) for w in F.coeffs]
-        return lengths, np.array(lex, dtype=np.int64)
-
-    col_len = np.repeat(np.arange(n + 1), sizes[: n + 1])
-    col_lex = np.arange(len(cols)) - start[col_len]
-    G_len, G_lex = lengths_and_lex(G)
-    g_len, g_lex = lengths_and_lex(g)
-    rows = start[col_len[:, None] + G_len] + col_lex[:, None] * sizes[G_len] + G_lex
-    sqrt_w = np.repeat(np.sqrt([spec.weight(k) for k in range(row_length + 1)]), sizes)
-    design, target = shifted_design(
-        rows, list(G.coeffs.values()), start[g_len] + g_lex, list(g.coeffs.values()),
-        sqrt_w,
-    )
+    design, target, cols = _design_matrix(spec, g, G, n)
     out = solve_least_squares(design, target)
     phi = FreePolynomial.from_solution(spec.d, cols, out.coefficients)
     return ApproximantResult(n, phi, out.residual, out.gram_condition, out.method)

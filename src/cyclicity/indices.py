@@ -92,8 +92,8 @@ def validate_problem(d: int, top: int, g, f, n: int, top_name="max_degree") -> N
         )
 
 
-def _design_matrix(spec: SpaceSpec, g: Polynomial, f: Polynomial, n: int):
-    """The shifted design in the space norm: row alpha is scaled by ||z^alpha||."""
+def _design_matrix(spec, g, f, n: int):
+    """The shifted design in the space norm: a key's row is scaled by its norm."""
     weights = spec.weight_vector(max(n + f.degree, g.degree))
     return shifted_columns(g, f, n, np.sqrt(weights))
 

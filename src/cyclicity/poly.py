@@ -77,22 +77,18 @@ def graded_rank(alphas) -> np.ndarray:
     return rank
 
 
-def shifted_columns(g: Polynomial, f: Polynomial, n: int, row_scale: np.ndarray,
+def shifted_columns(g: SparseSeries, f: SparseSeries, n: int, row_scale: np.ndarray,
                     dense=False):
-    """Design whose column gamma holds the coefficients of z^gamma f,
-    |gamma| <= n, with the target g and the column keys. Row r is the r-th
-    multi-index in graded-lex order and is multiplied by row_scale[r]. The
+    """Design whose column u holds the coefficients of u f, for the basis keys
+    u of degree <= n (z^gamma, or words Z^w), with the target g and the
+    column keys. Row r is the r-th key in f's canonical order, as
+    `f._shifted_ranks` ranks the products, and is scaled by row_scale[r]. The
     design is an ndarray up to `solver.DENSE_MAX_COLUMNS` columns or when
     `dense` is set, else a CSC matrix."""
-
-    def keys(p):
-        return np.array(list(p.coeffs), dtype=np.int64).reshape(-1, f.d)
-
-    cols = multi_indices(f.d, n)
-    shifted = np.array(cols, dtype=np.int64)[:, None, :] + keys(f)[None, :, :]
+    cols, rows = f._shifted_ranks(n, list(f.coeffs))
     design, target = shifted_design(
-        graded_rank(shifted), list(f.coeffs.values()),
-        graded_rank(keys(g)), list(g.coeffs.values()), row_scale, dense,
+        rows, list(f.coeffs.values()),
+        f._shifted_ranks(0, list(g.coeffs))[1][0], list(g.coeffs.values()), row_scale, dense,
     )
     return design, target, cols
 
@@ -132,6 +128,8 @@ class SparseSeries:
     key of the product of the basis elements a and b, `_keys_of_length(k)`
     lists the keys of degree k in canonical order, and `_remainder(key, u)`
     is the key v with `_concat(u, v) == key`, or None when there is none.
+    The designs use `_shifted_ranks(n, keys)`: the keys u of degree <= n in
+    canonical order, and the canonical rank of u*k for each k in keys.
     Keys sort by degree, then as tuples.
     """
 
@@ -331,6 +329,11 @@ class Polynomial(SparseSeries):
 
     def _keys_of_length(self, k: int) -> Iterator[tuple[int, ...]]:
         return compositions(k, self.d)
+
+    def _shifted_ranks(self, n: int, keys: list) -> tuple[list, np.ndarray]:
+        cols = multi_indices(self.d, n)
+        keys = np.array(keys, dtype=np.int64).reshape(-1, self.d)
+        return cols, graded_rank(np.array(cols, dtype=np.int64)[:, None, :] + keys)
 
     @staticmethod
     def _remainder(alpha, beta) -> tuple[int, ...] | None:
@@ -552,10 +555,10 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (st
 
 def json_value(value, kind: str, what: str):
     """value, once it is of the JSON type kind names: "int" a JSON integer,
-    "float" an integer or float (returned as float), "bool" true or false,
-    "str" a string, "dict" an object, and "list[k]" an array whose entries
-    are of kind k (returned as a tuple, so "list[list[float]]" nests). A
-    bool is never a number."""
+    "float" an integer or float that a finite float holds (returned as that
+    float), "bool" true or false, "str" a string, "dict" an object, and
+    "list[k]" an array whose entries are of kind k (returned as a tuple, so
+    "list[list[float]]" nests). A bool is never a number."""
     if kind.startswith("list["):
         if type(value) in (list, tuple):
             try:
@@ -563,7 +566,14 @@ def json_value(value, kind: str, what: str):
             except ArgumentError:
                 pass
     elif type(value) in _JSON_TYPES[kind]:
-        return float(value) if kind == "float" else value
+        if kind != "float":
+            return value
+        try:
+            if math.isfinite(number := float(value)):
+                return number
+        except OverflowError:
+            pass
+        raise ArgumentError(f"{what} must be a finite float, not {value!r}")
     raise ArgumentError(f"{what} must be {kind}, not {value!r}")
 
 

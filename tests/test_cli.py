@@ -24,8 +24,11 @@ from test_acceptance import CLI_CONFIGS
 
 
 def run_cli(tmp_path, command, config, out="out", extra=()):
+    """Write config as JSON and run the command on it; a string "raw:<text>"
+    in config is written as the bare text, for number literals such as 1e400
+    that json.dumps cannot produce."""
     cfg = tmp_path / f"{command}.config.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(re.sub(r'"raw:([^"]*)"', r"\1", json.dumps(config)))
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path / out), *extra])
     return rc, tmp_path / out / f"{command}.json"
 
@@ -464,6 +467,22 @@ MISREAD = {
     "besov-N-overflow": (*_index(space={"kind": "diagonal_besov", "d": 1, "N": 400,
                                         "maxDegree": 60, "moments": [1] * 121}),
                          "derivative order N = 400"),
+    # number literals that no finite float holds: 1e400 reads as inf, a
+    # 400-digit integer overflows float(), and past 4,300 digits Python's
+    # int parser refuses the literal inside json.loads
+    "sweep-tol-1e400": ("sweep", {"space": "hardy(1)", "function": _ONE_MINUS_Z, "nMax": 3,
+                                  "tol": "raw:1e400"}, "config key 'tol'"),
+    "capacity-alpha-1e400": ("capacity", {"cloud": _ARC, "alpha": "raw:1e400"},
+                             "config key 'alpha'"),
+    "report-eps-nbhd-1e400": ("report", {"space": "hardy(1)", "function": _ONE_MINUS_Z,
+                                         "nMax": 2, "alpha": 0, "epsNbhd": "raw:1e400"},
+                              "config key 'epsNbhd'"),
+    "capacity-alpha-400-digits": ("capacity", {"cloud": _ARC, "alpha": 10**400},
+                                  "config key 'alpha'"),
+    "coeffs1d-400-digits": (*_index(function={"coeffs1d": [1, 10**400]}), "coeffs1d entry"),
+    "term-re-400-digits": (*_index(function=[{"exponents": [0], "re": 10**400}]),
+                           "term key 're'"),
+    "n-5000-digits": (*_index(n="raw:" + "9" * 5000), "cannot read config"),
 }
 
 # a nested object without a required key names the object and the key
@@ -561,6 +580,13 @@ class TestConfigKeys:
         assert not path.parent.exists()
         err = capsys.readouterr().err
         assert err.startswith("invalid config: ") and named in err
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "index.config.json"
+        cfg.write_bytes(b'{"space": "hardy(1)", "function": {"coeffs1d": [1]}, "n": "\xff"}')
+        assert main(["index", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.startswith("invalid config: cannot read config: ")
 
     @pytest.mark.parametrize("command, config, message", MISSING.values(), ids=MISSING.keys())
     def test_missing_nested_key_is_named(self, tmp_path, capsys, command, config, message):

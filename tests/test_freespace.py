@@ -22,9 +22,10 @@ from cyclicity.freespace import (
     sample_row_contraction,
     words,
 )
+from cyclicity.indices import subspace_distance
 from cyclicity.poly import invert_power_series
-from cyclicity.spaces import drury_arveson
-from helpers import coeff_distance, random_free_polynomial
+from cyclicity.spaces import SpaceSpec, drury_arveson, hardy
+from helpers import coeff_distance, random_free_polynomial, random_polynomial
 
 I2 = FreePolynomial.identity(2)
 Z1 = FreePolynomial.letter(1, 2)
@@ -140,6 +141,33 @@ class TestFreeSubspaceDistance:
     def test_zero_generator_rejected(self):
         with pytest.raises(DegenerateInputError):
             free_subspace_distance(free_hardy(2, 8), I2, FreePolynomial.zero(2), 1)
+
+    @pytest.mark.parametrize("family", ["hardy", "besov"])
+    def test_one_letter_is_the_commutative_problem(self, family):
+        # at d = 1 the word Z1^k is z^k, so both indices solve the same
+        # least-squares problem and must agree bit for bit; n runs past the
+        # 64 columns of the dense route into the sparse one
+        def word(p):
+            return FreePolynomial(1, {(1,) * k: c for (k,), c in p.coeffs.items()})
+
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            f = random_polynomial(rng, 1, int(rng.integers(0, 4)), density=0.8)
+            g = random_polynomial(rng, 1, int(rng.integers(0, 6)), density=0.6)
+            n = int(rng.integers(0, 81))
+            top = max(n + f.degree, g.degree)
+            if family == "hardy":
+                free_spec, spec = free_hardy(1, top), hardy(1, top)
+            else:
+                s = float(rng.uniform(0.0, 1.5))
+                weights = {(k,): float(k + 1) ** (2.0 * s) for k in range(top + 1)}
+                free_spec = free_besov(1, s, top)
+                spec = SpaceSpec("custom_diagonal", 1, 0, top, custom_weights=weights)
+            free = free_subspace_distance(free_spec, word(g), word(f), n)
+            comm = subspace_distance(spec, g, f, n)
+            assert (free.residual, free.gram_condition, free.solve_method) == (
+                comm.residual, comm.gram_condition, comm.solve_method)
+            assert free.phi == word(comm.phi)
 
 
 class TestAbelianize:

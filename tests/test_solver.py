@@ -18,6 +18,7 @@ from cyclicity.cli import main
 from cyclicity.errors import ArgumentError, NumericFailureError
 from cyclicity.freespace import (
     FreePolynomial,
+    FreeSpaceSpec,
     abelianize,
     free_besov,
     free_hardy,
@@ -108,19 +109,26 @@ class TestAssembly:
         assert target[0] == math.sqrt(spec.monomial_norm_sq((0,) * spec.d))
         assert np.count_nonzero(target) == 1
 
-    @pytest.mark.parametrize("name", sorted(FREE_SPACES))
-    def test_free_design_matches_word_products(self, name):
-        spec = FREE_SPACES[name]
-        G = FreePolynomial(2, {(): 1.0, (2,): -0.5j, (1, 2): 0.25, (2, 1, 1): 2.0})
-        g = FreePolynomial(2, {(): 1.0, (2, 1): 3.0})
+    # d = 3 makes the base-d digits differ from binary ones, and at d = 1
+    # every length holds one word; d = 3 also takes the CSC route
+    @pytest.mark.parametrize(
+        "name, d",
+        [pytest.param(name, d, id=name if d == 2 else f"{name}-d{d}")
+         for name in sorted(FREE_SPACES) for d in (1, 2, 3)],
+    )
+    def test_free_design_matches_word_products(self, name, d):
+        two = FREE_SPACES[name]
+        spec = FreeSpaceSpec(two.kind, d, two.max_length, two.smoothness)
+        G = FreePolynomial(d, {(): 1.0, (d,): -0.5j, (1, d): 0.25, (d, 1, 1): 2.0})
+        g = FreePolynomial(d, {(): 1.0, (d, 1): 3.0})
         n = 3
         _, seen = solves_of(freespace, lambda: free_subspace_distance(spec, g, G, n))
         ((design, target, _),) = seen
-        rows = words(2, n + G.degree)
-        cols = words(2, n)
+        rows = words(d, n + G.degree)
+        cols = words(d, n)
         dense = np.zeros((len(rows), len(cols)), dtype=complex)
         for j, u in enumerate(cols):
-            for w, c in (FreePolynomial(2, {u: 1.0}) * G).coeffs.items():
+            for w, c in (FreePolynomial(d, {u: 1.0}) * G).coeffs.items():
                 dense[rows.index(w), j] = c * math.sqrt(spec.weight(len(w)))
         expected_target = np.zeros(len(rows), dtype=complex)
         for w, c in g.coeffs.items():
