@@ -39,7 +39,7 @@ from .indices import (
     SweepReport,
     index_sweep,
 )
-from .poly import JsonRecord, Polynomial
+from .poly import JsonRecord, Polynomial, brief
 from .spaces import SpaceSpec, sphere_sample
 
 OBSTRUCTION = "obstruction detected"
@@ -51,6 +51,12 @@ PROBE_RADIUS = 0.95  # interior_zero_probe searches the ball of this radius
 PROBE_TOL = 1e-6
 PROBE_RESOLUTION = 4096
 MAX_ROOT_DEGREE = 512  # d = 1 root solve: a 4 MB companion matrix, cost grows as deg^3
+# an equilibrium face of at most this many points is solved by numpy alone:
+# up to here a face solve takes at most about 15 ms either way, against
+# about 0.3 s to import scipy.linalg; beyond it the solve grows as m^3 and
+# numpy's LU takes up to 2.3 times as long as scipy's Cholesky (README)
+NUMPY_MAX_FACE = 511
+MAX_CLOUD_POINTS = 1 << 24  # a generated cloud: 256 MB of coordinates per complex dimension
 
 
 def as_real(points: np.ndarray) -> np.ndarray:
@@ -115,18 +121,21 @@ class BoundaryCloud:
         return cls(vals[:, 0::2] + 1j * vals[:, 1::2])
 
 
+def _check_count(count: int) -> None:
+    if not 1 <= count <= MAX_CLOUD_POINTS:
+        raise ArgumentError(f"count must lie in 1..{MAX_CLOUD_POINTS}, not {brief(count)}")
+
+
 def circle_cloud(count: int) -> BoundaryCloud:
     """count equispaced points on the unit circle (d = 1)."""
-    if count < 1:
-        raise ArgumentError("count must be >= 1")
+    _check_count(count)
     theta = 2.0 * np.pi * np.arange(count) / count
     return BoundaryCloud(np.exp(1j * theta)[:, None])
 
 
 def arc_cloud(angle: float, count: int) -> BoundaryCloud:
     """count equispaced points on the circular arc of total opening `angle`."""
-    if count < 1:
-        raise ArgumentError("count must be >= 1")
+    _check_count(count)
     if not 0 < angle <= 2 * np.pi:
         raise ArgumentError("angle must lie in (0, 2*pi]")
     theta = np.linspace(-angle / 2.0, angle / 2.0, count)
@@ -139,8 +148,7 @@ def sphere_cap_cloud(count: int, polar_angle: float) -> BoundaryCloud:
 
     Fibonacci spiral in the cap's area coordinate; deterministic.
     """
-    if count < 1:
-        raise ArgumentError("count must be >= 1")
+    _check_count(count)
     if not 0 < polar_angle <= np.pi:
         raise ArgumentError("polar_angle must lie in (0, pi]")
     k = np.arange(count)
@@ -250,14 +258,30 @@ def _dedup_rows(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return pts[np.sort(first)]
 
 
-def _face_minimizer(kernel: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Minimizer of w^T K w over sum(w) = 1, w = 0 off `free`: K_S w = lambda * 1,
-    by Cholesky when K_S is positive definite, else (the log kernel is only
-    conditionally so) by LDL^T of the bordered system [K_S 1; 1^T 0]."""
-    import scipy.linalg  # only here: loading it costs every fresh process ~0.3 s
+def _bordered(kernel: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[K_S 1; 1^T 0] and e_m: the face weights are the first m entries of
+    its solution, the last is -lambda."""
+    m = len(idx)
+    system = np.ones((m + 1, m + 1))
+    system[:m, :m] = kernel[np.ix_(idx, idx)]
+    system[m, m] = 0.0
+    return system, np.eye(1, m + 1, m)[0]
 
+
+def _face_minimizer(kernel: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Minimizer of w^T K w over sum(w) = 1, w = 0 off `free`: K_S w = lambda * 1.
+    A face of at most NUMPY_MAX_FACE points is solved by numpy's LU of the
+    bordered system, which is nonsingular whenever K is conditionally
+    positive definite on S. A larger one is solved by Cholesky of K_S when
+    it is positive definite, else (the log kernel is only conditionally
+    so) by LDL^T of the bordered system."""
     idx = np.flatnonzero(free)
     m, w = len(idx), np.zeros(len(kernel))
+    if m <= NUMPY_MAX_FACE:
+        w[idx] = np.linalg.solve(*_bordered(kernel, idx))[:m]
+        return w
+    import scipy.linalg  # only here: loading it costs a fresh process about 0.3 s
+
     try:
         # K_S is symmetric, so its transpose is Fortran-ordered and LAPACK copies nothing
         factor = scipy.linalg.cho_factor(
@@ -266,10 +290,7 @@ def _face_minimizer(kernel: np.ndarray, free: np.ndarray) -> np.ndarray:
         v = scipy.linalg.cho_solve(factor, np.ones(m), check_finite=False)
         w[idx] = v / v.sum()
     except np.linalg.LinAlgError:
-        bordered = np.ones((m + 1, m + 1))
-        bordered[:m, :m] = kernel[np.ix_(idx, idx)]
-        bordered[m, m] = 0.0
-        w[idx] = scipy.linalg.solve(bordered, np.eye(1, m + 1, m)[0], assume_a="sym")[:m]
+        w[idx] = scipy.linalg.solve(*_bordered(kernel, idx), assume_a="sym")[:m]
     return w
 
 
@@ -452,7 +473,9 @@ def box_dimension(
     if cloud.size == 0:
         raise DegenerateInputError("cannot estimate the dimension of an empty cloud")
     if not 1 <= j_min < j_max <= 62:  # a box index floor(x 2^j), |x| <= 1, fits an int64
-        raise ArgumentError(f"need 1 <= j_min < j_max <= 62, not {j_min} and {j_max}")
+        raise ArgumentError(
+            f"need 1 <= j_min < j_max <= 62, not {brief(j_min)} and {brief(j_max)}"
+        )
     pts = cloud.as_real()
     scales = list(range(j_min, j_max + 1))
     counts = []

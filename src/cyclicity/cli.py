@@ -28,7 +28,8 @@ from . import freespace as free
 from . import indices as idx
 from . import mixednorm as mx
 from .errors import ArgumentError, NumericFailureError
-from .poly import Polynomial, TermArray, bind, camel, choose, json_value, jsonsafe, read_keys
+from .poly import (Polynomial, TermArray, bind, brief, camel, choose, json_value, jsonsafe,
+                   read_keys)
 from .spaces import SpaceSpec, drury_arveson, preset
 
 SCHEMA_VERSION = 1
@@ -81,7 +82,7 @@ def command(fn):
 
 def _seed(seed: int | None, d: int = 1) -> int:
     if seed is not None and seed < 0:
-        raise ArgumentError(f"config key 'seed' must be >= 0, not {seed}")
+        raise ArgumentError(f"config key 'seed' must be >= 0, not {brief(seed)}")
     if seed is None and d >= 2:
         raise ArgumentError("sampling at d >= 2 needs an explicit seed in the config")
     return seed or 0
@@ -97,18 +98,18 @@ def parse_space(obj) -> SpaceSpec:
         # "hardy(1)" style preset addressing
         name, _, rest = obj.partition("(")
         if not (rest.endswith(")") and rest[:-1].strip().isdecimal()):
-            raise ArgumentError(f"cannot parse space string {obj!r}; use name(d)")
+            raise ArgumentError(f"cannot parse space string {brief(obj)}; use name(d)")
         return preset(name.strip(), int(rest[:-1]))
     if not isinstance(obj, dict):
         raise ArgumentError("space must be a string or an object")
     return bind(preset, obj, "preset space") if "preset" in obj else SpaceSpec.from_json(obj)
 
 
-def _coefficient(entry) -> complex:
+def _coefficient(entry, i: int) -> complex:
     """A coeffs1d entry: a number, or an [re, im] pair of numbers."""
     if isinstance(entry, list) and len(entry) == 2:
-        return complex(*json_value(entry, "list[float]", "coeffs1d entry"))
-    return complex(json_value(entry, "float", "coeffs1d entry"))
+        return complex(*json_value(entry, "list[float]", f"coeffs1d entry {i}"))
+    return complex(json_value(entry, "float", f"coeffs1d entry {i}"))
 
 
 def parse_polynomial(obj, d: int | None = None) -> Polynomial:
@@ -117,7 +118,8 @@ def parse_polynomial(obj, d: int | None = None) -> Polynomial:
     if isinstance(obj, dict):
         read_keys(obj, ("coeffs1d",), "function")
     if isinstance(obj, dict) and isinstance(obj.get("coeffs1d"), list):
-        return Polynomial.from_coeffs1d([_coefficient(e) for e in obj["coeffs1d"]])
+        entries = enumerate(obj["coeffs1d"])
+        return Polynomial.from_coeffs1d([_coefficient(e, i) for i, e in entries])
     raise ArgumentError("function must be a JSON term array or {'coeffs1d': [...]}")
 
 

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import ArgumentError, DegreeRangeError, DimensionMismatchError
 from .indices import ApproximantResult, _design_matrix, subspace_distance, validate_problem
-from .poly import JsonRecord, Polynomial, SparseSeries, bind, invert_power_series
+from .poly import JsonRecord, Polynomial, SparseSeries, bind, brief, invert_power_series
 from .solver import solve_least_squares
-from .spaces import KIND_DRURY_ARVESON, SpaceSpec
+from .spaces import KIND_DRURY_ARVESON, MAX_MONOMIALS, SpaceSpec
 
 KIND_FREE_HARDY = "free_hardy"
 KIND_FREE_BESOV = "free_besov"
@@ -47,6 +47,11 @@ def words(d: int, max_length: int) -> list[Word]:
     for length in range(max_length + 1):
         out.extend(itertools.product(range(1, d + 1), repeat=length))
     return out
+
+
+def _word_count(d: int, max_length: int) -> int:
+    """The number of words over d letters of length <= max_length."""
+    return max_length + 1 if d == 1 else (d ** (max_length + 1) - 1) // (d - 1)
 
 
 class FreePolynomial(SparseSeries):
@@ -116,11 +121,17 @@ class FreeSpaceSpec:
         smoothness: float = 0.0,
     ):
         if kind not in (KIND_FREE_HARDY, KIND_FREE_BESOV):
-            raise ArgumentError(f"unknown free space kind {kind!r}")
+            raise ArgumentError(f"unknown free space kind {brief(kind)}")
         if d < 1:
             raise ArgumentError("d must be >= 1")
         if max_length < 0:
             raise ArgumentError("max_length must be >= 0")
+        # words rank as int64 (_shifted_ranks), so at d >= 2 L < 63, which
+        # spares _word_count a huge exponent; at d = 1 the table of length
+        # weights is bounded as a space in one variable bounds its monomials
+        if max_length >= (63 if d > 1 else MAX_MONOMIALS) or _word_count(d, max_length) >= 2**63:
+            raise ArgumentError(f"d = {brief(d)} and maxLength = {brief(max_length)} give 2^63 "
+                                f"words or more, or more than {MAX_MONOMIALS} lengths")
         if smoothness < 0:
             raise ArgumentError("smoothness s must be >= 0")
         if kind == KIND_FREE_HARDY and smoothness != 0:

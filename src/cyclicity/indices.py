@@ -22,6 +22,7 @@ from .errors import ArgumentError, DegenerateInputError, DegreeRangeError
 from .poly import (
     JsonRecord,
     Polynomial,
+    brief,
     invert_power_series,
     mult_operator_section,
     shifted_columns,
@@ -84,7 +85,7 @@ def validate_problem(d: int, top: int, g, f, n: int, top_name="max_degree") -> N
         raise ArgumentError("degree budget n must be >= 0")
     if n + f.degree > top:
         raise DegreeRangeError(
-            f"n + deg f = {n + f.degree} exceeds {top_name}={top}"
+            f"n + deg f = {brief(n + f.degree)} exceeds {top_name}={top}"
         )
     if g.degree > top:
         raise DegreeRangeError(

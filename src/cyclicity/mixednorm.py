@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
-from .poly import (JsonRecord, Polynomial, bind, camel, multi_indices, read_keys,
+from .poly import (JsonRecord, Polynomial, bind, brief, camel, multi_indices, read_keys,
                    shifted_columns)
 from .solver import solve_least_squares
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
@@ -61,7 +61,7 @@ def radial_rule(measure: str, count: int = 40) -> tuple[np.ndarray, np.ndarray]:
         nodes = (t + 1.0) / 2.0
         weights = (v / 2.0) * 2.0 * nodes
         return nodes, weights
-    raise ArgumentError(f"unknown radial measure {measure!r}")
+    raise ArgumentError(f"unknown radial measure {brief(measure)}")
 
 
 class _QuadratureSpec:
@@ -101,7 +101,7 @@ class _QuadratureSpec:
         if angular_count < 8:
             raise ArgumentError("angular_count must be >= 8")
         if seed < 0:  # the d >= 2 grid is drawn here, before a caller could check
-            raise ArgumentError(f"angular seed must be >= 0, not {seed}")
+            raise ArgumentError(f"angular seed must be >= 0, not {brief(seed)}")
         self.d = int(d)
         self.N = int(N)
         self.radial_nodes = nodes

@@ -545,12 +545,19 @@ def read_keys(obj, allowed, what: str) -> Mapping:
         raise ArgumentError(f"{what} must be an object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        raise ArgumentError(f"unknown {what} key(s) {unknown}; allowed: {sorted(allowed)}")
+        raise ArgumentError(f"unknown {what} key(s) {brief(unknown)}; allowed: {sorted(allowed)}")
     return obj
 
 
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
                "dict": (dict,)}
+SHOWN_CHARS = 40  # a message echoes at most this much of an input value
+
+
+def brief(value) -> str:
+    """repr(value), cut to SHOWN_CHARS characters for an error message."""
+    text = repr(value)
+    return text if len(text) <= SHOWN_CHARS else text[: SHOWN_CHARS - 3] + "..."
 
 
 def json_value(value, kind: str, what: str):
@@ -558,13 +565,11 @@ def json_value(value, kind: str, what: str):
     "float" an integer or float that a finite float holds (returned as that
     float), "bool" true or false, "str" a string, "dict" an object, and
     "list[k]" an array whose entries are of kind k (returned as a tuple, so
-    "list[list[float]]" nests). A bool is never a number."""
+    "list[list[float]]" nests). A bool is never a number. A refused entry
+    is named by its index: `what[3][1]`."""
     if kind.startswith("list["):
         if type(value) in (list, tuple):
-            try:
-                return tuple(json_value(v, kind[5:-1], what) for v in value)
-            except ArgumentError:
-                pass
+            return tuple(json_value(v, kind[5:-1], f"{what}[{i}]") for i, v in enumerate(value))
     elif type(value) in _JSON_TYPES[kind]:
         if kind != "float":
             return value
@@ -573,8 +578,8 @@ def json_value(value, kind: str, what: str):
                 return number
         except OverflowError:
             pass
-        raise ArgumentError(f"{what} must be a finite float, not {value!r}")
-    raise ArgumentError(f"{what} must be {kind}, not {value!r}")
+        raise ArgumentError(f"{what} must be a finite float, not {brief(value)}")
+    raise ArgumentError(f"{what} must be {kind}, not {brief(value)}")
 
 
 def bind(fn, obj, what: str = "config"):

@@ -34,7 +34,7 @@ from .errors import (
     DegreeRangeError,
     DimensionMismatchError,
 )
-from .poly import Polynomial, bind, choose, multi_indices
+from .poly import Polynomial, bind, brief, choose, multi_indices
 
 KIND_DIAGONAL_BESOV = "diagonal_besov"
 KIND_DRURY_ARVESON = "drury_arveson"
@@ -47,6 +47,22 @@ def default_max_degree(d: int) -> int:
     # Bounded memory with predictable ranges: 64 monomials in one variable,
     # total degree 20 otherwise.
     return 64 if d == 1 else 20
+
+
+# a space tabulates the weight of each of its C(max_degree + d, d) monomials
+# eagerly; this many (d = 8 at the default degree 20 needs 3.1M) is the most
+MAX_MONOMIALS = 1 << 22
+
+
+def _check_table(d: int, max_degree: int) -> None:
+    if d < 1:
+        raise ArgumentError("d must be >= 1")
+    if max_degree < 0:
+        raise ArgumentError("max_degree must be >= 0")
+    # C(n + d, d) > max(n, d), so the first test spares comb() a huge argument
+    if max(d, max_degree) >= MAX_MONOMIALS or math.comb(max_degree + d, d) > MAX_MONOMIALS:
+        raise ArgumentError(f"d = {brief(d)} and maxDegree = {brief(max_degree)} give more "
+                            f"than {MAX_MONOMIALS} monomial weights to tabulate")
 
 
 @dataclass(frozen=True)
@@ -130,9 +146,7 @@ class SpaceSpec:
         custom_weights: Mapping[tuple[int, ...], float] | None = None,
     ):
         if kind not in _KINDS:
-            raise ArgumentError(f"unknown space kind {kind!r}")
-        if d < 1:
-            raise ArgumentError("d must be >= 1")
+            raise ArgumentError(f"unknown space kind {brief(kind)}")
         if N < 0:
             raise ArgumentError("N must be >= 0")
         if N != 0 and kind != KIND_DIAGONAL_BESOV:
@@ -141,8 +155,7 @@ class SpaceSpec:
         self.d = int(d)
         self.N = int(N)
         self.max_degree = int(max_degree if max_degree is not None else default_max_degree(d))
-        if self.max_degree < 0:
-            raise ArgumentError("max_degree must be >= 0")
+        _check_table(self.d, self.max_degree)
         self.moments = moments
         self._weights = self._build_weights(custom_weights)
 
@@ -278,6 +291,7 @@ def _moment_space(d: int, max_degree: int | None, N: int, moment) -> SpaceSpec:
     """Diagonal Besov space of derivative order N whose j-th radial moment is
     moment(j), tabulated for j <= 2 * max_degree."""
     md = max_degree if max_degree is not None else default_max_degree(d)
+    _check_table(d, md)
     moments = MomentSequence(tuple(moment(j) for j in range(2 * md + 1)))
     return SpaceSpec(KIND_DIAGONAL_BESOV, d, N, md, moments=moments)
 
@@ -320,6 +334,6 @@ def preset(preset: str, d: int, max_degree: int | None = None) -> SpaceSpec:
         builder = PRESET_BUILDERS[preset]
     except KeyError:
         raise ArgumentError(
-            f"unknown preset {preset!r}; choose from {sorted(PRESET_BUILDERS)}"
+            f"unknown preset {brief(preset)}; choose from {sorted(PRESET_BUILDERS)}"
         ) from None
     return builder(d, max_degree)

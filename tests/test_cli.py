@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -483,6 +484,23 @@ MISREAD = {
     "term-re-400-digits": (*_index(function=[{"exponents": [0], "re": 10**400}]),
                            "term key 're'"),
     "n-5000-digits": (*_index(n="raw:" + "9" * 5000), "cannot read config"),
+    # integers too large for their use, each refused where it is used: a
+    # generated cloud's count, a free space's words, a space's weight table
+    "arc-count-400-digits": ("capacity", {"cloud": {**_ARC, "count": 10**400}, "alpha": 0},
+                             "count must lie in 1..16777216"),
+    "circle-count-2-to-40": ("dimension", {"cloud": {"kind": "circle", "count": 2**40}},
+                             "count must lie in 1..16777216"),
+    "free-space-d-400-digits": ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 10**400},
+                                               "function": [{"letters": [], "re": 1}], "n": 1},
+                                "and maxLength = 12 give 2^63 words or more"),
+    "free-space-max-length-63": ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2,
+                                                              "maxLength": 63},
+                                                "function": [{"letters": [], "re": 1}], "n": 1},
+                                 "d = 2 and maxLength = 63 give 2^63 words"),
+    "preset-d-400-digits": (*_index(space={"preset": "hardy", "d": 10**400}),
+                            "and maxDegree = 20 give more than 4194304 monomial weights"),
+    "space-string-400-digits": (*_index(space="hardy(" + "9" * 400 + ")"),
+                                "and maxDegree = 20 give more than 4194304 monomial weights"),
 }
 
 # a nested object without a required key names the object and the key
@@ -580,6 +598,48 @@ class TestConfigKeys:
         assert not path.parent.exists()
         err = capsys.readouterr().err
         assert err.startswith("invalid config: ") and named in err
+
+    def test_preset_max_degree_beyond_the_weight_table_exits_two(self, tmp_path):
+        # tabulating the weights up to a 400-digit degree would run until
+        # killed, so this one runs in its own process under a timeout and
+        # a 2 GB address-space limit
+        config = {"space": {"preset": "hardy", "d": 1, "maxDegree": 10**400},
+                  "function": _ONE_MINUS_Z, "n": 2}
+        cfg = tmp_path / "index.json"
+        cfg.write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclicity", "index", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("invalid config: d = 1 and maxDegree = 1000")
+        assert "more than 4194304 monomial weights" in proc.stderr
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("capacity", {"cloud": _ARC, "alpha": 10**400}, "config key 'alpha' must be"),
+        ("capacity", {"cloud": {"kind": "points", "d": 1,
+                                "points": [[1.0, 0.0]] * 2000 + [[1.0, "x"]]}, "alpha": 0},
+         "cloud key 'points'[2000][1] must be float, not 'x'"),
+        ("index", {"space": "hardy(1)", "function": {"coeffs1d": [1] * 300 + [[1, 10**400]]},
+                   "n": 2}, "coeffs1d entry 300[1] must be a finite float"),
+        ("index", {"space": "hardy(1)", "function": [{"exponents": [0, 1.5] * 500, "re": 1}],
+                   "n": 2}, "term key 'exponents'[1] must be int, not 1.5"),
+        ("index", {"space": {"preset": "h" * 5000, "d": 1}, "function": _ONE_MINUS_Z, "n": 2},
+         "unknown preset 'hhh"),
+        ("index", {"space": "hardy(1)", "function": _ONE_MINUS_Z, "n": 2, "x" * 5000: 1},
+         "unknown config key(s) ['xxx"),
+        ("dimension", {"cloud": _ARC, "jMax": 10**400}, "need 1 <= j_min < j_max <= 62"),
+    ], ids=["400-digit-float", "points-entry", "coeffs1d-pair-entry", "exponents-entry",
+            "long-preset", "long-key", "400-digit-j-max"])
+    def test_refused_value_is_echoed_briefly(self, tmp_path, capsys, command, config, named):
+        # a refused value is named by its index and cut to poly.SHOWN_CHARS
+        rc, path = run_cli(tmp_path, command, config)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert len(err) <= 200
 
     def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "index.config.json"
@@ -734,10 +794,12 @@ class TestCommandPaths:
 
 class TestDeterminism:
     def test_small_solves_load_no_scipy(self, tmp_path):
-        # every design these commands solve on the acceptance configs has at
-        # most solver.DENSE_MAX_COLUMNS columns, which numpy solves alone
-        commands = ("index", "sweep", "free-index", "compress-check", "perturb",
-                    "mixed-index", "report")
+        # on the acceptance configs every design has at most
+        # solver.DENSE_MAX_COLUMNS columns and every equilibrium face at most
+        # capacity.NUMPY_MAX_FACE points, which numpy solves alone, and no
+        # sphere sample is drawn at d >= 2
+        commands = tuple(CLI_CONFIGS)
+        assert len(commands) == 12
         args = [str(tmp_path / "out")]
         for command in commands:
             cfg = tmp_path / f"{command}.json"
