@@ -258,39 +258,33 @@ def _dedup_rows(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return pts[np.sort(first)]
 
 
-def _bordered(kernel: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[K_S 1; 1^T 0] and e_m: the face weights are the first m entries of
-    its solution, the last is -lambda."""
-    m = len(idx)
+def _face_minimizer(kernel: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Minimizer of w^T K w over sum(w) = 1, w = 0 off `free`: K_S w = lambda * 1.
+    A face of more than NUMPY_MAX_FACE points is solved by Cholesky of K_S
+    when it is positive definite. Any other face (the log kernel is only
+    conditionally so) is solved by numpy's LU of the bordered system, which
+    is nonsingular whenever K is conditionally positive definite on S."""
+    idx = np.flatnonzero(free)
+    m, w = len(idx), np.zeros(len(kernel))
+    if m > NUMPY_MAX_FACE:
+        import scipy.linalg  # only here: loading it costs a fresh process about 0.3 s
+
+        try:
+            # K_S is symmetric, so its transpose is Fortran-ordered and LAPACK copies nothing
+            factor = scipy.linalg.cho_factor(
+                kernel[np.ix_(idx, idx)].T, overwrite_a=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            pass  # not positive definite: the bordered system below answers
+        else:
+            v = scipy.linalg.cho_solve(factor, np.ones(m), check_finite=False)
+            w[idx] = v / v.sum()
+            return w
+    # [K_S 1; 1^T 0] [w; -lambda] = e_m
     system = np.ones((m + 1, m + 1))
     system[:m, :m] = kernel[np.ix_(idx, idx)]
     system[m, m] = 0.0
-    return system, np.eye(1, m + 1, m)[0]
-
-
-def _face_minimizer(kernel: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Minimizer of w^T K w over sum(w) = 1, w = 0 off `free`: K_S w = lambda * 1.
-    A face of at most NUMPY_MAX_FACE points is solved by numpy's LU of the
-    bordered system, which is nonsingular whenever K is conditionally
-    positive definite on S. A larger one is solved by Cholesky of K_S when
-    it is positive definite, else (the log kernel is only conditionally
-    so) by LDL^T of the bordered system."""
-    idx = np.flatnonzero(free)
-    m, w = len(idx), np.zeros(len(kernel))
-    if m <= NUMPY_MAX_FACE:
-        w[idx] = np.linalg.solve(*_bordered(kernel, idx))[:m]
-        return w
-    import scipy.linalg  # only here: loading it costs a fresh process about 0.3 s
-
-    try:
-        # K_S is symmetric, so its transpose is Fortran-ordered and LAPACK copies nothing
-        factor = scipy.linalg.cho_factor(
-            kernel[np.ix_(idx, idx)].T, overwrite_a=True, check_finite=False
-        )
-        v = scipy.linalg.cho_solve(factor, np.ones(m), check_finite=False)
-        w[idx] = v / v.sum()
-    except np.linalg.LinAlgError:
-        w[idx] = scipy.linalg.solve(*_bordered(kernel, idx), assume_a="sym")[:m]
+    w[idx] = np.linalg.solve(system, np.eye(1, m + 1, m)[0])[:m]
     return w
 
 
@@ -381,7 +375,8 @@ def riesz_equilibrium(
         free |= below
     w /= w.sum()
     grad = 2.0 * (kernel @ w)
-    gap = float(grad @ w) - float(grad.min())
+    # the weighted mean of the gradient can round below its minimum
+    gap = max(float(grad @ w) - float(grad.min()), 0.0)
     energy = float(w @ kernel @ w)
     if alpha > 0:
         capacity = 1.0 / energy if energy > 0 else math.inf

@@ -267,8 +267,8 @@ def cmd_mixed_index(function, mixed_spec=None, var_exp_spec=None, n_max: int | N
     cls, obj = (mx.MixedSpec, mixed_spec) if var_exp_spec is None else (mx.VarExpSpec, var_exp_spec)
     spec = parse_quadrature_spec(cls, obj)
     f = parse_polynomial(function, spec.d)
-    if n_max is not None and n_max < 0:
-        raise ArgumentError("nMax must be >= 0")
+    if n_max is not None and not 0 <= n_max <= spec.max_budget:
+        raise ArgumentError(f"nMax must lie in 0..{spec.max_budget}, not {brief(n_max)}")
     results = [mx.mixed_index(spec, f, k) for k in ([n] if n_max is None else range(n_max + 1))]
     for r in results:
         if not r.converged:

@@ -26,13 +26,18 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DegreeRangeError, DimensionMismatchError
-from .indices import ApproximantResult, _design_matrix, subspace_distance, validate_problem
+from .indices import ApproximantResult, subspace_distance
 from .poly import JsonRecord, Polynomial, SparseSeries, bind, brief, invert_power_series
-from .solver import solve_least_squares
-from .spaces import KIND_DRURY_ARVESON, MAX_MONOMIALS, SpaceSpec
+# not called here, but perfbench/tracing.py rebinds this name in this module
+from .solver import solve_least_squares  # noqa: F401
+from .spaces import KIND_DRURY_ARVESON, MAX_MONOMIALS, DiagonalSpace, SpaceSpec
 
 KIND_FREE_HARDY = "free_hardy"
 KIND_FREE_BESOV = "free_besov"
+# a sampled tuple holds d blocks of size x size: at most this many entries (64 MB)
+MAX_TUPLE_ENTRIES = 1 << 22
+# the report lists one singular value per sample, about 20 bytes of JSON
+MAX_SAMPLES = 1 << 16
 
 Word = tuple[int, ...]
 
@@ -108,10 +113,11 @@ class FreePolynomial(SparseSeries):
         return cls(d, {(j,): 1.0})
 
 
-class FreeSpaceSpec:
+class FreeSpaceSpec(DiagonalSpace):
     """Diagonal free function space: one positive weight per word length."""
 
     __slots__ = ("kind", "d", "max_length", "smoothness", "_weights")
+    series = FreePolynomial
 
     def __init__(
         self,
@@ -156,27 +162,19 @@ class FreeSpaceSpec:
 
     def weight_vector(self, max_length: int) -> np.ndarray:
         """The weight of every word of length <= max_length, length-then-lex."""
+        self.weight(max_length)  # refuses a length past the table by name
         lengths = range(max_length + 1)
-        return np.repeat([self.weight(k) for k in lengths], [self.d**k for k in lengths])
+        return np.repeat(self._weights[: max_length + 1], [self.d**k for k in lengths])
 
     def weight(self, length: int) -> float:
         if not 0 <= length <= self.max_length:
             raise DegreeRangeError(
-                f"word length {length} beyond precomputed max_length={self.max_length}"
+                f"word length {brief(length)} beyond precomputed max_length={self.max_length}"
             )
         return self._weights[length]
 
-    def inner_product(self, F: FreePolynomial, G: FreePolynomial) -> complex:
-        if F.d != self.d or G.d != self.d:
-            raise DimensionMismatchError("free polynomials do not match the space")
-        if F.degree > self.max_length or G.degree > self.max_length:
-            raise DegreeRangeError(
-                f"word length exceeds precomputed max_length={self.max_length}"
-            )
-        return F.weighted_inner(G, lambda word: self._weights[len(word)])
-
-    def norm(self, F: FreePolynomial) -> float:
-        return math.sqrt(max(self.inner_product(F, F).real, 0.0))
+    def _key_weight(self, word: Word) -> float:
+        return self.weight(len(word))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "d": self.d, "maxLength": self.max_length}
@@ -214,17 +212,10 @@ def free_subspace_distance(
     G: FreePolynomial,
     n: int,
 ) -> ApproximantResult:
-    """Distance from g to {Phi G : words of Phi of length <= n} with minimizer.
-
-    Same least-squares core and design builder, `poly.shifted_columns`, as
-    the commutative index, over the word basis {Z^w G : |w| <= n}; rows are
-    the words in length-then-lex order, each scaled by its weight's root.
-    """
-    validate_problem(spec.d, spec.max_length, g, G, n, "max_length")
-    design, target, cols = _design_matrix(spec, g, G, n)
-    out = solve_least_squares(design, target)
-    phi = FreePolynomial.from_solution(spec.d, cols, out.coefficients)
-    return ApproximantResult(n, phi, out.residual, out.gram_condition, out.method)
+    """Distance from g to {Phi G : words of Phi of length <= n} with minimizer:
+    `indices.subspace_distance` in a free space, over the word basis
+    {Z^w G : |w| <= n}."""
+    return subspace_distance(spec, g, G, n)
 
 
 def abelianize(F: FreePolynomial) -> Polynomial:
@@ -274,6 +265,9 @@ def sample_row_contraction(
     """
     if d < 1 or size < 1:
         raise ArgumentError("d and size must be >= 1")
+    if d * size * size > MAX_TUPLE_ENTRIES:
+        raise ArgumentError(f"d = {brief(d)} and size = {brief(size)} give more than "
+                            f"{MAX_TUPLE_ENTRIES} tuple entries")
     if not 0 <= rho < 1:
         raise ArgumentError("rho must lie in [0, 1)")
     rng = np.random.default_rng(seed)
@@ -332,8 +326,6 @@ def compression_check(
         raise ArgumentError("compression pairing requires unit free weights")
     if spec_comm.kind != KIND_DRURY_ARVESON:
         raise ArgumentError("compression pairing requires Drury-Arveson weights")
-    if spec_free.d != spec_comm.d:
-        raise DimensionMismatchError("free and commutative sides must share d")
     free_res = free_subspace_distance(
         spec_free, FreePolynomial.identity(spec_free.d), G, n
     ).residual
@@ -382,8 +374,8 @@ def row_contraction_inversion_report(
     numerical witness is that the truncation norms of the inverse series
     settle (last two lengths within 1e-3).
     """
-    if samples < 1:
-        raise ArgumentError("samples must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ArgumentError(f"samples must lie in 1..{MAX_SAMPLES}, not {brief(samples)}")
     if l_max < 1:
         raise ArgumentError("l_max must be >= 1")
     psi = 2.0 * FreePolynomial.identity(d) - FreePolynomial.letter(1, d)

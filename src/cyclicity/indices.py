@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateInputError, DegreeRangeError
+from .errors import ArgumentError, DegenerateInputError
 from .poly import (
     JsonRecord,
     Polynomial,
@@ -28,7 +28,7 @@ from .poly import (
     shifted_columns,
 )
 from .solver import solve_least_squares
-from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec
+from .spaces import KIND_DIAGONAL_BESOV, DiagonalSpace, MomentSequence, SpaceSpec
 
 VERDICT_CYCLIC = "numerically_cyclic"
 VERDICT_PLATEAU = "plateau"
@@ -74,42 +74,27 @@ class SweepReport(JsonRecord):
         return [header, *rows]
 
 
-def validate_problem(d: int, top: int, g, f, n: int, top_name="max_degree") -> None:
-    """Checks shared by the commutative and the free distance problems; `top`
-    is the space's largest degree (max_degree) or word length (max_length)."""
-    if f.d != d or g.d != d:
-        raise ArgumentError("polynomial dimension does not match the space")
+def _design_matrix(spec: DiagonalSpace, g, f, n: int):
+    """The shifted design of f at budget n, target g, in the space norm: a
+    key's row is scaled by its norm. g and f are series of the space's
+    algebra, f nonzero; the weight table refuses n + deg f or deg g past it."""
+    spec.check_algebra(g, f)
     if f.is_zero:
         raise DegenerateInputError("f must be nonzero")
     if n < 0:
         raise ArgumentError("degree budget n must be >= 0")
-    if n + f.degree > top:
-        raise DegreeRangeError(
-            f"n + deg f = {brief(n + f.degree)} exceeds {top_name}={top}"
-        )
-    if g.degree > top:
-        raise DegreeRangeError(
-            f"deg g = {g.degree} exceeds {top_name}={top}"
-        )
-
-
-def _design_matrix(spec, g, f, n: int):
-    """The shifted design in the space norm: a key's row is scaled by its norm."""
     weights = spec.weight_vector(max(n + f.degree, g.degree))
     return shifted_columns(g, f, n, np.sqrt(weights))
 
 
-def subspace_distance(
-    spec: SpaceSpec,
-    g: Polynomial,
-    f: Polynomial,
-    n: int,
-) -> ApproximantResult:
-    """Distance from g to {phi f : deg phi <= n} and the minimizing phi."""
-    validate_problem(spec.d, spec.max_degree, g, f, n)
+def subspace_distance(spec: DiagonalSpace, g, f, n: int) -> ApproximantResult:
+    """Distance from g to {phi f : deg phi <= n} and the minimizing phi, in a
+    `SpaceSpec` over `Polynomial`s (phi spans z^gamma, |gamma| <= n) or a
+    `freespace.FreeSpaceSpec` over `FreePolynomial`s (phi spans the words
+    Z^w, |w| <= n); a series of the other algebra is a `DimensionMismatchError`."""
     design, target, cols = _design_matrix(spec, g, f, n)
     out = solve_least_squares(design, target)
-    phi = Polynomial.from_solution(spec.d, cols, out.coefficients)
+    phi = type(f).from_solution(spec.d, cols, out.coefficients)
     return ApproximantResult(n, phi, out.residual, out.gram_condition, out.method)
 
 
@@ -159,11 +144,9 @@ def index_sweep(
     leading column blocks (graded order makes them nested), so the sweep is
     a family of nested solves with identical row scaling.
     """
-    target = Polynomial.one(spec.d)
-    validate_problem(spec.d, spec.max_degree, target, f, n_max)
     if tol <= 0:
         raise ArgumentError("tol must be positive")
-    design, rhs, _ = _design_matrix(spec, target, f, n_max)
+    design, rhs, _ = _design_matrix(spec, Polynomial.one(spec.d), f, n_max)
     residuals, conds, methods = [], [], []
     for n in range(n_max + 1):
         # the first C(n+d, d) graded-lex columns are the shifts with |gamma| <= n
@@ -243,10 +226,6 @@ def check_perturbation_bound(
     base = subspace_distance(spec, one, f, n)
     phi = base.phi
     epsilon = base.residual
-    if n + g.degree > spec.max_degree:
-        raise DegreeRangeError(
-            f"n + deg g = {n + g.degree} exceeds max_degree={spec.max_degree}"
-        )
     diff = f - g
     delta = spec.norm(diff)
     realized = spec.norm(phi * diff) / delta if delta > 0 else 0.0
@@ -367,8 +346,9 @@ def inverse_truncation_multiplier_norms(
     stay uniformly bounded and the section norms stabilize; the returned
     values are lower bounds for each truncation's multiplier norm.
     """
-    if l_max < 0:
-        raise ArgumentError("l_max must be >= 0")
+    # a truncation of length l_max needs a section reaching degree l_max
+    if not 0 <= l_max <= spec.max_degree:
+        raise ArgumentError(f"l_max must lie in 0..{spec.max_degree}, not {brief(l_max)}")
     q = invert_power_series(psi, l_max)
     return [
         multiplier_norm_lower(spec, q.truncated(length), n_in)

@@ -41,6 +41,11 @@ _FLOOR = 1e-12
 # IRLS stops after this many steps, or once a step lowers the objective by less
 IRLS_MAX_ITER = 60
 IRLS_DECREASE_TOL = 1e-10
+MAX_NODES = 1024  # Gauss-Legendre radial nodes: a count x count eigenproblem, 0.1 s
+MAX_GRID = 1 << 24  # radial nodes x angular points x d complex coordinates: 256 MB
+MAX_ORDER = 1023  # R^N scales degree k by k^N, and 2^1023 is a float
+# each IRLS step solves a dense design, grid rows x C(n + d, d), by its Gram
+MAX_IRLS_ENTRIES = 1 << 26
 # the JSON keys of every spec; the rest are a subclass's exponent keys
 _SHARED_KEYS = ("d", "N", "radial", "angular", "includeConstantTerm")
 
@@ -55,8 +60,8 @@ def radial_rule(measure: str, count: int = 40) -> tuple[np.ndarray, np.ndarray]:
     if measure == RADIAL_POINT_MASS:
         return np.array([1.0]), np.array([1.0])
     if measure == RADIAL_AREA:
-        if count < 2:
-            raise ArgumentError("area rule needs at least 2 nodes")
+        if not 2 <= count <= MAX_NODES:
+            raise ArgumentError(f"radial count must lie in 2..{MAX_NODES}, not {brief(count)}")
         t, v = np.polynomial.legendre.leggauss(count)
         nodes = (t + 1.0) / 2.0
         weights = (v / 2.0) * 2.0 * nodes
@@ -88,8 +93,8 @@ class _QuadratureSpec:
     ):
         if d < 1:
             raise ArgumentError("d must be >= 1")
-        if N < 0:
-            raise ArgumentError("N must be >= 0")
+        if not 0 <= N <= MAX_ORDER:
+            raise ArgumentError(f"derivative order N must lie in 0..{MAX_ORDER}, not {brief(N)}")
         nodes = np.asarray(radial_nodes, dtype=float)
         weights = np.asarray(radial_weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
@@ -100,6 +105,10 @@ class _QuadratureSpec:
             raise ArgumentError("radial weights must be positive")
         if angular_count < 8:
             raise ArgumentError("angular_count must be >= 8")
+        if nodes.size * angular_count * d > MAX_GRID:
+            raise ArgumentError(f"d = {brief(d)}, radial count = {nodes.size} and angular count "
+                                f"= {brief(angular_count)} give more than {MAX_GRID} grid "
+                                "coordinates")
         if seed < 0:  # the d >= 2 grid is drawn here, before a caller could check
             raise ArgumentError(f"angular seed must be >= 0, not {brief(seed)}")
         self.d = int(d)
@@ -111,6 +120,14 @@ class _QuadratureSpec:
         self.include_constant_term = bool(include_constant_term)
         self.descriptor = dict(descriptor) if descriptor else None
         self._angular = self._build_angular()
+        # the largest budget n whose IRLS design and Gram fit MAX_IRLS_ENTRIES,
+        # counted up from n = 0 with cols = C(n + 1 + d, d), or at once at d = 1
+        rows = nodes.size * self.angular_count + 1
+        limit = min(MAX_IRLS_ENTRIES // rows, math.isqrt(MAX_IRLS_ENTRIES))
+        self.max_budget, cols = (limit - 1, limit + 1) if self.d == 1 else (0, self.d + 1)
+        while cols <= limit:
+            self.max_budget += 1
+            cols = cols * (self.max_budget + 1 + self.d) // (self.max_budget + 1)
 
     def _build_angular(self) -> np.ndarray:
         m = self.angular_count
@@ -325,10 +342,16 @@ class VarExpSpec(_QuadratureSpec):
         return grid * (lam * lam / grid.sum()) / (mags * mags), self.mass
 
 
-def mixed_norm(spec: MixedSpec, f: Polynomial) -> float:
-    """(integral of (angular p-mean of |R^N f|)^(q/p) d(mu))^(1/q), plus the
-    constant-term contribution when N > 0 and the flag is on."""
+def mixed_norm(spec: MixedSpec | VarExpSpec, f: Polynomial) -> float:
+    """The norm of f in a quadrature spec. A `MixedSpec` gives (integral of
+    (angular p-mean of |R^N f|)^(q/p) d(mu))^(1/q), a `VarExpSpec` the
+    Luxemburg norm inf{lam > 0 : modular(f, lam) <= 1} by bracketed
+    bisection. When N > 0 and the flag is on the constant term joins, as
+    sqrt(mass |f(0)|^2 + lam^2) in the Luxemburg case (module docstring)."""
     return spec._norm(spec.grid_values(f.radial_derivative(spec.N)), f.constant_term)
+
+
+luxemburg_norm = mixed_norm
 
 
 def modular(spec: VarExpSpec, f: Polynomial, lam: float) -> float:
@@ -341,15 +364,6 @@ def modular(spec: VarExpSpec, f: Polynomial, lam: float) -> float:
         raise ArgumentError("lam must be positive")
     scale, sums = spec._node_sums(spec.grid_values(f.radial_derivative(spec.N)))
     return float(sums @ (lam / scale) ** -spec.exponents())
-
-
-def luxemburg_norm(spec: VarExpSpec, f: Polynomial) -> float:
-    """inf{lam > 0 : modular(f, lam) <= 1}, by bracketed bisection.
-
-    When N > 0 the constant term joins as sqrt(mass |f(0)|^2 + lam^2)
-    (Hilbert-compatible convention, see module docstring).
-    """
-    return spec._norm(spec.grid_values(f.radial_derivative(spec.N)), f.constant_term)
 
 
 @dataclass
@@ -422,8 +436,11 @@ def mixed_index(
         raise DegenerateInputError("f must be nonzero")
     if f.d != spec.d:
         raise DimensionMismatchError("f does not match the spec dimension")
-    if n < 0:
-        raise ArgumentError("n must be >= 0")
+    if not 0 <= n <= spec.max_budget:
+        raise ArgumentError(f"n must lie in 0..{spec.max_budget}, not {brief(n)}")
+    # the twin's weight table refuses a degree n + deg f, or an order N,
+    # that the grid's monomial tables could not hold either
+    twin = _hilbert_twin(spec, n + f.degree)
     design, rhs, cols = _shifted_grid(spec, f, n)
 
     def residual(x: np.ndarray):
@@ -433,7 +450,6 @@ def mixed_index(
     def objective(x: np.ndarray) -> float:
         return spec._norm(*residual(x))
 
-    twin = _hilbert_twin(spec, n + f.degree)
     start = subspace_distance(twin, Polynomial.one(spec.d), f, n).phi
     x = np.array([start.coefficient(gamma) for gamma in cols], dtype=complex)
     best_value = objective(x)

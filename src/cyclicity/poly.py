@@ -490,20 +490,12 @@ def mult_operator_section(
     the multiplier norm of phi and is nondecreasing in n_in. It is the shifted
     design of phi in the space norm with each column divided by its norm.
     """
-    if phi.d != spec.d:
-        raise DimensionMismatchError(
-            f"phi has d={phi.d} but the space has d={spec.d}"
-        )
+    spec.check_algebra(phi)
     if n_in < 0:
         raise ArgumentError("n_in must be >= 0")
-    deg = phi.degree
-    if n_in + deg > n_out:
+    if n_in + phi.degree > n_out:
         raise DegreeRangeError("n_out must be at least n_in + deg(phi)")
-    if n_out > spec.max_degree:
-        raise DegreeRangeError(
-            f"n_out={n_out} exceeds precomputed max_degree={spec.max_degree}"
-        )
-    norms = np.sqrt(spec.weight_vector(n_out))
+    norms = np.sqrt(spec.weight_vector(n_out))  # refuses n_out past the table
     design, _, cols = shifted_columns(Polynomial.zero(spec.d), phi, n_in, norms, dense=True)
     return design / norms[: len(cols)]
 

@@ -59,8 +59,9 @@ def _check_table(d: int, max_degree: int) -> None:
         raise ArgumentError("d must be >= 1")
     if max_degree < 0:
         raise ArgumentError("max_degree must be >= 0")
-    # C(n + d, d) > max(n, d), so the first test spares comb() a huge argument
-    if max(d, max_degree) >= MAX_MONOMIALS or math.comb(max_degree + d, d) > MAX_MONOMIALS:
+    # C(n + d, k) grows with k up to min(n, d) and passes 2^22 at k = 13 when
+    # min(n, d) > 13, so the cap on k keeps comb() fast and the test exact
+    if math.comb(max_degree + d, min(d, max_degree, 13)) > MAX_MONOMIALS:
         raise ArgumentError(f"d = {brief(d)} and maxDegree = {brief(max_degree)} give more "
                             f"than {MAX_MONOMIALS} monomial weights to tabulate")
 
@@ -127,7 +128,36 @@ def sphere_sample(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-class SpaceSpec:
+class DiagonalSpace:
+    """The weighted l2 geometry of `SpaceSpec` and `freespace.FreeSpaceSpec`.
+    A subclass names the series class of its algebra in `series` and the
+    weight of one key in `_key_weight`, which raises `DegreeRangeError` past
+    the tabulated range."""
+
+    __slots__ = ()
+
+    def check_algebra(self, *operands) -> None:
+        """Refuse a series of the other algebra or of another dimension."""
+        for s in operands:
+            if not isinstance(s, self.series):
+                kinds = f"{self.series.__name__}s, not {type(s).__name__}"
+                raise DimensionMismatchError(f"{type(self).__name__} takes {kinds}")
+            if s.d != self.d:
+                raise DimensionMismatchError(f"series in {s.d} variables, space d={self.d}")
+
+    def inner_product(self, f, g) -> complex:
+        """<f, g> = sum_k w_k fhat(k) conj(ghat(k)) over the keys k."""
+        self.check_algebra(f, g)
+        for s in (f, g):
+            if s.coeffs:  # the key of top degree is in range, or none is
+                self._key_weight(max(s.coeffs, key=s._length))
+        return f.weighted_inner(g, self._key_weight)
+
+    def norm(self, f) -> float:
+        return math.sqrt(max(self.inner_product(f, f).real, 0.0))
+
+
+class SpaceSpec(DiagonalSpace):
     """Immutable diagonal description of a function space.
 
     All operations are pure; construction eagerly tabulates every monomial
@@ -135,6 +165,7 @@ class SpaceSpec:
     """
 
     __slots__ = ("kind", "d", "N", "max_degree", "moments", "_weights")
+    series = Polynomial
 
     def __init__(
         self,
@@ -212,35 +243,25 @@ class SpaceSpec:
         key = tuple(int(a) for a in alpha)
         if len(key) != self.d:
             raise DimensionMismatchError(f"alpha has {len(key)} entries, expected {self.d}")
+        return self._key_weight(key)
+
+    def _key_weight(self, alpha: tuple[int, ...]) -> float:
         try:
-            return self._weights[key]
+            return self._weights[alpha]
         except KeyError:
             raise DegreeRangeError(
-                f"|alpha|={sum(key)} beyond precomputed max_degree={self.max_degree}"
+                f"|alpha|={sum(alpha)} beyond precomputed max_degree={self.max_degree}"
             ) from None
 
     def weight_vector(self, max_degree: int) -> np.ndarray:
         """c_alpha for every |alpha| <= max_degree, in graded-lex order."""
         if max_degree > self.max_degree:
             raise DegreeRangeError(
-                f"degree {max_degree} beyond precomputed max_degree={self.max_degree}"
+                f"degree {brief(max_degree)} beyond precomputed max_degree={self.max_degree}"
             )
         # the table was filled in graded-lex order, so its head is the answer
         count = math.comb(max_degree + self.d, self.d)
         return np.fromiter(self._weights.values(), dtype=float, count=count)
-
-    def inner_product(self, f: Polynomial, g: Polynomial) -> complex:
-        """<f, g> = sum_alpha c_alpha fhat(alpha) conj(ghat(alpha))."""
-        if f.d != self.d or g.d != self.d:
-            raise DimensionMismatchError("polynomials do not match the space dimension")
-        if f.degree > self.max_degree or g.degree > self.max_degree:
-            raise DegreeRangeError(
-                f"degree exceeds precomputed max_degree={self.max_degree}"
-            )
-        return f.weighted_inner(g, self._weights.__getitem__)
-
-    def norm(self, f: Polynomial) -> float:
-        return math.sqrt(max(self.inner_product(f, f).real, 0.0))
 
     def to_json(self) -> dict:
         out = {

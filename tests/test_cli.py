@@ -501,6 +501,39 @@ MISREAD = {
                             "and maxDegree = 20 give more than 4194304 monomial weights"),
     "space-string-400-digits": (*_index(space="hardy(" + "9" * 400 + ")"),
                                 "and maxDegree = 20 give more than 4194304 monomial weights"),
+    # C(2^23 - 2, 2^22 - 1) weights: counting them exactly would take minutes
+    "preset-d-and-max-degree-2-to-22": (*_index(space={"preset": "hardy", "d": 2**22 - 1,
+                                                       "maxDegree": 2**22 - 1}),
+                                        "d = 4194303 and maxDegree = 4194303 give more"),
+    # a quadrature spec's grid, derivative order and IRLS budget, and the
+    # sampled tuples of a free corona check
+    "mixed-spec-d-400-digits": ("mixed-norm", {"mixedSpec": {**_MIXED, "d": 10**400},
+                                               "function": _ONE_MINUS_Z},
+                                "d = 1000000000000000000000000000000000000..., radial count"),
+    "var-exp-spec-d-400-digits": ("varexp-norm", {"varExpSpec": {**_VAREXP, "d": 10**400},
+                                                  "function": _ONE_MINUS_Z},
+                                  "d = 1000000000000000000000000000000000000..., radial count"),
+    "mixed-index-spec-N-400-digits": ("mixed-index", {"mixedSpec": {**_MIXED, "N": 10**400},
+                                                      "function": _ONE_MINUS_Z, "n": 1},
+                                      "derivative order N must lie in 0..1023"),
+    "radial-count-400-digits": ("mixed-norm", {"mixedSpec": {**_MIXED, "radial": {
+        "measure": "area", "count": 10**400}}, "function": _ONE_MINUS_Z},
+        "radial count must lie in 2..1024"),
+    "angular-count-400-digits": ("mixed-norm", {"mixedSpec": {**_MIXED, "angular": {
+        "count": 10**400}}, "function": _ONE_MINUS_Z},
+        "angular count = 1000000000000000000000000000000000000... give more than 16777216"),
+    "corona-size-400-digits": ("corona-check", {**_FREE_CORONA, "size": 10**400},
+                               "size = 1000000000000000000000000000000000000... give more"),
+    "corona-samples-400-digits": ("corona-check", {**_FREE_CORONA, "samples": 10**400},
+                                  "samples must lie in 1..65536"),
+    "commutative-corona-l-max-400-digits": ("corona-check", {
+        "mode": "commutative", "space": "hardy(1)", "function": {"coeffs1d": [2, -1]},
+        "lMax": 10**400}, "l_max must lie in 0..64"),
+    "mixed-index-n-max-400-digits": ("mixed-index", {"mixedSpec": _MIXED,
+                                                     "function": _ONE_MINUS_Z, "nMax": 10**400},
+                                     "nMax must lie in 0..8191"),
+    "mixed-index-n-400-digits": ("mixed-index", {"mixedSpec": _MIXED, "function": _ONE_MINUS_Z,
+                                                 "n": 10**400}, "n must lie in 0..8191"),
 }
 
 # a nested object without a required key names the object and the key

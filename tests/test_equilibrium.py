@@ -10,7 +10,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,25 +53,27 @@ class TestActiveSet:
 
     def test_solve_paths(self, monkeypatch):
         bordered_solves = []
-        real_solve = scipy.linalg.solve
+        real_solve = np.linalg.solve
 
         def spy(*args, **kwargs):
             bordered_solves.append(args[0].shape)
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve", spy)
-        # an arc's log kernel is positive definite: Cholesky answers, and
-        # its weights are those of the bordered system [K 1; 1^T 0]
-        arc = arc_cloud(math.pi / 2, 256)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        # an arc's log kernel is positive definite: past NUMPY_MAX_FACE
+        # points Cholesky answers, and its weights are those of the
+        # bordered system [K 1; 1^T 0]
+        m = cap.NUMPY_MAX_FACE + 1
+        arc = arc_cloud(math.pi / 2, m)
         res = riesz_equilibrium(arc, alpha=0.0)
         assert res.converged and bordered_solves == []
-        system = np.ones((257, 257))
-        system[:256, :256] = reference_kernel(arc, 0.0)
-        system[256, 256] = 0.0
-        exact = np.linalg.solve(system, np.eye(257)[256])[:256]
+        system = np.ones((m + 1, m + 1))
+        system[:m, :m] = reference_kernel(arc, 0.0)
+        system[m, m] = 0.0
+        exact = real_solve(system, np.eye(m + 1)[m])[:m]
         assert np.max(np.abs(res.weights - exact)) <= 1e-12
         # the log kernel of the full circle is not positive definite, so
-        # Cholesky fails and the bordered LDL^T solve is what answers
+        # Cholesky fails and numpy's bordered LU solve is what answers
         n = 512
         res = riesz_equilibrium(circle_cloud(n), alpha=0.0)
         assert bordered_solves == [(n + 1, n + 1)]
@@ -149,6 +150,18 @@ class TestConvergenceReporting:
             assert res.converged
             assert res.kkt_gap <= 1e-7 * res.energy
             assert res.iterations <= 5
+
+    def test_gap_is_never_negative(self):
+        # three tight clusters at alpha = 6 put the energy near 1.4e10, where
+        # the weighted mean of the gradient rounds below its minimum: the
+        # unclamped gap read -3.8e-6, which no minimizer can certify
+        rng = np.random.default_rng(4)
+        centers = rng.uniform(0.0, 2.0 * math.pi, 3)
+        theta = (centers[:, None] + 0.05 * rng.standard_normal((3, 15))).ravel()
+        res = riesz_equilibrium(BoundaryCloud(np.exp(1j * theta)[:, None]), alpha=6.0)
+        assert res.energy > 1e10
+        assert res.kkt_gap == 0.0
+        assert res.converged
 
     def test_tolerance_stays_absolute_below_unit_energy(self):
         # the cap energy is below 1, so the relative test falls back to tol itself

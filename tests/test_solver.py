@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclicity import freespace, indices, solver
+from cyclicity import indices, solver
 from cyclicity.capacity import BoundaryCloud
 from cyclicity.cli import main
 from cyclicity.errors import ArgumentError, NumericFailureError
@@ -122,7 +122,7 @@ class TestAssembly:
         G = FreePolynomial(d, {(): 1.0, (d,): -0.5j, (1, d): 0.25, (d, 1, 1): 2.0})
         g = FreePolynomial(d, {(): 1.0, (d, 1): 3.0})
         n = 3
-        _, seen = solves_of(freespace, lambda: free_subspace_distance(spec, g, G, n))
+        _, seen = solves_of(indices, lambda: free_subspace_distance(spec, g, G, n))
         ((design, target, _),) = seen
         rows = words(d, n + G.degree)
         cols = words(d, n)
@@ -144,7 +144,7 @@ class TestAssembly:
         spec = free_hardy(3, 12)
         G = FreePolynomial(3, {(): 1.0, (1,): -1.0})
         g = FreePolynomial(3, {(): 1.0, (2,) * 12: 1.0})
-        out, seen = solves_of(freespace, lambda: free_subspace_distance(spec, g, G, 3))
+        out, seen = solves_of(indices, lambda: free_subspace_distance(spec, g, G, 3))
         ((design, _, _),) = seen
         assert not isinstance(design, np.ndarray)
         assert design.shape == ((3**13 - 1) // 2, 40)
@@ -188,7 +188,7 @@ class TestDenseOracle:
     @given(G=free_polynomials(), g=free_polynomials(), n=st.integers(0, 4))
     def test_free(self, name, G, g, n):
         spec = FREE_SPACES[name]
-        _, seen = solves_of(freespace, lambda: free_subspace_distance(spec, g, G, n))
+        _, seen = solves_of(indices, lambda: free_subspace_distance(spec, g, G, n))
         ((design, target, out),) = seen
         assert_matches_dense_oracle(design, target, out)
 
