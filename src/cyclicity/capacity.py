@@ -115,6 +115,8 @@ class BoundaryCloud:
 
     @classmethod
     def from_json(cls, rows: Sequence[Sequence[float]], d: int) -> "BoundaryCloud":
+        if d < 1:
+            raise ArgumentError(f"a points cloud needs d >= 1, not {brief(d)}")
         if any(len(row) != 2 * d for row in rows):
             raise ArgumentError(f"point rows need {2 * d} real coordinates")
         vals = np.asarray(rows, dtype=float).reshape(len(rows), 2 * d)

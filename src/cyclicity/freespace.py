@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class FreePolynomial(SparseSeries):
 
     _concat = staticmethod(operator.add)
 
-    def _keys_of_length(self, k: int) -> Iterator[Word]:
-        return itertools.product(range(1, self.d + 1), repeat=k)
-
     def _shifted_ranks(self, n: int, keys: list) -> tuple[list, np.ndarray]:
         # u k ranks at start[|u|+|k|] + lex(u) d^|k| + lex(k); lex reads letters as base-d digits
         cols = words(self.d, n)
@@ -92,10 +89,6 @@ class FreePolynomial(SparseSeries):
                        dtype=np.int64)
         col_lex = np.arange(len(cols)) - start[col_len]
         return cols, start[col_len[:, None] + lengths] + col_lex[:, None] * sizes[lengths] + lex
-
-    @staticmethod
-    def _remainder(word: Word, prefix: Word) -> Word | None:
-        return word[len(prefix) :] if word[: len(prefix)] == prefix else None
 
     @staticmethod
     def _label(word) -> str:

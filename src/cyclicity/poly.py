@@ -124,13 +124,10 @@ class SparseSeries:
     keys). A subclass normalizes and validates keys in `_key`, measures a
     key's degree in `_length`, names the constant term's key in `_unit`,
     prints a key in `_label` and names its JSON field in `_json_field`. The
-    product and the inversion use three more hooks: `_concat(a, b)` is the
-    key of the product of the basis elements a and b, `_keys_of_length(k)`
-    lists the keys of degree k in canonical order, and `_remainder(key, u)`
-    is the key v with `_concat(u, v) == key`, or None when there is none.
-    The designs use `_shifted_ranks(n, keys)`: the keys u of degree <= n in
-    canonical order, and the canonical rank of u*k for each k in keys.
-    Keys sort by degree, then as tuples.
+    product and the inversion use `_concat(a, b)`, the key of the product of
+    the basis elements a and b. The designs use `_shifted_ranks(n, keys)`:
+    the keys u of degree <= n in canonical order, and the canonical rank of
+    u*k for each k in keys. Keys sort by degree, then as tuples.
     """
 
     __slots__ = ("d", "coeffs")
@@ -251,10 +248,12 @@ class SparseSeries:
         return self * other
 
     def truncated(self, length: int):
-        """The terms of degree <= length, in their stored order."""
-        return type(self)(
-            self.d, {k: c for k, c in self.coeffs.items() if self._length(k) <= length}
-        )
+        """The terms of degree <= length, in their stored order; built as
+        `from_solution` builds a series, since they are already normalized."""
+        series = type(self).__new__(type(self))
+        series.d = self.d
+        series.coeffs = {k: c for k, c in self.coeffs.items() if self._length(k) <= length}
+        return series
 
     @classmethod
     def _read_term(cls, term) -> tuple[tuple[int, ...], complex]:
@@ -327,18 +326,10 @@ class Polynomial(SparseSeries):
     def _concat(alpha, beta) -> tuple[int, ...]:
         return tuple(map(operator.add, alpha, beta))
 
-    def _keys_of_length(self, k: int) -> Iterator[tuple[int, ...]]:
-        return compositions(k, self.d)
-
     def _shifted_ranks(self, n: int, keys: list) -> tuple[list, np.ndarray]:
         cols = multi_indices(self.d, n)
         keys = np.array(keys, dtype=np.int64).reshape(-1, self.d)
         return cols, graded_rank(np.array(cols, dtype=np.int64)[:, None, :] + keys)
-
-    @staticmethod
-    def _remainder(alpha, beta) -> tuple[int, ...] | None:
-        rest = tuple(map(operator.sub, alpha, beta))
-        return rest if min(rest) >= 0 else None
 
     @staticmethod
     def _label(alpha) -> str:
@@ -421,9 +412,12 @@ class Polynomial(SparseSeries):
             raise ArgumentError("derivative order must be >= 0")
         if order == 0:
             return self
-        return Polynomial(
-            self.d, {a: c * (sum(a) ** order) for a, c in self.coeffs.items()}
-        )
+        try:
+            scaled = {a: c * (sum(a) ** order) for a, c in self.coeffs.items()}
+        except OverflowError:  # an integer |alpha|^N past the largest float
+            raise ArgumentError(f"derivative order N = {order} overflows the factor "
+                                f"|alpha|^N at degree {self.degree}") from None
+        return Polynomial(self.d, scaled)
 
     def partial_derivative(self, j: int) -> "Polynomial":
         """d/dz_{j+1} (0-based j)."""
@@ -452,9 +446,12 @@ def invert_power_series(p: SparseSeries, length: int) -> SparseSeries:
 
     The result q has degree <= length and p*q - 1 carries no term of degree
     <= length. Degree by degree, q[key] = -q[unit] * sum of p[u] q[v] over
-    terms u != unit of p and keys v with u*v = key. Degree k uses only terms
-    of degree <= k, so truncating the inverse at length L to degree k gives
-    the inverse at length k. Requires p(0) != 0.
+    terms u != unit of p and terms v of q with u*v = key, in the order of
+    p's terms; the keys of a degree go in sorted as tuples, their canonical
+    order. Only products of terms are formed, so the cost follows the terms
+    of p and q, not the number of keys of each degree. Degree k uses only
+    terms of degree <= k, so truncating the inverse at length L to degree k
+    gives the inverse at length k. Requires p(0) != 0.
     """
     if length < 0:
         raise ArgumentError("truncation length must be >= 0")
@@ -462,19 +459,18 @@ def invert_power_series(p: SparseSeries, length: int) -> SparseSeries:
     if c0 == 0:
         raise SingularInversionError("cannot invert a series with vanishing constant term")
     inv0 = 1.0 / c0
-    out: dict[tuple[int, ...], complex] = {p._unit(): inv0}
-    lower = {u: c for u, c in p.coeffs.items() if 0 < p._length(u) <= length}
-    remainder = p._remainder
+    levels = [{p._unit(): inv0}]  # the terms of q by degree
+    lower = [(u, p._length(u), c) for u, c in p.coeffs.items() if 0 < p._length(u) <= length]
+    concat = p._concat
     for k in range(1, length + 1):
-        for key in p._keys_of_length(k):
-            acc = 0j
-            for u, pu in lower.items():
-                qv = out.get(remainder(key, u))  # None is never a key
-                if qv is not None:
-                    acc += pu * qv
-            if acc != 0:
-                out[key] = -inv0 * acc
-    return type(p)(p.d, out)
+        acc: dict[tuple[int, ...], complex] = {}
+        for u, m, pu in lower:
+            if m <= k:
+                for v, qv in levels[k - m].items():
+                    key = concat(u, v)
+                    acc[key] = acc.get(key, 0j) + pu * qv
+        levels.append({key: -inv0 * acc[key] for key in sorted(acc) if acc[key] != 0})
+    return type(p)(p.d, {key: c for level in levels for key, c in level.items()})
 
 
 def mult_operator_section(

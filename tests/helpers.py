@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import itertools
 import os
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import cyclicity
 from cyclicity import solver
 from cyclicity.freespace import FreePolynomial, words
-from cyclicity.poly import Polynomial, multi_indices
+from cyclicity.poly import Polynomial, compositions, multi_indices
 
 
 def random_polynomial(rng, d, degree, real=False, density=1.0):
@@ -33,6 +34,38 @@ def random_free_polynomial(rng, d, max_length, density=1.0):
         coeffs[w] = rng.standard_normal() + 1j * rng.standard_normal()
     p = FreePolynomial(d, coeffs)
     return p + 1.0 if p.is_zero else p
+
+
+def invert_by_key_walk(p, length):
+    """Reference for `invert_power_series`: the same recursion walked over
+    every key of each degree in canonical order, each key summing p[u] q[v]
+    over the terms u of p with a key v of q that u*v equals."""
+    if isinstance(p, FreePolynomial):
+        def keys_of_length(k):
+            return itertools.product(range(1, p.d + 1), repeat=k)
+
+        def remainder(word, prefix):
+            return word[len(prefix):] if word[: len(prefix)] == prefix else None
+    else:
+        def keys_of_length(k):
+            return compositions(k, p.d)
+
+        def remainder(alpha, beta):
+            rest = tuple(a - b for a, b in zip(alpha, beta))
+            return rest if min(rest) >= 0 else None
+    inv0 = 1.0 / p.constant_term
+    out = {p._unit(): inv0}
+    lower = {u: c for u, c in p.coeffs.items() if 0 < p._length(u) <= length}
+    for k in range(1, length + 1):
+        for key in keys_of_length(k):
+            acc = 0j
+            for u, pu in lower.items():
+                qv = out.get(remainder(key, u))  # None is never a key
+                if qv is not None:
+                    acc += pu * qv
+            if acc != 0:
+                out[key] = -inv0 * acc
+    return type(p)(p.d, out)
 
 
 SRC = str(Path(cyclicity.__file__).resolve().parents[1])

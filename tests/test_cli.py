@@ -440,6 +440,10 @@ MISREAD = {
                                   "config key 'seed'"),
     "points-cloud-number": ("capacity", {"cloud": {"kind": "points", "d": 1, "points": 3},
                                          "alpha": 0}, "cloud key 'points'"),
+    "points-cloud-d-negative": ("capacity", {"cloud": {"kind": "points", "d": -1, "points": []},
+                                             "alpha": 0}, "a points cloud needs d >= 1, not -1"),
+    "points-cloud-d-zero": ("dimension", {"cloud": {"kind": "points", "d": 0, "points": [[]]}},
+                            "a points cloud needs d >= 1, not 0"),
     "points-cloud-strings": ("capacity", {"cloud": {"kind": "points", "d": 1,
                                                     "points": [["a", "b"]]}, "alpha": 0},
                              "cloud key 'points'"),
@@ -513,6 +517,14 @@ MISREAD = {
     "var-exp-spec-d-400-digits": ("varexp-norm", {"varExpSpec": {**_VAREXP, "d": 10**400},
                                                   "function": _ONE_MINUS_Z},
                                   "d = 1000000000000000000000000000000000000..., radial count"),
+    "mixed-norm-spec-N-overflow": ("mixed-norm", {"mixedSpec": {**_MIXED, "N": 1000},
+                                                  "function": {"coeffs1d": [1, 0, 0, 1]}},
+                                   "derivative order N = 1000 overflows the factor |alpha|^N "
+                                   "at degree 3"),
+    "varexp-norm-spec-N-overflow": ("varexp-norm", {"varExpSpec": {**_VAREXP, "N": 1000},
+                                                    "function": {"coeffs1d": [1, 0, 0, 1]}},
+                                    "derivative order N = 1000 overflows the factor |alpha|^N "
+                                    "at degree 3"),
     "mixed-index-spec-N-400-digits": ("mixed-index", {"mixedSpec": {**_MIXED, "N": 10**400},
                                                       "function": _ONE_MINUS_Z, "n": 1},
                                       "derivative order N must lie in 0..1023"),

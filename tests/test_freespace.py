@@ -213,6 +213,12 @@ class TestFreeInversion:
             (1, 1): 0.125,
         }
 
+    def test_inverse_over_many_letters_holds_only_its_terms(self):
+        # a walk over every word would visit 64^5 of them at length 5
+        psi = 2.0 * FreePolynomial.identity(64) - FreePolynomial.letter(1, 64)
+        theta = invert_power_series(psi, 5)
+        assert list(theta.coeffs.items()) == [((1,) * k, 2.0 ** -(k + 1)) for k in range(6)]
+
     def test_vanishing_identity_coefficient(self):
         with pytest.raises(SingularInversionError):
             invert_power_series(Z1, 2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclicity.errors import (
     ArgumentError,
@@ -7,6 +9,7 @@ from cyclicity.errors import (
     DimensionMismatchError,
     SingularInversionError,
 )
+from cyclicity.freespace import FreePolynomial, words
 from cyclicity.poly import (
     Polynomial,
     invert_power_series,
@@ -14,7 +17,12 @@ from cyclicity.poly import (
     multi_indices,
 )
 from cyclicity.spaces import hardy
-from helpers import coeff_distance, random_free_polynomial, random_polynomial
+from helpers import (
+    coeff_distance,
+    invert_by_key_walk,
+    random_free_polynomial,
+    random_polynomial,
+)
 
 
 def p1d(*coeffs):
@@ -205,7 +213,29 @@ class TestSerialization:
             Polynomial.from_json({"exponents": [1], "re": 1.0}, 1)
 
 
+def _bits(series):
+    """Keys in stored order, with the value and the sign bit of each part."""
+    return [(k, c, np.signbit(c.real), np.signbit(c.imag)) for k, c in series.coeffs.items()]
+
+
 class TestSharedSeriesAlgebra:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), free=st.booleans(), d=st.integers(1, 3), dyadic=st.booleans())
+    def test_inversion_matches_the_key_walk_bit_for_bit(self, data, free, d, dyadic):
+        # dyadic coefficients cancel exactly, so some sums vanish or end in
+        # signed zeros; the walk over every key of each degree is the reference
+        part = (st.integers(-8, 8).map(lambda k: k / 4) if dyadic
+                else st.floats(-4, 4, allow_subnormal=False))
+        cls, keys = (FreePolynomial, words(d, 2)) if free else (Polynomial, multi_indices(d, 3))
+        terms = data.draw(st.dictionaries(st.sampled_from(keys[1:]), st.tuples(part, part),
+                                          max_size=6))
+        c0 = complex(data.draw(st.sampled_from([1, -1, 2, -0.5, 4])), data.draw(part))
+        p = cls(d, {keys[0]: c0, **{k: complex(*c) for k, c in terms.items()}})
+        length = data.draw(st.integers(0, {1: 10, 2: 8, 3: 6}[d] if free else 10))
+        q, reference = invert_power_series(p, length), invert_by_key_walk(p, length)
+        assert type(q) is cls and q.d == d
+        assert _bits(q) == _bits(reference)
+
     @pytest.mark.parametrize(
         "random_series, d",
         [
