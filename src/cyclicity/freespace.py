@@ -263,17 +263,15 @@ def sample_row_contraction(
                             f"{MAX_TUPLE_ENTRIES} tuple entries")
     if not 0 <= rho < 1:
         raise ArgumentError("rho must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
-    blocks = [
-        (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
-        / math.sqrt(2.0)
-        for _ in range(d)
-    ]
+    # letter by letter, a real then an imaginary block, from the stream;
+    # drawn at rho = 0 too, so that a Generator advances the same way
+    gauss = np.random.default_rng(seed).standard_normal((d, 2, size, size))
     if rho == 0:
         return tuple(np.zeros((size, size), dtype=complex) for _ in range(d))
-    row = np.hstack(blocks)
+    blocks = (gauss[:, 0] + 1j * gauss[:, 1]) / math.sqrt(2.0)
+    row = blocks.transpose(1, 0, 2).reshape(size, d * size)
     scale = rho / np.linalg.svd(row, compute_uv=False)[0]
-    return tuple(b * scale for b in blocks)
+    return tuple(blocks * scale)
 
 
 def tuple_to_json(mats: Sequence[np.ndarray]) -> list[dict]:
@@ -374,9 +372,17 @@ def row_contraction_inversion_report(
     psi = 2.0 * FreePolynomial.identity(d) - FreePolynomial.letter(1, d)
     norm_space = free_hardy(d, max_length=l_max)
     theta = invert_power_series(psi, l_max)
-    theta_norms = [
-        norm_space.norm(theta.truncated(length)) for length in range(l_max + 1)
-    ]
+    # the norm of each truncation as `norm` sums it: its terms go in stored
+    # order, which is degree order, so one running sum serves every length
+    through = {}
+    total = 0j
+    for word, c in theta.coeffs.items():
+        total += norm_space.weight(len(word)) * c * c.conjugate()
+        through[len(word)] = total
+    theta_norms, total = [], 0j
+    for length in range(l_max + 1):
+        total = through.get(length, total)
+        theta_norms.append(math.sqrt(max(total.real, 0.0)))
     stabilized = abs(theta_norms[-1] - theta_norms[-2]) < 1e-3
     rng = np.random.default_rng(seed)
     min_svs = []

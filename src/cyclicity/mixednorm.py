@@ -18,11 +18,12 @@ reduction is exact; disable it for the bare double-integral norm.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
 from .poly import (JsonRecord, Polynomial, bind, brief, camel, multi_indices, read_keys,
                    shifted_columns)
-from .solver import solve_least_squares
+from .solver import solve_normal_equations
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 
 RADIAL_POINT_MASS = "point_mass"
@@ -44,7 +45,8 @@ IRLS_DECREASE_TOL = 1e-10
 MAX_NODES = 1024  # Gauss-Legendre radial nodes: a count x count eigenproblem, 0.1 s
 MAX_GRID = 1 << 24  # radial nodes x angular points x d complex coordinates: 256 MB
 MAX_ORDER = 1023  # R^N scales degree k by k^N, and 2^1023 is a float
-# each IRLS step solves a dense design, grid rows x C(n + d, d), by its Gram
+# the IRLS objective evaluates a dense design, grid rows x C(n + d, d), and its
+# steps solve that design's C(n + d, d)^2 weighted Gram
 MAX_IRLS_ENTRIES = 1 << 26
 # the JSON keys of every spec; the rest are a subclass's exponent keys
 _SHARED_KEYS = ("d", "N", "radial", "angular", "includeConstantTerm")
@@ -389,23 +391,37 @@ def _hilbert_twin(spec: _QuadratureSpec, max_degree: int) -> SpaceSpec:
     )
 
 
-def _shifted_grid(spec: _QuadratureSpec, f: Polynomial, n: int):
-    """Least-squares data of min ||1 - phi f|| over deg(phi) <= n.
+class _GridTables(NamedTuple):
+    """The factors of the grid design of min ||1 - phi f|| over deg(phi) <= n.
 
-    Column gamma of the design holds R^N(z^gamma f) on the grid (radial node
-    major), then in a last row its constant term, which the norm counts
-    only when `uses_constant_term`. R^N scales z^alpha by |alpha|^N, so the
-    grid values are a table of monomial values times the shifted coefficient
-    columns with that row scale.
+    z^alpha at radial node r and angular point u is r^|alpha| u^alpha, and
+    R^N scales z^alpha by |alpha|^N, so column gamma of the design, R^N(z^gamma
+    f) on the grid, is sum_alpha coeffs[alpha, gamma] r^|alpha| u^alpha.
     """
+
+    angular: np.ndarray  # u^alpha: angular points x monomials of degree <= n + deg f
+    degrees: np.ndarray  # |alpha| of each monomial, in graded order
+    coeffs: np.ndarray  # the shifted coefficient columns, rows scaled by |alpha|^N
+    target: complex  # R^N 1, a constant on the grid
+    cols: list  # the exponent gamma of each column
+
+
+def _grid_tables(spec: _QuadratureSpec, f: Polynomial, n: int) -> _GridTables:
     top = n + f.degree
     spec._check_resolution(top)
     exponents = np.array(multi_indices(spec.d, top))
     degrees = exponents.sum(axis=1)
     one = Polynomial.one(spec.d)
     coeffs, target, cols = shifted_columns(one, f, n, degrees ** float(spec.N), dense=True)
-    # z^alpha at radial node r and angular point u is r^|alpha| u^alpha
     angular = np.prod(spec._angular[:, None, :] ** exponents, axis=2)
+    return _GridTables(angular, degrees, coeffs, target[0], cols)
+
+
+def _grid_design(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables):
+    """Design and target of the least-squares problem of `tables`: the grid
+    values of each column (radial node major), then in a last row its
+    constant term, which the norm counts only when `uses_constant_term`."""
+    angular, degrees, coeffs, target, cols = tables
     radial = spec.radial_nodes[:, None] ** degrees
     # column-major, so that each column's grid block, (node, point), is a
     # view written in place below
@@ -414,10 +430,47 @@ def _shifted_grid(spec: _QuadratureSpec, f: Polynomial, n: int):
     grid = design[:-1].T.reshape(len(cols), radial.shape[0], spec.angular_count)
     np.matmul(radial[:, None, :] * coeffs.T, angular.T, out=grid.transpose(1, 0, 2))
     design[-1, 0] = f.constant_term
-    # the target R^N 1 is the constant target[0] on the grid
-    rhs = np.full(len(design), target[0])
+    rhs = np.full(len(design), target)
     rhs[-1] = 1.0
-    return design, rhs, cols
+    return design, rhs
+
+
+def _shifted_grid(spec: _QuadratureSpec, f: Polynomial, n: int):
+    """Design, target and column exponents of min ||1 - phi f|| over
+    deg(phi) <= n (`_grid_design`)."""
+    tables = _grid_tables(spec, f, n)
+    return (*_grid_design(spec, f, tables), tables.cols)
+
+
+def _normal_equations(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables,
+                      grid: np.ndarray, constant: float):
+    """Gram A^H U A and A^H U b of the design A and target b of `_grid_design`
+    under the weights U: grid[r, j] on the row of radial node r and angular
+    point j, constant on the constant-term row. Neither A nor U A is formed.
+
+    With the radial moments V[j, s] = sum_r grid[r, j] r^s, the Gram of the
+    monomials is H[alpha, beta] = sum_j conj(u_j^alpha) u_j^beta
+    V[j, |alpha| + |beta|], and A^H U A = C^H H C for the coefficient
+    columns C. Column 0 of H, beta = 0, gives A^H U b on the grid.
+    """
+    angular, degrees, coeffs, target, _ = tables
+    top = int(degrees[-1])
+    moments = grid.T @ spec.radial_nodes[:, None] ** np.arange(2 * top + 1)
+    bounds = np.searchsorted(degrees, np.arange(top + 2))
+    table = np.empty((len(degrees), len(degrees)), dtype=complex)
+    conj = angular.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the rows of degree a from the diagonal block on; H is Hermitian
+        for lo, hi in zip(bounds, bounds[1:]):
+            weighted = angular[:, lo:] * moments[:, degrees[lo] + degrees[lo:]]
+            table[lo:hi, lo:] = conj[lo:hi] @ weighted
+            table[hi:, lo:hi] = table[lo:hi, hi:].conj().T
+        gram = coeffs.conj().T @ table @ coeffs
+        rhs = target * (coeffs.conj().T @ table[:, 0])
+    # the constant-term row holds f(0) in column 0 and 1 in the target
+    gram[0, 0] += constant * abs(f.constant_term) ** 2
+    rhs[0] += constant * np.conj(f.constant_term)
+    return gram, rhs
 
 
 def mixed_index(
@@ -441,36 +494,43 @@ def mixed_index(
     # the twin's weight table refuses a degree n + deg f, or an order N,
     # that the grid's monomial tables could not hold either
     twin = _hilbert_twin(spec, n + f.degree)
-    design, rhs, cols = _shifted_grid(spec, f, n)
+    tables = _grid_tables(spec, f, n)
+    design, rhs = _grid_design(spec, f, tables)
 
     def residual(x: np.ndarray):
         r = rhs - design @ x
         return r[:-1].reshape(-1, spec.angular_count), r[-1]
 
-    def objective(x: np.ndarray) -> float:
-        return spec._norm(*residual(x))
+    def weighted(grid: np.ndarray, constant: float):
+        sqrt_u = np.sqrt(np.append(grid, constant))
+        return design * sqrt_u[:, None], rhs * sqrt_u
 
     start = subspace_distance(twin, Polynomial.one(spec.d), f, n).phi
-    x = np.array([start.coefficient(gamma) for gamma in cols], dtype=complex)
-    best_value = objective(x)
+    x = np.array([start.coefficient(gamma) for gamma in tables.cols], dtype=complex)
+    current = residual(x)
+    best_value = spec._norm(*current)
     converged = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        grid, constant = spec._irls_weights(*residual(x))
-        sqrt_u = np.sqrt(np.append(grid, constant if spec.uses_constant_term else 0.0))
-        proposal = solve_least_squares(design * sqrt_u[:, None], rhs * sqrt_u).coefficients
+        grid, constant = spec._irls_weights(*current)
+        constant = constant if spec.uses_constant_term else 0.0
+        gram, step_rhs = _normal_equations(spec, f, tables, grid, constant)
+        proposal = solve_normal_equations(
+            gram, step_rhs, functools.partial(weighted, grid, constant)
+        ).coefficients
         for tau in 0.5 ** np.arange(30):
             trial = x + tau * (proposal - x)
-            trial_value = objective(trial)
+            trial_residual = residual(trial)
+            trial_value = spec._norm(*trial_residual)
             if trial_value < best_value - 1e-15 * max(best_value, 1.0):
                 break
         else:
             converged = np.linalg.norm(proposal - x) <= 1e-8 * (1.0 + np.linalg.norm(x))
             break
         decrease = best_value - trial_value
-        x, best_value = trial, trial_value
+        x, best_value, current = trial, trial_value, trial_residual
         if decrease < IRLS_DECREASE_TOL:
             converged = True
             break
-    phi = Polynomial.from_solution(spec.d, cols, x)
+    phi = Polynomial.from_solution(spec.d, tables.cols, x)
     return MixedIndexResult(n, best_value, phi, iterations, converged)

@@ -5,17 +5,17 @@ words), so it has only |f| nonzeros. `shifted_design` picks the design's
 representation by its shape:
 
 * at most DENSE_MAX_COLUMNS = 64 columns and at most DENSE_MAX_ENTRIES =
-  2^15 entries (rows x columns): a dense column-major ndarray. The Gram
-  A^H A is summed over row blocks in numpy and LU-factored once, which
-  gives both the solve and the exact 1-norm condition
-  kappa_1 = ||G||_1 ||G^-1||_1. Every index of the acceptance configs is
-  such a design, so these solves load no scipy.
+  2^15 entries (rows x columns): a dense column-major ndarray. Its Gram
+  A^H A is formed in numpy and LU-factored once, as
+  `solve_normal_equations` factors a Gram it is given, for both the solve
+  and the exact 1-norm condition kappa_1 = ||G||_1 ||G^-1||_1. Every
+  index of the acceptance configs is such a design, so these solves load
+  no scipy.
 * otherwise: a CSC matrix (scipy.sparse is loaded only here). The sparse
   Gram is factored by SuperLU in symmetric mode (an unpivoted LDL^H under
   a minimum-degree ordering), and kappa_1 is Hager's estimate from the
   factors.
 
-The dense IRLS grids of the mixed indices always take the dense route.
 Both limits are measured crossovers. Per solve (Gram, condition, solve):
 
     design              columns   dense     SuperLU
@@ -40,6 +40,11 @@ with 2 stored entries per column (lower quartile of 31 runs, 2-core host):
 Gram matrices of shifted bases grow ill-conditioned with degree, so on
 either route a kappa_1 past DEFAULT_COND_THRESHOLD switches the solve to a
 dense orthogonal factorization of the design matrix itself.
+
+An IRLS step of the mixed indices never forms its weighted grid design:
+it builds the Gram and A^H b from radial moments of its weights and hands
+them to `solve_normal_equations`, the dense route's factor and gate, which
+asks for the weighted design only past the threshold.
 """
 
 from __future__ import annotations
@@ -58,17 +63,18 @@ QR_FALLBACK = "qr_fallback"
 DEFAULT_COND_THRESHOLD = 1e10
 DENSE_MAX_COLUMNS = 64
 DENSE_MAX_ENTRIES = 1 << 15
-# the dense Gram is summed over blocks of this many rows, so that no
-# conjugated copy of a whole IRLS grid design is held at once
-GRAM_BLOCK_ROWS = 4096
 
 
 @dataclass
-class LeastSquaresOutcome:
+class NormalSolution:
     coefficients: np.ndarray
-    residual: float
     gram_condition: float
     method: str
+
+
+@dataclass
+class LeastSquaresOutcome(NormalSolution):
+    residual: float
 
 
 def shifted_design(rows, coeffs, target_rows, target_coeffs, sqrt_weights, dense=False):
@@ -120,18 +126,33 @@ def solve_least_squares(design, target: np.ndarray) -> LeastSquaresOutcome:
         normal_solve = _sparse_normal_solve
     # A^H b as conj(b^H A), without a conjugated copy of A
     cond, x = normal_solve(design, (target.conj() @ design).conj())
-    return _gated_solve(design, target, cond, x)
+    out = _gate(cond, x, lambda: (
+        design if isinstance(design, np.ndarray) else design.toarray(), target))
+    residual = float(np.linalg.norm(target - design @ out.coefficients))
+    return LeastSquaresOutcome(out.coefficients, out.gram_condition, out.method, residual)
+
+
+def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, problem) -> NormalSolution:
+    """Solve the normal equations G x = rhs of min ||A x - b||_2, given the
+    dense Gram G = A^H A and rhs = A^H b, by one LU factorization that also
+    gives the exact kappa_1 of G. Past DEFAULT_COND_THRESHOLD the solution
+    is instead the dense least-squares one of (A, b) = problem(), which is
+    called only then."""
+    return _gate(*_dense_factor(gram, rhs), problem)
 
 
 def _dense_normal_solve(design: np.ndarray, rhs: np.ndarray):
     """Exact kappa_1 of the Gram of a dense design and the normal-equation
-    solution, from one LU factorization."""
-    k = design.shape[1]
-    gram = np.zeros((k, k), dtype=complex)
+    solution."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(design), GRAM_BLOCK_ROWS):
-            block = design[start : start + GRAM_BLOCK_ROWS]
-            gram += block.conj().T @ block
+        gram = design.conj().T @ design
+    return _dense_factor(gram, rhs)
+
+
+def _dense_factor(gram: np.ndarray, rhs: np.ndarray):
+    """Exact kappa_1 of a dense Gram and the normal-equation solution, from
+    one LU factorization."""
+    k = len(gram)
     if not np.all(np.isfinite(gram)):
         return math.inf, None  # the Gram overflowed, so it cannot be inverted
     try:
@@ -162,20 +183,17 @@ def _sparse_normal_solve(design, rhs: np.ndarray):
     return cond, factor.solve(rhs)
 
 
-def _gated_solve(design, target: np.ndarray, cond: float, x) -> LeastSquaresOutcome:
+def _gate(cond: float, x, problem) -> NormalSolution:
     """Keep the normal-equation solution x when kappa_1 is at most the
-    threshold, else solve the dense least-squares problem; report the
-    residual of the returned x."""
+    threshold, else solve the dense least-squares problem (A, b) = problem()."""
     if cond <= DEFAULT_COND_THRESHOLD:
         method = CHOLESKY
     else:
         method = QR_FALLBACK
         try:
-            dense = design if isinstance(design, np.ndarray) else design.toarray()
-            x = np.linalg.lstsq(dense, target, rcond=None)[0]
+            x = np.linalg.lstsq(*problem(), rcond=None)[0]
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"least-squares fallback failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise ConditioningError("least-squares solve produced non-finite coefficients")
-    residual = float(np.linalg.norm(target - design @ x))
-    return LeastSquaresOutcome(x, residual, cond, method)
+    return NormalSolution(x, cond, method)

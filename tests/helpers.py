@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import itertools
+import math
 import os
 from pathlib import Path
 
@@ -68,6 +69,21 @@ def invert_by_key_walk(p, length):
     return type(p)(p.d, out)
 
 
+def sample_row_contraction_by_letter(d, size, rho, seed):
+    """Reference for `sample_row_contraction`: one real and one imaginary
+    Gaussian block drawn per letter, in a loop, then the row scaled to rho."""
+    rng = np.random.default_rng(seed)
+    blocks = [
+        (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+        / math.sqrt(2.0)
+        for _ in range(d)
+    ]
+    if rho == 0:
+        return tuple(np.zeros((size, size), dtype=complex) for _ in range(d))
+    scale = rho / np.linalg.svd(np.hstack(blocks), compute_uv=False)[0]
+    return tuple(b * scale for b in blocks)
+
+
 SRC = str(Path(cyclicity.__file__).resolve().parents[1])
 
 
@@ -89,6 +105,24 @@ def solves_of(module, call):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "solve_least_squares", spy)
+        result = call()
+    return result, seen
+
+
+def normal_solves_of(module, call):
+    """(design, target, outcome) of every solve that `call` makes through
+    `module.solve_normal_equations`; design and target are the dense
+    least-squares problem that the solve's fallback would build."""
+    seen = []
+    real = solver.solve_normal_equations
+
+    def spy(gram, rhs, problem):
+        out = real(gram, rhs, problem)
+        seen.append((*problem(), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "solve_normal_equations", spy)
         result = call()
     return result, seen
 

@@ -442,6 +442,8 @@ MISREAD = {
                                          "alpha": 0}, "cloud key 'points'"),
     "points-cloud-d-negative": ("capacity", {"cloud": {"kind": "points", "d": -1, "points": []},
                                              "alpha": 0}, "a points cloud needs d >= 1, not -1"),
+    "points-cloud-d-huge": ("capacity", {"cloud": {"kind": "points", "d": 10**47, "points": []},
+                                         "alpha": 0}, "a points cloud needs d <= 16777216"),
     "points-cloud-d-zero": ("dimension", {"cloud": {"kind": "points", "d": 0, "points": [[]]}},
                             "a points cloud needs d >= 1, not 0"),
     "points-cloud-strings": ("capacity", {"cloud": {"kind": "points", "d": 1,

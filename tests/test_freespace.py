@@ -25,7 +25,8 @@ from cyclicity.freespace import (
 from cyclicity.indices import subspace_distance
 from cyclicity.poly import invert_power_series
 from cyclicity.spaces import SpaceSpec, drury_arveson, hardy
-from helpers import coeff_distance, random_free_polynomial, random_polynomial
+from helpers import (coeff_distance, random_free_polynomial, random_polynomial,
+                     sample_row_contraction_by_letter)
 
 I2 = FreePolynomial.identity(2)
 Z1 = FreePolynomial.letter(1, 2)
@@ -290,6 +291,21 @@ class TestRowContractions:
         assert all(np.array_equal(x, y) for x, y in zip(first, fresh))
         assert not np.array_equal(first[0], second[0])
 
+    @pytest.mark.parametrize("d, size, rho", [(1, 1, 0.6), (3, 4, 0.9), (5, 2, 0.0), (2, 7, 0.3)])
+    def test_one_draw_matches_the_per_letter_loop(self, d, size, rho):
+        for seed in (0, 17):
+            got = sample_row_contraction(d, size, rho, seed)
+            want = sample_row_contraction_by_letter(d, size, rho, seed)
+            assert len(got) == d
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        # a Generator is left at the same place in its stream, rho = 0 included
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2):
+            got = sample_row_contraction(d, size, rho, rng)
+            want = sample_row_contraction_by_letter(d, size, rho, reference)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_tuple_replay_round_trip(self):
         from cyclicity.freespace import tuple_from_json, tuple_to_json
 
@@ -348,6 +364,16 @@ class TestCoronaWitness:
         assert rep.max_tuple_norm <= rep.tuple_norm_envelope + 1e-9
         for lo, hi in zip(rep.theta_norms, rep.theta_norms[1:]):
             assert hi >= lo - 1e-12
+
+    @pytest.mark.parametrize("d, l_max", [(1, 1), (1, 200), (2, 10), (3, 30)])
+    def test_theta_norms_are_the_truncation_norms(self, d, l_max):
+        # bit for bit the norm of each truncation of the inverse series
+        rep = row_contraction_inversion_report(d=d, rho=0.5, samples=1, size=2, seed=1,
+                                               l_max=l_max)
+        psi = 2.0 * FreePolynomial.identity(d) - FreePolynomial.letter(1, d)
+        theta = invert_power_series(psi, l_max)
+        space = free_hardy(d, max_length=l_max)
+        assert rep.theta_norms == [space.norm(theta.truncated(k)) for k in range(l_max + 1)]
 
     @pytest.mark.parametrize("rho, size", [(1.5, 3), (-0.1, 3), (0.5, 0)])
     def test_rejects_non_contractions_and_empty_tuples(self, rho, size):

@@ -16,7 +16,7 @@ from cyclicity.mixednorm import (
 )
 from cyclicity.poly import Polynomial
 from cyclicity.spaces import bergman, dirichlet_type, hardy
-from helpers import random_polynomial, solves_of
+from helpers import normal_solves_of, random_polynomial
 
 
 def p1d(*coeffs):
@@ -292,7 +292,8 @@ class TestMixedIndex:
 
 
 class TestIrlsStep:
-    """Each IRLS step goes through the shared Gram solver."""
+    """Each IRLS step solves normal equations built from radial moments,
+    through the dense route's factor and gate."""
 
     @pytest.mark.parametrize("spec, f", [
         (area_type(p=3.0, q=2.0, radial_count=12, angular_count=64), p1d(1, -1)),
@@ -305,7 +306,7 @@ class TestIrlsStep:
         (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=12, angular_count=64), p1d(1, -1)),
     ], ids=["mixed-d1", "mixed-d1-p<2", "mixed-d2", "mixed-d2-p<2", "varexp-N0", "varexp-N1"])
     def test_proposal_matches_dense_lstsq(self, spec, f):
-        _, seen = solves_of(mixednorm, lambda: mixed_index(spec, f, 3))
+        _, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, f, 3))
         assert seen
         for design, target, out in seen:
             assert isinstance(design, np.ndarray) and design.flags.f_contiguous
@@ -322,10 +323,62 @@ class TestIrlsStep:
 
         monkeypatch.setattr(np.linalg, "lstsq", counting)
         spec = area_type(p=3.0, q=2.0, radial_count=12, angular_count=64)
-        result, seen = solves_of(mixednorm, lambda: mixed_index(spec, p1d(1, -1), 3))
+        result, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, p1d(1, -1), 3))
         assert result.converged and len(seen) == result.iterations
         assert {out.method for _, _, out in seen} == {solver.CHOLESKY}
         assert calls == []
+
+    def test_gate_falls_back_to_the_weighted_design(self, monkeypatch):
+        # past the threshold each step solves sqrt(u) * design by lstsq
+        spec = area_type(p=3.0, q=2.0, radial_count=12, angular_count=64)
+        f = p1d(1, -1)
+        gram_route = mixed_index(spec, f, 3)
+        calls = []
+        real = np.linalg.lstsq
+
+        def counting(design, target, **kwargs):
+            calls.append((design, target))
+            return real(design, target, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        monkeypatch.setattr(solver, "DEFAULT_COND_THRESHOLD", 0.0)
+        result, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, f, 3))
+        # the first lstsq call is the fallback of the Hilbert warm start
+        assert result.converged and len(seen) == result.iterations == len(calls) - 1
+        assert {out.method for _, _, out in seen} == {solver.QR_FALLBACK}
+        for (design, target, out), (used, used_target) in zip(seen, calls[1:]):
+            np.testing.assert_array_equal(used, design)
+            np.testing.assert_array_equal(used_target, target)
+            assert np.all(out.coefficients == real(design, target, rcond=None)[0])
+        assert result.value == pytest.approx(gram_route.value, rel=1e-12)
+
+    @pytest.mark.parametrize("constant_term", [True, False], ids=["constant", "bare"])
+    @pytest.mark.parametrize("N", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["mixed", "varexp"])
+    def test_moment_gram_matches_weighted_design(self, kind, d, N, constant_term):
+        # oracle: A^H U A and A^H U b of the materialized grid design
+        rng = np.random.default_rng(11 * d + N)
+        grid = {"radial_count": 5, "angular_count": 64, "seed": 3,
+                "include_constant_term": constant_term}
+        if kind == "mixed":
+            spec = MixedSpec.with_measure("area", d, N, 1.5, 3.0, **grid)
+        else:
+            spec = VarExpSpec.with_measure("area", d, N, 1.5, 1.0, 2.0, **grid)
+        f = random_polynomial(rng, d, 2)
+        n = 2
+        tables = mixednorm._grid_tables(spec, f, n)
+        design, rhs = mixednorm._grid_design(spec, f, tables)
+        x = rng.standard_normal(len(tables.cols)) + 1j * rng.standard_normal(len(tables.cols))
+        r = rhs - design @ x
+        weights, constant = spec._irls_weights(r[:-1].reshape(-1, spec.angular_count), r[-1])
+        constant = constant if spec.uses_constant_term else 0.0
+        gram, got_rhs = mixednorm._normal_equations(spec, f, tables, weights, constant)
+        u = np.append(weights, constant)
+        want = design.conj().T @ (u[:, None] * design)
+        want_rhs = design.conj().T @ (u * rhs)
+        assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(got_rhs - want_rhs) <= 1e-13 * np.linalg.norm(want_rhs)
 
 
 class TestVarExpIndex:
