@@ -372,17 +372,7 @@ def row_contraction_inversion_report(
     psi = 2.0 * FreePolynomial.identity(d) - FreePolynomial.letter(1, d)
     norm_space = free_hardy(d, max_length=l_max)
     theta = invert_power_series(psi, l_max)
-    # the norm of each truncation as `norm` sums it: its terms go in stored
-    # order, which is degree order, so one running sum serves every length
-    through = {}
-    total = 0j
-    for word, c in theta.coeffs.items():
-        total += norm_space.weight(len(word)) * c * c.conjugate()
-        through[len(word)] = total
-    theta_norms, total = [], 0j
-    for length in range(l_max + 1):
-        total = through.get(length, total)
-        theta_norms.append(math.sqrt(max(total.real, 0.0)))
+    theta_norms = norm_space.truncation_norms(theta, l_max)
     stabilized = abs(theta_norms[-1] - theta_norms[-2]) < 1e-3
     rng = np.random.default_rng(seed)
     min_svs = []

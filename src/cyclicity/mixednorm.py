@@ -31,7 +31,7 @@ from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
 from .poly import (JsonRecord, Polynomial, bind, brief, camel, multi_indices, read_keys,
                    shifted_columns)
-from .solver import solve_normal_equations
+from .solver import solve_least_squares, solve_normal_equations
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 
 RADIAL_POINT_MASS = "point_mass"
@@ -46,7 +46,8 @@ MAX_NODES = 1024  # Gauss-Legendre radial nodes: a count x count eigenproblem, 0
 MAX_GRID = 1 << 24  # radial nodes x angular points x d complex coordinates: 256 MB
 MAX_ORDER = 1023  # R^N scales degree k by k^N, and 2^1023 is a float
 # the IRLS objective evaluates a dense design, grid rows x C(n + d, d), and its
-# steps solve that design's C(n + d, d)^2 weighted Gram
+# steps solve that design's C(n + d, d)^2 weighted Gram, which they build from a
+# table of at most this many monomial pairs or else from the design
 MAX_IRLS_ENTRIES = 1 << 26
 # the JSON keys of every spec; the rest are a subclass's exponent keys
 _SHARED_KEYS = ("d", "N", "radial", "angular", "includeConstantTerm")
@@ -473,6 +474,24 @@ def _normal_equations(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables,
     return gram, rhs
 
 
+def _moment_route(spec: _QuadratureSpec, tables: _GridTables) -> bool:
+    """Whether an IRLS step takes its normal equations from radial moments
+    (`_normal_equations`) rather than from the weighted design.
+
+    For K monomials up to degree n + deg f, k columns, R radial nodes and m
+    angular points, the moment route fills a K x K table with about
+    m K^2 / 2 multiply-adds, in one small product per degree; the design
+    route copies the R m x k design and multiplies it in R m k^2. Timed per
+    step on d = 1, 2 and 3 grids, the moment route was faster below
+    K^2 = R k^2 / 8, slower above R k^2 / 2 (500 times slower for
+    f = 1 - z_1^40 at n = 0 and R = 40), and at the threshold R k^2 / 4
+    the route taken was at most twice as slow as the other. The table is
+    also held to MAX_IRLS_ENTRIES, like the Gram.
+    """
+    K, k = len(tables.degrees), len(tables.cols)
+    return K * K <= min(spec.radial_nodes.size * k * k // 4, MAX_IRLS_ENTRIES)
+
+
 def mixed_index(
     spec: MixedSpec | VarExpSpec,
     f: Polynomial,
@@ -505,6 +524,7 @@ def mixed_index(
         sqrt_u = np.sqrt(np.append(grid, constant))
         return design * sqrt_u[:, None], rhs * sqrt_u
 
+    by_moments = _moment_route(spec, tables)
     start = subspace_distance(twin, Polynomial.one(spec.d), f, n).phi
     x = np.array([start.coefficient(gamma) for gamma in tables.cols], dtype=complex)
     current = residual(x)
@@ -514,10 +534,12 @@ def mixed_index(
     for iterations in range(1, IRLS_MAX_ITER + 1):
         grid, constant = spec._irls_weights(*current)
         constant = constant if spec.uses_constant_term else 0.0
-        gram, step_rhs = _normal_equations(spec, f, tables, grid, constant)
-        proposal = solve_normal_equations(
-            gram, step_rhs, functools.partial(weighted, grid, constant)
-        ).coefficients
+        problem = functools.partial(weighted, grid, constant)
+        if by_moments:
+            equations = _normal_equations(spec, f, tables, grid, constant)
+            proposal = solve_normal_equations(*equations, problem).coefficients
+        else:
+            proposal = solve_least_squares(*problem()).coefficients
         for tau in 0.5 ** np.arange(30):
             trial = x + tau * (proposal - x)
             trial_residual = residual(trial)

@@ -156,6 +156,22 @@ class DiagonalSpace:
     def norm(self, f) -> float:
         return math.sqrt(max(self.inner_product(f, f).real, 0.0))
 
+    def truncation_norms(self, f, top: int) -> list[float]:
+        """The norm of f truncated to each degree 0..top, from one running
+        sum over its terms. The sums are `norm`'s own, bit for bit, when the
+        terms are stored in degree order, as `invert_power_series` stores
+        them; each key's weight is range-checked as `norm` checks it."""
+        self.check_algebra(f)
+        through, total = {}, 0j
+        for k, c in f.coeffs.items():
+            total += self._key_weight(k) * c * c.conjugate()
+            through[f._length(k)] = total
+        norms, total = [], 0j
+        for length in range(top + 1):
+            total = through.get(length, total)
+            norms.append(math.sqrt(max(total.real, 0.0)))
+        return norms
+
 
 class SpaceSpec(DiagonalSpace):
     """Immutable diagonal description of a function space.

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,8 +293,9 @@ class TestMixedIndex:
 
 
 class TestIrlsStep:
-    """Each IRLS step solves normal equations built from radial moments,
-    through the dense route's factor and gate."""
+    """An IRLS step solves normal equations built from radial moments,
+    through the dense route's factor and gate, or, when that is cheaper,
+    the weighted design by `solve_least_squares`."""
 
     @pytest.mark.parametrize("spec, f", [
         (area_type(p=3.0, q=2.0, radial_count=12, angular_count=64), p1d(1, -1)),
@@ -302,9 +304,12 @@ class TestIrlsStep:
                                 seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
         (MixedSpec.with_measure("area", 2, 1, 1.5, 2.0, radial_count=8, angular_count=256,
                                 seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
+        (MixedSpec.with_measure("area", 2, 1, 1.5, 2.0, radial_count=16, angular_count=256,
+                                seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
         (varexp(a=1.5, b=1.0, c=2.0, radial_count=12, angular_count=64), p1d(1, -0.5, 0.3)),
         (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=12, angular_count=64), p1d(1, -1)),
-    ], ids=["mixed-d1", "mixed-d1-p<2", "mixed-d2", "mixed-d2-p<2", "varexp-N0", "varexp-N1"])
+    ], ids=["mixed-d1", "mixed-d1-p<2", "mixed-d2", "mixed-d2-p<2", "mixed-d2-moments",
+            "varexp-N0", "varexp-N1"])
     def test_proposal_matches_dense_lstsq(self, spec, f):
         _, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, f, 3))
         assert seen
@@ -351,6 +356,54 @@ class TestIrlsStep:
             np.testing.assert_array_equal(used_target, target)
             assert np.all(out.coefficients == real(design, target, rcond=None)[0])
         assert result.value == pytest.approx(gram_route.value, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, f, n, by_moments", [
+        # deg f small beside n, many radial nodes: K^2 well below R k^2 / 4
+        (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=24, angular_count=256),
+         Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5}), 6, True),
+        (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24), p1d(1, -1), 0, True),
+        # one radial node: the design's own Gram is cheaper
+        (hardy_type(p=3.0, angular_count=128), p1d(1, -1), 4, False),
+        # deg f large beside n: K = C(62, 2) = 1891 monomials against 1 column
+        (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0),
+         Polynomial(2, {(0, 0): 1.0, (60, 0): -1.0}), 0, False),
+    ], ids=["d2-area", "varexp-n0", "point-mass", "high-degree-f"])
+    def test_route_follows_the_size_rule(self, spec, f, n, by_moments):
+        tables = mixednorm._grid_tables(spec, f, n)
+        assert mixednorm._moment_route(spec, tables) is by_moments
+
+    def test_design_route_matches_the_moment_route(self, monkeypatch):
+        # one radial node takes the design route; its proposals are the dense
+        # lstsq ones and the index is the moment route's
+        spec = hardy_type(p=3.0, q=1.5, angular_count=128)
+        f = p1d(1, -0.5, 0.3)
+        assert not mixednorm._moment_route(spec, mixednorm._grid_tables(spec, f, 3))
+        monkeypatch.setattr(mixednorm, "_normal_equations", None)  # never called
+        result, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, f, 3))
+        assert result.converged and len(seen) == result.iterations
+        for design, target, out in seen:
+            assert out.method == solver.CHOLESKY
+            want = np.linalg.lstsq(design, target, rcond=None)[0]
+            assert np.linalg.norm(out.coefficients - want) <= 1e-10 * np.linalg.norm(want)
+        monkeypatch.undo()
+        monkeypatch.setattr(mixednorm, "_moment_route", lambda spec, tables: True)
+        by_moments = mixed_index(spec, f, 3)
+        assert by_moments.iterations == result.iterations
+        assert by_moments.value == pytest.approx(result.value, rel=1e-12)
+
+    def test_high_degree_f_builds_no_monomial_table(self):
+        # K = 1891 monomials against one column: the K x K moment table
+        # alone would hold 57 MB, more than the whole index allocates
+        spec = MixedSpec.with_measure("area", 2, 0, 3.0, 2.0)
+        f = Polynomial(2, {(0, 0): 1.0, (60, 0): -1.0})
+        tracemalloc.start()
+        try:
+            result = mixed_index(spec, f, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < 16 * 1891**2
 
     @pytest.mark.parametrize("constant_term", [True, False], ids=["constant", "bare"])
     @pytest.mark.parametrize("N", [0, 1])

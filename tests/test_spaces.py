@@ -131,6 +131,17 @@ class TestInnerProductAndNorm:
             l2 = math.sqrt(sum(abs(c) ** 2 for c in f.coeffs.values()))
             assert abs(spec.norm(f) - l2) <= 1e-14 * max(1.0, l2)
 
+    @pytest.mark.parametrize("spec", [hardy(1), dirichlet_type(1), drury_arveson(2)],
+                             ids=["hardy", "dirichlet", "drury-arveson"])
+    def test_truncation_norms_are_the_norms_of_truncations(self, spec):
+        # bit for bit, since random_polynomial stores its terms in degree order
+        f = random_polynomial(np.random.default_rng(31), spec.d, 6, density=0.7)
+        assert spec.truncation_norms(f, 8) == [spec.norm(f.truncated(k)) for k in range(9)]
+
+    def test_truncation_norms_check_the_degree_range(self):
+        with pytest.raises(DegreeRangeError):
+            hardy(1, max_degree=3).truncation_norms(p1d(1, 0, 0, 0, 1), 2)
+
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(29)
         spec = drury_arveson(2)
