@@ -31,7 +31,7 @@ from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
 from .poly import (JsonRecord, Polynomial, bind, brief, camel, multi_indices, read_keys,
                    shifted_columns)
-from .solver import solve_least_squares, solve_normal_equations
+from .solver import solve_normal_equations
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 
 RADIAL_POINT_MASS = "point_mass"
@@ -474,22 +474,33 @@ def _normal_equations(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables,
     return gram, rhs
 
 
+def _design_normal_equations(design: np.ndarray, rhs: np.ndarray, grid: np.ndarray,
+                             constant: float):
+    """Gram A^H U A and A^H U b of `_normal_equations`, from the design A
+    itself through one array of its size, U conj(A)."""
+    scaled = design.conj()
+    scaled *= np.append(grid, constant)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scaled.T @ design, scaled.T @ rhs
+
+
 def _moment_route(spec: _QuadratureSpec, tables: _GridTables) -> bool:
     """Whether an IRLS step takes its normal equations from radial moments
-    (`_normal_equations`) rather than from the weighted design.
+    (`_normal_equations`) rather than from the design
+    (`_design_normal_equations`).
 
     For K monomials up to degree n + deg f, k columns, R radial nodes and m
     angular points, the moment route fills a K x K table with about
     m K^2 / 2 multiply-adds, in one small product per degree; the design
     route copies the R m x k design and multiplies it in R m k^2. Timed per
     step on d = 1, 2 and 3 grids, the moment route was faster below
-    K^2 = R k^2 / 8, slower above R k^2 / 2 (500 times slower for
-    f = 1 - z_1^40 at n = 0 and R = 40), and at the threshold R k^2 / 4
+    K^2 = R k^2 / 16, slower above R k^2 / 2 (1200 times slower for
+    f = 1 - z_1^40 at n = 0 and R = 40), and at the threshold R k^2 / 8
     the route taken was at most twice as slow as the other. The table is
     also held to MAX_IRLS_ENTRIES, like the Gram.
     """
     K, k = len(tables.degrees), len(tables.cols)
-    return K * K <= min(spec.radial_nodes.size * k * k // 4, MAX_IRLS_ENTRIES)
+    return K * K <= min(spec.radial_nodes.size * k * k // 8, MAX_IRLS_ENTRIES)
 
 
 def mixed_index(
@@ -534,12 +545,13 @@ def mixed_index(
     for iterations in range(1, IRLS_MAX_ITER + 1):
         grid, constant = spec._irls_weights(*current)
         constant = constant if spec.uses_constant_term else 0.0
-        problem = functools.partial(weighted, grid, constant)
         if by_moments:
             equations = _normal_equations(spec, f, tables, grid, constant)
-            proposal = solve_normal_equations(*equations, problem).coefficients
         else:
-            proposal = solve_least_squares(*problem()).coefficients
+            equations = _design_normal_equations(design, rhs, grid, constant)
+        proposal = solve_normal_equations(
+            *equations, functools.partial(weighted, grid, constant)
+        ).coefficients
         for tau in 0.5 ** np.arange(30):
             trial = x + tau * (proposal - x)
             trial_residual = residual(trial)

@@ -41,13 +41,12 @@ Gram matrices of shifted bases grow ill-conditioned with degree, so on
 either route a kappa_1 past DEFAULT_COND_THRESHOLD switches the solve to a
 dense orthogonal factorization of the design matrix itself.
 
-An IRLS step of the mixed indices mostly does not form its weighted grid
-design: when the monomials up to the grid's top degree are few against the
-design's columns and radial nodes, it builds the Gram and A^H b from
-radial moments of its weights and hands them to `solve_normal_equations`,
-the dense route's factor and gate, which asks for the weighted design only
-past the threshold. Otherwise it solves the weighted design by
-`solve_least_squares`.
+An IRLS step of the mixed indices does not form its weighted grid design
+sqrt(u) A. When the monomials up to the grid's top degree are few against
+the design's columns and radial nodes, it builds the Gram and A^H b from
+radial moments of its weights, and otherwise from U conj(A); either way it
+hands them to `solve_normal_equations`, the dense route's factor and gate,
+which asks for the weighted design only past the threshold.
 """
 
 from __future__ import annotations

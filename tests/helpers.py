@@ -111,25 +111,18 @@ def solves_of(module, call):
 
 def normal_solves_of(module, call):
     """(design, target, outcome) of every solve that `call` makes through
-    `module.solve_normal_equations` or `module.solve_least_squares`; design
-    and target are the dense least-squares problem, which the first builds
-    only for its fallback."""
+    `module.solve_normal_equations`; design and target are the dense
+    least-squares problem that the solve's fallback would build."""
     seen = []
-    normal, least = solver.solve_normal_equations, solver.solve_least_squares
+    real = solver.solve_normal_equations
 
-    def normal_spy(gram, rhs, problem):
-        out = normal(gram, rhs, problem)
+    def spy(gram, rhs, problem):
+        out = real(gram, rhs, problem)
         seen.append((*problem(), out))
         return out
 
-    def least_spy(design, target):
-        out = least(design, target)
-        seen.append((design, target, out))
-        return out
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "solve_normal_equations", normal_spy)
-        mp.setattr(module, "solve_least_squares", least_spy)
+        mp.setattr(module, "solve_normal_equations", spy)
         result = call()
     return result, seen
 

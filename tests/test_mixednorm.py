@@ -293,9 +293,9 @@ class TestMixedIndex:
 
 
 class TestIrlsStep:
-    """An IRLS step solves normal equations built from radial moments,
-    through the dense route's factor and gate, or, when that is cheaper,
-    the weighted design by `solve_least_squares`."""
+    """Each IRLS step solves normal equations built from radial moments or,
+    when that is cheaper, from the design, through the dense route's factor
+    and gate."""
 
     @pytest.mark.parametrize("spec, f", [
         (area_type(p=3.0, q=2.0, radial_count=12, angular_count=64), p1d(1, -1)),
@@ -304,7 +304,7 @@ class TestIrlsStep:
                                 seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
         (MixedSpec.with_measure("area", 2, 1, 1.5, 2.0, radial_count=8, angular_count=256,
                                 seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
-        (MixedSpec.with_measure("area", 2, 1, 1.5, 2.0, radial_count=16, angular_count=256,
+        (MixedSpec.with_measure("area", 2, 1, 1.5, 2.0, radial_count=24, angular_count=256,
                                 seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
         (varexp(a=1.5, b=1.0, c=2.0, radial_count=12, angular_count=64), p1d(1, -0.5, 0.3)),
         (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=12, angular_count=64), p1d(1, -1)),
@@ -358,23 +358,23 @@ class TestIrlsStep:
         assert result.value == pytest.approx(gram_route.value, rel=1e-12)
 
     @pytest.mark.parametrize("spec, f, n, by_moments", [
-        # deg f small beside n, many radial nodes: K^2 well below R k^2 / 4
+        # deg f small beside n, many radial nodes: K^2 well below R k^2 / 8
         (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=24, angular_count=256),
          Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5}), 6, True),
-        (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24), p1d(1, -1), 0, True),
+        (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24), p1d(1, -1), 2, True),
         # one radial node: the design's own Gram is cheaper
         (hardy_type(p=3.0, angular_count=128), p1d(1, -1), 4, False),
         # deg f large beside n: K = C(62, 2) = 1891 monomials against 1 column
         (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0),
          Polynomial(2, {(0, 0): 1.0, (60, 0): -1.0}), 0, False),
-    ], ids=["d2-area", "varexp-n0", "point-mass", "high-degree-f"])
+    ], ids=["d2-area", "varexp", "point-mass", "high-degree-f"])
     def test_route_follows_the_size_rule(self, spec, f, n, by_moments):
         tables = mixednorm._grid_tables(spec, f, n)
         assert mixednorm._moment_route(spec, tables) is by_moments
 
     def test_design_route_matches_the_moment_route(self, monkeypatch):
         # one radial node takes the design route; its proposals are the dense
-        # lstsq ones and the index is the moment route's
+        # lstsq ones, and its index the moment route's
         spec = hardy_type(p=3.0, q=1.5, angular_count=128)
         f = p1d(1, -0.5, 0.3)
         assert not mixednorm._moment_route(spec, mixednorm._grid_tables(spec, f, 3))
@@ -409,7 +409,7 @@ class TestIrlsStep:
     @pytest.mark.parametrize("N", [0, 1])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["mixed", "varexp"])
-    def test_moment_gram_matches_weighted_design(self, kind, d, N, constant_term):
+    def test_both_routes_match_the_weighted_design(self, kind, d, N, constant_term):
         # oracle: A^H U A and A^H U b of the materialized grid design
         rng = np.random.default_rng(11 * d + N)
         grid = {"radial_count": 5, "angular_count": 64, "seed": 3,
@@ -426,12 +426,14 @@ class TestIrlsStep:
         r = rhs - design @ x
         weights, constant = spec._irls_weights(r[:-1].reshape(-1, spec.angular_count), r[-1])
         constant = constant if spec.uses_constant_term else 0.0
-        gram, got_rhs = mixednorm._normal_equations(spec, f, tables, weights, constant)
         u = np.append(weights, constant)
         want = design.conj().T @ (u[:, None] * design)
         want_rhs = design.conj().T @ (u * rhs)
-        assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
-        assert np.linalg.norm(got_rhs - want_rhs) <= 1e-13 * np.linalg.norm(want_rhs)
+        for route in (mixednorm._normal_equations(spec, f, tables, weights, constant),
+                      mixednorm._design_normal_equations(design, rhs, weights, constant)):
+            gram, got_rhs = route
+            assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.linalg.norm(got_rhs - want_rhs) <= 1e-13 * np.linalg.norm(want_rhs)
 
 
 class TestVarExpIndex:
