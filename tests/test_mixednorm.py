@@ -39,6 +39,13 @@ def varexp(a=2.0, b=0.0, c=1.0, N=0, **kwargs):
     return VarExpSpec.with_measure("area", 1, N, a, b, c, **kwargs)
 
 
+ROUTES = (True, False)  # an IRLS step's Gram from radial moments, or from the design
+
+
+def take_route(monkeypatch, by_moments):
+    monkeypatch.setattr(mixednorm, "_moment_route", lambda spec, tables: by_moments)
+
+
 class TestMixedNorm:
     def test_zero(self):
         assert mixed_norm(area_type(), Polynomial.zero(1)) == 0.0
@@ -304,19 +311,18 @@ class TestIrlsStep:
                                 seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
         (MixedSpec.with_measure("area", 2, 1, 1.5, 2.0, radial_count=8, angular_count=256,
                                 seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
-        (MixedSpec.with_measure("area", 2, 1, 1.5, 2.0, radial_count=24, angular_count=256,
-                                seed=4), Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})),
         (varexp(a=1.5, b=1.0, c=2.0, radial_count=12, angular_count=64), p1d(1, -0.5, 0.3)),
         (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=12, angular_count=64), p1d(1, -1)),
-    ], ids=["mixed-d1", "mixed-d1-p<2", "mixed-d2", "mixed-d2-p<2", "mixed-d2-moments",
-            "varexp-N0", "varexp-N1"])
-    def test_proposal_matches_dense_lstsq(self, spec, f):
-        _, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, f, 3))
-        assert seen
-        for design, target, out in seen:
-            assert isinstance(design, np.ndarray) and design.flags.f_contiguous
-            want = np.linalg.lstsq(design, target, rcond=None)[0]
-            assert np.linalg.norm(out.coefficients - want) <= 1e-10 * np.linalg.norm(want)
+    ], ids=["mixed-d1", "mixed-d1-p<2", "mixed-d2", "mixed-d2-p<2", "varexp-N0", "varexp-N1"])
+    def test_proposal_matches_dense_lstsq(self, spec, f, monkeypatch):
+        for by_moments in ROUTES:
+            take_route(monkeypatch, by_moments)
+            _, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, f, 3))
+            assert seen
+            for design, target, out in seen:
+                assert isinstance(design, np.ndarray) and design.flags.f_contiguous
+                want = np.linalg.lstsq(design, target, rcond=None)[0]
+                assert np.linalg.norm(out.coefficients - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_well_conditioned_index_skips_dense_lstsq(self, monkeypatch):
         calls = []
@@ -328,15 +334,19 @@ class TestIrlsStep:
 
         monkeypatch.setattr(np.linalg, "lstsq", counting)
         spec = area_type(p=3.0, q=2.0, radial_count=12, angular_count=64)
-        result, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, p1d(1, -1), 3))
-        assert result.converged and len(seen) == result.iterations
-        assert {out.method for _, _, out in seen} == {solver.CHOLESKY}
-        assert calls == []
+        for by_moments in ROUTES:
+            take_route(monkeypatch, by_moments)
+            result, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, p1d(1, -1), 3))
+            assert result.converged and len(seen) == result.iterations
+            assert {out.method for _, _, out in seen} == {solver.CHOLESKY}
+            assert calls == []
 
-    def test_gate_falls_back_to_the_weighted_design(self, monkeypatch):
+    @pytest.mark.parametrize("by_moments", ROUTES, ids=["moments", "design"])
+    def test_gate_falls_back_to_the_weighted_design(self, by_moments, monkeypatch):
         # past the threshold each step solves sqrt(u) * design by lstsq
         spec = area_type(p=3.0, q=2.0, radial_count=12, angular_count=64)
         f = p1d(1, -1)
+        take_route(monkeypatch, by_moments)
         gram_route = mixed_index(spec, f, 3)
         calls = []
         real = np.linalg.lstsq
@@ -386,7 +396,7 @@ class TestIrlsStep:
             want = np.linalg.lstsq(design, target, rcond=None)[0]
             assert np.linalg.norm(out.coefficients - want) <= 1e-10 * np.linalg.norm(want)
         monkeypatch.undo()
-        monkeypatch.setattr(mixednorm, "_moment_route", lambda spec, tables: True)
+        take_route(monkeypatch, True)
         by_moments = mixed_index(spec, f, 3)
         assert by_moments.iterations == result.iterations
         assert by_moments.value == pytest.approx(result.value, rel=1e-12)
