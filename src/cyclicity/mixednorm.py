@@ -280,6 +280,8 @@ class VarExpSpec(_QuadratureSpec):
         self.b = float(b)
         self.c = float(c)
         self.bisection_tol = float(bisection_tol)
+        # the values `_norm` measured last and their lam (`_irls_weights`)
+        self._measured = (None, 0.0)
 
     def exponents(self) -> np.ndarray:
         """p evaluated at the radial nodes."""
@@ -329,6 +331,7 @@ class VarExpSpec(_QuadratureSpec):
 
     def _norm(self, values: np.ndarray, constant: complex) -> float:
         lam = self._luxemburg(values)
+        self._measured = (values, lam)
         if self.uses_constant_term:
             return math.hypot(math.sqrt(self.mass) * abs(constant), lam)
         return lam
@@ -338,7 +341,10 @@ class VarExpSpec(_QuadratureSpec):
         # with S = sum (w/m) p (|v|/lam)^p. The factor lam^2 / S turns that
         # gradient over 2|v| into the one of lam^2, whose scale the constant
         # term's weight, the gradient of mass |c|^2 over 2|c|, shares.
-        lam = max(self._luxemburg(values), _FLOOR)
+        # the IRLS weighs the residual whose norm it has just accepted, so the
+        # bisection of that `_norm` call answers
+        measured, lam = self._measured
+        lam = max(lam if measured is values else self._luxemburg(values), _FLOOR)
         pexp = self.exponents()[:, None]
         mags = np.maximum(np.abs(values), _FLOOR)
         grid = self.radial_weights[:, None] / self.angular_count * pexp * (mags / lam) ** pexp
@@ -434,13 +440,6 @@ def _grid_design(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables):
     rhs = np.full(len(design), target)
     rhs[-1] = 1.0
     return design, rhs
-
-
-def _shifted_grid(spec: _QuadratureSpec, f: Polynomial, n: int):
-    """Design, target and column exponents of min ||1 - phi f|| over
-    deg(phi) <= n (`_grid_design`)."""
-    tables = _grid_tables(spec, f, n)
-    return (*_grid_design(spec, f, tables), tables.cols)
 
 
 def _normal_equations(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables,
@@ -559,7 +558,7 @@ def mixed_index(
             if trial_value < best_value - 1e-15 * max(best_value, 1.0):
                 break
         else:
-            converged = np.linalg.norm(proposal - x) <= 1e-8 * (1.0 + np.linalg.norm(x))
+            converged = bool(np.linalg.norm(proposal - x) <= 1e-8 * (1.0 + np.linalg.norm(x)))
             break
         decrease = best_value - trial_value
         x, best_value, current = trial, trial_value, trial_residual

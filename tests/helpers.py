@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cyclicity
-from cyclicity import solver
+from cyclicity import capacity, solver
 from cyclicity.freespace import FreePolynomial, words
 from cyclicity.poly import Polynomial, compositions, multi_indices
 
@@ -82,6 +82,57 @@ def sample_row_contraction_by_letter(d, size, rho, seed):
         return tuple(np.zeros((size, size), dtype=complex) for _ in range(d))
     scale = rho / np.linalg.svd(np.hstack(blocks), compute_uv=False)[0]
     return tuple(b * scale for b in blocks)
+
+
+def two_array_kernel(pts, alpha):
+    """Reference for `capacity._riesz_kernel`: the squared distances summed
+    one coordinate at a time through a whole n x n difference array, into a
+    zeroed kernel."""
+    n = len(pts)
+    kernel = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for coord in pts.T:
+        np.subtract.outer(coord, coord, out=diff)
+        diff *= diff
+        kernel += diff
+    del diff
+    np.sqrt(kernel, out=kernel)
+    np.fill_diagonal(kernel, np.inf)
+    local_scale = kernel.min(axis=1) / 2.0
+    np.fill_diagonal(kernel, 1.0)
+    if alpha > 0:
+        kernel **= -alpha
+        np.fill_diagonal(kernel, local_scale ** (-alpha))
+    else:
+        np.log(kernel, out=kernel)
+        np.negative(kernel, out=kernel)
+        np.fill_diagonal(kernel, -np.log(local_scale))
+    return kernel
+
+
+def copying_face_minimizer(kernel, free):
+    """Reference for `capacity._face_minimizer`: a face of more than
+    NUMPY_MAX_FACE points, the whole cloud's included, is factored in a copy."""
+    import scipy.linalg
+
+    idx = np.flatnonzero(free)
+    m, w = len(idx), np.zeros(len(kernel))
+    if m > capacity.NUMPY_MAX_FACE:
+        try:
+            factor = scipy.linalg.cho_factor(
+                kernel[np.ix_(idx, idx)].T, overwrite_a=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            v = scipy.linalg.cho_solve(factor, np.ones(m), check_finite=False)
+            w[idx] = v / v.sum()
+            return w
+    system = np.ones((m + 1, m + 1))
+    system[:m, :m] = kernel[np.ix_(idx, idx)]
+    system[m, m] = 0.0
+    w[idx] = np.linalg.solve(system, np.eye(1, m + 1, m)[0])[:m]
+    return w
 
 
 SRC = str(Path(cyclicity.__file__).resolve().parents[1])

@@ -7,6 +7,7 @@ import logging
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from cyclicity.capacity import (
 )
 from cyclicity.cli import main
 from cyclicity.errors import NumericFailureError
-from helpers import subprocess_env
+from cyclicity.spaces import sphere_sample
+from helpers import copying_face_minimizer, subprocess_env, two_array_kernel
 
 
 def reference_kernel(cloud, alpha):
@@ -122,6 +124,71 @@ class TestActiveSet:
         kernel = reference_kernel(cloud, alpha)
         uniform = np.full(len(angles), 1.0 / len(angles))
         assert res.energy <= float(uniform @ kernel @ uniform) + 1e-12
+
+
+class TestOneKernel:
+    """The kernel is the one n x n array: built by row blocks, and the face
+    of the whole cloud factored in place and restored."""
+
+    CLOUDS = {
+        "arc512": lambda: (arc_cloud(math.pi / 2, 512), 0.0),
+        "arc1024": lambda: (arc_cloud(math.pi / 2, 1024), 0.0),
+        # not positive definite: Cholesky fails, then the bordered LU answers
+        "circle1024": lambda: (circle_cloud(1024), 0.0),
+        # points drop, so the later faces are partial
+        "cap768-log": lambda: (sphere_cap_cloud(768, 1.0), 0.0),
+        "cap768-riesz": lambda: (sphere_cap_cloud(768, 1.0), 1.0),
+        "sphere-d3": lambda: (BoundaryCloud(sphere_sample(np.random.default_rng(3), 600, 3)), 3.0),
+    }
+
+    @pytest.mark.parametrize("name", list(CLOUDS))
+    def test_matches_two_array_reference(self, name, monkeypatch):
+        cloud, alpha = self.CLOUDS[name]()
+        got = riesz_equilibrium(cloud, alpha)
+        with monkeypatch.context() as mp:
+            mp.setattr(cap, "_riesz_kernel", two_array_kernel)
+            mp.setattr(cap, "_face_minimizer", copying_face_minimizer)
+            want = riesz_equilibrium(cloud, alpha)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        fields = ("energy", "capacity", "alpha", "iterations", "kkt_gap", "converged", "note")
+        assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields]
+        if name == "cap768-log":
+            assert got.iterations > 1 and np.any(got.weights == 0.0)
+
+    @pytest.mark.parametrize("name", ["arc1024", "circle1024"])
+    def test_whole_face_solve_leaves_the_kernel(self, name, monkeypatch):
+        cloud, alpha = self.CLOUDS[name]()
+        kernel = cap._riesz_kernel(cloud.as_real(), alpha)
+        before = kernel.copy()
+        free = np.ones(len(kernel), dtype=bool)
+        bordered = []
+        real_solve = np.linalg.solve
+
+        def spy(*args, **kwargs):
+            bordered.append(args[0].shape)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        w = cap._face_minimizer(kernel, free)
+        assert kernel.tobytes() == before.tobytes()
+        # only the circle's Cholesky fails; its bordered LU reads the restored kernel
+        assert bordered == ([] if name == "arc1024" else [(1025, 1025)])
+        assert w.tobytes() == copying_face_minimizer(before, free).tobytes()
+
+    def test_kernel_is_the_one_square_array(self):
+        # the parent's build and face copy peaked at 2.02 x 8 n^2 bytes
+        import scipy.linalg  # noqa: F401  (its import allocates too)
+
+        n = 1024
+        cloud = arc_cloud(math.pi / 2, n)
+        tracemalloc.start()
+        try:
+            res = riesz_equilibrium(cloud, alpha=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations == 1
+        assert peak < 1.25 * 8 * n * n
 
 
 class TestConvergenceReporting:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -271,7 +272,9 @@ class TestMixedIndex:
                                       angular_count=64, seed=5)
         f = random_polynomial(rng, d, 2)
         n = 3
-        design, rhs, cols = mixednorm._shifted_grid(spec, f, n)
+        tables = mixednorm._grid_tables(spec, f, n)
+        design, rhs = mixednorm._grid_design(spec, f, tables)
+        cols = tables.cols
         for j, gamma in enumerate(cols):
             product = Polynomial.monomial(gamma) * f
             want = spec.grid_values(product.radial_derivative(N)).ravel()
@@ -467,6 +470,36 @@ class TestVarExpIndex:
         values = [r.value for r in results]
         for lo, hi in zip(values[1:], values):
             assert lo <= hi * (1 + 1e-12)
+
+
+    def test_stalled_index_reports_a_bool(self):
+        # the line search of this spec stalls at n = 0 on its second step
+        spec = varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24, angular_count=256)
+        res = mixed_index(spec, p1d(1, -1), 0)
+        assert res.iterations == 2
+        assert type(res.converged) is bool
+        assert json.dumps({"converged": res.converged}) == '{"converged": true}'
+
+    def test_one_bisection_per_measured_residual(self, monkeypatch):
+        # the weights of a step reuse the lam that `_norm` found for the
+        # residual it accepted: no second bisection of the same residual
+        spec = varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24, angular_count=256)
+        calls = {"_norm": 0, "_luxemburg": 0, "_irls_weights": 0}
+
+        def counted(name):
+            real = getattr(VarExpSpec, name)
+
+            def spy(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(VarExpSpec, name, counted(name))
+        res = mixed_index(spec, p1d(1, -1), 4)
+        assert res.iterations > 2 and calls["_irls_weights"] == res.iterations
+        assert calls["_luxemburg"] == calls["_norm"]
 
 
 class TestSerialization:
