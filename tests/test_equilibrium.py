@@ -176,7 +176,8 @@ class TestOneKernel:
         assert w.tobytes() == copying_face_minimizer(before, free).tobytes()
 
     def test_kernel_is_the_one_square_array(self):
-        # the parent's build and face copy peaked at 2.02 x 8 n^2 bytes
+        # a second n x n array, a difference array or a copy of the face,
+        # would take the peak past 2 x 8 n^2 bytes
         import scipy.linalg  # noqa: F401  (its import allocates too)
 
         n = 1024
