@@ -3,9 +3,9 @@
 # perfbench/cli_configs.json through `python -m cyclicity` at BASE_REF (in a
 # temporary git worktree) and at the checked-out tree, then reports which
 # .json / .csv outputs differ and the src/ line totals of both. A differing
-# .json pair is listed with the largest relative difference between the
-# numbers at the same JSON path, or as "structure differs", so that a
-# rounding-level change reads as one. It writes Markdown to
+# pair is listed with the largest relative difference between the numbers
+# at the same JSON path (.json) or the same row and column (.csv), or as
+# "structure differs", so that a rounding-level change reads as one. It writes Markdown to
 # $GITHUB_STEP_SUMMARY, or to stdout outside CI, and only reports: a
 # differing output, or a command that fails on either side, is listed,
 # never an exit status.
@@ -31,17 +31,22 @@ for command, config in json.loads(pathlib.Path(sys.argv[1]).read_text()).items()
     (out / f"{command}.json").write_text(json.dumps(config))
 EOF
 
-# the largest relative difference between numbers at the same JSON path of
-# two files, or "structure differs" when their keys, lengths or non-numbers do
-json_gap() {
+# the largest relative difference between numbers at the same place of two
+# files, the same JSON path of .json files or the same row and column of
+# .csv files, or "structure differs" when their keys, lengths, columns or
+# non-numbers do
+gap() {
   python3 - "$1" "$2" <<'EOF' 2>/dev/null || echo "unreadable"
-import json, sys
+import csv, json, math, sys
+
+def relative(a, b):
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
 
 def gaps(a, b, path):
     number = (int, float)
     if isinstance(a, number) and isinstance(b, number) and bool not in (type(a), type(b)):
-        scale = max(abs(a), abs(b))
-        yield (abs(a - b) / scale if scale else 0.0), path
+        yield relative(a, b), path
     elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in a:
             yield from gaps(a[key], b[key], f"{path}.{key}")
@@ -51,13 +56,40 @@ def gaps(a, b, path):
     elif a != b:
         raise ValueError(path)
 
-a, b = (json.load(open(p)) for p in sys.argv[1:])
+def finite(cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+def csv_gaps(a, b):
+    if len(a) != len(b):
+        raise ValueError("the row count")
+    for i, (row_a, row_b) in enumerate(zip(a, b)):
+        if len(row_a) != len(row_b):
+            raise ValueError(f"row {i}")
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            place = f"row {i}, column {a[0][j]}"
+            if x == y:
+                yield 0.0, place
+            elif finite(x) is None or finite(y) is None:
+                raise ValueError(place)
+            else:
+                yield relative(finite(x), finite(y)), place
+
+if sys.argv[1].endswith(".csv"):
+    a, b = (list(csv.reader(open(p, newline=""))) for p in sys.argv[1:])
+    found = csv_gaps(a, b)
+else:
+    a, b = (json.load(open(p)) for p in sys.argv[1:])
+    found = gaps(a, b, "$")
 try:
-    gap, path = max(gaps(a, b, "$"), default=(0.0, "$"))
+    gap, place = max(found, default=(0.0, "$"))
 except ValueError as exc:
     print(f"structure differs at {exc}")
 else:
-    print(f"largest relative difference {gap:.3g} at {path}")
+    print(f"largest relative difference {gap:.3g} at {place}")
 EOF
 }
 
@@ -83,11 +115,7 @@ done
       b=$work/out-head/$command.$ext
       [ -e "$a" ] || [ -e "$b" ] || continue
       if ! cmp -s "$a" "$b"; then
-        if [ "$ext" = json ]; then
-          echo "- \`$command.$ext\` differs: $(json_gap "$a" "$b")"
-        else
-          echo "- \`$command.$ext\` differs"
-        fi
+        echo "- \`$command.$ext\` differs: $(gap "$a" "$b")"
         differ=$((differ + 1))
       fi
     done

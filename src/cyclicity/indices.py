@@ -27,7 +27,7 @@ from .poly import (
     mult_operator_section,
     shifted_columns,
 )
-from .solver import solve_least_squares
+from .solver import solve_least_squares, solve_nested
 from .spaces import KIND_DIAGONAL_BESOV, DiagonalSpace, MomentSequence, SpaceSpec
 
 VERDICT_CYCLIC = "numerically_cyclic"
@@ -74,17 +74,18 @@ class SweepReport(JsonRecord):
         return [header, *rows]
 
 
-def _design_matrix(spec: DiagonalSpace, g, f, n: int):
+def _design_matrix(spec: DiagonalSpace, g, f, n: int, solves: int = 1):
     """The shifted design of f at budget n, target g, in the space norm: a
     key's row is scaled by its norm. g and f are series of the space's
-    algebra, f nonzero; the weight table refuses n + deg f or deg g past it."""
+    algebra, f nonzero; the weight table refuses n + deg f or deg g past it.
+    The design's form suits `solves` nested solves of its leading columns."""
     spec.check_algebra(g, f)
     if f.is_zero:
         raise DegenerateInputError("f must be nonzero")
     if n < 0:
         raise ArgumentError("degree budget n must be >= 0")
     weights = spec.weight_vector(max(n + f.degree, g.degree))
-    return shifted_columns(g, f, n, np.sqrt(weights))
+    return shifted_columns(g, f, n, np.sqrt(weights), solves=solves)
 
 
 def subspace_distance(spec: DiagonalSpace, g, f, n: int) -> ApproximantResult:
@@ -106,14 +107,18 @@ def _fit_inverse_log(ns: np.ndarray, rs: np.ndarray):
 
 
 def _fit_inverse_poly(ns: np.ndarray, rs: np.ndarray):
-    best = None
-    for c in np.geomspace(0.05, 8.0, 160):
-        X = np.column_stack([np.ones_like(ns, dtype=float), (ns + 2.0) ** (-c)])
-        coef, *_ = np.linalg.lstsq(X, rs, rcond=None)
-        rss = float(np.sum((rs - X @ coef) ** 2))
-        if best is None or rss < best["rss"]:
-            best = {"a": float(coef[0]), "b": float(coef[1]), "c": float(c), "rss": rss}
-    return best
+    """Least-squares fit of a + b (n+2)^(-c) over 160 exponents c, keeping the
+    first c of least rss. Each c is the closed-form regression of rs on
+    t = (ns+2)^(-c): b = cov(t, rs) / var(t), a = mean(rs) - b mean(t)."""
+    exponents = np.geomspace(0.05, 8.0, 160)
+    t = (ns + 2.0) ** -exponents[:, None]
+    dt = t - t.mean(axis=1, keepdims=True)
+    b = (dt * (rs - rs.mean())).sum(axis=1) / (dt * dt).sum(axis=1)
+    a = rs.mean() - b * t.mean(axis=1)
+    rss = ((rs - a[:, None] - b[:, None] * t) ** 2).sum(axis=1)
+    best = int(np.argmin(rss))
+    return {"a": float(a[best]), "b": float(b[best]), "c": float(exponents[best]),
+            "rss": float(rss[best])}
 
 
 def _fit_tail(degrees: list[int], residuals: list[float]):
@@ -140,20 +145,20 @@ def index_sweep(
 ) -> SweepReport:
     """Residuals for every budget n = 0..n_max, with verdict and tail fits.
 
-    The design matrix is assembled once at n_max; lower budgets reuse its
+    The design matrix is assembled once at n_max; lower budgets are its
     leading column blocks (graded order makes them nested), so the sweep is
-    a family of nested solves with identical row scaling.
+    one `solve_nested` call. On its dense route the Gram of the widest block
+    is factored once and every budget reads its solution, residual and
+    exact condition number from the leading blocks of that one factor.
     """
     if tol <= 0:
         raise ArgumentError("tol must be positive")
-    design, rhs, _ = _design_matrix(spec, Polynomial.one(spec.d), f, n_max)
-    residuals, conds, methods = [], [], []
-    for n in range(n_max + 1):
-        # the first C(n+d, d) graded-lex columns are the shifts with |gamma| <= n
-        out = solve_least_squares(design[:, : math.comb(n + spec.d, spec.d)], rhs)
-        residuals.append(out.residual)
-        conds.append(out.gram_condition)
-        methods.append(out.method)
+    design, rhs, _ = _design_matrix(spec, Polynomial.one(spec.d), f, n_max, solves=n_max + 1)
+    # the first C(n+d, d) graded-lex columns are the shifts with |gamma| <= n
+    outs = solve_nested(design, rhs, [math.comb(n + spec.d, spec.d) for n in range(n_max + 1)])
+    residuals = [out.residual for out in outs]
+    conds = [out.gram_condition for out in outs]
+    methods = [out.method for out in outs]
     if residuals[-1] < tol:
         verdict = VERDICT_CYCLIC
     elif (

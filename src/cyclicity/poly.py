@@ -78,17 +78,18 @@ def graded_rank(alphas) -> np.ndarray:
 
 
 def shifted_columns(g: SparseSeries, f: SparseSeries, n: int, row_scale: np.ndarray,
-                    dense=False):
+                    dense=False, solves=1):
     """Design whose column u holds the coefficients of u f, for the basis keys
     u of degree <= n (z^gamma, or words Z^w), with the target g and the
     column keys. Row r is the r-th key in f's canonical order, as
     `f._shifted_ranks` ranks the products, and is scaled by row_scale[r]. The
-    design is an ndarray up to `solver.DENSE_MAX_COLUMNS` columns or when
-    `dense` is set, else a CSC matrix."""
+    design is an ndarray or a CSC matrix as `solver.shifted_design` picks
+    for `solves` nested solves, and always an ndarray when `dense` is set."""
     cols, rows = f._shifted_ranks(n, list(f.coeffs))
     design, target = shifted_design(
         rows, list(f.coeffs.values()),
         f._shifted_ranks(0, list(g.coeffs))[1][0], list(g.coeffs.values()), row_scale, dense,
+        solves,
     )
     return design, target, cols
 

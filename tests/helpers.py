@@ -178,6 +178,33 @@ def normal_solves_of(module, call):
     return result, seen
 
 
+def per_width_solves(design, target, widths):
+    """Reference for `solver.solve_nested`: each width solved on its own, as
+    sweeps solved their budgets before the nested factor. Per width k: the
+    Gram of design[:, :k], one LU solve of it for [I | A_k^H b] that gives
+    G_k^-1 and x, the exact kappa_1, the 1e10 gate with a dense `lstsq` of
+    the design's columns past it, and the residual of the x kept. Returns
+    (residual, method) per width."""
+    dense = design if isinstance(design, np.ndarray) else design.toarray()
+    dense, target = dense.astype(complex), np.asarray(target, dtype=complex)
+    out = []
+    for k in widths:
+        columns = dense[:, :k]
+        gram = columns.conj().T @ columns
+        try:
+            solved = np.linalg.solve(gram, np.column_stack([np.eye(k), columns.conj().T @ target]))
+        except np.linalg.LinAlgError:
+            cond = math.inf
+        else:
+            cond = float(np.linalg.norm(gram, 1) * np.linalg.norm(solved[:, :k], 1))
+        if cond <= solver.DEFAULT_COND_THRESHOLD:
+            method, x = solver.CHOLESKY, solved[:, k]
+        else:
+            method, x = solver.QR_FALLBACK, np.linalg.lstsq(columns, target, rcond=None)[0]
+        out.append((float(np.linalg.norm(target - columns @ x)), method))
+    return out
+
+
 def design_entries(design):
     """A dense or CSC design as (ndarray, count of its stored entries)."""
     if isinstance(design, np.ndarray):

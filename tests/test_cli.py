@@ -867,6 +867,27 @@ class TestDeterminism:
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert loaded == {command: [] for command in commands}
 
+    def test_wide_dense_sweep_loads_no_scipy(self, tmp_path):
+        # 121 columns of 122 rows: past the single-solve limit of 64 columns,
+        # but the sweep's 121 widths share one dense factor and the design
+        # fits DENSE_MAX_ENTRIES, so it is built as an ndarray
+        config = {"space": {"preset": "dirichlet_type", "d": 1, "maxDegree": 130},
+                  "function": {"coeffs1d": [1, -1]}, "nMax": 120}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        script = (
+            "import sys\n"
+            "from cyclicity.cli import main\n"
+            "assert main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+                              capture_output=True, text=True, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        result = json.loads((tmp_path / "out" / "sweep.json").read_text())["result"]
+        assert result["solveMethods"] == ["cholesky"] * 121
+
     def test_subprocess_runs_are_byte_identical(self, tmp_path):
         config = {
             "space": "hardy(1)",

@@ -1,7 +1,7 @@
 """Sparse least-squares core: assembly against dense polynomial products, the
-sparse Gram solve against a dense oracle, the dense-design route, the
-condition estimate, residual invariants of index, sweep and free index, and
-non-finite input."""
+sparse Gram solve against a dense oracle, the dense-design route, nested
+solves against per-width ones, the condition estimate, residual invariants
+of index, sweep and free index, and non-finite input."""
 
 import json
 import math
@@ -35,7 +35,7 @@ from cyclicity.spaces import (
     drury_arveson,
     hardy,
 )
-from helpers import design_entries, solves_of
+from helpers import design_entries, per_width_solves, solves_of
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -229,13 +229,28 @@ class TestResidualInvariants:
         assert rotated == pytest.approx(base, rel=1e-9, abs=1e-13)
 
     def test_sweep_and_index_agree_across_dense_limit(self):
-        # the n_max = 70 sweep solves column slices of one CSC design, while
-        # single indices are dense up to n = 63 and sparse from n = 64
+        # the n_max = 70 sweep is one nested solve on one Cholesky factor,
+        # while single indices are dense up to n = 63 and sparse from n = 64
         spec = hardy(1, 71)
         f = Polynomial.from_coeffs1d([1.0, -1.0])
         one = Polynomial.one(1)
-        report, seen = solves_of(indices, lambda: index_sweep(spec, f, 70))
-        assert not any(isinstance(design, np.ndarray) for design, _, _ in seen)
+        nested, factored = [], []
+        real_nested, real_cholesky = solver.solve_nested, np.linalg.cholesky
+
+        def spy_nested(design, target, widths):
+            nested.append(list(widths))
+            return real_nested(design, target, widths)
+
+        def spy_cholesky(gram):
+            factored.append(gram.shape)
+            return real_cholesky(gram)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indices, "solve_nested", spy_nested)
+            mp.setattr(np.linalg, "cholesky", spy_cholesky)
+            report = index_sweep(spec, f, 70)
+        assert nested == [list(range(1, 72))]
+        assert factored == [(71, 71)]
         singles = []
         for n in range(71):
             out, ((design, _, _),) = solves_of(
@@ -285,9 +300,10 @@ class TestConditionEstimate:
 
 
 class TestDenseRoute:
-    """An ndarray design takes the numpy route (a dense Gram, its exact kappa_1 and
-    an LU solve), a sparse one SuperLU and Hager's estimate; both share the
-    threshold, the fallback and the residual."""
+    """An ndarray design, and a CSC one of at most 64 columns, take the dense
+    route (a dense Gram, one Cholesky factor and its exact kappa_1); a wider
+    CSC one takes SuperLU and Hager's estimate. Both share the threshold,
+    the fallback and the residual."""
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_matches_sparse_form(self, name):
@@ -331,10 +347,82 @@ class TestDenseRoute:
         assert out.residual == pytest.approx(np.linalg.norm(target - design @ want), rel=1e-8)
 
 
+def _mean_shift(d):
+    """f = 1 - (z_1 + ... + z_d)/d, whose Gram stays well conditioned."""
+    return Polynomial(d, {(0,) * d: 1.0, **{
+        tuple(int(i == j) for i in range(d)): -1.0 / d for j in range(d)}})
+
+
+class TestNestedSolve:
+    """`solve_nested` against each width solved on its own (`per_width_solves`),
+    on sweep designs on both sides of the route rule."""
+
+    @pytest.mark.parametrize("spec, n_max, dense", [
+        pytest.param(dirichlet_type(1, 41), 40, True, id="d1-dense"),
+        pytest.param(hardy(1, 513), 512, False, id="d1-superlu"),
+        pytest.param(drury_arveson(2, 17), 16, True, id="d2-dense"),
+        pytest.param(drury_arveson(2, 23), 22, False, id="d2-superlu"),
+        pytest.param(drury_arveson(3, 8), 7, True, id="d3-dense"),
+        pytest.param(drury_arveson(3, 10), 9, False, id="d3-superlu"),
+    ])
+    def test_matches_per_width_solves(self, spec, n_max, dense):
+        d = spec.d
+        design, target, _ = indices._design_matrix(
+            spec, Polynomial.one(d), _mean_shift(d), n_max, solves=n_max + 1)
+        widths = [math.comb(n + d, d) for n in range(n_max + 1)]
+        assert solver.dense_route(widths[-1], len(widths)) == dense
+        outs = solver.solve_nested(design, target, widths)
+        # the per-width reference at every width would take seconds at d = 1
+        picked = range(0, len(widths), 1 if dense or d > 1 else 64)
+        want = per_width_solves(design, target, [widths[i] for i in picked])
+        got = [outs[i] for i in picked]
+        np.testing.assert_allclose([out.residual for out in got], [w[0] for w in want],
+                                   rtol=1e-12, atol=0)
+        assert [out.method for out in got] == [w[1] for w in want]
+        dense_design = design_entries(design)[0]
+        for i, out in zip(picked, got):
+            columns = dense_design[:, :widths[i]]
+            kappa1 = np.linalg.cond(columns.conj().T @ columns, 1)
+            if dense:
+                assert out.gram_condition == pytest.approx(kappa1, rel=1e-10)
+            else:
+                assert kappa1 / 10 <= out.gram_condition <= kappa1 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("last", ["duplicate", "zero"])
+    def test_singular_last_width_falls_back_alone(self, last, sparse):
+        # a duplicate column leaves the widest Gram a pivot at roundoff level,
+        # which Cholesky may pass; a zero column leaves a zero pivot, which
+        # it refuses, and then each width is factored on its own
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
+        dense[:, 5] = dense[:, 2] if last == "duplicate" else 0
+        target = rng.standard_normal(12) + 0j
+        design = scipy.sparse.csc_matrix(dense) if sparse else np.asfortranarray(dense)
+        factored, real_cholesky = [], np.linalg.cholesky
+
+        def spy_cholesky(gram):
+            factored.append(len(gram))
+            return real_cholesky(gram)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "cholesky", spy_cholesky)
+            outs = solver.solve_nested(design, target, range(1, 7))
+        if last == "zero":
+            assert factored == [6, 1, 2, 3, 4, 5, 6]
+            assert outs[5].gram_condition == math.inf
+        assert [out.method for out in outs] == [solver.CHOLESKY] * 5 + [solver.QR_FALLBACK]
+        want = per_width_solves(dense, target, range(1, 7))
+        np.testing.assert_allclose([out.residual for out in outs], [w[0] for w in want],
+                                   rtol=1e-12, atol=0)
+        # the sixth column adds nothing to the span of the first five
+        assert outs[5].residual == pytest.approx(outs[4].residual, rel=1e-12)
+
+
 class TestSingularGram:
-    """A zero column makes the Gram exactly singular: numpy's LU raises on the
-    dense route, SuperLU finds a zero pivot on the sparse one. Either way the
-    condition is infinite and the dense least-squares fallback answers."""
+    """A zero column makes the Gram exactly singular: Cholesky refuses its zero
+    pivot on the dense route, SuperLU finds it on the sparse one. Either way
+    the condition is infinite and the dense least-squares fallback answers."""
 
     @pytest.mark.parametrize("cols, sparse", [(6, False), (80, True)])
     def test_zero_column_falls_back(self, cols, sparse):
