@@ -45,9 +45,10 @@ IRLS_DECREASE_TOL = 1e-10
 MAX_NODES = 1024  # Gauss-Legendre radial nodes: a count x count eigenproblem, 0.1 s
 MAX_GRID = 1 << 24  # radial nodes x angular points x d complex coordinates: 256 MB
 MAX_ORDER = 1023  # R^N scales degree k by k^N, and 2^1023 is a float
-# the IRLS objective evaluates a dense design, grid rows x C(n + d, d), and its
-# steps solve that design's C(n + d, d)^2 weighted Gram, which they build from a
-# table of at most this many monomial pairs or else from the design
+# IRLS steps solve a C(n + d, d)^2 weighted Gram, built from a table of at most
+# this many monomial pairs or else from the dense grid design, grid rows x
+# C(n + d, d). The moment route holds no design, but the design route and a
+# fallback step build one, so the design is held to this bound too
 MAX_IRLS_ENTRIES = 1 << 26
 # the JSON keys of every spec; the rest are a subclass's exponent keys
 _SHARED_KEYS = ("d", "N", "radial", "angular", "includeConstantTerm")
@@ -123,8 +124,9 @@ class _QuadratureSpec:
         self.include_constant_term = bool(include_constant_term)
         self.descriptor = dict(descriptor) if descriptor else None
         self._angular = self._build_angular()
-        # the largest budget n whose IRLS design and Gram fit MAX_IRLS_ENTRIES,
-        # counted up from n = 0 with cols = C(n + 1 + d, d), or at once at d = 1
+        # the largest budget n whose IRLS Gram, and the design that the design
+        # route or a fallback step builds, fit MAX_IRLS_ENTRIES, counted up
+        # from n = 0 with cols = C(n + 1 + d, d), or at once at d = 1
         rows = nodes.size * self.angular_count + 1
         limit = min(MAX_IRLS_ENTRIES // rows, math.isqrt(MAX_IRLS_ENTRIES))
         self.max_budget, cols = (limit - 1, limit + 1) if self.d == 1 else (0, self.d + 1)
@@ -406,7 +408,8 @@ class _GridTables(NamedTuple):
     f) on the grid, is sum_alpha coeffs[alpha, gamma] r^|alpha| u^alpha.
     """
 
-    angular: np.ndarray  # u^alpha: angular points x monomials of degree <= n + deg f
+    angular: np.ndarray  # u^alpha: monomials (degree <= n + deg f) x angular points
+    radial: np.ndarray  # r^|alpha|: radial nodes x monomials
     degrees: np.ndarray  # |alpha| of each monomial, in graded order
     coeffs: np.ndarray  # the shifted coefficient columns, rows scaled by |alpha|^N
     target: complex  # R^N 1, a constant on the grid
@@ -420,26 +423,43 @@ def _grid_tables(spec: _QuadratureSpec, f: Polynomial, n: int) -> _GridTables:
     degrees = exponents.sum(axis=1)
     one = Polynomial.one(spec.d)
     coeffs, target, cols = shifted_columns(one, f, n, degrees ** float(spec.N), dense=True)
-    angular = np.prod(spec._angular[:, None, :] ** exponents, axis=2)
-    return _GridTables(angular, degrees, coeffs, target[0], cols)
+    angular = np.prod(spec._angular ** exponents[:, None, :], axis=2)
+    radial = spec.radial_nodes[:, None] ** degrees
+    return _GridTables(angular, radial, degrees, coeffs, target[0], cols)
 
 
 def _grid_design(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables):
     """Design and target of the least-squares problem of `tables`: the grid
     values of each column (radial node major), then in a last row its
     constant term, which the norm counts only when `uses_constant_term`."""
-    angular, degrees, coeffs, target, cols = tables
-    radial = spec.radial_nodes[:, None] ** degrees
+    angular, radial, _, coeffs, target, cols = tables
     # column-major, so that each column's grid block, (node, point), is a
     # view written in place below
     design = np.zeros((radial.shape[0] * spec.angular_count + 1, len(cols)), dtype=complex,
                       order="F")
     grid = design[:-1].T.reshape(len(cols), radial.shape[0], spec.angular_count)
-    np.matmul(radial[:, None, :] * coeffs.T, angular.T, out=grid.transpose(1, 0, 2))
+    np.matmul(radial[:, None, :] * coeffs.T, angular, out=grid.transpose(1, 0, 2))
     design[-1, 0] = f.constant_term
     rhs = np.full(len(design), target)
     rhs[-1] = 1.0
     return design, rhs
+
+
+def _table_residual(f: Polynomial, tables: _GridTables):
+    """The residual b - A x of the design A and target b of `_grid_design`,
+    as a function of x: grid values target - (r^|alpha| (C x)_alpha) u^alpha,
+    one product of radial nodes x monomials by monomials x angular points,
+    and the constant term 1 - f(0) x_0, since only column 0 (gamma = 0) has
+    one. It reads only the monomials of some column, at most k |f| of them."""
+    used = np.flatnonzero(tables.coeffs.any(axis=1))
+    used = slice(None) if used.size == len(tables.degrees) else used
+    radial, coeffs, angular = tables.radial[:, used], tables.coeffs[used], tables.angular[used]
+
+    def residual(x: np.ndarray):
+        values = radial * (coeffs @ x) @ angular
+        return np.subtract(tables.target, values, out=values), 1.0 - f.constant_term * x[0]
+
+    return residual
 
 
 def _normal_equations(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables,
@@ -448,22 +468,22 @@ def _normal_equations(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables,
     under the weights U: grid[r, j] on the row of radial node r and angular
     point j, constant on the constant-term row. Neither A nor U A is formed.
 
-    With the radial moments V[j, s] = sum_r grid[r, j] r^s, the Gram of the
+    With the radial moments V[s, j] = sum_r grid[r, j] r^s, the Gram of the
     monomials is H[alpha, beta] = sum_j conj(u_j^alpha) u_j^beta
-    V[j, |alpha| + |beta|], and A^H U A = C^H H C for the coefficient
+    V[|alpha| + |beta|, j], and A^H U A = C^H H C for the coefficient
     columns C. Column 0 of H, beta = 0, gives A^H U b on the grid.
     """
-    angular, degrees, coeffs, target, _ = tables
+    angular, _, degrees, coeffs, target, _ = tables
     top = int(degrees[-1])
-    moments = grid.T @ spec.radial_nodes[:, None] ** np.arange(2 * top + 1)
+    moments = (spec.radial_nodes[:, None] ** np.arange(2 * top + 1)).T @ grid
     bounds = np.searchsorted(degrees, np.arange(top + 2))
     table = np.empty((len(degrees), len(degrees)), dtype=complex)
-    conj = angular.conj().T
+    conj = angular.conj()
     with np.errstate(over="ignore", invalid="ignore"):
         # the rows of degree a from the diagonal block on; H is Hermitian
         for lo, hi in zip(bounds, bounds[1:]):
-            weighted = angular[:, lo:] * moments[:, degrees[lo] + degrees[lo:]]
-            table[lo:hi, lo:] = conj[lo:hi] @ weighted
+            weighted = angular[lo:] * moments[degrees[lo] + degrees[lo:]]
+            table[lo:hi, lo:] = conj[lo:hi] @ weighted.T
             table[hi:, lo:hi] = table[lo:hi, hi:].conj().T
         gram = coeffs.conj().T @ table @ coeffs
         rhs = target * (coeffs.conj().T @ table[:, 0])
@@ -496,7 +516,9 @@ def _moment_route(spec: _QuadratureSpec, tables: _GridTables) -> bool:
     K^2 = R k^2 / 16, slower above R k^2 / 2 (1200 times slower for
     f = 1 - z_1^40 at n = 0 and R = 40), and at the threshold R k^2 / 8
     the route taken was at most twice as slow as the other. The table is
-    also held to MAX_IRLS_ENTRIES, like the Gram.
+    also held to MAX_IRLS_ENTRIES, like the Gram. Trial residuals read the
+    monomial tables on both routes, so they cost the same either way; only
+    the design route builds the design, once.
     """
     K, k = len(tables.degrees), len(tables.cols)
     return K * K <= min(spec.radial_nodes.size * k * k // 8, MAX_IRLS_ENTRIES)
@@ -524,17 +546,17 @@ def mixed_index(
     # that the grid's monomial tables could not hold either
     twin = _hilbert_twin(spec, n + f.degree)
     tables = _grid_tables(spec, f, n)
-    design, rhs = _grid_design(spec, f, tables)
-
-    def residual(x: np.ndarray):
-        r = rhs - design @ x
-        return r[:-1].reshape(-1, spec.angular_count), r[-1]
+    by_moments = _moment_route(spec, tables)
+    # the design is built only for the design route's Gram, or by a step's
+    # fallback solve; every trial residual comes from the tables
+    design = None if by_moments else _grid_design(spec, f, tables)
+    residual = _table_residual(f, tables)
 
     def weighted(grid: np.ndarray, constant: float):
+        a, b = _grid_design(spec, f, tables) if design is None else design
         sqrt_u = np.sqrt(np.append(grid, constant))
-        return design * sqrt_u[:, None], rhs * sqrt_u
+        return a * sqrt_u[:, None], b * sqrt_u
 
-    by_moments = _moment_route(spec, tables)
     start = subspace_distance(twin, Polynomial.one(spec.d), f, n).phi
     x = np.array([start.coefficient(gamma) for gamma in tables.cols], dtype=complex)
     current = residual(x)
@@ -547,7 +569,7 @@ def mixed_index(
         if by_moments:
             equations = _normal_equations(spec, f, tables, grid, constant)
         else:
-            equations = _design_normal_equations(design, rhs, grid, constant)
+            equations = _design_normal_equations(*design, grid, constant)
         proposal = solve_normal_equations(
             *equations, functools.partial(weighted, grid, constant)
         ).coefficients

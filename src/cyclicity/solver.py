@@ -71,7 +71,9 @@ sqrt(u) A. When the monomials up to the grid's top degree are few against
 the design's columns and radial nodes, it builds the Gram and A^H b from
 radial moments of its weights, and otherwise from U conj(A); either way it
 hands them to `solve_normal_equations`, the dense route's factor and gate,
-which asks for the weighted design only past the threshold.
+which asks for the weighted design only past the threshold. On the moment
+route the index holds no design at all: each trial's residual comes from
+the monomial tables, and the design is built only for such a fallback.
 """
 
 from __future__ import annotations

@@ -448,6 +448,68 @@ class TestIrlsStep:
             assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
             assert np.linalg.norm(got_rhs - want_rhs) <= 1e-13 * np.linalg.norm(want_rhs)
 
+    @pytest.mark.parametrize("constant_term", [True, False], ids=["constant", "bare"])
+    @pytest.mark.parametrize("N", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_table_residual_matches_the_design(self, d, N, constant_term):
+        # oracle: b - A x of the materialized grid design, for an f with a
+        # constant term and for the same f with it removed
+        rng = np.random.default_rng(11 * d + N)
+        spec = MixedSpec.with_measure("area", d, N, 1.5, 3.0, radial_count=5, angular_count=64,
+                                      seed=3, include_constant_term=constant_term)
+        f = random_polynomial(rng, d, 2)
+        assert f.constant_term != 0
+        n = 2
+        for g in (f, f - f.constant_term):
+            tables = mixednorm._grid_tables(spec, g, n)
+            design, rhs = mixednorm._grid_design(spec, g, tables)
+            x = rng.standard_normal(len(tables.cols)) + 1j * rng.standard_normal(len(tables.cols))
+            want = rhs - design @ x
+            values, constant = mixednorm._table_residual(g, tables)(x)
+            assert values.shape == (spec.radial_nodes.size, spec.angular_count)
+            assert np.linalg.norm(values.ravel() - want[:-1]) <= 1e-13 * np.linalg.norm(want[:-1])
+            assert abs(constant - want[-1]) <= 1e-13 * abs(want[-1])
+
+    @pytest.mark.parametrize("by_moments", ROUTES, ids=["moments", "design"])
+    def test_design_is_built_only_to_be_read(self, by_moments, monkeypatch):
+        # the moment route builds the design for a fallback step only, once
+        # per such step; the design route builds it once for its Gram
+        spec = area_type(p=3.0, q=2.0, radial_count=12, angular_count=64)
+        f = p1d(1, -1)
+        take_route(monkeypatch, by_moments)
+        builds = []
+        real = mixednorm._grid_design
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mixednorm, "_grid_design", counting)
+        result = mixed_index(spec, f, 3)
+        assert result.converged and len(builds) == (0 if by_moments else 1)
+        builds.clear()
+        monkeypatch.setattr(solver, "DEFAULT_COND_THRESHOLD", 0.0)
+        fallback = mixed_index(spec, f, 3)
+        assert fallback.converged
+        assert len(builds) == (fallback.iterations if by_moments else 1)
+
+    def test_moment_route_holds_no_grid_design(self):
+        # the lsq-scaled d = 2 index: its design would hold 49,153 rows x
+        # C(8, 2) = 28 columns of 16 B, 22 MB, more than the whole index
+        # allocates on the moment route
+        spec = MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=24,
+                                      angular_count=2048)
+        f = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})
+        assert mixednorm._moment_route(spec, mixednorm._grid_tables(spec, f, 6))
+        tracemalloc.start()
+        try:
+            result = mixed_index(spec, f, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < 49_153 * 28 * 16
+
 
 class TestVarExpIndex:
     """Variable-exponent indices with N > 0, where the constant term joins."""
