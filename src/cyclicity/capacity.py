@@ -25,6 +25,7 @@ thresholds are configuration, not theorems.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,10 +53,11 @@ PROBE_TOL = 1e-6
 PROBE_RESOLUTION = 4096
 MAX_ROOT_DEGREE = 512  # d = 1 root solve: a 4 MB companion matrix, cost grows as deg^3
 # an equilibrium face of at most this many points is solved by numpy alone:
-# up to here a face solve takes at most about 15 ms either way, against
+# up to here a face solve takes at most about 9 ms either way, against
 # about 0.3 s to import scipy.linalg; beyond it the solve grows as m^3 and
-# numpy's LU takes up to 2.3 times as long as scipy's Cholesky (README)
+# numpy's LU takes up to 3.1 times as long as scipy's Cholesky (README)
 NUMPY_MAX_FACE = 511
+BLOCK_ENTRIES = 1 << 17  # a blocked pass's scratch: 1 MB of float64, which stays in cache
 MAX_CLOUD_POINTS = 1 << 24  # a generated cloud: 256 MB of coordinates per complex dimension
 
 
@@ -318,16 +320,21 @@ def _face_minimizer(kernel: np.ndarray, free: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:
+        raise ArgumentError(f"alpha must be finite and >= 0, not {brief(alpha)}")
+
+
 def _riesz_kernel(pts: np.ndarray, alpha: float) -> np.ndarray:
     """The kernel of `riesz_equilibrium` on n >= 2 distinct points of R^(2d),
     self-energies on the diagonal, and the only n x n array it allocates.
 
     Squared distances are summed one real coordinate at a time, in the same
     order as over a difference tensor, for one block of rows at a time
-    through a scratch block of at most 2^17 entries (1 MB)."""
+    through a scratch block of at most BLOCK_ENTRIES entries (1 MB)."""
     n = len(pts)
     first, *rest = np.ascontiguousarray(pts.T)
-    rows = max(1, (1 << 17) // n)
+    rows = max(1, BLOCK_ENTRIES // n)
     scratch = np.empty((min(rows, n), n))
     kernel = np.empty((n, n))
     for lo in range(0, n, rows):
@@ -379,12 +386,15 @@ def riesz_equilibrium(
     `tol` is relative to the energy's scale: the solve stops, and
     `converged` holds, once kkt_gap <= tol * max(1, |energy|), since an
     absolute gap cannot fall below the roundoff of energies near 1e12.
+    Past NUMPY_MAX_FACE points scipy factors the whole cloud's kernel, and
+    scipy's BLAS makes the kernel products too: numpy and scipy each bundle an OpenBLAS
+    with a thread pool of its own, and a factor started while numpy's
+    threads still spin after a product took up to twice as long (README).
     Duplicate points are merged; clouds with fewer than two distinct points
     get capacity 0 by convention (their energy is infinite) and are flagged
     in the note.
     """
-    if alpha < 0:
-        raise ArgumentError("alpha must be >= 0")
+    _check_alpha(alpha)
     if max_iter < 1:
         raise ArgumentError("max_iter must be >= 1")
     if not tol > 0:
@@ -396,9 +406,18 @@ def riesz_equilibrium(
                 "singleton cloud: infinite energy, capacity 0 by convention")[n]
         return EquilibriumResult(np.ones(n), math.inf, 0.0, alpha, 0, 0.0, True, note=note)
     kernel = _riesz_kernel(pts, alpha)
+    # row_times(v) is v @ kernel and times(v) is kernel @ v
+    if n > NUMPY_MAX_FACE:
+        from scipy.linalg.blas import dgemv  # scipy factors this cloud's kernel
+
+        # kernel.T is F-ordered, so dgemv reads the kernel in place
+        row_times = functools.partial(dgemv, 1.0, kernel.T)
+        times = functools.partial(dgemv, 1.0, kernel.T, trans=1)
+    else:
+        row_times, times = kernel.__rmatmul__, kernel.__matmul__
 
     w = np.full(n, 1.0 / n)
-    energy = float(w @ kernel @ w)
+    energy = float(row_times(w) @ w)
     free = np.ones(n, dtype=bool)
     for iterations in range(1, max_iter + 1):
         z = _face_minimizer(kernel, free)
@@ -406,24 +425,24 @@ def riesz_equilibrium(
         if negative.any():
             free &= ~negative
             continue
-        z_energy = float(z @ kernel @ z)
+        z_energy = float(row_times(z) @ z)
         if z_energy >= energy:
             # each accepted face lowers the energy, so none recurs and the
             # loop ends; a point added on roundoff whose solve drops it
             # again gives back the same face and stops here
             break
         w, energy = z, z_energy
-        grad = 2.0 * (kernel @ w)
+        grad = 2.0 * times(w)
         mu = float(grad @ w)
         below = ~free & (grad < mu)
         if mu - float(grad.min()) <= tol * max(1.0, abs(energy)) or not below.any():
             break
         free |= below
     w /= w.sum()
-    grad = 2.0 * (kernel @ w)
+    grad = 2.0 * times(w)
     # the weighted mean of the gradient can round below its minimum
     gap = max(float(grad @ w) - float(grad.min()), 0.0)
-    energy = float(w @ kernel @ w)
+    energy = float(row_times(w) @ w)
     if alpha > 0:
         capacity = 1.0 / energy if energy > 0 else math.inf
     else:
@@ -470,25 +489,30 @@ def neighborhood_capacity(
     defining family of continuous majorants does not change the collapsed
     value (any alpha > 0 gives the measure of the set); it is carried only
     to label reports.
+
+    Squared distances |x|^2 - 2 x.y + |y|^2 are formed for one block of
+    sample rows at a time, of at most BLOCK_ENTRIES (2^17) entries, in
+    place and in that order of operations, so every value is the one a
+    whole-grid array would hold.
     """
-    if eps_nbhd <= 0:
-        raise ArgumentError("eps_nbhd must be positive")
-    if alpha < 0:
-        raise ArgumentError("alpha must be >= 0")
+    if not 0 < eps_nbhd < math.inf:
+        raise ArgumentError("eps_nbhd must be positive and finite")
+    _check_alpha(alpha)
+    if samples < 1:
+        raise ArgumentError(f"samples must be >= 1, not {brief(samples)}")
     if cloud.size == 0:
         return 0.0
     grid = _quasi_uniform_sphere(2 * cloud.dimension, samples)
     pts = cloud.as_real()
+    pts_sq = np.sum(pts**2, axis=1)
     hits = 0
-    chunk = max(1, (1 << 22) // max(len(pts), 1))
+    chunk = max(1, BLOCK_ENTRIES // len(pts))
     eps_sq = eps_nbhd * eps_nbhd
     for start in range(0, len(grid), chunk):
         block = grid[start : start + chunk]
-        d2 = (
-            np.sum(block**2, axis=1)[:, None]
-            - 2.0 * block @ pts.T
-            + np.sum(pts**2, axis=1)[None, :]
-        )
+        d2 = 2.0 * block @ pts.T
+        np.subtract(np.sum(block**2, axis=1)[:, None], d2, out=d2)
+        d2 += pts_sq
         hits += int(np.count_nonzero(d2.min(axis=1) <= eps_sq))
     return hits / len(grid)
 
@@ -521,8 +545,9 @@ def box_dimension(
     scales = list(range(j_min, j_max + 1))
     counts = []
     for j in scales:
-        boxes = np.unique(np.floor(pts * (2.0**j)).astype(np.int64), axis=0)
-        counts.append(int(len(boxes)))
+        boxes = np.floor(pts * (2.0**j)).astype(np.int64)
+        boxes = boxes[np.lexsort(boxes.T)]  # equal boxes are now adjacent rows
+        counts.append(1 + int(np.count_nonzero(np.any(boxes[1:] != boxes[:-1], axis=1))))
     x = np.array(scales, dtype=float) * math.log(2.0)
     y = np.log(np.array(counts, dtype=float))
     if np.allclose(y, y[0]):

@@ -135,6 +135,56 @@ def copying_face_minimizer(kernel, free):
     return w
 
 
+def numpy_products_equilibrium(cloud, alpha, max_iter=20000, tol=1e-7):
+    """Reference for the loop of `capacity.riesz_equilibrium`: every kernel
+    product by numpy's `@`, whatever route the face solves take. Returns
+    (weights, energy, iterations, kkt_gap, converged)."""
+    kernel = capacity._riesz_kernel(capacity._dedup_rows(cloud.as_real()), alpha)
+    n = len(kernel)
+    w = np.full(n, 1.0 / n)
+    energy = float(w @ kernel @ w)
+    free = np.ones(n, dtype=bool)
+    for iterations in range(1, max_iter + 1):
+        z = capacity._face_minimizer(kernel, free)
+        negative = free & (z < 0)
+        if negative.any():
+            free &= ~negative
+            continue
+        z_energy = float(z @ kernel @ z)
+        if z_energy >= energy:
+            break
+        w, energy = z, z_energy
+        grad = 2.0 * (kernel @ w)
+        mu = float(grad @ w)
+        below = ~free & (grad < mu)
+        if mu - float(grad.min()) <= tol * max(1.0, abs(energy)) or not below.any():
+            break
+        free |= below
+    w /= w.sum()
+    grad = 2.0 * (kernel @ w)
+    gap = max(float(grad @ w) - float(grad.min()), 0.0)
+    energy = float(w @ kernel @ w)
+    return w, energy, iterations, gap, gap <= tol * max(1.0, abs(energy))
+
+
+def whole_block_neighborhood(cloud, eps_nbhd, samples=8192):
+    """Reference for `capacity.neighborhood_capacity`: each squared distance
+    formed by one expression over blocks of up to 2^22 entries."""
+    grid = capacity._quasi_uniform_sphere(2 * cloud.dimension, samples)
+    pts = cloud.as_real()
+    hits = 0
+    chunk = max(1, (1 << 22) // len(pts))
+    for start in range(0, len(grid), chunk):
+        block = grid[start : start + chunk]
+        d2 = (
+            np.sum(block**2, axis=1)[:, None]
+            - 2.0 * block @ pts.T
+            + np.sum(pts**2, axis=1)[None, :]
+        )
+        hits += int(np.count_nonzero(d2.min(axis=1) <= eps_nbhd * eps_nbhd))
+    return hits / len(grid)
+
+
 SRC = str(Path(cyclicity.__file__).resolve().parents[1])
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclicity import capacity
 from cyclicity.capacity import (
     CONSISTENT,
     OBSTRUCTION,
@@ -24,6 +25,7 @@ from cyclicity.capacity import (
 from cyclicity.errors import ArgumentError, DegenerateInputError
 from cyclicity.poly import Polynomial
 from cyclicity.spaces import hardy, sphere_sample
+from helpers import whole_block_neighborhood
 
 
 def p1d(*coeffs):
@@ -190,6 +192,12 @@ class TestRieszEquilibrium:
         with pytest.raises(ArgumentError, match="tol"):
             riesz_equilibrium(arc_cloud(math.pi / 2.0, 64), alpha=0.0, tol=tol)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    def test_rejects_alpha_outside_finite_nonnegatives(self, alpha):
+        # nan would run the log kernel and inf overflow it: both are input errors
+        with pytest.raises(ArgumentError, match="alpha must be finite and >= 0"):
+            riesz_equilibrium(circle_cloud(8), alpha)
+
     def test_kkt_certificate(self):
         res = riesz_equilibrium(arc_cloud(math.pi, 256), alpha=0.0, tol=1e-6)
         assert res.kkt_gap <= 1e-5
@@ -298,6 +306,37 @@ class TestNeighborhoodCapacity:
         value = neighborhood_capacity(cap, 1.0, 0.15, samples=8192)
         assert 0.0 < value < 1.0
 
+    CLOUDS = {
+        "cap768": lambda: sphere_cap_cloud(768, 1.0),
+        "arc4096": lambda: arc_cloud(math.pi / 2, 4096),
+        "one-point": lambda: circle_cloud(1),
+    }
+
+    # None keeps the module's block; 1 gives blocks of one sample row; 3000
+    # gives the cap blocks of 3 rows and the one-point cloud blocks of 3000
+    # rows, so that the last block of 8192 rows is partial
+    @pytest.mark.parametrize("block", [None, 1, 3000])
+    @pytest.mark.parametrize("name, eps", [
+        ("cap768", 0.01), ("cap768", 0.05), ("cap768", 0.2), ("arc4096", 0.01), ("one-point", 0.05),
+    ])
+    def test_matches_whole_block_formula(self, name, eps, block, monkeypatch):
+        cloud = self.CLOUDS[name]()
+        if block is not None:
+            monkeypatch.setattr(capacity, "BLOCK_ENTRIES", block)
+        assert neighborhood_capacity(cloud, 1.0, eps) == whole_block_neighborhood(cloud, eps)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_validation(self, samples):
+        with pytest.raises(ArgumentError, match="samples must be >= 1"):
+            neighborhood_capacity(circle_cloud(8), 1.0, 0.05, samples=samples)
+
+    @pytest.mark.parametrize("alpha, eps", [
+        (math.nan, 0.05), (math.inf, 0.05), (-1.0, 0.05), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_alpha_and_radius_validation(self, alpha, eps):
+        with pytest.raises(ArgumentError, match="alpha|eps_nbhd"):
+            neighborhood_capacity(circle_cloud(8), alpha, eps)
+
 
 class TestBoxDimension:
     def test_singleton(self):
@@ -329,6 +368,20 @@ class TestBoxDimension:
     def test_scale_validation(self):
         with pytest.raises(ArgumentError):
             box_dimension(circle_cloud(16), 5, 5)
+
+    @pytest.mark.parametrize("name", ["arc", "cap", "sphere-d3", "duplicates"])
+    def test_counts_match_unique_rows(self, name):
+        arc = arc_cloud(math.pi, 4096)
+        cloud = {
+            "arc": lambda: arc,
+            "cap": lambda: sphere_cap_cloud(4096, 1.0),
+            "sphere-d3": lambda: BoundaryCloud(sphere_sample(np.random.default_rng(3), 2000, 3)),
+            "duplicates": lambda: BoundaryCloud(np.vstack([arc.points[:500], arc.points[:300]])),
+        }[name]()
+        est = box_dimension(cloud, 1, 9)
+        pts = cloud.as_real()
+        want = [len(np.unique(np.floor(pts * 2.0**j).astype(np.int64), axis=0)) for j in est.scales]
+        assert est.counts == want
 
 
 class TestInteriorProbe:

@@ -25,7 +25,8 @@ from cyclicity.capacity import (
 from cyclicity.cli import main
 from cyclicity.errors import NumericFailureError
 from cyclicity.spaces import sphere_sample
-from helpers import copying_face_minimizer, subprocess_env, two_array_kernel
+from helpers import (copying_face_minimizer, numpy_products_equilibrium, subprocess_env,
+                     two_array_kernel)
 
 
 def reference_kernel(cloud, alpha):
@@ -190,6 +191,89 @@ class TestOneKernel:
             tracemalloc.stop()
         assert res.converged and res.iterations == 1
         assert peak < 1.25 * 8 * n * n
+
+
+class RecordedKernel(np.ndarray):
+    """A kernel that counts the numpy matrix products it enters."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            RecordedKernel.products += 1
+        inputs = tuple(np.asarray(x) for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestKernelProducts:
+    """Past NUMPY_MAX_FACE points scipy factors the kernel, and scipy's BLAS
+    makes the kernel products too; up to it numpy makes them."""
+
+    CLOUDS = {
+        "arc512": lambda: (arc_cloud(math.pi / 2, 512), 0.0),
+        "arc1024": lambda: (arc_cloud(math.pi / 2, 1024), 0.0),
+        "arc4096": lambda: (arc_cloud(math.pi / 2, 4096), 0.0),
+        # Cholesky fails, then the bordered LU answers
+        "circle512": lambda: (circle_cloud(512), 0.0),
+        "circle1024": lambda: (circle_cloud(1024), 0.0),
+        # points drop, so five faces are solved
+        "cap768-log": lambda: (sphere_cap_cloud(768, 1.0), 0.0),
+        "cap768-riesz": lambda: (sphere_cap_cloud(768, 1.0), 1.0),
+    }
+
+    @pytest.mark.parametrize("name", list(CLOUDS))
+    def test_matches_numpy_products(self, name):
+        # numpy and scipy carry OpenBLAS builds of their own, so the two
+        # products may round apart; the gap is compared on the energy's scale,
+        # the scale that its convergence test reads it on
+        cloud, alpha = self.CLOUDS[name]()
+        got = riesz_equilibrium(cloud, alpha)
+        weights, energy, iterations, gap, converged = numpy_products_equilibrium(cloud, alpha)
+        assert (got.iterations, got.converged) == (iterations, converged)
+        assert np.array_equal(got.weights > 0, weights > 0)
+        np.testing.assert_allclose(got.weights, weights, rtol=1e-14, atol=0.0)
+        assert got.energy == pytest.approx(energy, rel=1e-14, abs=0.0)
+        assert abs(got.kkt_gap - gap) <= 1e-14 * max(1.0, abs(energy))
+
+    def products(self, cloud, alpha, monkeypatch):
+        """(numpy products with the kernel, dgemv calls) of one solve; each
+        dgemv call must read the kernel in place, through its transpose."""
+        import scipy.linalg.blas
+
+        real_kernel, real_dgemv = cap._riesz_kernel, scipy.linalg.blas.dgemv
+        kernels, calls = [], []
+
+        def recorded_kernel(pts, alpha):
+            kernels.append(real_kernel(pts, alpha).view(RecordedKernel))
+            return kernels[-1]
+
+        def dgemv(alpha, a, x, **kwargs):
+            calls.append(a.flags.f_contiguous and np.shares_memory(a, kernels[-1]))
+            return real_dgemv(alpha, a, x, **kwargs)
+
+        RecordedKernel.products = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(cap, "_riesz_kernel", recorded_kernel)
+            mp.setattr(scipy.linalg.blas, "dgemv", dgemv)
+            riesz_equilibrium(cloud, alpha)
+        assert all(calls)
+        return RecordedKernel.products, len(calls)
+
+    def test_products_follow_the_factor(self, monkeypatch):
+        # one face: the starting energy, the face's energy and gradient, and
+        # the final gradient and energy
+        m = cap.NUMPY_MAX_FACE
+        assert self.products(arc_cloud(math.pi / 2, m), 0.0, monkeypatch) == (5, 0)
+        assert self.products(arc_cloud(math.pi / 2, m + 1), 0.0, monkeypatch) == (0, 5)
+        # five faces, four of which drop points: every product that the
+        # numpy route makes moves to dgemv
+        cloud = sphere_cap_cloud(768, 1.0)
+        with monkeypatch.context() as mp:
+            mp.setattr(cap, "NUMPY_MAX_FACE", 768)
+            on_numpy, _ = self.products(cloud, 0.0, monkeypatch)
+        assert self.products(cloud, 0.0, monkeypatch) == (0, on_numpy)
 
 
 class TestConvergenceReporting:
