@@ -453,27 +453,33 @@ def riesz_equilibrium(
     return EquilibriumResult(w, energy, capacity, alpha, iterations, gap, converged)
 
 
+@functools.lru_cache(maxsize=4)
 def _quasi_uniform_sphere(real_dim: int, count: int) -> np.ndarray:
     """Deterministic quasi-uniform samples of the unit sphere in R^real_dim:
     unscrambled Halton points 1..count (radical inverses in the first
-    real_dim prime bases), Gaussianized by the inverse normal CDF."""
+    real_dim prime bases), Gaussianized by the inverse normal CDF. The last
+    few samples are kept by (real_dim, count) and shared, so the array is
+    read-only."""
     if real_dim == 2:
         theta = 2.0 * np.pi * np.arange(count) / count
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    primes = [p for p in range(2, real_dim**2 + 3)
-              if all(p % q for q in range(2, math.isqrt(p) + 1))]
-    u = np.zeros((count, real_dim))  # point 0 is the cube's origin and is skipped
-    for j, base in enumerate(primes[:real_dim]):
-        digits = np.arange(1, count + 1)
-        scale = 1.0 / base
-        while digits.any():
-            u[:, j] += (digits % base) * scale
-            scale /= base
-            digits //= base
-    import scipy.special  # only here: loading it costs every fresh process ~50 ms
+        sample = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        primes = [p for p in range(2, real_dim**2 + 3)
+                  if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        u = np.zeros((count, real_dim))  # point 0 is the cube's origin and is skipped
+        for j, base in enumerate(primes[:real_dim]):
+            digits = np.arange(1, count + 1)
+            scale = 1.0 / base
+            while digits.any():
+                u[:, j] += (digits % base) * scale
+                scale /= base
+                digits //= base
+        import scipy.special  # only here: loading it costs every fresh process ~50 ms
 
-    g = scipy.special.ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+        g = scipy.special.ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+        sample = g / np.linalg.norm(g, axis=1, keepdims=True)
+    sample.flags.writeable = False
+    return sample
 
 
 def neighborhood_capacity(

@@ -3,50 +3,67 @@
 A design column holds one shifted basis element (z^gamma f, or Z^w G over
 words), so it has only |f| nonzeros. `solve_nested` solves the leading
 column blocks of width k in `widths` of one design (a degree sweep's
-budgets); a single solve is its one-width case. Its route depends on the
-widest width K and the number of widths:
+budgets); a single solve is its one-width case.
+
+Every solve is equilibrated (van der Sluis, Numer. Math. 14, 1969): with D
+the inverse column norms of the widest design, it solves D G D y = D A^H b
+for G = A^H A and returns x = D y. Drury-Arveson weights and decaying
+moments spread the column norms over orders of magnitude, and D removes
+the part of the condition number that comes from that alone: on the
+Drury-Arveson d=3, n=15 sweep design kappa_1 falls from 2.65e6 to 16.8.
+The leading blocks of D G D are the scaled leading blocks of G, so one D
+serves every width. The dense route rounds D down to powers of two, which
+rounds nothing: its solutions are those of the unscaled Gram to the bit,
+and only the condition it reports and gates on changes. The route depends
+on the widest width K and the number of widths:
 
 * dense, when K^3 <= DENSE_MAX_COLUMNS^3 x (number of widths)
-  (`dense_route`), or when the design is an ndarray: the Gram G = A^H A
-  of width K is formed once (a CSC design's sparse product is densified),
-  factored once as G = L L^H by `np.linalg.cholesky`, and M = L^-1 is
-  formed once. The leading block of L factors the leading block of G, so
-  every width reads its solution and its exact 1-norm condition
-  kappa_1 = ||G_k||_1 ||G_k^-1||_1 off leading blocks of L and M.
+  (`dense_route`), or when the design is an ndarray: the scaled Gram of
+  width K is formed once (a CSC design's sparse product is densified),
+  factored once as L L^H by `np.linalg.cholesky`, and M = L^-1 is formed
+  once. The leading block of L factors the leading block of D G D, so every
+  width reads its solution and its exact 1-norm condition
+  kappa_1 = ||B||_1 ||B^-1||_1 off leading blocks of L and M.
   `solve_normal_equations`, the IRLS step's solve, is the one-width case
-  of the same factor. A single solve takes this route up to 64 columns.
-* sparse otherwise: each width's sparse Gram is factored by SuperLU in
-  symmetric mode (an unpivoted LDL^H under a minimum-degree ordering), and
-  kappa_1 is Hager's estimate from the factors.
+  of the same factor, scaled by D = diag(G)^(-1/2) rounded the same way.
+  A single solve takes this route up to 64 columns.
+* conjugate gradients (CG) otherwise: on A_k^H (A_k p) of the scaled CSC
+  design, never forming the Gram, each width started from the last one's
+  solution. Its own step coefficients give the Lanczos estimate of kappa_2
+  of D G_k D.
 
 `shifted_design` stores the design as a dense column-major ndarray when
 its solves take the dense route and it has at most DENSE_MAX_ENTRIES = 2^15
 entries (rows x columns), and as a CSC matrix otherwise (scipy.sparse is
-loaded only then). Every index of the acceptance configs, and every d = 1
-sweep up to n = 179 whose f has degree 1, is such a design, so these
-solves load no scipy.
+loaded only then; scipy.sparse.linalg and scipy.linalg never are). Every
+index of the acceptance configs, and every d = 1 sweep up to n = 179 whose
+f has degree 1, is such a design, so these solves load no scipy.
 
 The route rule is a measured crossover. A dense factor costs about K^3
-and is shared by the widths, while SuperLU is paid per width. Nested
-solve of every budget of a sweep, dense route against per-width SuperLU
-(median of 5, 2-core host, numpy 2.4 with OpenBLAS):
+and is shared by the widths, while CG is paid per width. Nested solve of
+every budget of a sweep, dense route against CG (median of 7, 2-core
+host, numpy 2.4 with OpenBLAS, scipy 1.17):
 
-    sweep, f = 1 - mean(z)      K  widths    dense    SuperLU  rule picks
-    d=1 Dirichlet, n=60        61      61    3.6 ms    47 ms   dense
-    d=1 Dirichlet, n=120      121     121     15 ms    95 ms   dense
-    d=1 Dirichlet, n=250      251     251     73 ms   202 ms   dense
-    d=1 Dirichlet, n=500      501     501    580 ms   460 ms   dense
-    Drury-Arveson d=2, n=12    91      13    3.3 ms    13 ms   dense
-    Drury-Arveson d=2, n=16   153      17    8.9 ms    13 ms   dense
-    Drury-Arveson d=2, n=22   276      23     29 ms    19 ms   SuperLU
-    Drury-Arveson d=2, n=30   496      31    190 ms    53 ms   SuperLU
-    Drury-Arveson d=3, n=7    120       8    4.9 ms   9.4 ms   dense
-    Drury-Arveson d=3, n=9    220      10     20 ms    13 ms   SuperLU
-    Drury-Arveson d=3, n=11   364      12     70 ms    20 ms   SuperLU
-    Drury-Arveson d=3, n=15   816      16    706 ms    46 ms   SuperLU
+    sweep, f = 1 - mean(z)      K  widths    dense       CG  rule picks
+    d=1 Dirichlet, n=60        61      61    4.8 ms    68 ms   dense
+    d=1 Dirichlet, n=120      121     121     14 ms   274 ms   dense
+    d=1 Dirichlet, n=250      251     251     85 ms  1.11 s    dense
+    d=1 Dirichlet, n=500      501     501    616 ms  5.27 s    dense
+    Drury-Arveson d=2, n=12    91      13    3.5 ms   5.5 ms   dense
+    Drury-Arveson d=2, n=16   153      17    8.7 ms   4.8 ms   dense
+    Drury-Arveson d=2, n=22   276      23     25 ms   7.8 ms   CG
+    Drury-Arveson d=2, n=30   496      31    159 ms    24 ms   CG
+    Drury-Arveson d=3, n=7    120       8    3.2 ms   1.6 ms   dense
+    Drury-Arveson d=3, n=9    220      10     13 ms   2.2 ms   CG
+    Drury-Arveson d=3, n=11   364      12     65 ms   5.6 ms   CG
+    Drury-Arveson d=3, n=15   816      16    593 ms   7.7 ms   CG
 
-The rule picks the faster route in all but the d=1, n=500 sweep, which
-sits at 0.96 of its bound.
+CG's cost follows the scaled condition, not K alone: the Drury-Arveson
+Grams stay near kappa_2 = 30 and take tens of iterations per width, while
+the d = 1 ones grow like K^2 and take about K. So the crossover has moved
+below the rule's at d >= 2 (CG wins the d=2, n=16 and d=3, n=7 sweeps),
+and at d = 1 the dense route wins at every size measured, although the
+rule sends d = 1 sweeps past n = 511 to CG.
 
 The entry limit picks the storage. An ndarray's Gram product grows with
 the rows, which a free design has for every word up to its longest
@@ -62,9 +79,9 @@ both on the dense route (lower quartile of 31 runs, 2-core host):
         64     512     32768   1.36 ms   1.31 ms
         64    1024     65536   1.61 ms   1.27 ms
 
-Gram matrices of shifted bases grow ill-conditioned with degree, so on
-either route a kappa_1 past DEFAULT_COND_THRESHOLD switches the solve to a
-dense orthogonal factorization of the design matrix itself.
+Past DEFAULT_COND_THRESHOLD on the condition of D G D, at CG's iteration
+cap, or on a zero column, the solve switches to a dense orthogonal
+factorization of the unscaled design matrix itself.
 
 An IRLS step of the mixed indices does not form its weighted grid design
 sqrt(u) A. When the monomials up to the grid's top degree are few against
@@ -85,14 +102,17 @@ import numpy as np
 
 from .errors import ConditioningError, NumericFailureError
 
-# the normal-equation route: the Gram's Cholesky factor (SuperLU's LDL^H on
-# the sparse route)
+# the normal-equation routes: the scaled Gram's Cholesky factor, or
+# conjugate gradients on the scaled design
 CHOLESKY = "cholesky"
+CG = "cg"
 QR_FALLBACK = "qr_fallback"
 
 DEFAULT_COND_THRESHOLD = 1e10
 DENSE_MAX_COLUMNS = 64
 DENSE_MAX_ENTRIES = 1 << 15
+CG_RTOL = 1e-14
+CG_MAX_ITER = 2000
 
 
 @dataclass
@@ -141,7 +161,7 @@ def shifted_design(rows, coeffs, target_rows, target_coeffs, sqrt_weights, dense
 def dense_route(columns: int, solves: int) -> bool:
     """Whether `solve_nested` factors the Gram of `columns` columns densely
     when it solves `solves` leading blocks of it: one dense factor costs
-    about columns^3 and serves every block, while SuperLU is paid per block."""
+    about columns^3 and serves every block, while CG is paid per block."""
     return columns**3 <= DENSE_MAX_COLUMNS**3 * solves
 
 
@@ -156,12 +176,15 @@ def solve_nested(design, target: np.ndarray, widths) -> list[LeastSquaresOutcome
     the increasing `widths`, one outcome per width.
 
     Each reported residual is evaluated directly on its returned x, so it is
-    always an achievable objective value. `gram_condition` is the 1-norm
-    condition ||G_k||_1 ||G_k^-1||_1 of G_k = A_k^H A_k: exact on the dense
-    route, Hager's estimate on the sparse one, and infinite when the
-    factorization of G_k fails. An ndarray design, or a sparse one that
-    `dense_route` picks, takes the dense route: the Gram of the widest width
-    is factored once and every G_k is its leading block.
+    always an achievable objective value. The normal equations are solved
+    equilibrated: with D the inverse column norms of the widest design
+    (rounded down to powers of two on the dense route),
+    D G_k D y = D A_k^H b and x = D y. `gram_condition` is the condition of
+    D G_k D: its exact kappa_1 on the dense route, the Lanczos estimate of
+    its kappa_2 on the CG route, and infinite when the factorization of
+    G_k fails or A_k has a zero column. An ndarray design, or a sparse one
+    that `dense_route` picks, takes the dense route: the scaled Gram of the
+    widest width is factored once and every D G_k D is its leading block.
     """
     target = np.asarray(target, dtype=complex)
     widths = list(widths)
@@ -174,19 +197,24 @@ def solve_nested(design, target: np.ndarray, widths) -> list[LeastSquaresOutcome
         design = scipy.sparse.csc_matrix(design, dtype=complex)
         if top < design.shape[1]:  # slicing copies a CSC matrix
             design = design[:, :top]
-    # A^H b as conj(b^H A), without a conjugated copy of A
-    rhs = (target.conj() @ design).conj()
-    if isinstance(design, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            solved = _dense_factor(design.conj().T @ design, rhs, widths)
-    elif dense_route(top, len(widths)):
-        solved = _dense_factor((design.conj().T @ design).toarray(), rhs, widths)
+    method = (CHOLESKY if isinstance(design, np.ndarray) or dense_route(top, len(widths))
+              else CG)
+    # CG's iteration count follows the condition of D G D, so it takes the
+    # exact inverse norms; the dense route takes them rounded to powers of
+    # two, which keep its results those of the unscaled Gram to the bit
+    scale, scaled = _equilibrate(design, exact=method == CG)
+    # D A^H b as conj(b^H A D), without a conjugated copy of A D
+    rhs = (target.conj() @ scaled).conj()
+    if method == CG:
+        solved = _conjugate_gradients(scaled, rhs, widths, scale > 0)
     else:
-        solved = [_sparse_normal_solve(design[:, :k] if k < top else design, rhs[:k])
-                  for k in widths]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = scaled.conj().T @ scaled
+        solved = _dense_factor(gram if isinstance(gram, np.ndarray) else gram.toarray(),
+                               rhs, widths)
     outs, block = [], np.zeros((top, len(widths)), dtype=complex)
-    for j, (k, (cond, x)) in enumerate(zip(widths, solved)):
-        out = _gate(cond, x, lambda k=k: (
+    for j, (k, (cond, y)) in enumerate(zip(widths, solved)):
+        out = _gate(cond, None if y is None else scale[:k] * y, method, lambda k=k: (
             design[:, :k] if isinstance(design, np.ndarray) else design[:, :k].toarray(),
             target))
         block[:k, j] = out.coefficients
@@ -201,11 +229,57 @@ def solve_nested(design, target: np.ndarray, widths) -> list[LeastSquaresOutcome
 
 def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, problem) -> NormalSolution:
     """Solve the normal equations G x = rhs of min ||A x - b||_2, given the
-    dense Gram G = A^H A and rhs = A^H b, by the one Cholesky factor that
-    also gives the exact kappa_1 of G. Past DEFAULT_COND_THRESHOLD the
-    solution is instead the dense least-squares one of (A, b) = problem(),
-    which is called only then."""
-    return _gate(*_dense_factor(gram, rhs, [len(gram)])[0], problem)
+    dense Gram G = A^H A and rhs = A^H b, equilibrated as D G D y = D rhs
+    with D = diag(G)^(-1/2) rounded down to powers of two, by the one
+    Cholesky factor that also gives the exact kappa_1 of D G D. Past
+    DEFAULT_COND_THRESHOLD the solution is instead the dense least-squares
+    one of (A, b) = problem(), which is called only then."""
+    # a diagonal entry m 2^e, 1/2 <= m < 1, gets the scale 2^-ceil(e/2); a zero
+    # or non-finite one gets 1, and the factorization refuses the Gram
+    scale = np.ldexp(1.0, -((np.frexp(gram.diagonal().real)[1] + 1) // 2))
+    cond, y = _dense_factor(gram * np.outer(scale, scale), scale * rhs, [len(gram)])[0]
+    return _gate(cond, None if y is None else scale * y, CHOLESKY, problem)
+
+
+def _equilibrate(design, exact: bool):
+    """(D, A D) for the inverse column norms D of the design A, rounded down
+    to powers of two unless `exact`. Scaling by powers of two rounds nothing
+    (LAPACK's xPOEQUB scales by powers of the radix for the same reason):
+    the Cholesky factor of D G D is then exactly D times the factor of G,
+    and x = D y exactly the unscaled solution. A column's norm is taken as
+    max_i |a_ij| ||a_j / max_i |a_ij|||, and D as the inverse of each
+    factor in turn, so no step overflows. A column that is zero or not
+    finite gets the scale 0, which marks it, never inf."""
+    if isinstance(design, np.ndarray):
+        magnitude = np.abs(design)
+        peak = magnitude.max(axis=0, initial=0.0)
+        counts = None
+    else:
+        magnitude = np.abs(design.data)
+        counts = np.diff(design.indptr)
+        filled = counts > 0
+        starts = design.indptr[:-1][filled]
+        peak = np.zeros(design.shape[1])
+        peak[filled] = np.maximum.reduceat(magnitude, starts)
+    with np.errstate(all="ignore"):
+        if counts is None:
+            square_sums = ((magnitude / peak) ** 2).sum(axis=0)
+        else:
+            square_sums = np.zeros(design.shape[1])
+            square_sums[filled] = np.add.reduceat(
+                (magnitude / np.repeat(peak, counts)) ** 2, starts)
+        scale = 1.0 / peak / np.sqrt(square_sums)
+        usable = np.isfinite(scale) & (scale > 0)
+        if not exact:
+            scale = np.ldexp(1.0, np.frexp(scale)[1] - 1)
+        scale = np.where(usable, scale, 0.0)
+        if counts is None:
+            return scale, design * scale
+        data = design.data * np.repeat(scale, counts)
+    import scipy.sparse
+
+    return scale, scipy.sparse.csc_matrix((data, design.indices, design.indptr),
+                                          shape=design.shape)
 
 
 def _dense_factor(gram: np.ndarray, rhs: np.ndarray, widths: list[int]):
@@ -253,31 +327,77 @@ def _dense_factor(gram: np.ndarray, rhs: np.ndarray, widths: list[int]):
     return [(cond, solutions[k - 1, :k]) for k, cond in zip(widths, conds)]
 
 
-def _sparse_normal_solve(design, rhs: np.ndarray):
-    """Hager's estimate of kappa_1 of the Gram of a CSC design and the
-    normal-equation solution, from one SuperLU factorization."""
-    from scipy.sparse.linalg import LinearOperator, onenormest, splu
+def _conjugate_gradients(design, rhs: np.ndarray, widths: list[int], usable):
+    """(kappa_2 estimate, normal-equation solution) of every leading block
+    of a column-scaled CSC design, by conjugate gradients on
+    A_k^H (A_k p), never forming the Gram.
 
-    gram = (design.conj().T @ design).tocsc()
-    try:
-        factor = splu(gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-    except RuntimeError:
-        return math.inf, None  # SuperLU found an exactly zero pivot
-    # G is Hermitian, so G^-1 is its own adjoint; t=1 keeps the estimate
-    # deterministic (larger t draws random probe vectors)
-    inverse = LinearOperator(gram.shape, matvec=factor.solve, rmatvec=factor.solve,
-                             dtype=complex)
-    cond = float(abs(gram).sum(axis=0).max() * onenormest(inverse, t=1))
-    return cond, factor.solve(rhs)
+    Each width starts from the previous one's solution, padded with zeros,
+    and stops once ||r|| <= CG_RTOL ||A_k^H b||. CG's step lengths alpha
+    and ratios beta are the Lanczos tridiagonal T of the Krylov space it
+    spans, whose extreme eigenvalues bound the spectrum of the Gram from
+    inside (Golub & Meurant, Matrices, Moments and Quadrature, 2010, ch.
+    12). The leading block of a Hermitian matrix has a spectrum inside the
+    whole one's, so the estimate carried to width k is the largest seen up
+    to it. A width with an unusable column, or one that meets the
+    iteration cap, gives no solution.
+    """
+    import scipy.sparse
+
+    adjoint = design.data.conj()
+    x, cond, solved = np.zeros(0, dtype=complex), 1.0, []
+    for k in widths:
+        x = np.concatenate([x, np.zeros(k - len(x), dtype=complex)])
+        if not usable[:k].all():
+            solved.append((math.inf, None))
+            continue
+        stored = design.indptr[k]
+        parts = design.indices[:stored], design.indptr[:k + 1]
+        a = scipy.sparse.csc_matrix((design.data[:stored], *parts), shape=(design.shape[0], k))
+        a_adjoint = scipy.sparse.csr_matrix((adjoint[:stored], *parts), shape=(k, design.shape[0]))
+        residual = rhs[:k] - a_adjoint @ (a @ x)
+        direction = residual.copy()
+        square = np.vdot(residual, residual).real
+        stop = (CG_RTOL * np.linalg.norm(rhs[:k])) ** 2
+        alphas, betas = [], []
+        # a direction that A maps to 0 makes the iterate non-finite, which
+        # ends the loop and sends the width to the fallback
+        with np.errstate(all="ignore"):
+            while square > stop and len(alphas) < CG_MAX_ITER:
+                image = a @ direction
+                alphas.append(square / np.vdot(image, image).real)
+                x += alphas[-1] * direction
+                residual -= alphas[-1] * (a_adjoint @ image)
+                betas.append(np.vdot(residual, residual).real / square)
+                square *= betas[-1]
+                direction *= betas[-1]
+                direction += residual
+        if not np.isfinite(square):
+            cond = math.inf
+        elif alphas:
+            cond = max(cond, _lanczos_condition(np.array(alphas), np.array(betas)))
+        solved.append((cond, x.copy() if square <= stop else None))
+    return solved
 
 
-def _gate(cond: float, x, problem) -> NormalSolution:
-    """Keep the normal-equation solution x when kappa_1 is at most the
-    threshold, else solve the dense least-squares problem (A, b) = problem()."""
-    if cond <= DEFAULT_COND_THRESHOLD:
-        method = CHOLESKY
-    else:
+def _lanczos_condition(alphas: np.ndarray, betas: np.ndarray) -> float:
+    """lambda_max / lambda_min of the Lanczos tridiagonal of CG's steps: its
+    diagonal is 1/alpha_j + beta_(j-1)/alpha_(j-1) and its subdiagonal
+    sqrt(beta_j)/alpha_j."""
+    diagonal = 1.0 / alphas
+    diagonal[1:] += betas[:-1] / alphas[:-1]
+    # eigvalsh reads the lower triangle only
+    tridiagonal = np.diag(diagonal)
+    tridiagonal.flat[len(alphas)::len(alphas) + 1] = np.sqrt(betas[:-1]) / alphas[:-1]
+    ritz = np.linalg.eigvalsh(tridiagonal)
+    return float(ritz[-1] / ritz[0]) if ritz[0] > 0 else math.inf
+
+
+def _gate(cond: float, x, method: str, problem) -> NormalSolution:
+    """Keep the normal-equation solution x of `method` when there is one and
+    the condition is at most the threshold, else solve the dense
+    least-squares problem (A, b) = problem()."""
+    if x is None or not cond <= DEFAULT_COND_THRESHOLD:
         method = QR_FALLBACK
         try:
             x = np.linalg.lstsq(*problem(), rcond=None)[0]

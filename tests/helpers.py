@@ -228,18 +228,32 @@ def normal_solves_of(module, call):
     return result, seen
 
 
+def equilibrated(columns, exact=False):
+    """The column-scaled design A D and D, as `solver.solve_nested` scales a
+    design: D holds the inverse column norms of A (0 for a zero column),
+    rounded down to powers of two unless `exact`, as on the dense route."""
+    norms = np.linalg.norm(columns, axis=0)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    if not exact:
+        scale = np.where(norms > 0, np.exp2(np.floor(np.log2(np.where(norms > 0, scale, 1.0)))),
+                         0.0)
+    return columns * scale, scale
+
+
 def per_width_solves(design, target, widths):
     """Reference for `solver.solve_nested`: each width solved on its own, as
-    sweeps solved their budgets before the nested factor. Per width k: the
-    Gram of design[:, :k], one LU solve of it for [I | A_k^H b] that gives
-    G_k^-1 and x, the exact kappa_1, the 1e10 gate with a dense `lstsq` of
-    the design's columns past it, and the residual of the x kept. Returns
-    (residual, method) per width."""
+    sweeps solved their budgets before the nested factor, on the design
+    equilibrated as the dense route does it. Per width k: the scaled Gram
+    D G_k D, one LU solve of it for [I | D A_k^H b] that gives its inverse
+    and y, its exact kappa_1, the 1e10 gate with a dense `lstsq` of the
+    unscaled columns past it, and the residual of the x = D y or lstsq
+    solution kept. Returns (residual, method) per width."""
     dense = design if isinstance(design, np.ndarray) else design.toarray()
     dense, target = dense.astype(complex), np.asarray(target, dtype=complex)
+    scaled, scale = equilibrated(dense[:, :max(widths)])
     out = []
     for k in widths:
-        columns = dense[:, :k]
+        columns = scaled[:, :k]
         gram = columns.conj().T @ columns
         try:
             solved = np.linalg.solve(gram, np.column_stack([np.eye(k), columns.conj().T @ target]))
@@ -248,10 +262,10 @@ def per_width_solves(design, target, widths):
         else:
             cond = float(np.linalg.norm(gram, 1) * np.linalg.norm(solved[:, :k], 1))
         if cond <= solver.DEFAULT_COND_THRESHOLD:
-            method, x = solver.CHOLESKY, solved[:, k]
+            method, x = solver.CHOLESKY, scale[:k] * solved[:, k]
         else:
-            method, x = solver.QR_FALLBACK, np.linalg.lstsq(columns, target, rcond=None)[0]
-        out.append((float(np.linalg.norm(target - columns @ x)), method))
+            method, x = solver.QR_FALLBACK, np.linalg.lstsq(dense[:, :k], target, rcond=None)[0]
+        out.append((float(np.linalg.norm(target - dense[:, :k] @ x)), method))
     return out
 
 

@@ -1,11 +1,13 @@
 """One distance solve for both algebras: closed-form residuals in commutative
-and free spaces, and refusal of a series from the other algebra."""
+and free spaces, also over whole sweeps at the sizes of the CG route, and
+refusal of a series from the other algebra."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclicity import solver
 from cyclicity.errors import DimensionMismatchError
 from cyclicity.freespace import (
     FreePolynomial,
@@ -13,7 +15,7 @@ from cyclicity.freespace import (
     free_hardy,
     free_subspace_distance,
 )
-from cyclicity.indices import subspace_distance
+from cyclicity.indices import index_sweep, subspace_distance
 from cyclicity.poly import Polynomial
 from cyclicity.spaces import SpaceSpec, bergman, dirichlet_type, drury_arveson
 
@@ -95,6 +97,23 @@ class TestClosedForms:
         out = free_subspace_distance(spec, one, free_boundary_zero(u), n)
         weights = [(k + 1.0) ** (2.0 * s) for k in range(n + 2)]
         assert out.residual**2 == pytest.approx(one_minus_z_residual_sq(weights), rel=RTOL, abs=0)
+
+
+class TestBoundaryZeroSweeps:
+    """1 - <z, u> over every budget of one Drury-Arveson sweep, at sizes
+    whose designs take the CG route: 3,276 columns at d = 3, n = 25 and
+    10,626 at d = 4, n = 20. Their unscaled Grams' conditions pass the 1e10
+    switch, so only the equilibration keeps them off the dense fallback."""
+
+    @pytest.mark.parametrize("d, n_max", [(3, 25), (4, 20)])
+    def test_every_budget_matches_the_closed_form(self, d, n_max):
+        rng = np.random.default_rng(d)
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        report = index_sweep(drury_arveson(d, n_max + 1), boundary_zero(u), n_max)
+        assert solver.QR_FALLBACK not in report.solve_methods
+        scaled = [r * r * (n + 2) for n, r in zip(report.degrees, report.residuals)]
+        np.testing.assert_allclose(scaled, 1.0, rtol=RTOL, atol=0)
 
 
 class TestOtherAlgebraRefused:

@@ -381,6 +381,15 @@ class TestQuasiUniformSphere:
         expected = g / np.linalg.norm(g, axis=1, keepdims=True)
         assert np.array_equal(cap._quasi_uniform_sphere(real_dim, count), expected)
 
+    @pytest.mark.parametrize("real_dim", [2, 4])
+    def test_sample_is_memoized_and_read_only(self, real_dim):
+        first = cap._quasi_uniform_sphere(real_dim, 768)
+        again = cap._quasi_uniform_sphere(real_dim, 768)
+        assert again is first
+        assert np.array_equal(again, first)
+        with pytest.raises(ValueError):
+            again[0, 0] = 0.0
+
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.special, scipy.sparse and scipy.linalg load on first use,
         # inside the sphere sampler, the least-squares solver and the

@@ -100,14 +100,12 @@ class TestSubspaceDistance:
             assert res.residual <= spec.norm(g) + 1e-12
 
     def test_ill_conditioned_gram_uses_fallback(self):
-        # moments decaying like 1e-6 per degree drive the Gram condition far
-        # past the 1e10 switch; the solve must flag the orthogonal route and
-        # still return a sane residual
-        from cyclicity.spaces import MomentSequence, SpaceSpec
-
-        moments = MomentSequence(tuple(10.0 ** (-3 * j) for j in range(17)))
-        spec = SpaceSpec("diagonal_besov", 1, 0, 8, moments=moments)
-        res = subspace_distance(spec, ONE, p1d(1, -1), 6)
+        # the shifts of (1 - z)^6 are nearly dependent, not merely of unequal
+        # norms, so even the equilibrated Gram's condition lies far past the
+        # 1e10 switch (about 1.2e13 at n = 58); the solve must flag the
+        # orthogonal route and still return a sane residual
+        spec = hardy(1)
+        res = subspace_distance(spec, ONE, p1d(1, -6, 15, -20, 15, -6, 1), 58)
         assert res.solve_method == "qr_fallback"
         assert res.gram_condition > 1e10
         assert 0.0 <= res.residual <= spec.norm(ONE) + 1e-12

@@ -1,10 +1,12 @@
 """Sparse least-squares core: assembly against dense polynomial products, the
-sparse Gram solve against a dense oracle, the dense-design route, nested
-solves against per-width ones, the condition estimate, residual invariants
-of index, sweep and free index, and non-finite input."""
+equilibrated normal-equation solves against a dense oracle, the dense-design
+route, nested solves against per-width ones, the condition estimate,
+residual invariants of index, sweep and free index, and non-finite input."""
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +37,8 @@ from cyclicity.spaces import (
     drury_arveson,
     hardy,
 )
-from helpers import design_entries, per_width_solves, solves_of
+from helpers import (design_entries, equilibrated, per_width_solves, solves_of,
+                     subprocess_env)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -75,6 +78,20 @@ def assert_matches_dense_oracle(design, target, out):
     slack = 1e-12 * np.linalg.norm(target)
     assert abs(out.residual - residual_ref) <= 1e-10 * residual_ref + slack
     assert np.linalg.norm(out.coefficients - x_ref) <= 1e-8 * max(1.0, np.linalg.norm(x_ref))
+
+
+def scaled_gram(design, exact=False):
+    """The equilibrated Gram D G D of a dense or CSC design as a dense array,
+    D its inverse column norms, rounded down to powers of two unless
+    `exact`: the dense route's and the CG route's D."""
+    scaled, _ = equilibrated(design_entries(design)[0].astype(complex), exact)
+    return scaled.conj().T @ scaled
+
+
+def _mean_shift(d):
+    """f = 1 - (z_1 + ... + z_d)/d, whose Gram stays well conditioned."""
+    return Polynomial(d, {(0,) * d: 1.0, **{
+        tuple(int(i == j) for i in range(d)): -1.0 / d for j in range(d)}})
 
 
 class TestAssembly:
@@ -286,24 +303,27 @@ class TestConditionEstimate:
         np.random.seed(1)
         second = solver.solve_least_squares(design, target)
         assert first.gram_condition == second.gram_condition
-        gram = (design.conj().T @ design).toarray()
+        # 816 columns take the CG route, whose Lanczos estimate of kappa_2 of
+        # the equilibrated Gram D G D lies below its kappa_2, so below kappa_1
+        gram = scaled_gram(design, exact=True)
         kappa1 = np.linalg.norm(gram, 1) * np.linalg.norm(np.linalg.inv(gram), 1)
         assert kappa1 / 10 <= first.gram_condition <= kappa1 * (1 + 1e-9)
-        assert first.method == solver.CHOLESKY
+        assert first.method == solver.CG
 
     def test_small_gram_is_exact(self):
         design = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
         out = solver.solve_least_squares(design, np.ones(3))
-        gram = design.T @ design
+        gram = scaled_gram(design)
         kappa1 = np.linalg.norm(gram, 1) * np.linalg.norm(np.linalg.inv(gram), 1)
         assert out.gram_condition == pytest.approx(kappa1, rel=1e-12)
 
 
 class TestDenseRoute:
     """An ndarray design, and a CSC one of at most 64 columns, take the dense
-    route (a dense Gram, one Cholesky factor and its exact kappa_1); a wider
-    CSC one takes SuperLU and Hager's estimate. Both share the threshold,
-    the fallback and the residual."""
+    route (a dense equilibrated Gram, one Cholesky factor and its exact
+    kappa_1); a wider CSC one takes conjugate gradients and a Lanczos
+    estimate of kappa_2. Both share the threshold, the fallback and the
+    residual."""
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_matches_sparse_form(self, name):
@@ -317,10 +337,32 @@ class TestDenseRoute:
         assert dense.residual == pytest.approx(sparse.residual, rel=1e-12, abs=1e-15)
         np.testing.assert_allclose(dense.coefficients, sparse.coefficients, rtol=1e-12,
                                    atol=1e-14)
-        gram = design.conj().T @ design
+        gram = scaled_gram(design)
         kappa1 = np.linalg.norm(gram, 1) * np.linalg.norm(np.linalg.inv(gram), 1)
         assert dense.gram_condition == pytest.approx(kappa1, rel=1e-12)
         assert kappa1 / 10 <= sparse.gram_condition <= kappa1 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("spec, f, n", [
+        pytest.param(drury_arveson(2, 11), _mean_shift(2), 10, id="drury_arveson"),
+        # moments falling 1e-3 per degree spread the column norms by 1e18
+        pytest.param(SpaceSpec("diagonal_besov", 1, 0, 8, moments=MomentSequence(
+            tuple(10.0 ** (-3 * j) for j in range(17)))), _mean_shift(1), 6, id="moments"),
+    ])
+    def test_power_of_two_scaling_keeps_the_unscaled_solution(self, spec, f, n):
+        # scaling by powers of two rounds nothing, so every width's solution
+        # is the one the unscaled Gram's factor gives, to the bit
+        design, target, _ = indices._design_matrix(spec, Polynomial.one(spec.d), f, n,
+                                                   solves=n + 1)
+        assert isinstance(design, np.ndarray)
+        norms = np.linalg.norm(design, axis=0)
+        assert norms.max() / norms.min() > 10
+        widths = [math.comb(k + spec.d, spec.d) for k in range(n + 1)]
+        outs = solver.solve_nested(design, target, widths)
+        unscaled = solver._dense_factor(design.conj().T @ design,
+                                        (target.conj() @ design).conj(), widths)
+        for out, (_, x) in zip(outs, unscaled):
+            assert out.method == solver.CHOLESKY
+            assert np.array_equal(out.coefficients, x)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_real_design_is_accepted(self, order):
@@ -347,23 +389,17 @@ class TestDenseRoute:
         assert out.residual == pytest.approx(np.linalg.norm(target - design @ want), rel=1e-8)
 
 
-def _mean_shift(d):
-    """f = 1 - (z_1 + ... + z_d)/d, whose Gram stays well conditioned."""
-    return Polynomial(d, {(0,) * d: 1.0, **{
-        tuple(int(i == j) for i in range(d)): -1.0 / d for j in range(d)}})
-
-
 class TestNestedSolve:
     """`solve_nested` against each width solved on its own (`per_width_solves`),
     on sweep designs on both sides of the route rule."""
 
     @pytest.mark.parametrize("spec, n_max, dense", [
         pytest.param(dirichlet_type(1, 41), 40, True, id="d1-dense"),
-        pytest.param(hardy(1, 513), 512, False, id="d1-superlu"),
+        pytest.param(hardy(1, 513), 512, False, id="d1-cg"),
         pytest.param(drury_arveson(2, 17), 16, True, id="d2-dense"),
-        pytest.param(drury_arveson(2, 23), 22, False, id="d2-superlu"),
+        pytest.param(drury_arveson(2, 23), 22, False, id="d2-cg"),
         pytest.param(drury_arveson(3, 8), 7, True, id="d3-dense"),
-        pytest.param(drury_arveson(3, 10), 9, False, id="d3-superlu"),
+        pytest.param(drury_arveson(3, 10), 9, False, id="d3-cg"),
     ])
     def test_matches_per_width_solves(self, spec, n_max, dense):
         d = spec.d
@@ -378,15 +414,20 @@ class TestNestedSolve:
         got = [outs[i] for i in picked]
         np.testing.assert_allclose([out.residual for out in got], [w[0] for w in want],
                                    rtol=1e-12, atol=0)
-        assert [out.method for out in got] == [w[1] for w in want]
-        dense_design = design_entries(design)[0]
+        # the CG route solves the normal equations that the reference factors
+        route = solver.CHOLESKY if dense else solver.CG
+        assert [out.method for out in got] == [
+            route if w[1] == solver.CHOLESKY else w[1] for w in want]
+        gram = scaled_gram(design, exact=not dense)
         for i, out in zip(picked, got):
-            columns = dense_design[:, :widths[i]]
-            kappa1 = np.linalg.cond(columns.conj().T @ columns, 1)
+            block = gram[:widths[i], :widths[i]]
             if dense:
+                kappa1 = np.linalg.cond(block, 1)
                 assert out.gram_condition == pytest.approx(kappa1, rel=1e-10)
             else:
-                assert kappa1 / 10 <= out.gram_condition <= kappa1 * (1 + 1e-9)
+                spectrum = np.linalg.eigvalsh(block)
+                kappa2 = spectrum[-1] / spectrum[0]
+                assert kappa2 / 10 <= out.gram_condition <= kappa2 * (1 + 1e-9)
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("last", ["duplicate", "zero"])
@@ -421,8 +462,9 @@ class TestNestedSolve:
 
 class TestSingularGram:
     """A zero column makes the Gram exactly singular: Cholesky refuses its zero
-    pivot on the dense route, SuperLU finds it on the sparse one. Either way
-    the condition is infinite and the dense least-squares fallback answers."""
+    pivot on the dense route, and the CG route refuses the column before it
+    iterates. Either way the condition is infinite and the dense
+    least-squares fallback answers."""
 
     @pytest.mark.parametrize("cols, sparse", [(6, False), (80, True)])
     def test_zero_column_falls_back(self, cols, sparse):
@@ -468,11 +510,12 @@ class TestNonFiniteInput:
         assert "non-finite" in capsys.readouterr().err
 
     def test_cli_numeric_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        # moments falling 1e-3 per step push the Gram past the fallback switch
-        moments = [10.0 ** (-3 * j) for j in range(17)]
-        space = {"kind": "diagonal_besov", "d": 1, "N": 0, "maxDegree": 8, "moments": moments}
+        # the nearly dependent shifts of (1 - z)^6 push even the equilibrated
+        # Gram past the fallback switch
         cfg = tmp_path / "index.json"
-        cfg.write_text(json.dumps({"space": space, "function": {"coeffs1d": [1, -1]}, "n": 6}))
+        cfg.write_text(json.dumps({"space": "hardy(1)",
+                                   "function": {"coeffs1d": [1, -6, 15, -20, 15, -6, 1]},
+                                   "n": 58}))
 
         def failing_lstsq(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -488,6 +531,27 @@ class TestNonFiniteInput:
         with pytest.raises(SystemExit) as exc:
             main(["index", "--config", str(cfg), "--threads", "2"])
         assert exc.value.code == 2
+
+
+def test_cg_route_loads_no_scipy_linalg():
+    # a CSC sweep needs scipy.sparse's products alone, while importing
+    # scipy.sparse.linalg costs a fresh process about 0.14 s; only what
+    # cyclicity adds to the baseline counts
+    script = (
+        "import sys, numpy, scipy.sparse\n"
+        "before = set(sys.modules)\n"
+        "from cyclicity import indices, solver, spaces\n"
+        "from cyclicity.poly import Polynomial\n"
+        "f = Polynomial(3, {(0, 0, 0): 1.0, (1, 0, 0): -0.5, (0, 0, 1): -0.5})\n"
+        "report = indices.index_sweep(spaces.drury_arveson(3, 10), f, 9)\n"
+        "assert set(report.solve_methods) == {solver.CG}, report.solve_methods\n"
+        "heavy = ('scipy.sparse.linalg', 'scipy.linalg')\n"
+        "print([m for m in heavy if m in sys.modules and m not in before])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_spec_weight_vector_follows_graded_order():
