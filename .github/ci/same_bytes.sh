@@ -2,10 +2,11 @@
 # Same-bytes report: runs the 12 acceptance configs of
 # perfbench/cli_configs.json through `python -m cyclicity` at BASE_REF (in a
 # temporary git worktree) and at the checked-out tree, then reports which
-# .json / .csv outputs differ and the src/ line totals of both. A differing
-# pair is listed with the largest relative difference between the numbers
-# at the same JSON path (.json) or the same row and column (.csv), or as
-# "structure differs", so that a rounding-level change reads as one. It writes Markdown to
+# .json / .csv outputs differ, the src/ line totals of both and their signed
+# difference. A differing pair is listed with the largest relative
+# difference between the numbers at the same JSON path (.json) or the same
+# row and column (.csv), or as "structure differs", so that a
+# rounding-level change reads as one. It writes Markdown to
 # $GITHUB_STEP_SUMMARY, or to stdout outside CI, and only reports: a
 # differing output, or a command that fails on either side, is listed,
 # never an exit status.
@@ -123,7 +124,9 @@ done
   [ -e "$work/failures" ] && sed 's/^/- /' "$work/failures"
   [ "$differ" -eq 0 ] && echo "All .json and .csv outputs are byte-identical."
   echo
-  echo "src/ lines: $(cat "$work"/base/src/cyclicity/*.py | wc -l) at \`$base_ref\`," \
-       "$(cat "$root"/src/cyclicity/*.py | wc -l) here."
+  base_lines=$(cat "$work"/base/src/cyclicity/*.py | wc -l)
+  head_lines=$(cat "$root"/src/cyclicity/*.py | wc -l)
+  echo "src/ lines: $base_lines at \`$base_ref\`, $head_lines here" \
+       "($(printf '%+d' $((head_lines - base_lines))))."
 } >> "$summary"
 exit 0

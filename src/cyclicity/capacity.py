@@ -639,7 +639,7 @@ def obstruction_report(
       interior zero, and residuals that reached tol or keep decreasing;
     * tension: anything else.
     """
-    if capacity_threshold < 0:
+    if not capacity_threshold >= 0:
         raise ArgumentError(f"capacity threshold must be >= 0, not {capacity_threshold}")
     sweep = index_sweep(spec, f, n_max, tol)
     cloud = sample_zero_set(f, resolution, zero_tol, seed)

@@ -85,7 +85,7 @@ def _design_matrix(spec: DiagonalSpace, g, f, n: int, solves: int = 1):
     if n < 0:
         raise ArgumentError("degree budget n must be >= 0")
     weights = spec.weight_vector(max(n + f.degree, g.degree))
-    return shifted_columns(g, f, n, np.sqrt(weights), solves=solves)
+    return shifted_columns(g, f, n, np.sqrt(weights), solves=solves)[:3]
 
 
 def subspace_distance(spec: DiagonalSpace, g, f, n: int) -> ApproximantResult:
@@ -151,8 +151,8 @@ def index_sweep(
     is factored once and every budget reads its solution, residual and
     exact condition number from the leading blocks of that one factor.
     """
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    if not tol > 0:  # a NaN fails it too
+        raise ArgumentError(f"tol must be positive, not {brief(tol)}")
     design, rhs, _ = _design_matrix(spec, Polynomial.one(spec.d), f, n_max, solves=n_max + 1)
     # the first C(n+d, d) graded-lex columns are the shifts with |gamma| <= n
     outs = solve_nested(design, rhs, [math.comb(n + spec.d, spec.d) for n in range(n_max + 1)])
@@ -187,10 +187,10 @@ def multiplier_norm_lower(spec: SpaceSpec, phi: Polynomial, n_in: int) -> float:
     """Certified lower bound for the multiplier norm of phi.
 
     Top singular value of the finite section acting on polynomials of
-    degree <= n_in, with the output range covering n_in + deg(phi) so no
-    coefficient mass is dropped.
+    degree <= n_in, whose rows hold every coefficient of each phi z^beta, so
+    no coefficient mass is dropped.
     """
-    section = mult_operator_section(spec, phi, n_in, n_in + phi.degree)
+    section = mult_operator_section(spec, phi, n_in)
     if section.size == 0:
         return 0.0
     return float(np.linalg.svd(section, compute_uv=False)[0])
@@ -314,6 +314,8 @@ def check_weight_stability(
     """
     if epsilon is None:
         epsilon = realized_weight_deviation(spec, perturbed)
+    elif not epsilon >= 0:
+        raise ArgumentError(f"epsilon must be >= 0, not {brief(epsilon)}")
     one = Polynomial.one(spec.d)
     base = subspace_distance(spec, one, f, n).residual
     pert = subspace_distance(perturbed, one, f, n).residual

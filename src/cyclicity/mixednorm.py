@@ -5,15 +5,18 @@ The radial measure enters through an explicit quadrature rule (nodes and
 positive weights on [0, 1]); the angular integral uses the equispaced rule
 on the circle for d = 1 (spectrally exact for trigonometric polynomials of
 bounded degree) and seeded Monte Carlo sphere sampling for d >= 2. With
-p = q = 2 and an exact radial rule every quantity here reduces to the
-diagonal Hilbert norms of `spaces`, which is both the consistency oracle
-and the warm start for the iteratively reweighted least-squares index
-solver.
+p = q = 2, d = 1 and an exact radial rule every quantity here reduces to
+the diagonal Hilbert norms of `spaces`, which is both the consistency
+oracle and the warm start for the iteratively reweighted least-squares
+index solver. At d >= 2 the reduction holds only to the Monte Carlo error
+(on the 24-node area rule at d = 2, percents at 256 angular points and
+tenths of a percent at 2048; ROADMAP item 8).
 
 A positive derivative order N kills constants, so the Hilbert-space norm
 adds a mass * |f(0)|^2 term. The quadrature norms mirror that convention
 behind the `include_constant_term` flag (default on) so the p = q = 2
-reduction is exact; disable it for the bare double-integral norm.
+reduction covers the constant term too; disable it for the bare
+double-integral norm.
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
-from .poly import (JsonRecord, Polynomial, bind, brief, camel, multi_indices, read_keys,
-                   shifted_columns)
+from .poly import (JsonRecord, Polynomial, bind, brief, camel, choose, multi_indices,
+                   read_keys, shifted_columns)
 from .solver import solve_normal_equations
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 
 RADIAL_POINT_MASS = "point_mass"
 RADIAL_AREA = "area"
+RADIAL_COUNT = 40  # the area rule's Gauss-Legendre nodes by default
 
 # magnitudes raised to negative powers in IRLS weights are floored here
 _FLOOR = 1e-12
@@ -54,16 +58,20 @@ MAX_IRLS_ENTRIES = 1 << 26
 _SHARED_KEYS = ("d", "N", "radial", "angular", "includeConstantTerm")
 
 
-def radial_rule(measure: str, count: int = 40) -> tuple[np.ndarray, np.ndarray]:
+def radial_rule(measure: str, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights for a named radial measure on [0, 1].
 
-    "point_mass": unit mass at r = 1 (boundary measure, exact).
-    "area": d(mu) = 2r dr via Gauss-Legendre, exact for radial polynomials
-    of degree <= 2*count - 2.
+    "point_mass": unit mass at r = 1 (boundary measure, exact); one node,
+    so it takes no count.
+    "area": d(mu) = 2r dr via Gauss-Legendre on count nodes (RADIAL_COUNT
+    by default), exact for radial polynomials of degree <= 2*count - 2.
     """
     if measure == RADIAL_POINT_MASS:
+        if count is not None:
+            raise ArgumentError("the point_mass radial rule has one node and takes no count")
         return np.array([1.0]), np.array([1.0])
     if measure == RADIAL_AREA:
+        count = RADIAL_COUNT if count is None else count
         if not 2 <= count <= MAX_NODES:
             raise ArgumentError(f"radial count must lie in 2..{MAX_NODES}, not {brief(count)}")
         t, v = np.polynomial.legendre.leggauss(count)
@@ -103,10 +111,10 @@ class _QuadratureSpec:
         weights = np.asarray(radial_weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ArgumentError("radial nodes and weights must be equal-length vectors")
-        if np.any(nodes < 0) or np.any(nodes > 1):
+        if not np.all((nodes >= 0) & (nodes <= 1)):
             raise ArgumentError("radial nodes must lie in [0, 1]")
-        if np.any(weights <= 0):
-            raise ArgumentError("radial weights must be positive")
+        if not np.all((weights > 0) & np.isfinite(weights)):
+            raise ArgumentError("radial weights must be positive and finite")
         if angular_count < 8:
             raise ArgumentError("angular_count must be >= 8")
         if nodes.size * angular_count * d > MAX_GRID:
@@ -142,11 +150,14 @@ class _QuadratureSpec:
         return sphere_sample(np.random.default_rng(self.seed), m, self.d)
 
     @classmethod
-    def with_measure(cls, measure: str, d: int, N: int, *params, radial_count: int = 40,
-                     **kwargs):
-        """Spec on the named radial rule; params are the subclass's exponents."""
+    def with_measure(cls, measure: str, d: int, N: int, *params,
+                     radial_count: int | None = None, **kwargs):
+        """Spec on the named radial rule (`radial_rule`); params are the
+        subclass's exponents."""
         nodes, weights = radial_rule(measure, radial_count)
-        descriptor = {"measure": measure, "count": radial_count}
+        descriptor = {"measure": measure}
+        if measure == RADIAL_AREA:
+            descriptor["count"] = nodes.size
         return cls(d, N, *params, nodes, weights, descriptor=descriptor, **kwargs)
 
     @property
@@ -207,14 +218,19 @@ class _QuadratureSpec:
             kwargs.update(bind(grid, {} if angular is None else angular, "angular"),
                           include_constant_term=include_constant_term)
 
-            def measured(measure: str, count: int = 40):
-                return cls.with_measure(measure, d, N, *params, radial_count=count, **kwargs)
+            def point_mass():
+                return cls.with_measure(RADIAL_POINT_MASS, d, N, *params, **kwargs)
+
+            def area(count: int = RADIAL_COUNT):
+                return cls.with_measure(RADIAL_AREA, d, N, *params, radial_count=count, **kwargs)
 
             def tabulated(nodes: list[float], weights: list[float]):
                 return cls(d, N, *params, nodes, weights, **kwargs)
 
-            measure = isinstance(radial, Mapping) and "measure" in radial
-            return bind(measured if measure else tabulated, radial, "radial")
+            if isinstance(radial, Mapping) and "measure" in radial:
+                rules = {RADIAL_POINT_MASS: point_mass, RADIAL_AREA: area}
+                return choose("measure", rules, what="radial")(radial)
+            return bind(tabulated, radial, "radial")
 
         return bind(shared, {k: v for k, v in obj.items() if k in _SHARED_KEYS}, what)
 
@@ -223,7 +239,7 @@ class MixedSpec(_QuadratureSpec):
     """Mixed-norm space: inner angular exponent p, outer radial exponent q."""
 
     def __init__(self, d, N, p, q, radial_nodes, radial_weights, **kwargs):
-        if p < 1 or q < 1:
+        if not (p >= 1 and q >= 1):
             raise ArgumentError("exponents p, q must be >= 1")
         super().__init__(d, N, radial_nodes, radial_weights, **kwargs)
         self.p = float(p)
@@ -269,13 +285,13 @@ class VarExpSpec(_QuadratureSpec):
         self, d, N, a, b, c, radial_nodes, radial_weights,
         bisection_tol: float = 1e-12, **kwargs,
     ):
-        if a < 1:
+        if not a >= 1:
             raise ArgumentError("exponent offset a must be >= 1")
-        if a + min(b, 0.0) < 1:
+        if not a + min(b, 0.0) >= 1:
             raise ArgumentError("exponent profile must stay >= 1 on [0, 1]")
-        if c <= 0:
+        if not c > 0:
             raise ArgumentError("exponent shape c must be positive")
-        if bisection_tol <= 0:
+        if not bisection_tol > 0:
             raise ArgumentError("bisection tolerance must be positive")
         super().__init__(d, N, radial_nodes, radial_weights, **kwargs)
         self.a = float(a)
@@ -405,10 +421,12 @@ class _GridTables(NamedTuple):
 
     z^alpha at radial node r and angular point u is r^|alpha| u^alpha, and
     R^N scales z^alpha by |alpha|^N, so column gamma of the design, R^N(z^gamma
-    f) on the grid, is sum_alpha coeffs[alpha, gamma] r^|alpha| u^alpha.
+    f) on the grid, is sum_alpha coeffs[alpha, gamma] r^|alpha| u^alpha. The
+    monomials are those that some column or the target reaches, at most
+    k |f| + 1 of them, with the unit first.
     """
 
-    angular: np.ndarray  # u^alpha: monomials (degree <= n + deg f) x angular points
+    angular: np.ndarray  # u^alpha: monomials x angular points
     radial: np.ndarray  # r^|alpha|: radial nodes x monomials
     degrees: np.ndarray  # |alpha| of each monomial, in graded order
     coeffs: np.ndarray  # the shifted coefficient columns, rows scaled by |alpha|^N
@@ -422,7 +440,8 @@ def _grid_tables(spec: _QuadratureSpec, f: Polynomial, n: int) -> _GridTables:
     exponents = np.array(multi_indices(spec.d, top))
     degrees = exponents.sum(axis=1)
     one = Polynomial.one(spec.d)
-    coeffs, target, cols = shifted_columns(one, f, n, degrees ** float(spec.N), dense=True)
+    coeffs, target, cols, kept = shifted_columns(one, f, n, degrees ** float(spec.N), dense=True)
+    exponents, degrees = exponents[kept], degrees[kept]
     angular = np.prod(spec._angular ** exponents[:, None, :], axis=2)
     radial = spec.radial_nodes[:, None] ** degrees
     return _GridTables(angular, radial, degrees, coeffs, target[0], cols)
@@ -450,13 +469,10 @@ def _table_residual(f: Polynomial, tables: _GridTables):
     as a function of x: grid values target - (r^|alpha| (C x)_alpha) u^alpha,
     one product of radial nodes x monomials by monomials x angular points,
     and the constant term 1 - f(0) x_0, since only column 0 (gamma = 0) has
-    one. It reads only the monomials of some column, at most k |f| of them."""
-    used = np.flatnonzero(tables.coeffs.any(axis=1))
-    used = slice(None) if used.size == len(tables.degrees) else used
-    radial, coeffs, angular = tables.radial[:, used], tables.coeffs[used], tables.angular[used]
+    one."""
 
     def residual(x: np.ndarray):
-        values = radial * (coeffs @ x) @ angular
+        values = tables.radial * (tables.coeffs @ x) @ tables.angular
         return np.subtract(tables.target, values, out=values), 1.0 - f.constant_term * x[0]
 
     return residual
@@ -474,9 +490,9 @@ def _normal_equations(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables,
     columns C. Column 0 of H, beta = 0, gives A^H U b on the grid.
     """
     angular, _, degrees, coeffs, target, _ = tables
-    top = int(degrees[-1])
-    moments = (spec.radial_nodes[:, None] ** np.arange(2 * top + 1)).T @ grid
-    bounds = np.searchsorted(degrees, np.arange(top + 2))
+    moments = (spec.radial_nodes[:, None] ** np.arange(2 * degrees[-1] + 1)).T @ grid
+    # the first monomial of each degree present
+    bounds = np.append(np.unique(degrees, return_index=True)[1], len(degrees))
     table = np.empty((len(degrees), len(degrees)), dtype=complex)
     conj = angular.conj()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -508,13 +524,13 @@ def _moment_route(spec: _QuadratureSpec, tables: _GridTables) -> bool:
     (`_normal_equations`) rather than from the design
     (`_design_normal_equations`).
 
-    For K monomials up to degree n + deg f, k columns, R radial nodes and m
-    angular points, the moment route fills a K x K table with about
-    m K^2 / 2 multiply-adds, in one small product per degree; the design
+    For K monomials that the columns or the target reach, k columns, R
+    radial nodes and m angular points, the moment route fills a K x K table
+    with about m K^2 / 2 multiply-adds, in one small product per degree
+    present; the design
     route copies the R m x k design and multiplies it in R m k^2. Timed per
     step on d = 1, 2 and 3 grids, the moment route was faster below
-    K^2 = R k^2 / 16, slower above R k^2 / 2 (1200 times slower for
-    f = 1 - z_1^40 at n = 0 and R = 40), and at the threshold R k^2 / 8
+    K^2 = R k^2 / 16, slower above R k^2 / 2, and at the threshold R k^2 / 8
     the route taken was at most twice as slow as the other. The table is
     also held to MAX_IRLS_ENTRIES, like the Gram. Trial residuals read the
     monomial tables on both routes, so they cost the same either way; only

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ArgumentError,
-    DegreeRangeError,
     DimensionMismatchError,
     SingularInversionError,
 )
@@ -80,18 +79,19 @@ def graded_rank(alphas) -> np.ndarray:
 def shifted_columns(g: SparseSeries, f: SparseSeries, n: int, row_scale: np.ndarray,
                     dense=False, solves=1):
     """Design whose column u holds the coefficients of u f, for the basis keys
-    u of degree <= n (z^gamma, or words Z^w), with the target g and the
-    column keys. Row r is the r-th key in f's canonical order, as
-    `f._shifted_ranks` ranks the products, and is scaled by row_scale[r]. The
-    design is an ndarray or a CSC matrix as `solver.shifted_design` picks
-    for `solves` nested solves, and always an ndarray when `dense` is set."""
+    u of degree <= n (z^gamma, or words Z^w), with the target g, the column
+    keys and the kept row ranks. Rank r is the r-th key in f's canonical
+    order, as `f._shifted_ranks` ranks the products, and its row is scaled by
+    row_scale[r]; `solver.shifted_design` keeps the ranks that a column or g
+    reaches and picks the design's storage for `solves` nested solves (always
+    an ndarray when `dense` is set)."""
     cols, rows = f._shifted_ranks(n, list(f.coeffs))
-    design, target = shifted_design(
+    design, target, kept = shifted_design(
         rows, list(f.coeffs.values()),
         f._shifted_ranks(0, list(g.coeffs))[1][0], list(g.coeffs.values()), row_scale, dense,
         solves,
     )
-    return design, target, cols
+    return design, target, cols, kept
 
 
 class TermArray(list):
@@ -474,26 +474,23 @@ def invert_power_series(p: SparseSeries, length: int) -> SparseSeries:
     return type(p)(p.d, {key: c for level in levels for key, c in level.items()})
 
 
-def mult_operator_section(
-    spec: "SpaceSpec", phi: Polynomial, n_in: int, n_out: int
-) -> np.ndarray:
+def mult_operator_section(spec: "SpaceSpec", phi: Polynomial, n_in: int) -> np.ndarray:
     """Finite section of multiplication by phi in the orthonormalized monomial basis.
 
-    Rows run over |alpha| <= n_out and columns over |beta| <= n_in, both in
-    graded-lex order; the entry at (alpha, beta) is
-    <phi z^beta, z^alpha> / (||z^alpha|| ||z^beta||). Because n_out covers
-    n_in + deg(phi), the section represents multiplication exactly on its
-    column space, so its top singular value is a certified lower bound for
-    the multiplier norm of phi and is nondecreasing in n_in. It is the shifted
-    design of phi in the space norm with each column divided by its norm.
+    Columns run over |beta| <= n_in and rows over the z^alpha that some
+    phi z^beta reaches, both in graded-lex order; the entry at (alpha, beta)
+    is <phi z^beta, z^alpha> / (||z^alpha|| ||z^beta||). The rows hold every
+    coefficient of each phi z^beta, so the section represents multiplication
+    exactly on its column space, its top singular value is a certified lower
+    bound for the multiplier norm of phi and is nondecreasing in n_in. It is
+    the shifted design of phi in the space norm with each column divided by
+    its norm.
     """
     spec.check_algebra(phi)
     if n_in < 0:
         raise ArgumentError("n_in must be >= 0")
-    if n_in + phi.degree > n_out:
-        raise DegreeRangeError("n_out must be at least n_in + deg(phi)")
-    norms = np.sqrt(spec.weight_vector(n_out))  # refuses n_out past the table
-    design, _, cols = shifted_columns(Polynomial.zero(spec.d), phi, n_in, norms, dense=True)
+    norms = np.sqrt(spec.weight_vector(n_in + phi.degree))  # refuses a degree past the table
+    design, _, cols, _ = shifted_columns(Polynomial.zero(spec.d), phi, n_in, norms, dense=True)
     return design / norms[: len(cols)]
 
 

@@ -32,12 +32,12 @@ on the widest width K and the number of widths:
   solution. Its own step coefficients give the Lanczos estimate of kappa_2
   of D G_k D.
 
-`shifted_design` stores the design as a dense column-major ndarray when
-its solves take the dense route and it has at most DENSE_MAX_ENTRIES = 2^15
-entries (rows x columns), and as a CSC matrix otherwise (scipy.sparse is
-loaded only then; scipy.sparse.linalg and scipy.linalg never are). Every
-index of the acceptance configs, and every d = 1 sweep up to n = 179 whose
-f has degree 1, is such a design, so these solves load no scipy.
+`shifted_design` keeps only the rows that some column or the target
+reaches, and stores the design as a dense column-major ndarray exactly
+when its solves take the dense route, as a CSC matrix otherwise
+(scipy.sparse is loaded only then; scipy.sparse.linalg and scipy.linalg
+never are). Every index of the acceptance configs, and every d = 1 sweep
+up to n = 511, is such a design, so these solves load no scipy.
 
 The route rule is a measured crossover. A dense factor costs about K^3
 and is shared by the widths, while CG is paid per width. Nested solve of
@@ -65,27 +65,13 @@ below the rule's at d >= 2 (CG wins the d=2, n=16 and d=3, n=7 sweeps),
 and at d = 1 the dense route wins at every size measured, although the
 rule sends d = 1 sweeps past n = 511 to CG.
 
-The entry limit picks the storage. An ndarray's Gram product grows with
-the rows, which a free design has for every word up to its longest
-length, touched or not; a CSC product follows the stored entries.
-Assembly and single solve of designs with 2 stored entries per column,
-both on the dense route (lower quartile of 31 runs, 2-core host):
-
-    columns   rows    entries   ndarray    CSC
-        16    2048     32768   0.31 ms   0.43 ms
-        16    4096     65536   0.63 ms   0.44 ms
-        32    1024     32768   0.50 ms   0.62 ms
-        32    2048     65536   0.79 ms   0.57 ms
-        64     512     32768   1.36 ms   1.31 ms
-        64    1024     65536   1.61 ms   1.27 ms
-
 Past DEFAULT_COND_THRESHOLD on the condition of D G D, at CG's iteration
 cap, or on a zero column, the solve switches to a dense orthogonal
 factorization of the unscaled design matrix itself.
 
 An IRLS step of the mixed indices does not form its weighted grid design
-sqrt(u) A. When the monomials up to the grid's top degree are few against
-the design's columns and radial nodes, it builds the Gram and A^H b from
+sqrt(u) A. When the monomials that its columns reach are few against the
+design's columns and radial nodes, it builds the Gram and A^H b from
 radial moments of its weights, and otherwise from U conj(A); either way it
 hands them to `solve_normal_equations`, the dense route's factor and gate,
 which asks for the weighted design only past the threshold. On the moment
@@ -110,7 +96,6 @@ QR_FALLBACK = "qr_fallback"
 
 DEFAULT_COND_THRESHOLD = 1e10
 DENSE_MAX_COLUMNS = 64
-DENSE_MAX_ENTRIES = 1 << 15
 CG_RTOL = 1e-14
 CG_MAX_ITER = 2000
 
@@ -129,19 +114,27 @@ class LeastSquaresOutcome(NormalSolution):
 
 def shifted_design(rows, coeffs, target_rows, target_coeffs, sqrt_weights, dense=False,
                    solves=1):
-    """Design and dense target of a shifted-basis least-squares problem.
+    """Design and dense target of a shifted-basis least-squares problem, over
+    the rows that some column or the target reaches, and those rows' numbers.
 
     Column j holds coeffs[t] * sqrt_weights[r] at row r = rows[j, t], and the
-    target holds target_coeffs[t] * sqrt_weights[r] at r = target_rows[t].
-    The design is a column-major ndarray when `dense` is set, or when
-    `solve_nested` takes the dense route for `solves` leading blocks of it
-    (`dense_route`) and it has at most DENSE_MAX_ENTRIES entries; it is a
-    CSC matrix otherwise.
+    target holds target_coeffs[t] * sqrt_weights[r] at r = target_rows[t]. A
+    row that neither reaches is zero in both and changes no solution or
+    residual, so it is left out: the kept rows keep their order and are
+    numbered by their place among the kept, so a design that reaches every
+    row is the whole one. The design is a column-major ndarray when `dense` is set,
+    or when `solve_nested` takes the dense route for `solves` leading blocks
+    of it (`dense_route`); it is a CSC matrix otherwise.
     """
     ncols, nterms = rows.shape
+    reached = np.zeros(len(sqrt_weights), dtype=bool)
+    reached[rows] = reached[target_rows] = True
+    kept = np.flatnonzero(reached)
+    renumber = np.empty(len(reached), dtype=np.intp)  # read at kept rows only
+    renumber[kept] = np.arange(len(kept))
+    rows, target_rows, sqrt_weights = renumber[rows], renumber[target_rows], sqrt_weights[kept]
     values = np.asarray(coeffs, dtype=complex) * sqrt_weights[rows]
-    if dense or (dense_route(ncols, solves)
-                 and len(sqrt_weights) * ncols <= DENSE_MAX_ENTRIES):
+    if dense or dense_route(ncols, solves):
         design = np.zeros((len(sqrt_weights), ncols), dtype=complex, order="F")
         design[rows, np.arange(ncols)[:, None]] = values
     else:
@@ -155,7 +148,7 @@ def shifted_design(rows, coeffs, target_rows, target_coeffs, sqrt_weights, dense
     target = np.zeros(len(sqrt_weights), dtype=complex)
     target_coeffs = np.asarray(target_coeffs, dtype=complex)
     target[target_rows] = target_coeffs * sqrt_weights[target_rows]
-    return design, target
+    return design, target, kept
 
 
 def dense_route(columns: int, solves: int) -> bool:

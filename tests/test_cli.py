@@ -388,6 +388,10 @@ MISREAD = {
     "radial-cout": ("mixed-norm", {"mixedSpec": {**_MIXED, "radial": {"measure": "area",
                                                                       "cout": 8}},
                                    "function": _ONE_MINUS_Z}, "radial key(s) ['cout']"),
+    # the point-mass rule has one node and takes no count
+    "point-mass-count": ("mixed-norm", {"mixedSpec": {**_MIXED, "radial": {
+        "measure": "point_mass", "count": 40}}, "function": _ONE_MINUS_Z},
+        "radial key(s) ['count']"),
     # an unknown spec key is named with every key the spec takes
     "varexp-spec-bisectiontol": ("varexp-norm", {"varExpSpec": {**_VAREXP, "bisectiontol": 1e-9},
                                                  "function": _ONE_MINUS_Z},
@@ -868,25 +872,27 @@ class TestDeterminism:
         assert loaded == {command: [] for command in commands}
 
     def test_wide_dense_sweep_loads_no_scipy(self, tmp_path):
-        # 121 columns of 122 rows: past the single-solve limit of 64 columns,
-        # but the sweep's 121 widths share one dense factor and the design
-        # fits DENSE_MAX_ENTRIES, so it is built as an ndarray
-        config = {"space": {"preset": "dirichlet_type", "d": 1, "maxDegree": 130},
-                  "function": {"coeffs1d": [1, -1]}, "nMax": 120}
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(config))
-        script = (
-            "import sys\n"
-            "from cyclicity.cli import main\n"
-            "assert main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
-                              capture_output=True, text=True, env=subprocess_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
-        result = json.loads((tmp_path / "out" / "sweep.json").read_text())["result"]
-        assert result["solveMethods"] == ["cholesky"] * 121
+        # K = nMax + 1 columns: past the single-solve limit of 64 columns, but
+        # the sweep's K widths share one dense factor up to K = 512, so the
+        # design is built as an ndarray
+        for n_max in (120, 511):
+            config = {"space": {"preset": "dirichlet_type", "d": 1, "maxDegree": n_max + 10},
+                      "function": {"coeffs1d": [1, -1]}, "nMax": n_max}
+            cfg = tmp_path / f"sweep-{n_max}.json"
+            cfg.write_text(json.dumps(config))
+            script = (
+                "import sys\n"
+                "from cyclicity.cli import main\n"
+                "assert main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            )
+            out = tmp_path / f"out-{n_max}"
+            proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(out)],
+                                  capture_output=True, text=True, env=subprocess_env())
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "[]"
+            result = json.loads((out / "sweep.json").read_text())["result"]
+            assert result["solveMethods"] == ["cholesky"] * (n_max + 1)
 
     def test_subprocess_runs_are_byte_identical(self, tmp_path):
         config = {
@@ -958,6 +964,42 @@ RESULTS = {
         _one_minus_z(), 2,
     ),
 }
+
+
+def _mixed(p, q, nodes=(1.0,), weights=(1.0,)):
+    return mixednorm.MixedSpec(1, 0, p, q, list(nodes), list(weights))
+
+
+def _varexp(a, b, c, **kwargs):
+    return mixednorm.VarExpSpec.with_measure("area", 1, 0, a, b, c, **kwargs)
+
+
+# a NaN, or a non-finite radial rule, that a library entry point refuses as
+# the CLI's finite-float reading does; a comparison that NaN fails is the check
+NON_FINITE = {
+    "sweep-tol": lambda: indices.index_sweep(dirichlet_type(1), _one_minus_z(), 4,
+                                             tol=math.nan),
+    "obstruction-threshold": lambda: capacity.obstruction_report(
+        hardy(1), _one_minus_z(), n_max=4, alpha=0.0, capacity_threshold=math.nan),
+    "weight-stability-epsilon": lambda: indices.check_weight_stability(
+        hardy(1), hardy(1), _one_minus_z(), 4, epsilon=math.nan),
+    "mixed-p": lambda: _mixed(math.nan, 2.0),
+    "mixed-q": lambda: _mixed(2.0, math.nan),
+    "varexp-a": lambda: _varexp(math.nan, 0.0, 1.0),
+    "varexp-b": lambda: _varexp(2.0, math.nan, 1.0),
+    "varexp-c": lambda: _varexp(2.0, 0.0, math.nan),
+    "varexp-bisection-tol": lambda: _varexp(2.0, 0.0, 1.0, bisection_tol=math.nan),
+    "radial-node-nan": lambda: _mixed(2.0, 2.0, nodes=[math.nan]),
+    "radial-node-inf": lambda: _mixed(2.0, 2.0, nodes=[math.inf]),
+    "radial-weight-nan": lambda: _mixed(2.0, 2.0, weights=[math.nan]),
+    "radial-weight-inf": lambda: _mixed(2.0, 2.0, weights=[math.inf]),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_library_refuses_what_the_cli_refuses(call):
+    with pytest.raises(ArgumentError):
+        call()
 
 
 @pytest.mark.parametrize("build", RESULTS.values(), ids=RESULTS.keys())

@@ -370,43 +370,56 @@ class TestIrlsStep:
             assert np.all(out.coefficients == real(design, target, rcond=None)[0])
         assert result.value == pytest.approx(gram_route.value, rel=1e-12)
 
-    @pytest.mark.parametrize("spec, f, n, by_moments", [
+    @pytest.mark.parametrize("spec, f, n, K, by_moments", [
         # deg f small beside n, many radial nodes: K^2 well below R k^2 / 8
         (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=24, angular_count=256),
-         Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5}), 6, True),
-        (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24), p1d(1, -1), 2, True),
+         Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5}), 6, 36, True),
+        (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24), p1d(1, -1), 2, 4, True),
         # one radial node: the design's own Gram is cheaper
-        (hardy_type(p=3.0, angular_count=128), p1d(1, -1), 4, False),
-        # deg f large beside n: K = C(62, 2) = 1891 monomials against 1 column
+        (hardy_type(p=3.0, angular_count=128), p1d(1, -1), 4, 6, False),
+        # deg f large beside n: the one column reaches only 1 and z_1^60 of
+        # the C(62, 2) = 1891 monomials of degree <= 60
         (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0),
-         Polynomial(2, {(0, 0): 1.0, (60, 0): -1.0}), 0, False),
+         Polynomial(2, {(0, 0): 1.0, (60, 0): -1.0}), 0, 2, True),
     ], ids=["d2-area", "varexp", "point-mass", "high-degree-f"])
-    def test_route_follows_the_size_rule(self, spec, f, n, by_moments):
+    def test_route_follows_the_size_rule(self, spec, f, n, K, by_moments):
         tables = mixednorm._grid_tables(spec, f, n)
+        assert len(tables.degrees) == K
         assert mixednorm._moment_route(spec, tables) is by_moments
 
     def test_design_route_matches_the_moment_route(self, monkeypatch):
-        # one radial node takes the design route; its proposals are the dense
-        # lstsq ones, and its index the moment route's
-        spec = hardy_type(p=3.0, q=1.5, angular_count=128)
-        f = p1d(1, -0.5, 0.3)
-        assert not mixednorm._moment_route(spec, mixednorm._grid_tables(spec, f, 3))
-        monkeypatch.setattr(mixednorm, "_normal_equations", None)  # never called
-        result, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, f, 3))
-        assert result.converged and len(seen) == result.iterations
-        for design, target, out in seen:
-            assert out.method == solver.CHOLESKY
-            want = np.linalg.lstsq(design, target, rcond=None)[0]
-            assert np.linalg.norm(out.coefficients - want) <= 1e-10 * np.linalg.norm(want)
-        monkeypatch.undo()
-        take_route(monkeypatch, True)
-        by_moments = mixed_index(spec, f, 3)
-        assert by_moments.iterations == result.iterations
-        assert by_moments.value == pytest.approx(result.value, rel=1e-12)
+        # the design route's proposals are the dense lstsq ones, and its
+        # index the moment route's
+        sparse_spec = MixedSpec.with_measure("area", 2, 0, 3.0, 2.0)
+        sparse_f = Polynomial(2, {(0, 0): 1.0, (40, 0): -1.0})
+        cases = [
+            # one radial node, which takes the design route by the size rule
+            (hardy_type(p=3.0, q=1.5, angular_count=128), p1d(1, -0.5, 0.3), 3, False),
+            # a sparse f, whose columns reach 2 (n = 0) or 12 (n = 2) monomials
+            (sparse_spec, sparse_f, 0, True),
+            (sparse_spec, sparse_f, 2, True),
+        ]
+        for spec, f, n, by_size in cases:
+            assert mixednorm._moment_route(spec, mixednorm._grid_tables(spec, f, n)) is by_size
+            take_route(monkeypatch, False)
+            monkeypatch.setattr(mixednorm, "_normal_equations", None)  # never called
+            result, seen = normal_solves_of(mixednorm, lambda: mixed_index(spec, f, n))
+            assert result.converged and len(seen) == result.iterations
+            for design, target, out in seen:
+                assert out.method == solver.CHOLESKY
+                want = np.linalg.lstsq(design, target, rcond=None)[0]
+                assert np.linalg.norm(out.coefficients - want) <= 1e-10 * np.linalg.norm(want)
+            monkeypatch.undo()
+            take_route(monkeypatch, True)
+            by_moments = mixed_index(spec, f, n)
+            monkeypatch.undo()
+            assert by_moments.iterations == result.iterations
+            assert by_moments.value == pytest.approx(result.value, rel=1e-12)
 
     def test_high_degree_f_builds_no_monomial_table(self):
-        # K = 1891 monomials against one column: the K x K moment table
-        # alone would hold 57 MB, more than the whole index allocates
+        # the one column reaches 2 of the 1891 monomials of degree <= 60: a
+        # moment table over all of them would alone hold 57 MB, more than the
+        # whole index allocates
         spec = MixedSpec.with_measure("area", 2, 0, 3.0, 2.0)
         f = Polynomial(2, {(0, 0): 1.0, (60, 0): -1.0})
         tracemalloc.start()

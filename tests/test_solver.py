@@ -112,17 +112,20 @@ class TestAssembly:
         f = Polynomial(spec.d, {a: complex(*rng.standard_normal(2))
                                 for a in multi_indices(spec.d, 2)})
         design, target, cols = indices._design_matrix(spec, Polynomial.one(spec.d), f, n)
-        assert isinstance(design, np.ndarray) == (
-            len(cols) <= solver.DENSE_MAX_COLUMNS
-            and design.shape[0] * len(cols) <= solver.DENSE_MAX_ENTRIES)
+        assert isinstance(design, np.ndarray) == solver.dense_route(len(cols), 1)
         rows = multi_indices(spec.d, n + f.degree)
         dense = np.zeros((len(rows), len(cols)), dtype=complex)
+        reached = {0}  # the target's unit
         for j, gamma in enumerate(cols):
             for alpha, c in (Polynomial.monomial(gamma) * f).coeffs.items():
                 dense[rows.index(alpha), j] = c * math.sqrt(spec.monomial_norm_sq(alpha))
+                reached.add(rows.index(alpha))
+        kept = sorted(reached)
+        # the design holds the reached rows in their order; the others are zero
+        assert not np.delete(dense, kept, axis=0).any()
         array, stored = design_entries(design)
         assert stored == len(cols) * len(f.coeffs)
-        np.testing.assert_allclose(array, dense, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(array, dense[kept], rtol=1e-15, atol=0)
         assert target[0] == math.sqrt(spec.monomial_norm_sq((0,) * spec.d))
         assert np.count_nonzero(target) == 1
 
@@ -144,28 +147,38 @@ class TestAssembly:
         rows = words(d, n + G.degree)
         cols = words(d, n)
         dense = np.zeros((len(rows), len(cols)), dtype=complex)
+        reached = set()
         for j, u in enumerate(cols):
             for w, c in (FreePolynomial(d, {u: 1.0}) * G).coeffs.items():
                 dense[rows.index(w), j] = c * math.sqrt(spec.weight(len(w)))
+                reached.add(rows.index(w))
         expected_target = np.zeros(len(rows), dtype=complex)
         for w, c in g.coeffs.items():
             expected_target[rows.index(w)] = c * math.sqrt(spec.weight(len(w)))
+            reached.add(rows.index(w))
+        kept = sorted(reached)
+        # at d >= 2 G's words leave some rows unreached, and the design drops
+        # exactly those; at d = 1 they reach every length
+        assert (len(kept) < len(rows)) == (d > 1)
+        assert not np.delete(dense, kept, axis=0).any()
+        assert not np.delete(expected_target, kept).any()
         array, stored = design_entries(design)
         assert stored == len(cols) * len(G.coeffs)
-        np.testing.assert_allclose(array, dense, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(target, expected_target, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(array, dense[kept], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(target, expected_target[kept], rtol=1e-15, atol=0)
 
     def test_tall_free_design_stays_sparse(self):
-        # 40 columns over every word of length <= 12 in 3 letters: a dense
-        # array would hold 797,161 x 40 entries for the 80 that are stored
+        # 40 columns over the words of length <= 12 in 3 letters: of the
+        # 797,161 rows only the 67 words u and u Z1 (|u| <= 3) and the
+        # target's Z2^12 are reached, so the design keeps 68 rows
         spec = free_hardy(3, 12)
         G = FreePolynomial(3, {(): 1.0, (1,): -1.0})
         g = FreePolynomial(3, {(): 1.0, (2,) * 12: 1.0})
         out, seen = solves_of(indices, lambda: free_subspace_distance(spec, g, G, 3))
         ((design, _, _),) = seen
-        assert not isinstance(design, np.ndarray)
-        assert design.shape == ((3**13 - 1) // 2, 40)
-        assert design.nnz == 80
+        assert isinstance(design, np.ndarray)
+        assert design.shape == (68, 40)
+        assert np.count_nonzero(design) == 80
         # only the columns Z1^k G touch the powers of Z1, so 1 sits at the
         # d=1 distance 1/(n+2) and Z2^12 is orthogonal to every column
         assert out.residual**2 == pytest.approx(1.0 + 1.0 / 5.0, rel=1e-12)
@@ -174,16 +187,18 @@ class TestAssembly:
     def test_multiplication_section_matches_loop(self, name):
         spec = SPACES[name]
         phi = Polynomial(spec.d, {a: 1.5 - 0.5j * sum(a) for a in multi_indices(spec.d, 2)})
-        n_in, n_out = 3, 5
-        rows, cols = multi_indices(spec.d, n_out), multi_indices(spec.d, n_in)
+        n_in = 3
+        rows, cols = multi_indices(spec.d, n_in + 2), multi_indices(spec.d, n_in)
         loop = np.zeros((len(rows), len(cols)), dtype=complex)
         for j, beta in enumerate(cols):
             nb = math.sqrt(spec.monomial_norm_sq(beta))
             for tau, c in phi.coeffs.items():
                 alpha = tuple(b + t for b, t in zip(beta, tau))
                 loop[rows.index(alpha), j] += c * math.sqrt(spec.monomial_norm_sq(alpha)) / nb
+        # phi's terms of degree <= 2 reach every row of degree <= n_in + 2
+        assert loop.any(axis=1).all()
         # complex-by-real division may round differently in numpy, one ulp at most
-        section = mult_operator_section(spec, phi, n_in, n_out)
+        section = mult_operator_section(spec, phi, n_in)
         np.testing.assert_allclose(section, loop, rtol=4e-16, atol=0)
 
 
