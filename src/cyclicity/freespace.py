@@ -154,8 +154,13 @@ class FreeSpaceSpec(DiagonalSpace):
         self._weights = table
 
     def weight_vector(self, max_length: int) -> np.ndarray:
-        """The weight of every word of length <= max_length, length-then-lex."""
+        """The weight of every word of length <= max_length, length-then-lex;
+        more than MAX_MONOMIALS words, the most a commutative table holds,
+        are refused."""
         self.weight(max_length)  # refuses a length past the table by name
+        if _word_count(self.d, max_length) > MAX_MONOMIALS:
+            raise DegreeRangeError(f"words of length <= {brief(max_length)} over {self.d} "
+                                   f"letters number more than {MAX_MONOMIALS}")
         lengths = range(max_length + 1)
         return np.repeat(self._weights[: max_length + 1], [self.d**k for k in lengths])
 

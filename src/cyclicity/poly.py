@@ -27,7 +27,7 @@ from .errors import (
     DimensionMismatchError,
     SingularInversionError,
 )
-from .solver import shifted_design
+from .solver import dense_route
 
 if TYPE_CHECKING:
     from .spaces import SpaceSpec
@@ -79,18 +79,38 @@ def graded_rank(alphas) -> np.ndarray:
 def shifted_columns(g: SparseSeries, f: SparseSeries, n: int, row_scale: np.ndarray,
                     dense=False, solves=1):
     """Design whose column u holds the coefficients of u f, for the basis keys
-    u of degree <= n (z^gamma, or words Z^w), with the target g, the column
-    keys and the kept row ranks. Rank r is the r-th key in f's canonical
-    order, as `f._shifted_ranks` ranks the products, and its row is scaled by
-    row_scale[r]; `solver.shifted_design` keeps the ranks that a column or g
-    reaches and picks the design's storage for `solves` nested solves (always
-    an ndarray when `dense` is set)."""
+    u of degree <= n (z^gamma, or words Z^w), with the dense target g, the
+    column keys and the kept row ranks. Rank r is the r-th key in f's
+    canonical order, as `f._shifted_ranks` ranks the products, and its row
+    is scaled by row_scale[r]. Only the ranks that a column or g reaches are
+    kept, in order and renumbered: the others are zero in both and change no
+    solution. The storage is the route of `solver.solve_nested`: a
+    column-major ndarray when `dense` is set or `solver.dense_route` picks it
+    for `solves` nested solves, a CSC matrix otherwise."""
     cols, rows = f._shifted_ranks(n, list(f.coeffs))
-    design, target, kept = shifted_design(
-        rows, list(f.coeffs.values()),
-        f._shifted_ranks(0, list(g.coeffs))[1][0], list(g.coeffs.values()), row_scale, dense,
-        solves,
-    )
+    target_rows = f._shifted_ranks(0, list(g.coeffs))[1][0]
+    ncols, nterms = rows.shape
+    reached = np.zeros(len(row_scale), dtype=bool)
+    reached[rows] = reached[target_rows] = True
+    kept = np.flatnonzero(reached)
+    renumber = np.empty(len(reached), dtype=np.intp)  # read at kept ranks only
+    renumber[kept] = np.arange(len(kept))
+    rows, target_rows, row_scale = renumber[rows], renumber[target_rows], row_scale[kept]
+    values = np.asarray(list(f.coeffs.values()), dtype=complex) * row_scale[rows]
+    if dense or dense_route(ncols, solves):
+        design = np.zeros((len(kept), ncols), dtype=complex, order="F")
+        design[rows, np.arange(ncols)[:, None]] = values
+    else:
+        # loaded on first use: scipy.sparse adds about 0.15 s to a fresh process
+        import scipy.sparse
+
+        design = scipy.sparse.csc_matrix(
+            (values.ravel(), rows.ravel(), np.arange(0, ncols * nterms + 1, nterms)),
+            shape=(len(kept), ncols),
+        )
+    target = np.zeros(len(kept), dtype=complex)
+    target[target_rows] = (np.asarray(list(g.coeffs.values()), dtype=complex)
+                           * row_scale[target_rows])
     return design, target, cols, kept
 
 

@@ -6,7 +6,7 @@ column blocks of width k in `widths` of one design (a degree sweep's
 budgets); a single solve is its one-width case.
 
 Every solve is equilibrated (van der Sluis, Numer. Math. 14, 1969): with D
-the inverse column norms of the widest design, it solves D G D y = D A^H b
+the inverse column norms of the design, it solves D G D y = D A^H b
 for G = A^H A and returns x = D y. Drury-Arveson weights and decaying
 moments spread the column norms over orders of magnitude, and D removes
 the part of the condition number that comes from that alone: on the
@@ -14,30 +14,28 @@ Drury-Arveson d=3, n=15 sweep design kappa_1 falls from 2.65e6 to 16.8.
 The leading blocks of D G D are the scaled leading blocks of G, so one D
 serves every width. The dense route rounds D down to powers of two, which
 rounds nothing: its solutions are those of the unscaled Gram to the bit,
-and only the condition it reports and gates on changes. The route depends
-on the widest width K and the number of widths:
+and only the condition it reports and gates on changes. A design's storage
+is its route, picked once where `poly.shifted_columns` builds it from the
+widest width K and the number of widths (`dense_route`):
 
-* dense, when K^3 <= DENSE_MAX_COLUMNS^3 x (number of widths)
-  (`dense_route`), or when the design is an ndarray: the scaled Gram of
-  width K is formed once (a CSC design's sparse product is densified),
-  factored once as L L^H by `np.linalg.cholesky`, and M = L^-1 is formed
-  once. The leading block of L factors the leading block of D G D, so every
-  width reads its solution and its exact 1-norm condition
+* an ndarray, when K^3 <= DENSE_MAX_COLUMNS^3 x (number of widths), takes
+  the dense route: the scaled Gram of width K is formed once, factored
+  once as L L^H by `np.linalg.cholesky`, and M = L^-1 is formed once. The
+  leading block of L factors the leading block of D G D, so every width
+  reads its solution and its exact 1-norm condition
   kappa_1 = ||B||_1 ||B^-1||_1 off leading blocks of L and M.
   `solve_normal_equations`, the IRLS step's solve, is the one-width case
   of the same factor, scaled by D = diag(G)^(-1/2) rounded the same way.
   A single solve takes this route up to 64 columns.
-* conjugate gradients (CG) otherwise: on A_k^H (A_k p) of the scaled CSC
-  design, never forming the Gram, each width started from the last one's
-  solution. Its own step coefficients give the Lanczos estimate of kappa_2
-  of D G_k D.
+* a CSC matrix otherwise takes conjugate gradients (CG): on A_k^H (A_k p)
+  of the scaled design, never forming the Gram, each width started from
+  the last one's solution. Its own step coefficients give the Lanczos
+  estimate of kappa_2 of D G_k D.
 
-`shifted_design` keeps only the rows that some column or the target
-reaches, and stores the design as a dense column-major ndarray exactly
-when its solves take the dense route, as a CSC matrix otherwise
-(scipy.sparse is loaded only then; scipy.sparse.linalg and scipy.linalg
-never are). Every index of the acceptance configs, and every d = 1 sweep
-up to n = 511, is such a design, so these solves load no scipy.
+A design keeps only the rows that some column or the target reaches.
+scipy.sparse is loaded only for a CSC design; scipy.sparse.linalg and
+scipy.linalg never are. Every index of the acceptance configs, and every
+d = 1 sweep up to n = 511, is an ndarray, so these solves load no scipy.
 
 The route rule is a measured crossover. A dense factor costs about K^3
 and is shared by the widths, while CG is paid per width. Nested solve of
@@ -112,49 +110,11 @@ class LeastSquaresOutcome(NormalSolution):
     residual: float
 
 
-def shifted_design(rows, coeffs, target_rows, target_coeffs, sqrt_weights, dense=False,
-                   solves=1):
-    """Design and dense target of a shifted-basis least-squares problem, over
-    the rows that some column or the target reaches, and those rows' numbers.
-
-    Column j holds coeffs[t] * sqrt_weights[r] at row r = rows[j, t], and the
-    target holds target_coeffs[t] * sqrt_weights[r] at r = target_rows[t]. A
-    row that neither reaches is zero in both and changes no solution or
-    residual, so it is left out: the kept rows keep their order and are
-    numbered by their place among the kept, so a design that reaches every
-    row is the whole one. The design is a column-major ndarray when `dense` is set,
-    or when `solve_nested` takes the dense route for `solves` leading blocks
-    of it (`dense_route`); it is a CSC matrix otherwise.
-    """
-    ncols, nterms = rows.shape
-    reached = np.zeros(len(sqrt_weights), dtype=bool)
-    reached[rows] = reached[target_rows] = True
-    kept = np.flatnonzero(reached)
-    renumber = np.empty(len(reached), dtype=np.intp)  # read at kept rows only
-    renumber[kept] = np.arange(len(kept))
-    rows, target_rows, sqrt_weights = renumber[rows], renumber[target_rows], sqrt_weights[kept]
-    values = np.asarray(coeffs, dtype=complex) * sqrt_weights[rows]
-    if dense or dense_route(ncols, solves):
-        design = np.zeros((len(sqrt_weights), ncols), dtype=complex, order="F")
-        design[rows, np.arange(ncols)[:, None]] = values
-    else:
-        # loaded on first use: scipy.sparse adds about 0.15 s to a fresh process
-        import scipy.sparse
-
-        design = scipy.sparse.csc_matrix(
-            (values.ravel(), rows.ravel(), np.arange(0, ncols * nterms + 1, nterms)),
-            shape=(len(sqrt_weights), ncols),
-        )
-    target = np.zeros(len(sqrt_weights), dtype=complex)
-    target_coeffs = np.asarray(target_coeffs, dtype=complex)
-    target[target_rows] = target_coeffs * sqrt_weights[target_rows]
-    return design, target, kept
-
-
 def dense_route(columns: int, solves: int) -> bool:
-    """Whether `solve_nested` factors the Gram of `columns` columns densely
-    when it solves `solves` leading blocks of it: one dense factor costs
-    about columns^3 and serves every block, while CG is paid per block."""
+    """Whether a design of `columns` columns, solved at `solves` leading
+    widths, is stored as an ndarray and so takes the dense route: one dense
+    factor costs about columns^3 and serves every width, while CG is paid
+    per width. `poly.shifted_columns` asks it once, when it builds the design."""
     return columns**3 <= DENSE_MAX_COLUMNS**3 * solves
 
 
@@ -166,36 +126,32 @@ def solve_least_squares(design, target: np.ndarray) -> LeastSquaresOutcome:
 
 def solve_nested(design, target: np.ndarray, widths) -> list[LeastSquaresOutcome]:
     """Minimize ||design[:, :k] @ x - target||_2 for every leading width k of
-    the increasing `widths`, one outcome per width.
+    the increasing `widths`, whose last is the design's width, one outcome
+    per width.
 
-    Each reported residual is evaluated directly on its returned x, so it is
-    always an achievable objective value. The normal equations are solved
-    equilibrated: with D the inverse column norms of the widest design
-    (rounded down to powers of two on the dense route),
-    D G_k D y = D A_k^H b and x = D y. `gram_condition` is the condition of
-    D G_k D: its exact kappa_1 on the dense route, the Lanczos estimate of
-    its kappa_2 on the CG route, and infinite when the factorization of
-    G_k fails or A_k has a zero column. An ndarray design, or a sparse one
-    that `dense_route` picks, takes the dense route: the scaled Gram of the
-    widest width is factored once and every D G_k D is its leading block.
+    The design's storage is its route. An ndarray takes the dense route: the
+    scaled Gram is factored once and every D G_k D is its leading block. A
+    sparse design takes conjugate gradients. Each reported residual is
+    evaluated directly on its returned x, so it is always an achievable
+    objective value. The normal equations are solved equilibrated: with D
+    the inverse column norms of the design (rounded down to powers of two on
+    the dense route), D G_k D y = D A_k^H b and x = D y. `gram_condition` is
+    the condition of D G_k D: its exact kappa_1 on the dense route, the
+    Lanczos estimate of its kappa_2 on the CG route, and infinite when the
+    factorization of G_k fails or A_k has a zero column. Only kappa_1 or a
+    zero column certifies a singular Gram: the Lanczos estimate sees only
+    the Krylov space CG spans, and can stay small when a column repeats
+    another, while the residual stays the optimal one.
     """
     target = np.asarray(target, dtype=complex)
     widths = list(widths)
-    top = widths[-1]
     if isinstance(design, np.ndarray):
-        design = design.astype(complex, copy=False)[:, :top]
+        method, design = CHOLESKY, design.astype(complex, copy=False)
     else:
         import scipy.sparse
 
-        design = scipy.sparse.csc_matrix(design, dtype=complex)
-        if top < design.shape[1]:  # slicing copies a CSC matrix
-            design = design[:, :top]
-    method = (CHOLESKY if isinstance(design, np.ndarray) or dense_route(top, len(widths))
-              else CG)
-    # CG's iteration count follows the condition of D G D, so it takes the
-    # exact inverse norms; the dense route takes them rounded to powers of
-    # two, which keep its results those of the unscaled Gram to the bit
-    scale, scaled = _equilibrate(design, exact=method == CG)
+        method, design = CG, scipy.sparse.csc_matrix(design, dtype=complex)
+    scale, scaled = _equilibrate(design)
     # D A^H b as conj(b^H A D), without a conjugated copy of A D
     rhs = (target.conj() @ scaled).conj()
     if method == CG:
@@ -203,13 +159,11 @@ def solve_nested(design, target: np.ndarray, widths) -> list[LeastSquaresOutcome
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = scaled.conj().T @ scaled
-        solved = _dense_factor(gram if isinstance(gram, np.ndarray) else gram.toarray(),
-                               rhs, widths)
-    outs, block = [], np.zeros((top, len(widths)), dtype=complex)
+        solved = _dense_factor(gram, rhs, widths)
+    outs, block = [], np.zeros((widths[-1], len(widths)), dtype=complex)
     for j, (k, (cond, y)) in enumerate(zip(widths, solved)):
         out = _gate(cond, None if y is None else scale[:k] * y, method, lambda k=k: (
-            design[:, :k] if isinstance(design, np.ndarray) else design[:, :k].toarray(),
-            target))
+            design[:, :k] if method == CHOLESKY else design[:, :k].toarray(), target))
         block[:k, j] = out.coefficients
         outs.append(out)
     # every width's residual from one product; zero padding adds nothing
@@ -234,19 +188,22 @@ def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, problem) -> Normal
     return _gate(cond, None if y is None else scale * y, CHOLESKY, problem)
 
 
-def _equilibrate(design, exact: bool):
-    """(D, A D) for the inverse column norms D of the design A, rounded down
-    to powers of two unless `exact`. Scaling by powers of two rounds nothing
-    (LAPACK's xPOEQUB scales by powers of the radix for the same reason):
-    the Cholesky factor of D G D is then exactly D times the factor of G,
-    and x = D y exactly the unscaled solution. A column's norm is taken as
-    max_i |a_ij| ||a_j / max_i |a_ij|||, and D as the inverse of each
-    factor in turn, so no step overflows. A column that is zero or not
-    finite gets the scale 0, which marks it, never inf."""
-    if isinstance(design, np.ndarray):
+def _equilibrate(design):
+    """(D, A D) for the inverse column norms D of the design A.
+
+    For an ndarray, the dense route's design, D is rounded down to powers of
+    two. That rounds nothing (LAPACK's xPOEQUB scales by powers of the radix
+    for the same reason): the Cholesky factor of D G D is then exactly D
+    times the factor of G, and x = D y exactly the unscaled solution. For a
+    CSC design D is exact, since CG's iteration count follows the condition
+    of D G D. A column's norm is taken as max_i |a_ij| ||a_j / max_i |a_ij|||,
+    and D as the inverse of each factor in turn, so no step overflows. A
+    column that is zero or not finite gets the scale 0, which marks it,
+    never inf."""
+    dense = isinstance(design, np.ndarray)
+    if dense:
         magnitude = np.abs(design)
         peak = magnitude.max(axis=0, initial=0.0)
-        counts = None
     else:
         magnitude = np.abs(design.data)
         counts = np.diff(design.indptr)
@@ -255,7 +212,7 @@ def _equilibrate(design, exact: bool):
         peak = np.zeros(design.shape[1])
         peak[filled] = np.maximum.reduceat(magnitude, starts)
     with np.errstate(all="ignore"):
-        if counts is None:
+        if dense:
             square_sums = ((magnitude / peak) ** 2).sum(axis=0)
         else:
             square_sums = np.zeros(design.shape[1])
@@ -263,11 +220,10 @@ def _equilibrate(design, exact: bool):
                 (magnitude / np.repeat(peak, counts)) ** 2, starts)
         scale = 1.0 / peak / np.sqrt(square_sums)
         usable = np.isfinite(scale) & (scale > 0)
-        if not exact:
-            scale = np.ldexp(1.0, np.frexp(scale)[1] - 1)
-        scale = np.where(usable, scale, 0.0)
-        if counts is None:
+        if dense:
+            scale = np.where(usable, np.ldexp(1.0, np.frexp(scale)[1] - 1), 0.0)
             return scale, design * scale
+        scale = np.where(usable, scale, 0.0)
         data = design.data * np.repeat(scale, counts)
     import scipy.sparse
 

@@ -15,10 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cyclicity.cli as cli_mod
-from cyclicity import capacity, freespace, indices, mixednorm
+from cyclicity import capacity, freespace, indices, mixednorm, spaces
 from cyclicity.cli import main, parse_polynomial, parse_space
 from cyclicity.errors import ArgumentError
-from cyclicity.poly import Polynomial, TermArray, jsonsafe
+from cyclicity.poly import Polynomial, TermArray, invert_power_series, jsonsafe
 from cyclicity.spaces import dirichlet_type, drury_arveson, hardy
 from helpers import subprocess_env
 from test_acceptance import CLI_CONFIGS
@@ -167,6 +167,12 @@ class TestValidationAndExitCodes:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["index", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["index", "--config", str(cfg)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     def test_seed_required_for_free_corona(self, tmp_path):
         rc, _ = run_cli(
             tmp_path,
@@ -198,6 +204,19 @@ class TestValidationAndExitCodes:
         config = {"freeSpace": 3, "function": [{"letters": [], "re": 1}], "n": 1}
         rc, _ = run_cli(tmp_path, "free-index", config)
         assert rc == 2
+
+    @pytest.mark.parametrize("command, config", [
+        ("free-index", {"freeSpace": {"kind": "free_hardy", "d": 2, "maxLength": 60}}),
+        ("compress-check", {"d": 2}),
+    ], ids=["free-index", "compress-check"])
+    def test_oversized_free_budget_exits_two(self, tmp_path, capsys, command, config):
+        # words of length <= 51 over 2 letters number 2^52 - 1, past the
+        # 2^22 weights a table may hold
+        function = [{"letters": [], "re": 1}, {"letters": [1], "re": -0.5}]
+        rc, path = run_cli(tmp_path, command, {**config, "function": function, "n": 50})
+        assert rc == 2
+        assert not path.exists()
+        assert "number more than 4194304" in capsys.readouterr().err
 
     def test_sparse_high_degree_zero_set_exits_two(self, tmp_path):
         terms = [{"exponents": [0], "re": -1.0}, {"exponents": [20000], "re": 1.0}]
@@ -996,7 +1015,72 @@ NON_FINITE = {
 }
 
 
-@pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())
+# out-of-range or malformed input that a library entry point refuses with an
+# `ArgumentError` subclass, which the CLI reports with exit 2
+REFUSED = {
+    "cloud-not-2d": lambda: capacity.BoundaryCloud(np.ones(3)),
+    "cloud-off-sphere": lambda: capacity.BoundaryCloud(np.full((1, 1), 0.5)),
+    "arc-angle-0": lambda: capacity.arc_cloud(0.0, 16),
+    "arc-angle-past-2pi": lambda: capacity.arc_cloud(7.0, 16),
+    "cap-polar-angle-0": lambda: capacity.sphere_cap_cloud(16, 0.0),
+    "cap-polar-angle-past-pi": lambda: capacity.sphere_cap_cloud(16, 4.0),
+    "equilibrium-max-iter-0": lambda: capacity.riesz_equilibrium(
+        capacity.arc_cloud(1.0, 16), 0.0, max_iter=0),
+    "union-of-clouds-of-different-d": lambda: capacity.circle_cloud(4).union(
+        capacity.sphere_cap_cloud(4, 1.0)),
+    "free-kind": lambda: freespace.FreeSpaceSpec("free_bergman", 2, 4),
+    "free-d-0": lambda: freespace.FreeSpaceSpec("free_hardy", 0, 4),
+    "free-max-length-negative": lambda: freespace.free_hardy(2, -1),
+    "free-s-negative": lambda: freespace.free_besov(2, -0.5, 4),
+    "free-s-nan": lambda: freespace.free_besov(2, math.nan, 4),
+    "free-word-letter-past-d": lambda: freespace.FreePolynomial(2, {(1, 3): 1.0}),
+    "free-letter-0": lambda: freespace.FreePolynomial.letter(0, 2),
+    "free-tuple-of-other-d": lambda: freespace.evaluate_on_tuple(_free_affine(), [np.eye(2)]),
+    "free-corona-l-max-0": lambda: freespace.row_contraction_inversion_report(
+        2, 0.5, 2, 3, 1, l_max=0),
+    "compress-check-against-hardy": lambda: freespace.compression_check(
+        freespace.free_hardy(2, 8), hardy(2, 8), _free_affine(), 3),
+    "moments-empty": lambda: spaces.MomentSequence(()),
+    "moments-m0-0": lambda: spaces.MomentSequence((0.0, 0.0)),
+    "moments-too-few": lambda: spaces.SpaceSpec(
+        "diagonal_besov", 1, 0, 4, moments=spaces.MomentSequence((1.0, 0.5))),
+    "custom-entry-missing": lambda: spaces.SpaceSpec(
+        "custom_diagonal", 1, 0, 2, custom_weights={(0,): 1.0, (1,): 1.0}),
+    "custom-entry-0": lambda: spaces.SpaceSpec(
+        "custom_diagonal", 1, 0, 2, custom_weights={(0,): 1.0, (1,): 0.0, (2,): 1.0}),
+    "custom-entry-nan": lambda: spaces.SpaceSpec(
+        "custom_diagonal", 1, 0, 2, custom_weights={(0,): 1.0, (1,): math.nan, (2,): 1.0}),
+    "besov-without-moments": lambda: spaces.SpaceSpec("diagonal_besov", 1, 0, 2),
+    "custom-without-table": lambda: spaces.SpaceSpec("custom_diagonal", 1, 0, 2),
+    "space-kind": lambda: spaces.SpaceSpec("sobolev", 1),
+    "space-N-negative": lambda: spaces.SpaceSpec("diagonal_besov", 1, -1, 2),
+    "mixed-d-0": lambda: mixednorm.MixedSpec(0, 0, 2.0, 2.0, [1.0], [1.0]),
+    "radial-measure": lambda: mixednorm.MixedSpec.with_measure("lebesgue", 1, 0, 2.0, 2.0),
+    "point-mass-count": lambda: mixednorm.MixedSpec.with_measure(
+        "point_mass", 1, 0, 2.0, 2.0, radial_count=4),
+    "radial-lengths-differ": lambda: _mixed(2.0, 2.0, nodes=[0.5, 1.0]),
+    "angular-count-4": lambda: mixednorm.MixedSpec.with_measure(
+        "point_mass", 1, 0, 2.0, 2.0, angular_count=4),
+    "mixed-norm-of-other-d": lambda: mixednorm.mixed_norm(_mixed(3.0, 2.0), Polynomial.one(2)),
+    "mixed-index-of-other-d": lambda: mixednorm.mixed_index(
+        _mixed(3.0, 2.0), Polynomial.one(2), 1),
+    "index-n-negative": lambda: indices.subspace_distance(
+        hardy(1), Polynomial.one(1), _one_minus_z(), -1),
+    "perturb-zero-f": lambda: indices.check_perturbation_bound(
+        hardy(1), Polynomial.zero(1), _one_minus_z(), 2),
+    "perturb-zero-g": lambda: indices.check_perturbation_bound(
+        hardy(1), _one_minus_z(), Polynomial.zero(1), 2),
+    "weight-stability-without-moments": lambda: indices.check_weight_stability(
+        drury_arveson(2), drury_arveson(2), Polynomial.one(2), 2),
+    "radial-derivative-order-negative": lambda: _one_minus_z().radial_derivative(-1),
+    "zero-polynomial-without-d": lambda: Polynomial.from_json([]),
+    "inversion-length-negative": lambda: invert_power_series(_one_minus_z(), -1),
+    "space-neither-string-nor-object": lambda: parse_space(3),
+}
+
+
+@pytest.mark.parametrize("call", [*NON_FINITE.values(), *REFUSED.values()],
+                         ids=[*NON_FINITE, *REFUSED])
 def test_library_refuses_what_the_cli_refuses(call):
     with pytest.raises(ArgumentError):
         call()

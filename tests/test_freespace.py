@@ -6,6 +6,7 @@ import pytest
 from cyclicity.errors import (
     ArgumentError,
     DegenerateInputError,
+    DegreeRangeError,
     DimensionMismatchError,
     SingularInversionError,
 )
@@ -98,6 +99,16 @@ class TestFreeNorms:
         spec = free_hardy(2, max_length=2)
         with pytest.raises(Exception):
             spec.norm(Z1 * Z1 * Z1)
+
+    @pytest.mark.parametrize("d, length, count", [(2, 21, 2**22 - 1), (3, 13, (3**14 - 1) // 2)])
+    def test_weight_table_stops_at_the_monomial_bound(self, d, length, count):
+        # free Hardy indices at d = 2, n = 20 and d = 3, n = 12 of a linear G
+        # tabulate words up to these lengths, within 2^22; one length more
+        # passes the bound, and the space itself stays constructible
+        spec = free_hardy(d, length + 1)
+        assert len(spec.weight_vector(length)) == count
+        with pytest.raises(DegreeRangeError, match=f"length <= {length + 1} .* 4194304"):
+            spec.weight_vector(length + 1)
 
     def test_spec_json(self):
         assert free_hardy(2, 5).to_json() == {"kind": "free_hardy", "d": 2, "maxLength": 5}

@@ -589,3 +589,22 @@ class TestSerialization:
         clone = VarExpSpec.from_json(spec.to_json())
         f = p1d(1, -0.5)
         assert luxemburg_norm(clone, f) == luxemburg_norm(spec, f)
+
+    def test_tabulated_radial_rule(self):
+        # a rule given by its nodes and weights is written back as them
+        rule = {"nodes": [0.25, 0.75], "weights": [0.125, 0.375]}
+        for spec in (MixedSpec(1, 0, 3.0, 2.0, *rule.values(), angular_count=64),
+                     VarExpSpec(1, 0, 2.0, 0.5, 2.0, *rule.values(), angular_count=64)):
+            obj = spec.to_json()
+            assert obj["radial"] == rule
+            assert type(spec).from_json(obj).to_json() == obj
+        # one unit node at r = 1 is the point-mass rule, to the bit
+        spec = {"d": 1, "N": 0, "p": 3.0, "q": 2.0, "angular": {"count": 64}}
+        tabulated = MixedSpec.from_json({**spec, "radial": {"nodes": [1.0], "weights": [1.0]}})
+        point_mass = MixedSpec.from_json({**spec, "radial": {"measure": "point_mass"}})
+        f = p1d(1, -1)
+        norm = mixed_norm(point_mass, f)
+        assert mixed_norm(tabulated, f) == norm == pytest.approx(1.5030022387636492, rel=1e-12)
+        value = mixed_index(point_mass, f, 3).value
+        assert mixed_index(tabulated, f, 3).value == value
+        assert value == pytest.approx(0.5353823259108694, rel=1e-12)

@@ -334,9 +334,9 @@ class TestConditionEstimate:
 
 
 class TestDenseRoute:
-    """An ndarray design, and a CSC one of at most 64 columns, take the dense
-    route (a dense equilibrated Gram, one Cholesky factor and its exact
-    kappa_1); a wider CSC one takes conjugate gradients and a Lanczos
+    """A design's storage is its route: an ndarray takes the dense route (a
+    dense equilibrated Gram, one Cholesky factor and its exact kappa_1), a
+    CSC matrix of any width takes conjugate gradients and a Lanczos
     estimate of kappa_2. Both share the threshold, the fallback and the
     residual."""
 
@@ -348,7 +348,7 @@ class TestDenseRoute:
         assert isinstance(design, np.ndarray)
         dense = solver.solve_least_squares(design, target)
         sparse = solver.solve_least_squares(scipy.sparse.csc_matrix(design), target)
-        assert dense.method == sparse.method
+        assert (dense.method, sparse.method) == (solver.CHOLESKY, solver.CG)
         assert dense.residual == pytest.approx(sparse.residual, rel=1e-12, abs=1e-15)
         np.testing.assert_allclose(dense.coefficients, sparse.coefficients, rtol=1e-12,
                                    atol=1e-14)
@@ -449,7 +449,8 @@ class TestNestedSolve:
     def test_singular_last_width_falls_back_alone(self, last, sparse):
         # a duplicate column leaves the widest Gram a pivot at roundoff level,
         # which Cholesky may pass; a zero column leaves a zero pivot, which
-        # it refuses, and then each width is factored on its own
+        # it refuses, and then each width is factored on its own. The CSC
+        # copy takes CG, which refuses a zero column before it iterates
         rng = np.random.default_rng(5)
         dense = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
         dense[:, 5] = dense[:, 2] if last == "duplicate" else 0
@@ -464,10 +465,18 @@ class TestNestedSolve:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "cholesky", spy_cholesky)
             outs = solver.solve_nested(design, target, range(1, 7))
+        route = solver.CG if sparse else solver.CHOLESKY
         if last == "zero":
-            assert factored == [6, 1, 2, 3, 4, 5, 6]
+            assert factored == ([] if sparse else [6, 1, 2, 3, 4, 5, 6])
             assert outs[5].gram_condition == math.inf
-        assert [out.method for out in outs] == [solver.CHOLESKY] * 5 + [solver.QR_FALLBACK]
+        if last == "duplicate" and sparse:
+            # the Lanczos estimate sees only the Krylov space CG spans, so it
+            # misses the repeated column (kappa_2 about 5.3); the residual is
+            # still the optimum
+            assert [out.method for out in outs] == [route] * 6
+            assert outs[5].gram_condition < 10
+        else:
+            assert [out.method for out in outs] == [route] * 5 + [solver.QR_FALLBACK]
         want = per_width_solves(dense, target, range(1, 7))
         np.testing.assert_allclose([out.residual for out in outs], [w[0] for w in want],
                                    rtol=1e-12, atol=0)
