@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
-from .poly import (JsonRecord, Polynomial, bind, brief, camel, choose, multi_indices,
+from .poly import (JsonRecord, Polynomial, bind, brief, camel, choose, graded_rank,
                    read_keys, shifted_columns)
 from .solver import solve_normal_equations
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
@@ -87,9 +87,10 @@ class _QuadratureSpec:
     A subclass takes its own exponent parameters after (d, N), converts them
     to JSON in `_params_json` and from JSON in `_params_from_json`, a
     function whose signature is the subclass's own keys, and owns one
-    norm formula: `_norm` of grid values of R^N f plus the constant term f(0)
-    (counted only when `uses_constant_term`), and `_irls_weights`, the
-    weights of that norm's reweighted least-squares step.
+    norm formula: `_norm` of the magnitudes of the grid values of R^N f and
+    of the constant term f(0) (counted only when `uses_constant_term`), and
+    `_irls_weights`, the weights of that norm's reweighted least-squares
+    step, from the same magnitudes.
     """
 
     def __init__(
@@ -252,26 +253,26 @@ class MixedSpec(_QuadratureSpec):
     def _params_from_json(p: float, q: float) -> tuple[tuple, dict]:
         return (p, q), {}
 
-    def _norm(self, values: np.ndarray, constant: complex) -> float:
+    def _norm(self, mags: np.ndarray, constant: float) -> float:
         # powers of |v / s| stay in range at any scale s of finite values
-        constant = abs(constant) if self.uses_constant_term else 0.0
-        scale = max(float(np.max(np.abs(values), initial=0.0)), constant) or 1.0
-        inner = np.mean((np.abs(values) / scale) ** self.p, axis=1)
+        constant = constant if self.uses_constant_term else 0.0
+        scale = max(float(np.max(mags, initial=0.0)), constant) or 1.0
+        inner = np.mean((mags / scale) ** self.p, axis=1)
         total = float(self.radial_weights @ inner ** (self.q / self.p))
         total += self.mass * (constant / scale) ** self.q
         return scale * total ** (1.0 / self.q)
 
-    def _irls_weights(self, values: np.ndarray, constant: complex):
+    def _irls_weights(self, mags: np.ndarray, constant: float):
         # the gradient of the q-th power of the norm over 2|v|, up to q/2
-        mags = np.maximum(np.abs(values), _FLOOR)
-        inner = np.maximum(np.mean(np.abs(values) ** self.p, axis=1), _FLOOR)
+        floored = np.maximum(mags, _FLOOR)
+        inner = np.maximum(np.mean(mags ** self.p, axis=1), _FLOOR)
         grid = (
             self.radial_weights[:, None]
             / self.angular_count
             * inner[:, None] ** (self.q / self.p - 1.0)
-            * mags ** (self.p - 2.0)
+            * floored ** (self.p - 2.0)
         )
-        return grid, self.mass * max(abs(constant), _FLOOR) ** (self.q - 2.0)
+        return grid, self.mass * max(constant, _FLOOR) ** (self.q - 2.0)
 
 
 class VarExpSpec(_QuadratureSpec):
@@ -298,12 +299,14 @@ class VarExpSpec(_QuadratureSpec):
         self.b = float(b)
         self.c = float(c)
         self.bisection_tol = float(bisection_tol)
-        # the values `_norm` measured last and their lam (`_irls_weights`)
+        self._exponents = self.a + self.b * self.radial_nodes**self.c
+        self._exponents.flags.writeable = False
+        # the magnitudes `_norm` measured last and their lam (`_irls_weights`)
         self._measured = (None, 0.0)
 
     def exponents(self) -> np.ndarray:
-        """p evaluated at the radial nodes."""
-        return self.a + self.b * self.radial_nodes**self.c
+        """p evaluated at the radial nodes (read-only)."""
+        return self._exponents
 
     def _params_json(self) -> dict:
         return {
@@ -318,64 +321,96 @@ class VarExpSpec(_QuadratureSpec):
 
         return bind(profile, exponent, "exponent"), {"bisection_tol": bisection_tol}
 
-    def _node_sums(self, values: np.ndarray) -> tuple[float, np.ndarray]:
-        """s = max|v| and sums[r] = w_r mean(|v / s|^p_r), so that the modular
-        at lam is sum_r sums[r] (lam / s)^(-p_r)."""
-        scale = float(np.max(np.abs(values), initial=0.0))
-        if scale == 0.0:
-            return 1.0, np.zeros_like(self.radial_weights)
-        pexp = self.exponents()[:, None]
-        return scale, self.radial_weights * np.mean((np.abs(values) / scale) ** pexp, axis=1)
+    def _node_sums(self, mags: np.ndarray) -> tuple[int, np.ndarray]:
+        """e and sums[r] = w_r mean(|v / s|^p_r) for the power of two s = 2^e
+        just above max|v|, so that the modular at lam is the sum of
+        `_modular_terms(sums, lam / s)`; a power of two keeps lam / s exact."""
+        peak = float(np.max(mags, initial=0.0))
+        if peak == 0.0:
+            return 0, np.zeros_like(self.radial_weights)
+        exponent = math.frexp(peak)[1]
+        scaled = np.ldexp(mags, -exponent) ** self._exponents[:, None]
+        return exponent, self.radial_weights * np.mean(scaled, axis=1)
 
-    def _luxemburg(self, values: np.ndarray) -> float:
-        """Root lam of modular(lam) = 1 by bisection on a closed-form bracket.
+    def _modular_terms(self, sums: np.ndarray, mu: float) -> np.ndarray:
+        """The modular's node terms sums[r] mu^(-p_r) at the scaled lam mu."""
+        return sums * mu ** -self._exponents
+
+    def _luxemburg(self, mags: np.ndarray) -> float:
+        """Root lam of modular(lam) = 1 by safeguarded Newton steps on a
+        closed-form bracket.
 
         With M = sum of the node sums, M * mu^(-p_max) and M * mu^(-p_min)
         bound the scaled modular on either side of mu = 1, so its root lies
-        between M^(1/p_max) and M^(1/p_min).
+        between M^(1/p_max) and M^(1/p_min). In log mu the log of the modular
+        is a log-sum-exp of linear functions (one, for a constant exponent),
+        convex and decreasing, so a Newton step from either side lands at or
+        below the root: mu * phi^(1/pbar), pbar the exponents' mean weighted
+        by the terms. The first probe is tol/4 above the bracket, which
+        settles a constant exponent at once. Each later probe is the Newton
+        point pushed tol/4 toward the side not just probed, so that once the
+        steps have converged one probe lands on each side of the root, and a
+        probe outside the bracket is replaced by its midpoint. The returned
+        lam is the upper end of a bracket of relative width <= tol, evaluated
+        at modular(lam) <= 1, whose lower end is the closed form's or
+        evaluated above 1.
         """
-        scale, sums = self._node_sums(values)
+        exponent, sums = self._node_sums(mags)
         total = float(sums.sum())
         if total == 0.0:
             return 0.0
-        pexp = self.exponents()
-        lo, hi = sorted((total ** (1.0 / pexp.max()), total ** (1.0 / pexp.min())))
+        pexp = self._exponents
+        lo, top = sorted((total ** (1.0 / pexp.max()), total ** (1.0 / pexp.min())))
         # a few ulps is the finest width at which a midpoint still splits
         tol = max(self.bisection_tol, 4.0 * np.finfo(float).eps)
-        while hi - lo > tol * hi:
-            mid = (lo + hi) / 2.0
-            lo, hi = (lo, mid) if sums @ mid ** -pexp <= 1.0 else (mid, hi)
-        return scale * hi
+        hi = math.inf  # the smallest probe evaluated at modular <= 1
+        mu = top * (1.0 + tol / 4.0)
+        while True:
+            terms = self._modular_terms(sums, mu)
+            phi = float(terms.sum())
+            if phi <= 1.0:
+                hi = mu
+            else:
+                lo = mu
+            if lo >= hi * (1.0 - tol):
+                return math.ldexp(hi, exponent)
+            # the Newton point, pushed tol/4 toward the side not just probed
+            push = 1.0 + tol / 4.0 if phi > 1.0 else 1.0 - tol / 4.0
+            mu *= phi ** (phi / float(pexp @ terms)) * push
+            if not lo < mu < hi:
+                mu = (lo + hi) / 2.0
 
-    def _norm(self, values: np.ndarray, constant: complex) -> float:
-        lam = self._luxemburg(values)
-        self._measured = (values, lam)
+    def _norm(self, mags: np.ndarray, constant: float) -> float:
+        lam = self._luxemburg(mags)
+        self._measured = (mags, lam)
         if self.uses_constant_term:
-            return math.hypot(math.sqrt(self.mass) * abs(constant), lam)
+            return math.hypot(math.sqrt(self.mass) * constant, lam)
         return lam
 
-    def _irls_weights(self, values: np.ndarray, constant: complex):
+    def _irls_weights(self, mags: np.ndarray, constant: float):
         # On modular(v, lam) = 1, d lam / d|v| = lam (w/m) p |v|^(p-1) lam^-p / S
         # with S = sum (w/m) p (|v|/lam)^p. The factor lam^2 / S turns that
         # gradient over 2|v| into the one of lam^2, whose scale the constant
         # term's weight, the gradient of mass |c|^2 over 2|c|, shares.
         # the IRLS weighs the residual whose norm it has just accepted, so the
-        # bisection of that `_norm` call answers
+        # root of that `_norm` call answers
         measured, lam = self._measured
-        lam = max(lam if measured is values else self._luxemburg(values), _FLOOR)
-        pexp = self.exponents()[:, None]
-        mags = np.maximum(np.abs(values), _FLOOR)
-        grid = self.radial_weights[:, None] / self.angular_count * pexp * (mags / lam) ** pexp
-        return grid * (lam * lam / grid.sum()) / (mags * mags), self.mass
+        lam = max(lam if measured is mags else self._luxemburg(mags), _FLOOR)
+        pexp = self._exponents[:, None]
+        floored = np.maximum(mags, _FLOOR)
+        grid = self.radial_weights[:, None] / self.angular_count * pexp * (floored / lam) ** pexp
+        return grid * (lam * lam / grid.sum()) / (floored * floored), self.mass
 
 
 def mixed_norm(spec: MixedSpec | VarExpSpec, f: Polynomial) -> float:
     """The norm of f in a quadrature spec. A `MixedSpec` gives (integral of
     (angular p-mean of |R^N f|)^(q/p) d(mu))^(1/q), a `VarExpSpec` the
-    Luxemburg norm inf{lam > 0 : modular(f, lam) <= 1} by bracketed
-    bisection. When N > 0 and the flag is on the constant term joins, as
-    sqrt(mass |f(0)|^2 + lam^2) in the Luxemburg case (module docstring)."""
-    return spec._norm(spec.grid_values(f.radial_derivative(spec.N)), f.constant_term)
+    Luxemburg norm inf{lam > 0 : modular(f, lam) <= 1} by safeguarded
+    Newton steps on a closed-form bracket. When N > 0 and the flag is on the
+    constant term joins, as sqrt(mass |f(0)|^2 + lam^2) in the Luxemburg
+    case (module docstring)."""
+    values = spec.grid_values(f.radial_derivative(spec.N))
+    return spec._norm(np.abs(values), abs(f.constant_term))
 
 
 luxemburg_norm = mixed_norm
@@ -389,8 +424,8 @@ def modular(spec: VarExpSpec, f: Polynomial, lam: float) -> float:
     """
     if lam <= 0:
         raise ArgumentError("lam must be positive")
-    scale, sums = spec._node_sums(spec.grid_values(f.radial_derivative(spec.N)))
-    return float(sums @ (lam / scale) ** -spec.exponents())
+    exponent, sums = spec._node_sums(np.abs(spec.grid_values(f.radial_derivative(spec.N))))
+    return float(spec._modular_terms(sums, math.ldexp(lam, -exponent)).sum())
 
 
 @dataclass
@@ -417,7 +452,8 @@ def _hilbert_twin(spec: _QuadratureSpec, max_degree: int) -> SpaceSpec:
 
 
 class _GridTables(NamedTuple):
-    """The factors of the grid design of min ||1 - phi f|| over deg(phi) <= n.
+    """The factors of the grid design of min ||1 - phi f|| over deg(phi) <= n,
+    and the per-index tables of its IRLS steps.
 
     z^alpha at radial node r and angular point u is r^|alpha| u^alpha, and
     R^N scales z^alpha by |alpha|^N, so column gamma of the design, R^N(z^gamma
@@ -426,32 +462,67 @@ class _GridTables(NamedTuple):
     k |f| + 1 of them, with the unit first.
     """
 
-    angular: np.ndarray  # u^alpha: monomials x angular points
+    # Re and Im of u^t on rows 2t and 2t + 1, angular points along them: the
+    # K monomials at d >= 2, and at d = 1 the T degree differences of the
+    # monomial pairs (every degree among them), as the transposed real view
+    # of the complex table E[j, t] = u_j^t
+    angular: np.ndarray
+    slots: np.ndarray  # the t of each monomial
     radial: np.ndarray  # r^|alpha|: radial nodes x monomials
     degrees: np.ndarray  # |alpha| of each monomial, in graded order
     coeffs: np.ndarray  # the shifted coefficient columns, rows scaled by |alpha|^N
     target: complex  # R^N 1, a constant on the grid
     cols: list  # the exponent gamma of each column
+    powers: np.ndarray  # r^s for the degree sums s of the moment table: nodes x sums
+    # d = 1: the cell of each monomial pair in [P, conj P] of `_normal_equations`
+    pairs: np.ndarray | None
+    blocks: np.ndarray | None  # d >= 2: the first monomial of each degree, and K
 
 
 def _grid_tables(spec: _QuadratureSpec, f: Polynomial, n: int) -> _GridTables:
     top = n + f.degree
     spec._check_resolution(top)
-    exponents = np.array(multi_indices(spec.d, top))
-    degrees = exponents.sum(axis=1)
+    # the degree of every rank up to top, graded blocks of C(k + d - 1, d - 1)
+    sizes = [math.comb(k + spec.d - 1, spec.d - 1) for k in range(top + 1)]
+    degrees = np.repeat(np.arange(top + 1), sizes)
     one = Polynomial.one(spec.d)
     coeffs, target, cols, kept = shifted_columns(one, f, n, degrees ** float(spec.N), dense=True)
-    exponents, degrees = exponents[kept], degrees[kept]
-    angular = np.prod(spec._angular ** exponents[:, None, :], axis=2)
+    degrees = degrees[kept]
     radial = spec.radial_nodes[:, None] ** degrees
-    return _GridTables(angular, radial, degrees, coeffs, target[0], cols)
+    if spec.d == 1:
+        # H[a, b] = P[deg a + deg b, deg b - deg a] above the diagonal and its
+        # conjugate below, P = V E the moments by the phases (`_normal_equations`)
+        add = np.add.outer(degrees, degrees)
+        sums, sum_at = np.unique(add, return_inverse=True)
+        gap = np.subtract.outer(degrees, degrees)
+        diffs, diff_at = np.unique(np.abs(gap), return_inverse=True)
+        cells = sum_at.reshape(add.shape) * len(diffs) + diff_at.reshape(add.shape)
+        pairs = np.where(gap > 0, cells + len(sums) * len(diffs), cells)
+        angular = (spec._angular ** diffs).view(float).T
+        slots, blocks = np.searchsorted(diffs, degrees), None  # deg b - deg 0 = deg b
+        powers = spec.radial_nodes[:, None] ** sums
+    else:
+        # the kept monomials are the unit and the products z^gamma z^alpha of
+        # the columns and f's terms, so their exponents come from those alone
+        products = (np.array(cols)[:, None, :] + np.array(list(f.coeffs))).reshape(-1, spec.d)
+        products = np.concatenate((np.zeros((1, spec.d), dtype=products.dtype), products))
+        exponents = products[np.unique(graded_rank(products), return_index=True)[1]]
+        values = np.prod(spec._angular ** exponents[:, None, :], axis=2)
+        angular = np.stack((values.real, values.imag), axis=1).reshape(-1, spec.angular_count)
+        slots, pairs = np.arange(len(degrees)), None
+        blocks = np.append(np.unique(degrees, return_index=True)[1], len(degrees))
+        powers = spec.radial_nodes[:, None] ** np.arange(2 * top + 1)
+    return _GridTables(angular, slots, radial, degrees, coeffs, target[0], cols, powers, pairs,
+                       blocks)
 
 
 def _grid_design(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables):
     """Design and target of the least-squares problem of `tables`: the grid
     values of each column (radial node major), then in a last row its
     constant term, which the norm counts only when `uses_constant_term`."""
-    angular, radial, _, coeffs, target, cols = tables
+    parts, slots, radial, _, coeffs, target, cols = tables[:7]
+    angular = np.empty((len(slots), spec.angular_count), dtype=complex)
+    angular.real, angular.imag = parts[2 * slots], parts[2 * slots + 1]
     # column-major, so that each column's grid block, (node, point), is a
     # view written in place below
     design = np.zeros((radial.shape[0] * spec.angular_count + 1, len(cols)), dtype=complex,
@@ -467,13 +538,22 @@ def _grid_design(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables):
 def _table_residual(f: Polynomial, tables: _GridTables):
     """The residual b - A x of the design A and target b of `_grid_design`,
     as a function of x: grid values target - (r^|alpha| (C x)_alpha) u^alpha,
-    one product of radial nodes x monomials by monomials x angular points,
-    and the constant term 1 - f(0) x_0, since only column 0 (gamma = 0) has
-    one."""
+    one real product of radial nodes x monomials by monomials x angular
+    points, and the constant term 1 - f(0) x_0, since only column 0
+    (gamma = 0) has one."""
+    nodes = len(tables.radial)
+    count, points = tables.angular.shape
 
     def residual(x: np.ndarray):
-        values = tables.radial * (tables.coeffs @ x) @ tables.angular
-        return np.subtract(tables.target, values, out=values), 1.0 - f.constant_term * x[0]
+        # the real view of conj(y) pairs (Re y, -Im y) with (Re u, Im u), so
+        # its rows give Re(y u), and those of i conj(y) give Im(y u)
+        y = np.zeros((nodes, count // 2), dtype=complex)
+        y[:, tables.slots] = np.conj(tables.radial * (tables.coeffs @ x))
+        products = np.concatenate((y, 1j * y)).view(float) @ tables.angular
+        values = np.empty((nodes, points), dtype=complex)
+        np.subtract(tables.target.real, products[:nodes], out=values.real)
+        np.subtract(tables.target.imag, products[nodes:], out=values.imag)
+        return values, 1.0 - f.constant_term * x[0]
 
     return residual
 
@@ -487,26 +567,46 @@ def _normal_equations(spec: _QuadratureSpec, f: Polynomial, tables: _GridTables,
     With the radial moments V[s, j] = sum_r grid[r, j] r^s, the Gram of the
     monomials is H[alpha, beta] = sum_j conj(u_j^alpha) u_j^beta
     V[|alpha| + |beta|, j], and A^H U A = C^H H C for the coefficient
-    columns C. Column 0 of H, beta = 0, gives A^H U b on the grid.
+    columns C. Column 0 of H, beta = 0, gives A^H U b on the grid. At d = 1,
+    with E[j, t] = u_j^t, H[a, b] is (V E)[a + b, b - a] above the diagonal,
+    one product; at d >= 2 it is real products of the angular parts, one
+    block of rows per degree. Either way no complex factor meets a real one
+    in a product.
     """
-    angular, _, degrees, coeffs, target, _ = tables
-    moments = (spec.radial_nodes[:, None] ** np.arange(2 * degrees[-1] + 1)).T @ grid
-    # the first monomial of each degree present
-    bounds = np.append(np.unique(degrees, return_index=True)[1], len(degrees))
-    table = np.empty((len(degrees), len(degrees)), dtype=complex)
-    conj = angular.conj()
+    coeffs = tables.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
-        # the rows of degree a from the diagonal block on; H is Hermitian
-        for lo, hi in zip(bounds, bounds[1:]):
-            weighted = angular[lo:] * moments[degrees[lo] + degrees[lo:]]
-            table[lo:hi, lo:] = conj[lo:hi] @ weighted.T
-            table[hi:, lo:hi] = table[lo:hi, hi:].conj().T
+        if tables.pairs is not None:
+            # V E = r^s (grid E), by real products with E's real view
+            transform = grid @ tables.angular.T
+            products = (tables.powers.T @ transform).view(complex)
+            table = np.concatenate((products, products.conj()), axis=None)[tables.pairs]
+        else:
+            table = _angular_table(tables, tables.powers.T @ grid)
         gram = coeffs.conj().T @ table @ coeffs
-        rhs = target * (coeffs.conj().T @ table[:, 0])
+        rhs = tables.target * (coeffs.conj().T @ table[:, 0])
     # the constant-term row holds f(0) in column 0 and 1 in the target
     gram[0, 0] += constant * abs(f.constant_term) ** 2
     rhs[0] += constant * np.conj(f.constant_term)
     return gram, rhs
+
+
+def _angular_table(tables: _GridTables, moments: np.ndarray) -> np.ndarray:
+    """H of `_normal_equations` at d >= 2 from the moments V, by rows of one
+    degree from the diagonal block on: one real product of the rows' (Re, Im)
+    parts by the weighted parts of the columns gives the four real sums of
+    each entry."""
+    degrees, rows = tables.degrees, tables.angular
+    count, m = len(degrees), rows.shape[1]
+    parts = rows.reshape(count, 2, m)
+    table = np.empty((count, count), dtype=complex)
+    for lo, hi in zip(tables.blocks, tables.blocks[1:]):
+        weighted = parts[lo:] * moments[degrees[lo] + degrees[lo:], None, :]
+        block = (rows[2 * lo:2 * hi] @ weighted.reshape(-1, m).T).reshape(hi - lo, 2, -1, 2)
+        # conj(u^a) u^b = Re Re + Im Im + i (Re_a Im_b - Im_a Re_b)
+        table[lo:hi, lo:].real = block[:, 0, :, 0] + block[:, 1, :, 1]
+        table[lo:hi, lo:].imag = block[:, 0, :, 1] - block[:, 1, :, 0]
+        table[hi:, lo:hi] = table[lo:hi, hi:].conj().T
+    return table
 
 
 def _design_normal_equations(design: np.ndarray, rhs: np.ndarray, grid: np.ndarray,
@@ -524,19 +624,27 @@ def _moment_route(spec: _QuadratureSpec, tables: _GridTables) -> bool:
     (`_normal_equations`) rather than from the design
     (`_design_normal_equations`).
 
-    For K monomials that the columns or the target reach, k columns, R
-    radial nodes and m angular points, the moment route fills a K x K table
-    with about m K^2 / 2 multiply-adds, in one small product per degree
-    present; the design
-    route copies the R m x k design and multiplies it in R m k^2. Timed per
-    step on d = 1, 2 and 3 grids, the moment route was faster below
-    K^2 = R k^2 / 16, slower above R k^2 / 2, and at the threshold R k^2 / 8
-    the route taken was at most twice as slow as the other. The table is
-    also held to MAX_IRLS_ENTRIES, like the Gram. Trial residuals read the
-    monomial tables on both routes, so they cost the same either way; only
-    the design route builds the design, once.
+    At d = 1 the moment table comes from two real products, of the R x m
+    weights by the m x T phases and of the S x R radial powers by that, for
+    the S degree sums and T degree differences of the monomial pairs: about
+    2 R m T + 2 S R T multiply-adds, with S < 2K and T <= K when the K
+    monomials are consecutive degrees. The design route copies the R m x k
+    design and multiplies it in R m k^2 complex ones. So d = 1 takes the
+    moments whenever the S x T products and the K x K table fit
+    MAX_IRLS_ENTRIES, like the Gram.
+
+    At d >= 2, for K monomials that the columns or the target reach, k
+    columns, R radial nodes and m angular points, the moment route fills the
+    K x K table with about m K^2 / 2 multiply-adds, in one product per degree
+    present. Timed per step on d = 2 and 3 grids, the moment route was
+    faster below K^2 = R k^2 / 16, slower above R k^2 / 2, and at the
+    threshold R k^2 / 8 the route taken was at most twice as slow as the
+    other. Trial residuals read the monomial tables on both routes, so they
+    cost the same either way; only the design route builds the design, once.
     """
     K, k = len(tables.degrees), len(tables.cols)
+    if spec.d == 1:
+        return max(tables.powers.shape[1] * len(tables.angular) // 2, K * K) <= MAX_IRLS_ENTRIES
     return K * K <= min(spec.radial_nodes.size * k * k // 8, MAX_IRLS_ENTRIES)
 
 
@@ -568,6 +676,11 @@ def mixed_index(
     design = None if by_moments else _grid_design(spec, f, tables)
     residual = _table_residual(f, tables)
 
+    def magnitudes(x: np.ndarray):
+        # what the norm and the weights read of a residual, taken once
+        values, constant = residual(x)
+        return np.abs(values), abs(constant)
+
     def weighted(grid: np.ndarray, constant: float):
         a, b = _grid_design(spec, f, tables) if design is None else design
         sqrt_u = np.sqrt(np.append(grid, constant))
@@ -575,7 +688,7 @@ def mixed_index(
 
     start = subspace_distance(twin, Polynomial.one(spec.d), f, n).phi
     x = np.array([start.coefficient(gamma) for gamma in tables.cols], dtype=complex)
-    current = residual(x)
+    current = magnitudes(x)
     best_value = spec._norm(*current)
     converged = False
     iterations = 0
@@ -591,7 +704,7 @@ def mixed_index(
         ).coefficients
         for tau in 0.5 ** np.arange(30):
             trial = x + tau * (proposal - x)
-            trial_residual = residual(trial)
+            trial_residual = magnitudes(trial)
             trial_value = spec._norm(*trial_residual)
             if trial_value < best_value - 1e-15 * max(best_value, 1.0):
                 break

@@ -68,13 +68,15 @@ cap, or on a zero column, the solve switches to a dense orthogonal
 factorization of the unscaled design matrix itself.
 
 An IRLS step of the mixed indices does not form its weighted grid design
-sqrt(u) A. When the monomials that its columns reach are few against the
-design's columns and radial nodes, it builds the Gram and A^H b from
-radial moments of its weights, and otherwise from U conj(A); either way it
-hands them to `solve_normal_equations`, the dense route's factor and gate,
-which asks for the weighted design only past the threshold. On the moment
-route the index holds no design at all: each trial's residual comes from
-the monomial tables, and the design is built only for such a fallback.
+sqrt(u) A. It builds the Gram and A^H b from radial moments of its
+weights: at d = 1 by one product of the moments and the angular phases,
+on one route; at d >= 2 when the monomials that its columns reach are
+few against the design's columns and radial nodes, and otherwise from
+U conj(A). Either way it hands them to `solve_normal_equations`, the
+dense route's factor and gate, which asks for the weighted design only
+past the threshold. On the moment route the index holds no design at
+all: each trial's residual comes from the monomial tables, and the
+design is built only for such a fallback.
 """
 
 from __future__ import annotations

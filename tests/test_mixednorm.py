@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cyclicity import mixednorm, solver
+from cyclicity import mixednorm, poly, solver
 from cyclicity.errors import ArgumentError, DegenerateInputError
 from cyclicity.indices import subspace_distance
 from cyclicity.mixednorm import (
@@ -140,7 +140,7 @@ class TestLuxemburgNorm:
         )
 
     @pytest.mark.parametrize("N", [0, 1])
-    @pytest.mark.parametrize("scale", [1e-200, 1e70])
+    @pytest.mark.parametrize("scale", [1e-200, 1e70, 1e200])
     def test_homogeneity_at_extreme_scales(self, N, scale):
         spec = varexp(a=1.5, b=2.0, c=1.0, N=N)
         f = p1d(1, -0.5, 0.3)
@@ -172,6 +172,41 @@ class TestLuxemburgNorm:
             f = random_polynomial(rng, 1, 4)
             lam = luxemburg_norm(spec, f)
             assert abs(modular(spec, f, lam) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
+    @pytest.mark.parametrize("b", [0.0, 0.5, 2.5])
+    def test_newton_certificate(self, b, tol):
+        # lam is the upper end of a bracket of relative width tol, or four
+        # ulps at the floor, across which the modular crosses 1
+        rng = np.random.default_rng(int(100 * b) + 3)
+        spec = varexp(a=1.5, b=b, c=1.3, radial_count=12, angular_count=64, bisection_tol=tol)
+        width = max(tol, 4.0 * np.finfo(float).eps)
+        for _ in range(20):
+            f = random_polynomial(rng, 1, 4) * float(10.0 ** rng.uniform(-3, 3))
+            lam = luxemburg_norm(spec, f)
+            assert modular(spec, f, lam) <= 1.0 < modular(spec, f, lam * (1.0 - width))
+
+    @pytest.mark.parametrize("b", [0.0, 0.5, 2.5])
+    def test_few_modular_evaluations(self, b, monkeypatch):
+        # safeguarded Newton takes a handful of evaluations where bisection
+        # of the closed-form bracket to 1e-12 took about 40; with a constant
+        # exponent the first probe, just above the closed form, is the root
+        rng = np.random.default_rng(29)
+        spec = varexp(a=1.5, b=b, c=1.3, radial_count=12, angular_count=64)
+        counts = []
+        real = VarExpSpec._modular_terms
+
+        def counted(self, *args):
+            counts[-1] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(VarExpSpec, "_modular_terms", counted)
+        for _ in range(20):
+            counts.append(0)
+            luxemburg_norm(spec, random_polynomial(rng, 1, 4))
+        assert max(counts) <= 12
+        if b == 0.0:
+            assert set(counts) == {1}
 
     def test_derivative_constant_term_convention(self):
         spec = varexp(a=2.0, N=1)
@@ -375,8 +410,8 @@ class TestIrlsStep:
         (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=24, angular_count=256),
          Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5}), 6, 36, True),
         (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24), p1d(1, -1), 2, 4, True),
-        # one radial node: the design's own Gram is cheaper
-        (hardy_type(p=3.0, angular_count=128), p1d(1, -1), 4, 6, False),
+        # d = 1 takes the moments' one product, one radial node or many
+        (hardy_type(p=3.0, angular_count=128), p1d(1, -1), 4, 6, True),
         # deg f large beside n: the one column reaches only 1 and z_1^60 of
         # the C(62, 2) = 1891 monomials of degree <= 60
         (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0),
@@ -393,8 +428,8 @@ class TestIrlsStep:
         sparse_spec = MixedSpec.with_measure("area", 2, 0, 3.0, 2.0)
         sparse_f = Polynomial(2, {(0, 0): 1.0, (40, 0): -1.0})
         cases = [
-            # one radial node, which takes the design route by the size rule
-            (hardy_type(p=3.0, q=1.5, angular_count=128), p1d(1, -0.5, 0.3), 3, False),
+            # one radial node, at d = 1, where the moments' one product is taken
+            (hardy_type(p=3.0, q=1.5, angular_count=128), p1d(1, -0.5, 0.3), 3, True),
             # a sparse f, whose columns reach 2 (n = 0) or 12 (n = 2) monomials
             (sparse_spec, sparse_f, 0, True),
             (sparse_spec, sparse_f, 2, True),
@@ -450,7 +485,8 @@ class TestIrlsStep:
         design, rhs = mixednorm._grid_design(spec, f, tables)
         x = rng.standard_normal(len(tables.cols)) + 1j * rng.standard_normal(len(tables.cols))
         r = rhs - design @ x
-        weights, constant = spec._irls_weights(r[:-1].reshape(-1, spec.angular_count), r[-1])
+        weights, constant = spec._irls_weights(np.abs(r[:-1]).reshape(-1, spec.angular_count),
+                                               abs(r[-1]))
         constant = constant if spec.uses_constant_term else 0.0
         u = np.append(weights, constant)
         want = design.conj().T @ (u[:, None] * design)
@@ -460,6 +496,61 @@ class TestIrlsStep:
             gram, got_rhs = route
             assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
             assert np.linalg.norm(got_rhs - want_rhs) <= 1e-13 * np.linalg.norm(want_rhs)
+
+    @pytest.mark.parametrize("m", [16, 64, 256])
+    @pytest.mark.parametrize("radial", [("point_mass", None), ("area", 4), ("area", 24)],
+                             ids=["point-mass", "area-4", "area-24"])
+    def test_one_product_table_matches_the_design(self, radial, m):
+        # oracle at d = 1: A^H U A and A^H U b of the grid design, for gapped
+        # f and the constant-term row on, against the moments' one product
+        measure, count = radial
+        rng = np.random.default_rng(m + (count or 0))
+        for N in (0, 2):
+            spec = MixedSpec.with_measure(measure, 1, N, 3.0, 2.0, radial_count=count,
+                                          angular_count=m)
+            for f in (p1d(1, -1, 0.3), p1d(1, 0, 0, -0.5), p1d(1, *[0] * 39, -1)):
+                n = int(rng.integers(0, 7))
+                with warnings.catch_warnings():  # 16 points alias z^40: both sides alike
+                    warnings.simplefilter("ignore")
+                    tables = mixednorm._grid_tables(spec, f, n)
+                design, rhs = mixednorm._grid_design(spec, f, tables)
+                weights = rng.uniform(0.1, 2.0, (spec.radial_nodes.size, m))
+                constant = float(rng.uniform(0.1, 2.0))
+                assert mixednorm._moment_route(spec, tables)
+                gram, got = mixednorm._normal_equations(spec, f, tables, weights, constant)
+                want, want_rhs = mixednorm._design_normal_equations(design, rhs, weights, constant)
+                assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
+                assert np.linalg.norm(got - want_rhs) <= 1e-13 * np.linalg.norm(want_rhs)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tables_list_only_the_kept_monomials(self, d, monkeypatch):
+        # the exponents of the kept monomials come from the columns and f's
+        # terms: no multi-index list reaches past the columns' degree n,
+        # where one up to n + deg f would hold C(40 + d, d) tuples
+        listed = []
+        real = poly.multi_indices
+
+        def counted(dim, degree):
+            listed.append(degree)
+            return real(dim, degree)
+
+        monkeypatch.setattr(poly, "multi_indices", counted)
+        monkeypatch.setattr(mixednorm, "multi_indices", counted, raising=False)
+        spec = MixedSpec.with_measure("area", d, 1, 3.0, 2.0, radial_count=4, seed=2)
+        f = Polynomial(d, {(0,) * d: 1.0, (40,) + (0,) * (d - 1): -1.0, (1,) * d: 0.5})
+        for n in (0, 2):
+            listed.clear()
+            tables = mixednorm._grid_tables(spec, f, n)
+            assert max(listed) <= n
+            # oracle: the kept rows of the full list, and u^alpha on the grid
+            every = real(d, n + f.degree)
+            kept = sorted({every.index(tuple(np.add(g, a))) for g in tables.cols for a in f.coeffs}
+                          | {0})
+            alphas = np.array([every[r] for r in kept])
+            assert np.array_equal(tables.degrees, alphas.sum(axis=1))
+            want = np.prod(spec._angular ** alphas[:, None, :], axis=2)
+            rows = 2 * tables.slots
+            assert np.array_equal(tables.angular[rows] + 1j * tables.angular[rows + 1], want)
 
     @pytest.mark.parametrize("constant_term", [True, False], ids=["constant", "bare"])
     @pytest.mark.parametrize("N", [0, 1])
