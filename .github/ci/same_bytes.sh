@@ -2,11 +2,14 @@
 # Same-bytes report: runs the 12 acceptance configs of
 # perfbench/cli_configs.json through `python -m cyclicity` at BASE_REF (in a
 # temporary git worktree) and at the checked-out tree, then reports which
-# .json / .csv outputs differ, the src/ line totals of both and their signed
-# difference. A differing pair is listed with the largest relative
-# difference between the numbers at the same JSON path (.json) or the same
-# row and column (.csv), or as "structure differs", so that a
-# rounding-level change reads as one. It writes Markdown to
+# .json / .csv outputs differ, the src/ line totals of both and their
+# signed difference. Under its own heading it does the same for the
+# configs of .github/ci/extra_configs.json, which reach what the acceptance
+# set does not: the IRLS away from p = q = 2 and d = 1, both routes of its
+# steps, and the variable-exponent weights. A differing pair is listed with
+# the largest relative difference between the numbers at the same JSON
+# path (.json) or the same row and column (.csv), or as "structure
+# differs", so that a rounding-level change reads as one. It writes Markdown to
 # $GITHUB_STEP_SUMMARY, or to stdout outside CI, and only reports: a
 # differing output, or a command that fails on either side, is listed,
 # never an exit status.
@@ -23,13 +26,21 @@ if ! git -C "$root" worktree add --detach "$work/base" "$base_ref" >/dev/null 2>
   exit 0
 fi
 
-# one config file per command, from the checked-out tree's list
-python3 - "$root/perfbench/cli_configs.json" "$work/configs" <<'EOF'
+# one config file per run, and beside it the command that reads it: the
+# acceptance runs (group "configs") are named for their command, the extra
+# ones (group "extra") for their key
+python3 - "$root/perfbench/cli_configs.json" "$root/.github/ci/extra_configs.json" \
+  "$work" <<'EOF'
 import json, pathlib, sys
-out = pathlib.Path(sys.argv[2])
-out.mkdir()
-for command, config in json.loads(pathlib.Path(sys.argv[1]).read_text()).items():
-    (out / f"{command}.json").write_text(json.dumps(config))
+acceptance, extra = (json.loads(pathlib.Path(p).read_text()) for p in sys.argv[1:3])
+work = pathlib.Path(sys.argv[3])
+groups = {"configs": {command: (command, config) for command, config in acceptance.items()},
+          "extra": {name: (run["command"], run["config"]) for name, run in extra.items()}}
+for group, runs in groups.items():
+    (work / group).mkdir()
+    for name, (command, config) in runs.items():
+        (work / group / f"{name}.json").write_text(json.dumps(config))
+        (work / group / f"{name}.command").write_text(command)
 EOF
 
 # the largest relative difference between numbers at the same place of two
@@ -97,32 +108,46 @@ EOF
 for side in base head; do
   src=$root/src
   [ "$side" = base ] && src=$work/base/src
-  for cfg in "$work"/configs/*.json; do
-    command=$(basename "$cfg" .json)
+  for cfg in "$work"/configs/*.json "$work"/extra/*.json; do
+    name=$(basename "$cfg" .json)
+    group=$(basename "$(dirname "$cfg")")
+    command=$(cat "${cfg%.json}.command")
     PYTHONPATH=$src python3 -m cyclicity "$command" --config "$cfg" \
-      --out "$work/out-$side" >/dev/null 2>"$work/$side-$command.err" \
-      || echo "$command exited $? at $side" >> "$work/failures"
+      --out "$work/out-$side/$group/$name" >/dev/null 2>"$work/$side-$group-$name.err" \
+      || echo "$name exited $? at $side" >> "$work/failures-$group"
   done
 done
 
-{
-  echo "### Same-bytes report against \`$base_ref\`"
-  echo
-  differ=0
-  for cfg in "$work"/configs/*.json; do
-    command=$(basename "$cfg" .json)
+# the differing outputs of one group's runs, then the runs that failed
+report() {
+  local group=$1 differ=0 cfg name command ext a b label
+  for cfg in "$work/$group"/*.json; do
+    name=$(basename "$cfg" .json)
+    command=$(cat "${cfg%.json}.command")
     for ext in json csv; do
-      a=$work/out-base/$command.$ext
-      b=$work/out-head/$command.$ext
+      a=$work/out-base/$group/$name/$command.$ext
+      b=$work/out-head/$group/$name/$command.$ext
       [ -e "$a" ] || [ -e "$b" ] || continue
       if ! cmp -s "$a" "$b"; then
-        echo "- \`$command.$ext\` differs: $(gap "$a" "$b")"
+        label=$command.$ext
+        [ "$name" = "$command" ] || label=$name/$label
+        echo "- \`$label\` differs: $(gap "$a" "$b")"
         differ=$((differ + 1))
       fi
     done
   done
-  [ -e "$work/failures" ] && sed 's/^/- /' "$work/failures"
+  [ -e "$work/failures-$group" ] && sed 's/^/- /' "$work/failures-$group"
   [ "$differ" -eq 0 ] && echo "All .json and .csv outputs are byte-identical."
+}
+
+{
+  echo "### Same-bytes report against \`$base_ref\`"
+  echo
+  report configs
+  echo
+  echo "#### Configs outside the acceptance set (\`.github/ci/extra_configs.json\`)"
+  echo
+  report extra
   echo
   base_lines=$(cat "$work"/base/src/cyclicity/*.py | wc -l)
   head_lines=$(cat "$root"/src/cyclicity/*.py | wc -l)

@@ -644,7 +644,7 @@ def obstruction_report(
     sweep = index_sweep(spec, f, n_max, tol)
     cloud = sample_zero_set(f, resolution, zero_tol, seed)
     riesz = riesz_equilibrium(cloud, alpha)
-    nbhd = neighborhood_capacity(cloud, alpha, eps_nbhd) if cloud.size else 0.0
+    nbhd = neighborhood_capacity(cloud, alpha, eps_nbhd)
     dim = box_dimension(cloud) if cloud.size >= 1 else None
     interior = interior_zero_probe(f, seed=seed)
     plateau = sweep.verdict == VERDICT_PLATEAU

@@ -87,10 +87,12 @@ class _QuadratureSpec:
     A subclass takes its own exponent parameters after (d, N), converts them
     to JSON in `_params_json` and from JSON in `_params_from_json`, a
     function whose signature is the subclass's own keys, and owns one
-    norm formula: `_norm` of the magnitudes of the grid values of R^N f and
-    of the constant term f(0) (counted only when `uses_constant_term`), and
-    `_irls_weights`, the weights of that norm's reweighted least-squares
-    step, from the same magnitudes.
+    norm formula: `_measure` of the magnitudes of the grid values of R^N f
+    and of the constant term f(0) (counted only when `uses_constant_term`)
+    returns the norm and a function that gives, from the same powers, the
+    grid and constant-row weights of the norm's reweighted least-squares
+    step (the row's 0 when the term is not counted). A spec keeps nothing
+    of what it measures.
     """
 
     def __init__(
@@ -253,26 +255,27 @@ class MixedSpec(_QuadratureSpec):
     def _params_from_json(p: float, q: float) -> tuple[tuple, dict]:
         return (p, q), {}
 
-    def _norm(self, mags: np.ndarray, constant: float) -> float:
+    def _measure(self, mags: np.ndarray, constant: float):
         # powers of |v / s| stay in range at any scale s of finite values
         constant = constant if self.uses_constant_term else 0.0
         scale = max(float(np.max(mags, initial=0.0)), constant) or 1.0
         inner = np.mean((mags / scale) ** self.p, axis=1)
         total = float(self.radial_weights @ inner ** (self.q / self.p))
         total += self.mass * (constant / scale) ** self.q
-        return scale * total ** (1.0 / self.q)
 
-    def _irls_weights(self, mags: np.ndarray, constant: float):
-        # the gradient of the q-th power of the norm over 2|v|, up to q/2
-        floored = np.maximum(mags, _FLOOR)
-        inner = np.maximum(np.mean(mags ** self.p, axis=1), _FLOOR)
-        grid = (
-            self.radial_weights[:, None]
-            / self.angular_count
-            * inner[:, None] ** (self.q / self.p - 1.0)
-            * floored ** (self.p - 2.0)
-        )
-        return grid, self.mass * max(constant, _FLOOR) ** (self.q - 2.0)
+        def weights():
+            # the gradient of the q-th power of the norm over 2|v|, up to q/2
+            means = np.maximum(inner * scale**self.p, _FLOOR)
+            grid = (
+                self.radial_weights[:, None]
+                / self.angular_count
+                * means[:, None] ** (self.q / self.p - 1.0)
+                * np.maximum(mags, _FLOOR) ** (self.p - 2.0)
+            )
+            constant_weight = self.mass * max(constant, _FLOOR) ** (self.q - 2.0)
+            return grid, constant_weight if self.uses_constant_term else 0.0
+
+        return scale * total ** (1.0 / self.q), weights
 
 
 class VarExpSpec(_QuadratureSpec):
@@ -299,14 +302,7 @@ class VarExpSpec(_QuadratureSpec):
         self.b = float(b)
         self.c = float(c)
         self.bisection_tol = float(bisection_tol)
-        self._exponents = self.a + self.b * self.radial_nodes**self.c
-        self._exponents.flags.writeable = False
-        # the magnitudes `_norm` measured last and their lam (`_irls_weights`)
-        self._measured = (None, 0.0)
-
-    def exponents(self) -> np.ndarray:
-        """p evaluated at the radial nodes (read-only)."""
-        return self._exponents
+        self._exponents = self.a + self.b * self.radial_nodes**self.c  # p at the nodes
 
     def _params_json(self) -> dict:
         return {
@@ -321,23 +317,23 @@ class VarExpSpec(_QuadratureSpec):
 
         return bind(profile, exponent, "exponent"), {"bisection_tol": bisection_tol}
 
-    def _node_sums(self, mags: np.ndarray) -> tuple[int, np.ndarray]:
-        """e and sums[r] = w_r mean(|v / s|^p_r) for the power of two s = 2^e
-        just above max|v|, so that the modular at lam is the sum of
-        `_modular_terms(sums, lam / s)`; a power of two keeps lam / s exact."""
-        peak = float(np.max(mags, initial=0.0))
-        if peak == 0.0:
-            return 0, np.zeros_like(self.radial_weights)
-        exponent = math.frexp(peak)[1]
-        scaled = np.ldexp(mags, -exponent) ** self._exponents[:, None]
-        return exponent, self.radial_weights * np.mean(scaled, axis=1)
+    def _node_sums(self, mags: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """e, the powers |v / s|^p_r and sums[r] = w_r mean(|v / s|^p_r) for
+        the power of two s = 2^e just above max|v|, so that the modular at
+        lam is the sum of `_modular_terms(sums, lam / s)`; a power of two
+        keeps lam / s exact. Zero magnitudes take s = 2^e just above
+        _FLOOR, the least lam that the weights divide by."""
+        exponent = math.frexp(float(np.max(mags, initial=0.0)) or _FLOOR)[1]
+        powers = np.ldexp(mags, -exponent) ** self._exponents[:, None]
+        return exponent, powers, self.radial_weights * np.mean(powers, axis=1)
 
     def _modular_terms(self, sums: np.ndarray, mu: float) -> np.ndarray:
         """The modular's node terms sums[r] mu^(-p_r) at the scaled lam mu."""
         return sums * mu ** -self._exponents
 
-    def _luxemburg(self, mags: np.ndarray) -> float:
-        """Root lam of modular(lam) = 1 by safeguarded Newton steps on a
+    def _luxemburg(self, exponent: int, sums: np.ndarray) -> float:
+        """Root lam of modular(lam) = 1, from the node sums of `_node_sums`
+        at the scale 2^exponent, by safeguarded Newton steps on a
         closed-form bracket.
 
         With M = sum of the node sums, M * mu^(-p_max) and M * mu^(-p_min)
@@ -355,7 +351,6 @@ class VarExpSpec(_QuadratureSpec):
         at modular(lam) <= 1, whose lower end is the closed form's or
         evaluated above 1.
         """
-        exponent, sums = self._node_sums(mags)
         total = float(sums.sum())
         if total == 0.0:
             return 0.0
@@ -380,26 +375,29 @@ class VarExpSpec(_QuadratureSpec):
             if not lo < mu < hi:
                 mu = (lo + hi) / 2.0
 
-    def _norm(self, mags: np.ndarray, constant: float) -> float:
-        lam = self._luxemburg(mags)
-        self._measured = (mags, lam)
-        if self.uses_constant_term:
-            return math.hypot(math.sqrt(self.mass) * constant, lam)
-        return lam
+    def _measure(self, mags: np.ndarray, constant: float):
+        exponent, powers, sums = self._node_sums(mags)
+        lam = self._luxemburg(exponent, sums)
 
-    def _irls_weights(self, mags: np.ndarray, constant: float):
-        # On modular(v, lam) = 1, d lam / d|v| = lam (w/m) p |v|^(p-1) lam^-p / S
-        # with S = sum (w/m) p (|v|/lam)^p. The factor lam^2 / S turns that
-        # gradient over 2|v| into the one of lam^2, whose scale the constant
-        # term's weight, the gradient of mass |c|^2 over 2|c|, shares.
-        # the IRLS weighs the residual whose norm it has just accepted, so the
-        # root of that `_norm` call answers
-        measured, lam = self._measured
-        lam = max(lam if measured is mags else self._luxemburg(mags), _FLOOR)
-        pexp = self._exponents[:, None]
-        floored = np.maximum(mags, _FLOOR)
-        grid = self.radial_weights[:, None] / self.angular_count * pexp * (floored / lam) ** pexp
-        return grid * (lam * lam / grid.sum()) / (floored * floored), self.mass
+        def weights():
+            # On modular(v, lam) = 1, d lam / d|v| = lam (w/m) p |v|^(p-1) lam^-p / S
+            # with S = sum (w/m) p (|v|/lam)^p. The factor lam^2 / S turns that
+            # gradient over 2|v| into the one of lam^2, whose scale the constant
+            # term's weight, the gradient of mass |c|^2 over 2|c|, shares.
+            # (max(|v|, floor) / lam)^p is the larger of |v / 2^e|^p (2^e / lam)^p
+            # and (floor / lam)^p
+            root = max(lam, _FLOOR)
+            pexp = self._exponents[:, None]
+            ratio = np.maximum(powers * math.ldexp(root, -exponent) ** -pexp,
+                               (_FLOOR / root) ** pexp)
+            grid = self.radial_weights[:, None] / self.angular_count * pexp * ratio
+            floored = np.maximum(mags, _FLOOR)
+            grid *= (root * root / grid.sum()) / (floored * floored)
+            return grid, self.mass if self.uses_constant_term else 0.0
+
+        if self.uses_constant_term:
+            return math.hypot(math.sqrt(self.mass) * constant, lam), weights
+        return lam, weights
 
 
 def mixed_norm(spec: MixedSpec | VarExpSpec, f: Polynomial) -> float:
@@ -410,7 +408,7 @@ def mixed_norm(spec: MixedSpec | VarExpSpec, f: Polynomial) -> float:
     constant term joins, as sqrt(mass |f(0)|^2 + lam^2) in the Luxemburg
     case (module docstring)."""
     values = spec.grid_values(f.radial_derivative(spec.N))
-    return spec._norm(np.abs(values), abs(f.constant_term))
+    return spec._measure(np.abs(values), abs(f.constant_term))[0]
 
 
 luxemburg_norm = mixed_norm
@@ -424,7 +422,7 @@ def modular(spec: VarExpSpec, f: Polynomial, lam: float) -> float:
     """
     if lam <= 0:
         raise ArgumentError("lam must be positive")
-    exponent, sums = spec._node_sums(np.abs(spec.grid_values(f.radial_derivative(spec.N))))
+    exponent, _, sums = spec._node_sums(np.abs(spec.grid_values(f.radial_derivative(spec.N))))
     return float(spec._modular_terms(sums, math.ldexp(lam, -exponent)).sum())
 
 
@@ -636,16 +634,19 @@ def _moment_route(spec: _QuadratureSpec, tables: _GridTables) -> bool:
     At d >= 2, for K monomials that the columns or the target reach, k
     columns, R radial nodes and m angular points, the moment route fills the
     K x K table with about m K^2 / 2 multiply-adds, in one product per degree
-    present. Timed per step on d = 2 and 3 grids, the moment route was
-    faster below K^2 = R k^2 / 16, slower above R k^2 / 2, and at the
-    threshold R k^2 / 8 the route taken was at most twice as slow as the
-    other. Trial residuals read the monomial tables on both routes, so they
-    cost the same either way; only the design route builds the design, once.
+    present, against R m k^2 for the design's Gram. It takes the moments when
+    2 K^2 <= R k^2. Timed as whole indices (README) on R in {1, 2, 3, 4, 6,
+    8, 24}, d in {2, 3}, m in {256, 2048} and K / k from 1.15 to 2.5, that
+    rule took the faster route, or one within 10% of it, on 115 of 125
+    shapes, and was at most 1.4 times slower; R k^2 / 8, the rule it
+    replaces, was up to 3.7 times slower. Trial residuals read the monomial
+    tables on both routes, so they cost the same either way; only the
+    design route builds the design, once.
     """
     K, k = len(tables.degrees), len(tables.cols)
     if spec.d == 1:
         return max(tables.powers.shape[1] * len(tables.angular) // 2, K * K) <= MAX_IRLS_ENTRIES
-    return K * K <= min(spec.radial_nodes.size * k * k // 8, MAX_IRLS_ENTRIES)
+    return K * K <= min(spec.radial_nodes.size * k * k // 2, MAX_IRLS_ENTRIES)
 
 
 def mixed_index(
@@ -676,10 +677,10 @@ def mixed_index(
     design = None if by_moments else _grid_design(spec, f, tables)
     residual = _table_residual(f, tables)
 
-    def magnitudes(x: np.ndarray):
-        # what the norm and the weights read of a residual, taken once
+    def measure(x: np.ndarray):
+        # the norm of the residual at x, and its step's weights on demand
         values, constant = residual(x)
-        return np.abs(values), abs(constant)
+        return spec._measure(np.abs(values), abs(constant))
 
     def weighted(grid: np.ndarray, constant: float):
         a, b = _grid_design(spec, f, tables) if design is None else design
@@ -688,13 +689,11 @@ def mixed_index(
 
     start = subspace_distance(twin, Polynomial.one(spec.d), f, n).phi
     x = np.array([start.coefficient(gamma) for gamma in tables.cols], dtype=complex)
-    current = magnitudes(x)
-    best_value = spec._norm(*current)
+    best_value, weights = measure(x)
     converged = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        grid, constant = spec._irls_weights(*current)
-        constant = constant if spec.uses_constant_term else 0.0
+        grid, constant = weights()
         if by_moments:
             equations = _normal_equations(spec, f, tables, grid, constant)
         else:
@@ -704,15 +703,14 @@ def mixed_index(
         ).coefficients
         for tau in 0.5 ** np.arange(30):
             trial = x + tau * (proposal - x)
-            trial_residual = magnitudes(trial)
-            trial_value = spec._norm(*trial_residual)
+            trial_value, trial_weights = measure(trial)
             if trial_value < best_value - 1e-15 * max(best_value, 1.0):
                 break
         else:
             converged = bool(np.linalg.norm(proposal - x) <= 1e-8 * (1.0 + np.linalg.norm(x)))
             break
         decrease = best_value - trial_value
-        x, best_value, current = trial, trial_value, trial_residual
+        x, best_value, weights = trial, trial_value, trial_weights
         if decrease < IRLS_DECREASE_TOL:
             converged = True
             break

@@ -143,9 +143,14 @@ def solve_nested(design, target: np.ndarray, widths) -> list[LeastSquaresOutcome
     factorization of G_k fails or A_k has a zero column. Only kappa_1 or a
     zero column certifies a singular Gram: the Lanczos estimate sees only
     the Krylov space CG spans, and can stay small when a column repeats
-    another, while the residual stays the optimal one.
+    another, while the residual stays the optimal one. The solve is for
+    b / 2^e, 2^e the power of two just above max|b|, so that no square of a
+    residual overflows, and x and the residuals are scaled back: a power of
+    two scales them exactly.
     """
-    target = np.asarray(target, dtype=complex)
+    target = np.ascontiguousarray(target, dtype=complex)
+    shift = math.frexp(float(np.max(np.abs(target), initial=0.0)))[1]
+    target = np.ldexp(target.view(float), -shift).view(complex)
     widths = list(widths)
     if isinstance(design, np.ndarray):
         method, design = CHOLESKY, design.astype(complex, copy=False)
@@ -171,8 +176,9 @@ def solve_nested(design, target: np.ndarray, widths) -> list[LeastSquaresOutcome
     # every width's residual from one product; zero padding adds nothing
     residuals = design @ block
     np.subtract(target[:, None], residuals, out=residuals)
-    residuals = np.linalg.norm(residuals, axis=0)
-    return [LeastSquaresOutcome(out.coefficients, out.gram_condition, out.method, float(r))
+    residuals = np.ldexp(np.linalg.norm(residuals, axis=0), shift)
+    return [LeastSquaresOutcome(np.ldexp(out.coefficients.view(float), shift).view(complex),
+                                out.gram_condition, out.method, float(r))
             for out, r in zip(outs, residuals)]
 
 

@@ -1026,6 +1026,9 @@ REFUSED = {
     "cap-polar-angle-past-pi": lambda: capacity.sphere_cap_cloud(16, 4.0),
     "equilibrium-max-iter-0": lambda: capacity.riesz_equilibrium(
         capacity.arc_cloud(1.0, 16), 0.0, max_iter=0),
+    # 2 - z has no boundary zero, so the neighborhood is of an empty cloud
+    "report-eps-nbhd-negative-without-zeros": lambda: capacity.obstruction_report(
+        hardy(1), Polynomial.from_coeffs1d([2.0, -1.0]), n_max=2, alpha=0.0, eps_nbhd=-1.0),
     "union-of-clouds-of-different-d": lambda: capacity.circle_cloud(4).union(
         capacity.sphere_cap_cloud(4, 1.0)),
     "free-kind": lambda: freespace.FreeSpaceSpec("free_bergman", 2, 4),

@@ -226,6 +226,14 @@ class TestPerturbationBound:
         report = check_perturbation_bound(hardy(1), f, 1.01 * f, 5)
         assert report.holds
 
+    def test_zero_optimum_has_an_empty_section(self):
+        # 1 is orthogonal to z H^2, so the optimal phi for f = z is 0, whose
+        # multiplication section is empty and whose bound is 0
+        f = p1d(0, 1)
+        report = check_perturbation_bound(hardy(1), f, f + p1d(0, 0, 0.01), 4)
+        assert report.to_json()["multiplierLowerBound"] == 0.0
+        assert report.epsilon == pytest.approx(1.0) and report.holds
+
     def test_seeded_pairs(self):
         rng = np.random.default_rng(47)
         spec = hardy(1)

@@ -1,4 +1,6 @@
 import json
+import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -40,6 +42,7 @@ def varexp(a=2.0, b=0.0, c=1.0, N=0, **kwargs):
     return VarExpSpec.with_measure("area", 1, N, a, b, c, **kwargs)
 
 
+MEAN_SHIFT_D2 = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5})
 ROUTES = (True, False)  # an IRLS step's Gram from radial moments, or from the design
 
 
@@ -207,6 +210,40 @@ class TestLuxemburgNorm:
         assert max(counts) <= 12
         if b == 0.0:
             assert set(counts) == {1}
+
+    def test_midpoint_fallback_keeps_the_certificate(self, monkeypatch):
+        # p from 2.44 to 42.44 on three nodes and heavy-tailed magnitudes send
+        # Newton points out of the bracket, where the root takes its midpoint
+        spec = varexp(a=2.44, b=40.0, c=1.0, radial_count=3, angular_count=8)
+        mags = np.random.default_rng(1).pareto(0.5, (3, 8))
+        probes = []
+        real = VarExpSpec._modular_terms
+
+        def recorded(self, sums, mu):
+            probes.append((sums, mu))
+            return real(self, sums, mu)
+
+        monkeypatch.setattr(VarExpSpec, "_modular_terms", recorded)
+        lam = spec._measure(mags, 0.0)[0]
+        # replay the bracket: lo from the closed form or a probe above 1, hi
+        # from a probe at or below 1
+        sums = probes[0][0]
+        lo = min(sums.sum() ** (1.0 / spec._exponents.max()),
+                 sums.sum() ** (1.0 / spec._exponents.min()))
+        hi, midpoints = math.inf, 0
+        for _, mu in probes:
+            midpoints += mu == (lo + hi) / 2.0
+            if float(real(spec, sums, mu).sum()) <= 1.0:
+                hi = mu
+            else:
+                lo = mu
+        assert midpoints > 0
+        exponent = spec._node_sums(mags)[0]
+
+        def modular_at(value):
+            return float(real(spec, sums, math.ldexp(value, -exponent)).sum())
+
+        assert modular_at(lam) <= 1.0 < modular_at(lam * (1.0 - spec.bisection_tol))
 
     def test_derivative_constant_term_convention(self):
         spec = varexp(a=2.0, N=1)
@@ -406,9 +443,20 @@ class TestIrlsStep:
         assert result.value == pytest.approx(gram_route.value, rel=1e-12)
 
     @pytest.mark.parametrize("spec, f, n, K, by_moments", [
-        # deg f small beside n, many radial nodes: K^2 well below R k^2 / 8
+        # deg f small beside n, many radial nodes: 2 K^2 well below R k^2
         (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=24, angular_count=256),
-         Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5, (0, 1): -0.5}), 6, 36, True),
+         MEAN_SHIFT_D2, 6, 36, True),
+        # 2 K^2 <= R k^2 at R = 8 (2592 against 6272) and just so at R = 4
+        # (882 against 900), and just not at R = 3 (882 against 675)
+        (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=8, angular_count=256),
+         MEAN_SHIFT_D2, 6, 36, True),
+        (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=4, angular_count=256),
+         MEAN_SHIFT_D2, 4, 21, True),
+        (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=3, angular_count=256),
+         MEAN_SHIFT_D2, 4, 21, False),
+        # one radial node: K > k, so the design's Gram at any d >= 2
+        (MixedSpec.with_measure("point_mass", 2, 0, 3.0, 2.0, angular_count=256),
+         MEAN_SHIFT_D2, 3, 15, False),
         (varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24), p1d(1, -1), 2, 4, True),
         # d = 1 takes the moments' one product, one radial node or many
         (hardy_type(p=3.0, angular_count=128), p1d(1, -1), 4, 6, True),
@@ -416,7 +464,8 @@ class TestIrlsStep:
         # the C(62, 2) = 1891 monomials of degree <= 60
         (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0),
          Polynomial(2, {(0, 0): 1.0, (60, 0): -1.0}), 0, 2, True),
-    ], ids=["d2-area", "varexp", "point-mass", "high-degree-f"])
+    ], ids=["d2-area", "d2-area-8", "d2-area-4", "d2-area-3", "d2-point-mass", "varexp",
+            "point-mass", "high-degree-f"])
     def test_route_follows_the_size_rule(self, spec, f, n, K, by_moments):
         tables = mixednorm._grid_tables(spec, f, n)
         assert len(tables.degrees) == K
@@ -433,6 +482,9 @@ class TestIrlsStep:
             # a sparse f, whose columns reach 2 (n = 0) or 12 (n = 2) monomials
             (sparse_spec, sparse_f, 0, True),
             (sparse_spec, sparse_f, 2, True),
+            # the d = 2 area R = 8 shape that 2 K^2 <= R k^2 sends to the moments
+            (MixedSpec.with_measure("area", 2, 0, 3.0, 2.0, radial_count=8, angular_count=256,
+                                    seed=1), MEAN_SHIFT_D2, 6, True),
         ]
         for spec, f, n, by_size in cases:
             assert mixednorm._moment_route(spec, mixednorm._grid_tables(spec, f, n)) is by_size
@@ -485,9 +537,8 @@ class TestIrlsStep:
         design, rhs = mixednorm._grid_design(spec, f, tables)
         x = rng.standard_normal(len(tables.cols)) + 1j * rng.standard_normal(len(tables.cols))
         r = rhs - design @ x
-        weights, constant = spec._irls_weights(np.abs(r[:-1]).reshape(-1, spec.angular_count),
-                                               abs(r[-1]))
-        constant = constant if spec.uses_constant_term else 0.0
+        weights, constant = spec._measure(np.abs(r[:-1]).reshape(-1, spec.angular_count),
+                                          abs(r[-1]))[1]()
         u = np.append(weights, constant)
         want = design.conj().T @ (u[:, None] * design)
         want_rhs = design.conj().T @ (u * rhs)
@@ -647,25 +698,47 @@ class TestVarExpIndex:
         assert json.dumps({"converged": res.converged}) == '{"converged": true}'
 
     def test_one_bisection_per_measured_residual(self, monkeypatch):
-        # the weights of a step reuse the lam that `_norm` found for the
-        # residual it accepted: no second bisection of the same residual
+        # the weights of a step reuse the lam that `_measure` found for the
+        # residual it accepted: no second root of the same residual, and no
+        # weights for the trials the line search rejects
         spec = varexp(a=2.0, b=1.0, c=2.0, N=1, radial_count=24, angular_count=256)
-        calls = {"_norm": 0, "_luxemburg": 0, "_irls_weights": 0}
+        calls = {"_measure": 0, "_luxemburg": 0, "weights": 0}
+        real_measure, real_root = VarExpSpec._measure, VarExpSpec._luxemburg
 
-        def counted(name):
-            real = getattr(VarExpSpec, name)
+        def measure(self, *args):
+            calls["_measure"] += 1
+            value, weights = real_measure(self, *args)
 
-            def spy(self, *args):
-                calls[name] += 1
-                return real(self, *args)
+            def counted_weights():
+                calls["weights"] += 1
+                return weights()
 
-            return spy
+            return value, counted_weights
 
-        for name in calls:
-            monkeypatch.setattr(VarExpSpec, name, counted(name))
+        def root(self, *args):
+            calls["_luxemburg"] += 1
+            return real_root(self, *args)
+
+        monkeypatch.setattr(VarExpSpec, "_measure", measure)
+        monkeypatch.setattr(VarExpSpec, "_luxemburg", root)
         res = mixed_index(spec, p1d(1, -1), 4)
-        assert res.iterations > 2 and calls["_irls_weights"] == res.iterations
-        assert calls["_luxemburg"] == calls["_norm"]
+        assert res.iterations > 2 and calls["weights"] == res.iterations
+        assert calls["_luxemburg"] == calls["_measure"] > res.iterations
+
+
+@pytest.mark.parametrize("spec", [
+    MixedSpec.with_measure("area", 1, 1, 3.0, 2.0, radial_count=12, angular_count=64),
+    VarExpSpec.with_measure("area", 1, 1, 2.0, 1.0, 2.0, radial_count=12, angular_count=64),
+], ids=["mixed", "varexp"])
+def test_measuring_leaves_the_spec_unchanged(spec):
+    # a norm or an index keeps nothing on the spec: each IRLS step's weights
+    # come with the measurement of the residual it accepted
+    before = pickle.dumps(vars(spec))
+    attributes = dict(vars(spec))
+    mixed_norm(spec, p1d(1, -0.5, 0.25))
+    assert mixed_index(spec, p1d(1, -1), 3).iterations > 1
+    assert pickle.dumps(vars(spec)) == before
+    assert all(vars(spec)[name] is value for name, value in attributes.items())
 
 
 class TestSerialization:

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,26 @@ class TestDenseRoute:
         for out, (_, x) in zip(outs, unscaled):
             assert out.method == solver.CHOLESKY
             assert np.array_equal(out.coefficients, x)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["cholesky", "cg"])
+    def test_large_target_scales_exactly(self, sparse):
+        # the solve is for the target over a power of two, so 2^600 b gives
+        # 2^600 x and 2^600 times the residuals, bit for bit, where squaring
+        # residuals of 2^600 would overflow
+        spec = drury_arveson(3, 9)
+        design, target, _ = indices._design_matrix(spec, Polynomial.one(3), _mean_shift(3), 5,
+                                                   solves=6)
+        design = scipy.sparse.csc_matrix(design) if sparse else design
+        widths = [math.comb(k + 3, 3) for k in range(6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = solver.solve_nested(design, target, widths)
+            large = solver.solve_nested(design, math.ldexp(1.0, 600) * target, widths)
+        for out, big in zip(outs, large):
+            assert out.method == big.method == (solver.CG if sparse else solver.CHOLESKY)
+            assert big.gram_condition == out.gram_condition
+            assert np.array_equal(big.coefficients, math.ldexp(1.0, 600) * out.coefficients)
+            assert big.residual == math.ldexp(out.residual, 600) > 0
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_real_design_is_accepted(self, order):
