@@ -6,8 +6,9 @@
 # signed difference. Under its own heading it does the same for the
 # configs of .github/ci/extra_configs.json, which reach what the acceptance
 # set does not: the IRLS away from p = q = 2 and d = 1, both routes of its
-# steps, the variable-exponent weights, and the packed equilibrium past 511
-# points, on a whole face and on the partial faces left after points drop. A differing pair is listed with
+# steps, the variable-exponent weights, the packed equilibrium past 511
+# points, on a whole face and on the partial faces left after points drop,
+# and the FFT route of an arc past 511 points. A differing pair is listed with
 # the largest relative difference between the numbers at the same JSON
 # path (.json) or the same row and column (.csv), or as "structure
 # differs", so that a rounding-level change reads as one. It writes Markdown to

@@ -61,7 +61,12 @@ NUMPY_MAX_FACE = 511
 REFINE_MAX_STEPS = 30  # float64 refinements of a float32 face solve: LAPACK's ITERMAX
 UNIT_ROUNDOFF = 2.0**-53  # of float64: LAPACK's dlamch('Epsilon')
 BLOCK_ENTRIES = 1 << 17  # a blocked pass's scratch: 1 MB of float64, which stays in cache
-MAX_CLOUD_POINTS = 1 << 24  # a generated cloud: 256 MB of coordinates per complex dimension
+# a generated cloud: 256 MB of coordinates per complex dimension. An arc or
+# circle past NUMPY_MAX_FACE points is solved by FFT in O(n) memory; any
+# other cloud past it takes the packed route, which PACKED_MAX_POINTS bounds
+MAX_CLOUD_POINTS = 1 << 24
+PACKED_MAX_POINTS = 1 << 15  # the packed kernel and a face's factor: 8n^2 bytes, 8 GiB
+TOEPLITZ_MAX_STEPS = 60  # conjugate gradient steps of an FFT solve; 6-15 stop an arc
 
 
 def as_real(points: np.ndarray) -> np.ndarray:
@@ -75,10 +80,17 @@ def as_real(points: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BoundaryCloud:
-    """Finite set of unit vectors in C^d sampled from a boundary zero set."""
+    """Finite set of unit vectors in C^d sampled from a boundary zero set.
+
+    `step` is the equal angle between consecutive points of a cloud that
+    `arc_cloud` or `circle_cloud` lays out on the unit circle (d = 1), which
+    makes its equilibrium kernel Toeplitz; `riesz_equilibrium` then solves
+    it by FFT past NUMPY_MAX_FACE points. A circle's step is 2 pi / count.
+    `union`, `from_json` and every other constructor leave it None."""
 
     points: np.ndarray
     source_tol: float = 0.0
+    step: float | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
@@ -139,16 +151,22 @@ def circle_cloud(count: int) -> BoundaryCloud:
     """count equispaced points on the unit circle (d = 1)."""
     _check_count(count)
     theta = 2.0 * np.pi * np.arange(count) / count
-    return BoundaryCloud(np.exp(1j * theta)[:, None])
+    return BoundaryCloud(np.exp(1j * theta)[:, None], step=2.0 * math.pi / count)
 
 
 def arc_cloud(angle: float, count: int) -> BoundaryCloud:
-    """count equispaced points on the circular arc of total opening `angle`."""
+    """count equispaced points on the circular arc of total opening `angle`.
+
+    The cloud records its step angle / (count - 1) unless its two ends lie
+    closer than one step around the far side of the circle, where their
+    nearest neighbours, and so the kernel's diagonal, differ."""
     _check_count(count)
     if not 0 < angle <= 2 * np.pi:
         raise ArgumentError("angle must lie in (0, 2*pi]")
     theta = np.linspace(-angle / 2.0, angle / 2.0, count)
-    return BoundaryCloud(np.exp(1j * theta)[:, None])
+    step = angle / (count - 1) if count > 1 else math.inf
+    return BoundaryCloud(np.exp(1j * theta)[:, None],
+                         step=step if angle + step <= 2.0 * math.pi else None)
 
 
 def sphere_cap_cloud(count: int, polar_angle: float) -> BoundaryCloud:
@@ -486,6 +504,116 @@ def _packed_energy(kernel: _PackedKernel, w: np.ndarray) -> float:
     return high + low
 
 
+def _toeplitz_column(step: float, n: int, alpha: float) -> np.ndarray:
+    """The kernel of n points at equal angles `step` apart on the unit
+    circle, K[i, j] = column[|i - j|]: the kernel at the chord
+    2 sin(k step / 2) at k >= 1 and the self-energy at half the nearest
+    spacing, sin(step / 2), at k = 0."""
+    chord = 2.0 * np.sin(np.arange(n) * (0.5 * step))
+    chord[0] = math.sin(0.5 * step)
+    return chord ** -alpha if alpha > 0 else -np.log(chord)
+
+
+def _toeplitz_solve(column: np.ndarray, times) -> np.ndarray | None:
+    """The solution v of K v = 1, K the symmetric Toeplitz matrix of
+    `column` and times(v) = K v, by conjugate gradients preconditioned with
+    T. Chan's optimal circulant, of column ((n - k) c_k + k c_(n-k)) / n,
+    applied by FFT (Chan, SIAM J. Sci. Stat. Comput. 9, 1988).
+
+    The stop is dsposv's rule, as in `_refined_face` (K's diagonal is one
+    constant, so equilibrating changes nothing): the true residual
+    r = 1 - K v meets ||r||_inf <= ||v||_inf ||K||_inf u sqrt(n), and the
+    recursively updated residual has fallen below half of it, so that r sits
+    at the floor that the products round to; the first step to meet the
+    rule alone can stop 10 times short of it, with weights 1e-12 off.
+    None when the preconditioner or a step's p^T K p is not positive, or
+    when no stop comes within TOEPLITZ_MAX_STEPS steps."""
+    n = len(column)
+    k = np.arange(n)
+    circulant = ((n - k) * column + k * np.concatenate([[0.0], column[:0:-1]])) / n
+    eigenvalues = np.fft.rfft(circulant).real
+    if not eigenvalues.min() > 0:
+        return None
+    total = np.cumsum(np.abs(column))  # row i of |K| sums |c_k| over k <= i and 0 < k < n - i
+    limit = float((total + total[::-1]).max() - abs(column[0])) * UNIT_ROUNDOFF * math.sqrt(n)
+    v, residual = np.zeros(n), np.ones(n)
+    p = z = np.fft.irfft(np.fft.rfft(residual) / eigenvalues, n)
+    rz = float(residual @ z)
+    for _ in range(TOEPLITZ_MAX_STEPS):
+        q = times(p)
+        curvature = float(p @ q)
+        if not curvature > 0:
+            return None
+        v += (rz / curvature) * p
+        residual -= (rz / curvature) * q
+        bound, recursive = float(np.abs(v).max()) * limit, float(np.abs(residual).max())
+        if recursive <= bound:
+            true = float(np.abs(1.0 - times(v)).max())
+            if true <= bound and 2.0 * recursive <= true:
+                return v
+        z = np.fft.irfft(np.fft.rfft(residual) / eigenvalues, n)
+        rz, previous = float(residual @ z), rz
+        p = z + (rz / previous) * p
+    return None
+
+
+def _toeplitz_equilibrium(step: float, n: int, alpha: float, tol: float
+                          ) -> EquilibriumResult | None:
+    """`riesz_equilibrium` for n > NUMPY_MAX_FACE distinct points at equal
+    angles `step` apart on the unit circle, in O(n) memory, or None to hand
+    the cloud to the packed route.
+
+    The kernel is Toeplitz, one column (`_toeplitz_column`), and a product
+    with it is two FFTs of its 2n circulant embedding. A whole circle's
+    kernel is circulant, and its uniform start is the equilibrium by
+    symmetry: the weights are exactly 1/n and the energy the column's exact
+    sum over n. An arc's whole face K v = 1 is solved by `_toeplitz_solve`
+    and the face is taken by the packed route's accept rule; the route
+    hands on when the solve does or when a weight comes out negative."""
+    with np.errstate(over="ignore", divide="ignore"):  # the packed route warns once
+        column = _toeplitz_column(step, n, alpha)
+    if not np.all(np.isfinite(column)):
+        return None
+    spectrum = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]])).real
+
+    def times(v):
+        return np.fft.irfft(spectrum * np.fft.rfft(v, 2 * n), 2 * n)[:n]
+
+    closed = step == 2.0 * math.pi / n
+    w = np.full(n, 1.0 / n)
+    if not closed:
+        v = _toeplitz_solve(column, times)
+        if v is None:
+            return None
+        z = v / v.sum()
+        if np.any(z < 0):
+            return None
+        energy, z_energy = float(times(w) @ w), float(times(z) @ z)
+        slack = 2 * n * UNIT_ROUNDOFF * (energy + z_energy - 4.0 * min(0.0, float(column.min())))
+        if z_energy < energy - (slack if math.isfinite(slack) else 0.0):
+            w = z
+        w /= w.sum()
+    grad = 2.0 * times(w)
+    mu = float(grad @ w)
+    energy = math.fsum(column.tolist()) / n if closed else 0.5 * mu
+    return _certified(w, energy, max(mu - float(grad.min()), 0.0), alpha, 1, tol)
+
+
+def _certified(w: np.ndarray, energy: float, gap: float, alpha: float, iterations: int,
+               tol: float) -> EquilibriumResult:
+    """The result of weights w with energy E and KKT gap: capacity 1/E for
+    alpha > 0 and exp(-E) for alpha = 0; NumericFailureError if E or w is
+    not finite."""
+    if alpha > 0:
+        capacity = 1.0 / energy if energy > 0 else math.inf
+    else:
+        capacity = math.exp(-energy)
+    if not (math.isfinite(energy) and np.all(np.isfinite(w))):
+        raise NumericFailureError(f"equilibrium energy {energy} at alpha={alpha} is not finite")
+    converged = gap <= tol * max(1.0, abs(energy))
+    return EquilibriumResult(w, energy, capacity, alpha, iterations, gap, converged)
+
+
 def riesz_equilibrium(
     cloud: BoundaryCloud,
     alpha: float,
@@ -524,7 +652,17 @@ def riesz_equilibrium(
     on the packed rows), each face is solved by a float32 Cholesky refined
     to float64, or else by the float64 bordered system (`_face_minimizer`),
     and the returned energy is summed exactly from its terms
-    (`_packed_energy`).
+    (`_packed_energy`); a cloud past PACKED_MAX_POINTS points that would
+    take this route is refused with ArgumentError before any kernel is built.
+    An arc or circle of `arc_cloud` or `circle_cloud` (its `step` set) past
+    NUMPY_MAX_FACE points takes a third route in O(n) memory: its kernel is
+    Toeplitz, built from the sine formula for the chords, so its entries
+    differ from the coordinate kernel's by rounding and its weights by
+    about 1e-13. A circle returns its uniform start, the equilibrium by
+    symmetry; an arc's whole face is solved by preconditioned conjugate
+    gradients on FFT products (`_toeplitz_equilibrium`). The cloud is handed
+    to the packed route when points merge, a weight comes out negative, or
+    the solve fails or finds no stop.
     Duplicate points are merged; clouds with fewer than two distinct points
     get capacity 0 by convention (their energy is infinite) and are flagged
     in the note.
@@ -540,6 +678,14 @@ def riesz_equilibrium(
         note = ("empty cloud: capacity 0 by convention",
                 "singleton cloud: infinite energy, capacity 0 by convention")[n]
         return EquilibriumResult(np.ones(n), math.inf, 0.0, alpha, 0, 0.0, True, note=note)
+    if cloud.step is not None and n == cloud.size and n > NUMPY_MAX_FACE:
+        result = _toeplitz_equilibrium(cloud.step, n, alpha, tol)
+        if result is not None:
+            return result
+    if n > PACKED_MAX_POINTS:
+        raise ArgumentError(
+            f"the packed equilibrium route holds at most {PACKED_MAX_POINTS} points, in 8 n^2 "
+            f"bytes, not {n}; arcs and circles past {NUMPY_MAX_FACE} points take an FFT route")
     kernel = _riesz_kernel(pts, alpha)
     packed, least = n > NUMPY_MAX_FACE, kernel.least
     # row_times(v) is v @ kernel and times(v) is kernel @ v
@@ -583,14 +729,7 @@ def riesz_equilibrium(
     # the weighted mean of the gradient can round below its minimum
     gap = max(float(grad @ w) - float(grad.min()), 0.0)
     energy = _packed_energy(kernel, w) if packed else float(row_times(w) @ w)
-    if alpha > 0:
-        capacity = 1.0 / energy if energy > 0 else math.inf
-    else:
-        capacity = math.exp(-energy)
-    if not (math.isfinite(energy) and np.all(np.isfinite(w))):
-        raise NumericFailureError(f"equilibrium energy {energy} at alpha={alpha} is not finite")
-    converged = gap <= tol * max(1.0, abs(energy))
-    return EquilibriumResult(w, energy, capacity, alpha, iterations, gap, converged)
+    return _certified(w, energy, gap, alpha, iterations, tol)
 
 
 @functools.lru_cache(maxsize=4)

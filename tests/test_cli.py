@@ -338,6 +338,21 @@ class TestValidationAndExitCodes:
         assert rc == 2
         assert not path.exists()
 
+    def test_cloud_too_large_for_the_packed_route_exits_two(self, tmp_path):
+        # 2^15 + 1 cap points would take 8.6 GB of packed kernel and factor;
+        # the refusal comes before any of it is allocated
+        cfg = tmp_path / "capacity.json"
+        cloud = {"kind": "sphere_cap", "count": (1 << 15) + 1, "polarAngle": 1.0}
+        cfg.write_text(json.dumps({"cloud": cloud, "alpha": 1}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclicity", "capacity", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "at most 32768 points" in proc.stderr
+        assert not (tmp_path / "out" / "capacity.json").exists()
+
     def test_overflowed_equilibrium_exits_three(self, tmp_path, capsys):
         # ||x - y||^-200 overflows on a 64-point arc of opening 1
         cloud = {"kind": "arc", "angle": 1.0, "count": 64}
@@ -829,6 +844,27 @@ class TestCommandPaths:
         assert out["capacity"] == pytest.approx((16 * math.sin(math.pi / 16)) ** (1 / 16),
                                                 rel=1e-12)
         assert out["weights"] == pytest.approx([1 / 16] * 16, rel=1e-12)
+
+    def test_large_arc_and_circle_capacity(self, tmp_path):
+        # past NUMPY_MAX_FACE points arcs and circles are solved by FFT in
+        # O(n) memory; the packed route would hold 8 n^2 bytes, 550 GB for
+        # the arc
+        clouds = {"circle": {"kind": "circle", "count": 1 << 16},
+                  "arc": {"kind": "arc", "angle": math.pi / 2, "count": 1 << 18}}
+        for name, cloud in clouds.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"cloud": cloud, "alpha": 0}))
+            proc = subprocess.run(
+                [sys.executable, "-m", "cyclicity", "capacity", "--config", str(cfg),
+                 "--out", str(tmp_path / name)],
+                capture_output=True, text=True, env=subprocess_env(), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out = json.loads((tmp_path / name / "capacity.json").read_text())["result"]
+            assert out["converged"] is True and out["cloudSize"] == cloud["count"]
+        n = clouds["circle"]["count"]
+        circle = json.loads((tmp_path / "circle" / "capacity.json").read_text())["result"]
+        assert abs(circle["capacity"] - (n * math.sin(math.pi / n)) ** (1 / n)) <= 1e-12
 
     def test_points_cloud_capacity(self, tmp_path):
         # an equilateral triangle on the circle: sides sqrt(3), self scale sqrt(3)/2

@@ -2,6 +2,7 @@
 reporting, and the quasi-uniform sphere sampler behind the neighborhood
 measure."""
 
+import copy
 import json
 import logging
 import math
@@ -23,7 +24,7 @@ from cyclicity.capacity import (
     sphere_cap_cloud,
 )
 from cyclicity.cli import main
-from cyclicity.errors import NumericFailureError
+from cyclicity.errors import ArgumentError, NumericFailureError
 from cyclicity.spaces import sphere_sample
 from helpers import (copying_face_minimizer, float64_face_minimizer, numpy_face_minimizer,
                      numpy_products_equilibrium, subprocess_env, two_array_kernel)
@@ -40,6 +41,16 @@ def reference_kernel(cloud, alpha):
     kernel = safe ** (-alpha) if alpha > 0 else -np.log(safe)
     np.fill_diagonal(kernel, scale ** (-alpha) if alpha > 0 else -np.log(scale))
     return kernel
+
+
+def layout_free(cloud):
+    """The same points without the equal step that `arc_cloud` and
+    `circle_cloud` record: past NUMPY_MAX_FACE points they take the packed
+    route, not the FFT one. A copy, since BoundaryCloud(cloud.points) would
+    normalize the points again, and move some by an ulp."""
+    free = copy.copy(cloud)
+    free.step = None
+    return free
 
 
 def uneven_arc(seed):
@@ -68,7 +79,7 @@ class TestActiveSet:
         # points the refined float32 Cholesky answers, and its weights are
         # those of the bordered system [K 1; 1^T 0]
         m = cap.NUMPY_MAX_FACE + 1
-        arc = arc_cloud(math.pi / 2, m)
+        arc = layout_free(arc_cloud(math.pi / 2, m))
         res = riesz_equilibrium(arc, alpha=0.0)
         assert res.converged and bordered_solves == []
         system = np.ones((m + 1, m + 1))
@@ -81,7 +92,7 @@ class TestActiveSet:
         # fails and LAPACK's dsysv solves the bordered system
         for n, route in [(511, "numpy"), (512, "dsysv")]:
             bordered_solves.clear()
-            res = riesz_equilibrium(circle_cloud(n), alpha=0.0)
+            res = riesz_equilibrium(layout_free(circle_cloud(n)), alpha=0.0)
             assert bordered_solves == [(route, (n + 1, n + 1))]
             assert res.converged
             assert np.max(np.abs(res.weights - 1.0 / n)) <= 1e-12
@@ -116,7 +127,7 @@ class TestActiveSet:
         # face solution differs from them by rounding, as does its computed
         # energy, which can come out the lower; past NUMPY_MAX_FACE points
         # such a face is turned away and the start is returned unchanged
-        res = riesz_equilibrium(circle_cloud(n), alpha=0.0)
+        res = riesz_equilibrium(layout_free(circle_cloud(n)), alpha=0.0)
         assert res.iterations == 1 and res.converged
         assert np.ptp(res.weights) == 0.0
 
@@ -152,10 +163,10 @@ class TestOneKernel:
     array. The face solves read the packed kernel and write nothing in it."""
 
     CLOUDS = {
-        "arc512": lambda: (arc_cloud(math.pi / 2, 512), 0.0),
-        "arc1024": lambda: (arc_cloud(math.pi / 2, 1024), 0.0),
+        "arc512": lambda: (layout_free(arc_cloud(math.pi / 2, 512)), 0.0),
+        "arc1024": lambda: (layout_free(arc_cloud(math.pi / 2, 1024)), 0.0),
         # not positive definite: the float32 Cholesky fails, then dsysv answers
-        "circle1024": lambda: (circle_cloud(1024), 0.0),
+        "circle1024": lambda: (layout_free(circle_cloud(1024)), 0.0),
         # points drop, so the later faces are partial
         "cap768-log": lambda: (sphere_cap_cloud(768, 1.0), 0.0),
         "cap768-riesz": lambda: (sphere_cap_cloud(768, 1.0), 1.0),
@@ -210,7 +221,7 @@ class TestOneKernel:
         assert w.tobytes() == copying_face_minimizer(kernel, free).tobytes()
 
     CHOLESKY_CLOUDS = {
-        "arc2048": lambda: (arc_cloud(math.pi / 2, 2048), 0.0),
+        "arc2048": lambda: (layout_free(arc_cloud(math.pi / 2, 2048)), 0.0),
         "cap768-log": CLOUDS["cap768-log"],
         "cap768-riesz": CLOUDS["cap768-riesz"],
         "sphere-d3": CLOUDS["sphere-d3"],
@@ -240,7 +251,7 @@ class TestOneKernel:
         assert got.kkt_gap <= 1e-13 * max(1.0, abs(got.energy))
 
     def test_step_cap_hands_the_face_to_the_bordered_solve(self, monkeypatch):
-        cloud = arc_cloud(math.pi / 2, 1024)
+        cloud = layout_free(arc_cloud(math.pi / 2, 1024))
         refined = riesz_equilibrium(cloud, alpha=0.0)
         bordered = spy_bordered_solves(monkeypatch)
         monkeypatch.setattr(cap, "REFINE_MAX_STEPS", 0)
@@ -256,7 +267,7 @@ class TestOneKernel:
         import scipy.linalg  # noqa: F401  (its import allocates too)
 
         n = 1024
-        cloud = arc_cloud(math.pi / 2, n)
+        cloud = layout_free(arc_cloud(math.pi / 2, n))
         tracemalloc.start()
         try:
             res = riesz_equilibrium(cloud, alpha=0.0)
@@ -275,7 +286,7 @@ class TestOneKernel:
         n = 1024
         tracemalloc.start()
         try:
-            res = riesz_equilibrium(circle_cloud(n), alpha=0.0)
+            res = riesz_equilibrium(layout_free(circle_cloud(n)), alpha=0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -324,12 +335,12 @@ class TestKernelProducts:
     on the unpacked kernel."""
 
     CLOUDS = {
-        "arc512": lambda: (arc_cloud(math.pi / 2, 512), 0.0),
-        "arc1024": lambda: (arc_cloud(math.pi / 2, 1024), 0.0),
-        "arc4096": lambda: (arc_cloud(math.pi / 2, 4096), 0.0),
+        "arc512": lambda: (layout_free(arc_cloud(math.pi / 2, 512)), 0.0),
+        "arc1024": lambda: (layout_free(arc_cloud(math.pi / 2, 1024)), 0.0),
+        "arc4096": lambda: (layout_free(arc_cloud(math.pi / 2, 4096)), 0.0),
         # the float32 Cholesky fails, then the bordered solve answers
-        "circle512": lambda: (circle_cloud(512), 0.0),
-        "circle1024": lambda: (circle_cloud(1024), 0.0),
+        "circle512": lambda: (layout_free(circle_cloud(512)), 0.0),
+        "circle1024": lambda: (layout_free(circle_cloud(1024)), 0.0),
         # points drop, so five faces are solved
         "cap768-log": lambda: (sphere_cap_cloud(768, 1.0), 0.0),
         "cap768-riesz": lambda: (sphere_cap_cloud(768, 1.0), 1.0),
@@ -419,7 +430,8 @@ class TestKernelProducts:
         # the final gradient and energy
         m = cap.NUMPY_MAX_FACE
         assert self.products(arc_cloud(math.pi / 2, m), 0.0, monkeypatch) == (5, 0)
-        assert self.products(arc_cloud(math.pi / 2, m + 1), 0.0, monkeypatch) == (0, 5)
+        arc = layout_free(arc_cloud(math.pi / 2, m + 1))
+        assert self.products(arc, 0.0, monkeypatch) == (0, 5)
         # five faces, four of which drop points: every product that the
         # numpy route makes moves to the packed kernel
         cloud = sphere_cap_cloud(768, 1.0)
@@ -427,6 +439,151 @@ class TestKernelProducts:
             mp.setattr(cap, "NUMPY_MAX_FACE", 768)
             on_numpy, _ = self.products(cloud, 0.0, monkeypatch)
         assert self.products(cloud, 0.0, monkeypatch) == (0, on_numpy)
+
+
+def refuse_packed_kernel(monkeypatch):
+    """Make any build of the packed kernel fail the test."""
+    def build(pts, alpha):
+        raise AssertionError("the packed kernel was built")
+
+    monkeypatch.setattr(cap, "_riesz_kernel", build)
+
+
+def same_result(got, want):
+    fields = ("energy", "capacity", "alpha", "iterations", "kkt_gap", "converged", "note")
+    return (got.weights.tobytes() == want.weights.tobytes()
+            and [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields])
+
+
+class TestToeplitzRoute:
+    """Past NUMPY_MAX_FACE points the arcs and circles of arc_cloud and
+    circle_cloud are solved on the Toeplitz column of their sine-formula
+    kernel, by FFT products, in O(n) memory."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("angle", [math.pi / 2, math.pi, 1.5 * math.pi],
+                             ids=["quarter", "half", "three-quarter"])
+    @pytest.mark.parametrize("n", [512, 1024, 4096])
+    def test_matches_the_packed_route(self, n, angle, alpha, monkeypatch):
+        cloud = arc_cloud(angle, n)
+        want = riesz_equilibrium(layout_free(cloud), alpha)
+        with monkeypatch.context() as mp:
+            refuse_packed_kernel(mp)
+            got = riesz_equilibrium(cloud, alpha)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged) == (1, True)
+        assert got.weights.min() > 0 and got.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        # the coordinate kernel's entries near the diagonal are the power of
+        # a chord of about 1e-3 formed from coordinates near 1, so at
+        # alpha = 2 they are off by up to 1.6e-12 relative at 4096 points,
+        # and the two routes' weights by 1.2e-12 (test_follows_its_own_kernel)
+        bound = 2e-12 if alpha == 2.0 and n == 4096 else 1e-12
+        assert np.max(np.abs(got.weights - want.weights)) <= bound * want.weights.max()
+        rel = 1e-14 if alpha <= 1.0 else 1e-13
+        assert got.energy == pytest.approx(want.energy, rel=rel, abs=0.0)
+        assert got.kkt_gap <= 1e-13 * max(1.0, abs(got.energy))
+
+    def test_follows_its_own_kernel(self):
+        # at alpha = 2 the route's weights are those of float64 LU on the
+        # sine-formula Toeplitz matrix; the packed route's differ from both
+        # as its coordinate kernel differs from that matrix
+        n, alpha = 4096, 2.0
+        cloud = arc_cloud(math.pi / 2, n)
+        column = cap._toeplitz_column(cloud.step, n, alpha)
+        # packed row i holds K[i, j], j >= i, whose Toeplitz entries are column[:n - i]
+        coordinate = cap._riesz_kernel(cloud.as_real(), alpha).rows
+        upper = np.concatenate([column[:n - i] for i in range(n)])
+        assert np.max(np.abs(coordinate - upper) / upper) > 1e-12
+        del coordinate, upper
+        toeplitz = column[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+        v = np.linalg.solve(toeplitz, np.ones(n))
+        exact = v / v.sum()
+        got = riesz_equilibrium(cloud, alpha).weights
+        assert np.max(np.abs(got - exact)) <= 1e-13 * exact.max()
+
+    @pytest.mark.parametrize("n", [512, 1000, 4096, 1 << 16])
+    def test_circle_keeps_its_uniform_start(self, n, monkeypatch):
+        refuse_packed_kernel(monkeypatch)
+        res = riesz_equilibrium(circle_cloud(n), alpha=0.0)
+        assert np.ptp(res.weights) == 0.0 and res.weights[0] == 1.0 / n
+        assert abs(res.capacity - (n * math.sin(math.pi / n)) ** (1.0 / n)) <= 1e-12
+        assert res.iterations == 1 and res.converged
+        assert res.kkt_gap <= 1e-13
+
+    def test_negative_weight_hands_the_cloud_to_the_packed_route(self, monkeypatch):
+        cloud = arc_cloud(math.pi / 2, 1024)
+        real = cap._toeplitz_solve
+
+        def one_negative(column, times):
+            v = real(column, times)
+            v[7] = -v[7]
+            return v
+
+        monkeypatch.setattr(cap, "_toeplitz_solve", one_negative)
+        assert same_result(riesz_equilibrium(cloud, 0.0),
+                           riesz_equilibrium(layout_free(cloud), 0.0))
+
+    def test_merged_points_take_the_packed_route(self, monkeypatch):
+        # steps of 1e-13 on a 1e-12 grid: 1024 points merge into 101
+        cloud = arc_cloud(1e-10, 1024)
+        assert cloud.step is not None
+        assert len(cap._dedup_rows(cloud.as_real())) == 101
+        calls = []
+        monkeypatch.setattr(cap, "_toeplitz_equilibrium", lambda *args: calls.append(args))
+        got = riesz_equilibrium(cloud, 0.0)
+        assert calls == [] and got.converged
+        assert same_result(got, riesz_equilibrium(layout_free(cloud), 0.0))
+
+    def test_no_stop_hands_the_cloud_to_the_packed_route(self, monkeypatch):
+        # the log kernel's solve takes about 10 steps to its stop
+        cloud = arc_cloud(math.pi, 600)
+        real, solves = cap._toeplitz_solve, []
+        monkeypatch.setattr(cap, "_toeplitz_solve", lambda *args: solves.append(real(*args)))
+        monkeypatch.setattr(cap, "TOEPLITZ_MAX_STEPS", 3)
+        got = riesz_equilibrium(cloud, 0.0)
+        assert solves == [None]
+        assert same_result(got, riesz_equilibrium(layout_free(cloud), 0.0))
+
+    def test_large_arc_memory_is_linear(self):
+        # the packed route would take 8 n^2 bytes, 550 GB here
+        n = 1 << 18
+        cloud = arc_cloud(math.pi / 2, n)
+        tracemalloc.start()
+        try:
+            res = riesz_equilibrium(cloud, alpha=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations == 1
+        assert peak < 32 * 8 * n
+
+    def test_loads_no_scipy_linalg(self):
+        script = (
+            "import math, sys\n"
+            "from cyclicity.capacity import arc_cloud, circle_cloud, riesz_equilibrium\n"
+            "arc = riesz_equilibrium(arc_cloud(math.pi / 2, 4096), 0.0)\n"
+            "circle = riesz_equilibrium(circle_cloud(4096), 1.0)\n"
+            "print(arc.converged, circle.converged, 'scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True", "False"]
+
+    def test_extrapolated_arc_capacity(self):
+        # the pi/2 arc's log capacity is sin(pi/8); fitted by
+        # c + b/n + e log(n)/n over three sizes, the discrete capacities land
+        # within 1.2e-9 of it, against 2.4e-5 for the largest alone
+        sizes = [1 << 14, 1 << 15, 1 << 16]
+        caps = [riesz_equilibrium(arc_cloud(math.pi / 2, n), 0.0).capacity for n in sizes]
+        fit = np.linalg.solve([[1.0, 1.0 / n, math.log(n) / n] for n in sizes], caps)
+        assert abs(fit[0] - math.sin(math.pi / 8)) <= 2e-9
+        assert abs(caps[-1] - math.sin(math.pi / 8)) > 1e-5
+
+    def test_large_packed_cloud_is_refused_before_its_kernel(self, monkeypatch):
+        refuse_packed_kernel(monkeypatch)
+        cloud = sphere_cap_cloud(cap.PACKED_MAX_POINTS + 1, 1.0)
+        with pytest.raises(ArgumentError, match="at most 32768 points"):
+            riesz_equilibrium(cloud, alpha=1.0)
 
 
 class TestConvergenceReporting:
