@@ -15,26 +15,23 @@ without defaults filled in.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
-import logging
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import capacity as cap
-from . import freespace as free
 from . import indices as idx
-from . import mixednorm as mx
 from .errors import ArgumentError, NumericFailureError
 from .poly import (Polynomial, TermArray, bind, brief, camel, choose, json_value, jsonsafe,
                    read_keys)
 from .spaces import SpaceSpec, drury_arveson, preset
 
-SCHEMA_VERSION = 1
+if TYPE_CHECKING:
+    from .capacity import BoundaryCloud
 
-log = logging.getLogger("cyclicity")
+SCHEMA_VERSION = 1
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -69,10 +66,21 @@ def _layout(value, pad: str) -> str:
 
 
 def write_csv(path: Path, rows: list[tuple]) -> None:
+    import csv
+
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         for row in rows:
             writer.writerow([v if isinstance(v, str) else repr(v) for v in row])
+
+
+def _warn(message: str, *args) -> None:
+    """Warn on the `cyclicity` logger, loading `logging` on first use; stderr
+    shows `WARNING <message>` unless the process has set up logging itself."""
+    import logging
+
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
+    logging.getLogger("cyclicity").warning(message, *args)
 
 
 def command(fn):
@@ -123,20 +131,23 @@ def parse_polynomial(obj, d: int | None = None) -> Polynomial:
     raise ArgumentError("function must be a JSON term array or {'coeffs1d': [...]}")
 
 
-def parse_cloud(obj, seed: int | None) -> cap.BoundaryCloud:
+def parse_cloud(obj, seed: int | None) -> BoundaryCloud:
     """A boundary cloud from its JSON object; `seed` seeds a zero set's sampling."""
+    from .capacity import (BoundaryCloud, arc_cloud, circle_cloud, sample_zero_set,
+                           sphere_cap_cloud)
+
     _seed(seed)  # a negative seed is an error with any kind
 
     def points(d: int, points: list[list[float]] = ()):
-        return cap.BoundaryCloud.from_json(points, d)
+        return BoundaryCloud.from_json(points, d)
 
     def zero_set(function, d: int | None = None, resolution: int = 2048,
                  tol: float | None = None):
         f = parse_polynomial(function, d)
-        return cap.sample_zero_set(f, resolution, tol, _seed(seed, f.d))
+        return sample_zero_set(f, resolution, tol, _seed(seed, f.d))
 
-    kinds = {"arc": cap.arc_cloud, "circle": cap.circle_cloud, "points": points,
-             "sphere_cap": cap.sphere_cap_cloud, "zero_set": zero_set}
+    kinds = {"arc": arc_cloud, "circle": circle_cloud, "points": points,
+             "sphere_cap": sphere_cap_cloud, "zero_set": zero_set}
     return choose("kind", kinds, what="cloud")(obj)
 
 
@@ -164,19 +175,23 @@ def cmd_sweep(space, function, n_max: int, tol: float = idx.DEFAULT_TOL):
 
 @command
 def cmd_free_index(free_space, function, n: int, target=None):
-    spec = free.FreeSpaceSpec.from_json(free_space)
-    g = free.FreePolynomial.from_json(function, spec.d)
-    target = (free.FreePolynomial.identity(spec.d) if target is None
-              else free.FreePolynomial.from_json(target, spec.d))
-    return free.free_subspace_distance(spec, target, g, n).to_json(), None
+    from .freespace import FreePolynomial, FreeSpaceSpec, free_subspace_distance
+
+    spec = FreeSpaceSpec.from_json(free_space)
+    g = FreePolynomial.from_json(function, spec.d)
+    target = (FreePolynomial.identity(spec.d) if target is None
+              else FreePolynomial.from_json(target, spec.d))
+    return free_subspace_distance(spec, target, g, n).to_json(), None
 
 
 @command
 def cmd_compress_check(d: int, function, n: int, max_length: int | None = None):
-    g = free.FreePolynomial.from_json(function, d)
-    spec_free = free.free_hardy(d, max(12, n + 4) if max_length is None else max_length)
+    from .freespace import FreePolynomial, compression_check, free_hardy
+
+    g = FreePolynomial.from_json(function, d)
+    spec_free = free_hardy(d, max(12, n + 4) if max_length is None else max_length)
     spec_comm = drury_arveson(d, max(n + g.degree, 1))
-    return free.compression_check(spec_free, spec_comm, g, n).to_json(), None
+    return compression_check(spec_free, spec_comm, g, n).to_json(), None
 
 
 def corona_commutative(space, function, l_max: int = 10, n_in: int | None = None):
@@ -192,11 +207,14 @@ def corona_commutative(space, function, l_max: int = 10, n_in: int | None = None
 
 def corona_free(d: int, rho: float, seed: int, samples: int = 100, size: int = 8,
                 l_max: int = 10, export_tuples: bool = False):
+    from .freespace import (row_contraction_inversion_report, sample_row_contraction,
+                            tuple_to_json)
+
     seed = _seed(seed, d)
-    out = free.row_contraction_inversion_report(d, rho, samples, size, seed, l_max).to_json()
+    out = row_contraction_inversion_report(d, rho, samples, size, seed, l_max).to_json()
     out["mode"] = "free"
     if export_tuples:
-        out["firstTuple"] = free.tuple_to_json(free.sample_row_contraction(d, size, rho, seed))
+        out["firstTuple"] = tuple_to_json(sample_row_contraction(d, size, rho, seed))
     return out, None
 
 
@@ -207,19 +225,23 @@ cmd_corona_check = choose("mode", {"commutative": corona_commutative, "free": co
 @command
 def cmd_capacity(cloud, alpha: float, seed: int | None = None, max_iter: int = 20000,
                  tol: float = 1e-7):
+    from .capacity import riesz_equilibrium
+
     cloud = parse_cloud(cloud, seed)
     if cloud.size == 0:
-        log.warning("capacity requested on an empty cloud; returning 0 by convention")
-    result = cap.riesz_equilibrium(cloud, alpha, max_iter, tol)
+        _warn("capacity requested on an empty cloud; returning 0 by convention")
+    result = riesz_equilibrium(cloud, alpha, max_iter, tol)
     if not result.converged:
-        log.warning("equilibrium not converged (kkt_gap %g)", result.kkt_gap)
+        _warn("equilibrium not converged (kkt_gap %g)", result.kkt_gap)
     return {**result.to_json(), "cloudSize": cloud.size}, None
 
 
 @command
 def cmd_dimension(cloud, seed: int | None = None, j_min: int = 2, j_max: int = 7):
+    from .capacity import box_dimension
+
     cloud = parse_cloud(cloud, seed)
-    return {**cap.box_dimension(cloud, j_min, j_max).to_json(), "cloudSize": cloud.size}, None
+    return {**box_dimension(cloud, j_min, j_max).to_json(), "cloudSize": cloud.size}, None
 
 
 def perturb_function(space, function, n: int, perturbed=None, delta=None):
@@ -247,32 +269,38 @@ cmd_perturb = choose("variant", {"function": perturb_function, "weight": perturb
 
 @command
 def cmd_mixed_norm(mixed_spec, function):
-    spec = parse_quadrature_spec(mx.MixedSpec, mixed_spec)
+    from .mixednorm import MixedSpec, mixed_norm
+
+    spec = parse_quadrature_spec(MixedSpec, mixed_spec)
     f = parse_polynomial(function, spec.d)
-    return {"norm": mx.mixed_norm(spec, f), "spec": spec.to_json()}, None
+    return {"norm": mixed_norm(spec, f), "spec": spec.to_json()}, None
 
 
 @command
 def cmd_varexp_norm(var_exp_spec, function):
-    spec = parse_quadrature_spec(mx.VarExpSpec, var_exp_spec)
+    from .mixednorm import VarExpSpec, luxemburg_norm
+
+    spec = parse_quadrature_spec(VarExpSpec, var_exp_spec)
     f = parse_polynomial(function, spec.d)
-    return {"norm": mx.luxemburg_norm(spec, f), "spec": spec.to_json()}, None
+    return {"norm": luxemburg_norm(spec, f), "spec": spec.to_json()}, None
 
 
 @command
 def cmd_mixed_index(function, mixed_spec=None, var_exp_spec=None, n_max: int | None = None,
                     n: int | None = None):
+    from .mixednorm import MixedSpec, VarExpSpec, mixed_index
+
     _exactly_one(mixed_spec=mixed_spec, var_exp_spec=var_exp_spec)
     _exactly_one(n_max=n_max, n=n)
-    cls, obj = (mx.MixedSpec, mixed_spec) if var_exp_spec is None else (mx.VarExpSpec, var_exp_spec)
+    cls, obj = (MixedSpec, mixed_spec) if var_exp_spec is None else (VarExpSpec, var_exp_spec)
     spec = parse_quadrature_spec(cls, obj)
     f = parse_polynomial(function, spec.d)
     if n_max is not None and not 0 <= n_max <= spec.max_budget:
         raise ArgumentError(f"nMax must lie in 0..{spec.max_budget}, not {brief(n_max)}")
-    results = [mx.mixed_index(spec, f, k) for k in ([n] if n_max is None else range(n_max + 1))]
+    results = [mixed_index(spec, f, k) for k in ([n] if n_max is None else range(n_max + 1))]
     for r in results:
         if not r.converged:
-            log.warning("IRLS not converged at n=%d after %d iterations", r.n, r.iterations)
+            _warn("IRLS not converged at n=%d after %d iterations", r.n, r.iterations)
     rows = [("n", "objective", "iterations", "converged")]
     rows += [(r.n, r.value, r.iterations, str(r.converged).lower()) for r in results]
     return {"results": [r.to_json() for r in results], "spec": spec.to_json()}, rows
@@ -280,14 +308,20 @@ def cmd_mixed_index(function, mixed_spec=None, var_exp_spec=None, n_max: int | N
 
 @command
 def cmd_report(space, function, n_max: int, alpha: float, seed: int | None = None,
-               tol: float = 1e-3, capacity_threshold: float = cap.DEFAULT_CAPACITY_THRESHOLD,
+               tol: float = 1e-3, capacity_threshold: float = None,
                resolution: int = 2048, zero_tol: float | None = None, eps_nbhd: float = 0.01):
+    # an absent threshold is None, read from capacity once it is loaded; null
+    # is still refused, since the annotation has no `| None`
+    from .capacity import DEFAULT_CAPACITY_THRESHOLD, obstruction_report
+
+    if capacity_threshold is None:
+        capacity_threshold = DEFAULT_CAPACITY_THRESHOLD
     space = parse_space(space)
     f = parse_polynomial(function, space.d)
-    report = cap.obstruction_report(space, f, n_max, alpha, tol, capacity_threshold,
-                                    resolution, zero_tol, eps_nbhd, _seed(seed, space.d))
+    report = obstruction_report(space, f, n_max, alpha, tol, capacity_threshold, resolution,
+                                zero_tol, eps_nbhd, _seed(seed, space.d))
     if not report.riesz.converged:
-        log.warning("equilibrium not converged (kkt_gap %g)", report.riesz.kkt_gap)
+        _warn("equilibrium not converged (kkt_gap %g)", report.riesz.kkt_gap)
     return report.to_json(), report.sweep.csv_rows()
 
 
@@ -329,7 +363,6 @@ def run_command(command: str, config: dict, out_dir: Path) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = argparse.ArgumentParser(
         prog="cyclicity",
         description="Cyclicity index experiments over diagonal function spaces",

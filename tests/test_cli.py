@@ -23,6 +23,25 @@ from cyclicity.spaces import dirichlet_type, drury_arveson, hardy
 from helpers import subprocess_env
 from test_acceptance import CLI_CONFIGS
 
+# the public names of the `cyclicity` package, each read from the submodule
+# that defines it; its lazy namespace must keep every one
+PACKAGE_EXPORTS = frozenset("""
+    BoundaryCloud DimensionEstimate EquilibriumResult ObstructionReport arc_cloud box_dimension
+    circle_cloud interior_zero_probe neighborhood_capacity obstruction_report riesz_equilibrium
+    sample_zero_set sphere_cap_cloud ArgumentError ConditioningError CyclicityError
+    DegenerateInputError DegreeRangeError DimensionMismatchError NumericFailureError
+    SingularInversionError CompressionReport FreePolynomial FreeSpaceSpec abelianize
+    compression_check evaluate_on_tuple free_besov free_hardy free_subspace_distance
+    row_contraction_inversion_report sample_row_contraction tuple_from_json tuple_to_json words
+    ApproximantResult PerturbationReport SweepReport WeightStabilityReport
+    check_perturbation_bound check_weight_stability index_sweep
+    inverse_truncation_multiplier_norms multiplier_norm_lower perturb_weights
+    power_membership_residual realized_weight_deviation subspace_distance MixedIndexResult
+    MixedSpec VarExpSpec luxemburg_norm mixed_index mixed_norm modular Polynomial
+    invert_power_series mult_operator_section multi_indices MomentSequence SpaceSpec bergman
+    dirichlet_type drury_arveson hardy preset sphere_moment
+""".split())
+
 
 def run_cli(tmp_path, command, config, out="out", extra=()):
     """Write config as JSON and run the command on it; a string "raw:<text>"
@@ -925,6 +944,92 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert loaded == {command: [] for command in commands}
+
+    @pytest.mark.parametrize("command, expected", [
+        ("index", []), ("sweep", ["csv"]), ("free-index", ["cyclicity.freespace"]),
+        ("compress-check", ["cyclicity.freespace"]), ("corona-check", ["cyclicity.freespace"]),
+        ("capacity", ["cyclicity.capacity"]), ("dimension", ["cyclicity.capacity"]),
+        ("perturb", []), ("mixed-norm", ["cyclicity.mixednorm"]),
+        ("varexp-norm", ["cyclicity.mixednorm"]),
+        ("mixed-index", ["csv", "cyclicity.mixednorm"]),
+        ("report", ["csv", "cyclicity.capacity"]),
+    ])
+    def test_command_loads_only_its_modules(self, tmp_path, command, expected):
+        # a fresh `python -m cyclicity <command>`: of the modules that only some
+        # commands need, it loads its own; none of the acceptance runs warns,
+        # so none loads logging
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CLI_CONFIGS[command]))
+        script = (
+            "import json, runpy, sys\n"
+            "lazy = ('cyclicity.capacity', 'cyclicity.freespace', 'cyclicity.mixednorm',\n"
+            "        'logging', 'csv')\n"
+            "sys.argv = ['cyclicity', *sys.argv[1:]]\n"
+            "try:\n"
+            "    runpy.run_module('cyclicity', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(json.dumps(sorted(m for m in lazy if m in sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout.splitlines()[-1]) == expected
+
+    def test_warning_from_a_fresh_process(self, tmp_path):
+        # logging loads only with the first warning and still writes it to
+        # stderr as `WARNING <message>`; a run that does not warn writes nothing there
+        empty = {"cloud": {"kind": "zero_set", "function": {"coeffs1d": [2, -1]}}, "alpha": 0}
+        quiet = {"cloud": {"kind": "circle", "count": 8}, "alpha": 0}
+        stderr = {}
+        for name, config in (("empty", empty), ("quiet", quiet)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            proc = subprocess.run(
+                [sys.executable, "-m", "cyclicity", "capacity", "--config", str(cfg),
+                 "--out", str(tmp_path / name)],
+                capture_output=True, text=True, env=subprocess_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            stderr[name] = proc.stderr
+        assert stderr["empty"] == (
+            "WARNING capacity requested on an empty cloud; returning 0 by convention\n")
+        assert stderr["quiet"] == ""
+
+    def test_bare_import_is_lazy(self):
+        script = (
+            "import json, sys\n"
+            "import cyclicity\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith('cyclicity.') or m.split('.')[0] == 'numpy')\n"
+            "names = sorted(cyclicity.__all__)\n"
+            "capacity = cyclicity.capacity\n"
+            "homes = {n: getattr(cyclicity, n).__module__ for n in names}\n"
+            "same = [getattr(cyclicity, n) is getattr(sys.modules[homes[n]], n) for n in names]\n"
+            "star = {}\n"
+            "exec('from cyclicity import *', star)\n"
+            "try:\n"
+            "    cyclicity.no_such_name\n"
+            "    unknown = 'resolved'\n"
+            "except AttributeError:\n"
+            "    unknown = 'AttributeError'\n"
+            "print(json.dumps({'loaded': loaded, 'names': names, 'capacity': capacity.__name__,\n"
+            "                  'same': all(same), 'star': sorted(set(names) - star.keys()),\n"
+            "                  'unknown': unknown, 'version': cyclicity.__version__}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["loaded"] == []
+        assert set(out["names"]) >= PACKAGE_EXPORTS
+        assert out["capacity"] == "cyclicity.capacity"
+        assert out["same"] and out["star"] == [] and out["unknown"] == "AttributeError"
+        assert out["version"] == "0.1.0"
 
     def test_wide_dense_sweep_loads_no_scipy(self, tmp_path):
         # K = nMax + 1 columns: past the single-solve limit of 64 columns, but
