@@ -8,7 +8,11 @@
 # set does not: the IRLS away from p = q = 2 and d = 1, both routes of its
 # steps, the variable-exponent weights, the packed equilibrium past 511
 # points, on a whole face and on the partial faces left after points drop,
-# and the FFT route of an arc past 511 points. A differing pair is listed with
+# the FFT route of an arc past 511 points, and monomial weights at d >= 2:
+# a Drury-Arveson d = 3 sweep (sweep-drury-arveson-d3), a weight
+# perturbation of bergman(2) (perturb-weight-bergman2) and a commutative
+# corona check on dirichlet_type(2), whose multiplier sections divide by
+# column norms (corona-commutative-dirichlet2). A differing pair is listed with
 # the largest relative difference between the numbers at the same JSON
 # path (.json) or the same row and column (.csv), or as "structure
 # differs", so that a rounding-level change reads as one. It writes Markdown to

@@ -27,10 +27,11 @@ import numpy as np
 
 from .errors import ArgumentError, DegreeRangeError, DimensionMismatchError
 from .indices import ApproximantResult, subspace_distance
-from .poly import JsonRecord, Polynomial, SparseSeries, bind, brief, invert_power_series
+from .poly import (MAX_KEYS, JsonRecord, Polynomial, SparseSeries, bind, brief,
+                   invert_power_series)
 # not called here, but perfbench/tracing.py rebinds this name in this module
 from .solver import solve_least_squares  # noqa: F401
-from .spaces import KIND_DRURY_ARVESON, MAX_MONOMIALS, DiagonalSpace, SpaceSpec
+from .spaces import KIND_DRURY_ARVESON, DiagonalSpace, SpaceSpec
 
 KIND_FREE_HARDY = "free_hardy"
 KIND_FREE_BESOV = "free_besov"
@@ -78,17 +79,29 @@ class FreePolynomial(SparseSeries):
 
     _concat = staticmethod(operator.add)
 
-    def _shifted_ranks(self, n: int, keys: list) -> tuple[list, np.ndarray]:
-        # u k ranks at start[|u|+|k|] + lex(u) d^|k| + lex(k); lex reads letters as base-d digits
+    @staticmethod
+    def _key_array(keys: list, d: int) -> np.ndarray:
+        # a free space weighs a word by its length
+        return np.array([len(k) for k in keys], dtype=np.int64).reshape(-1, 1)
+
+    def _shifted_ranks(self, n: int, keys: list) -> tuple[list, np.ndarray, np.ndarray]:
+        # u k ranks at start[|u|+|k|] + lex(u) d^|k| + lex(k); lex reads letters as
+        # base-d digits
         cols = words(self.d, n)
-        sizes = self.d ** np.arange(n + max(map(len, keys), default=0) + 1)
+        lengths = self._key_array(keys, self.d)[:, 0]
+        sizes = self.d ** np.arange(n + lengths.max(initial=0) + 1)
         start = np.concatenate([[0], np.cumsum(sizes)])
         col_len = np.repeat(np.arange(n + 1), sizes[: n + 1])
-        lengths = np.array([len(k) for k in keys], dtype=np.int64)
         lex = np.array([sum((a - 1) * self.d**i for i, a in enumerate(k[::-1])) for k in keys],
                        dtype=np.int64)
         col_lex = np.arange(len(cols)) - start[col_len]
-        return cols, start[col_len[:, None] + lengths] + col_lex[:, None] * sizes[lengths] + lex
+        products = col_len[:, None] + lengths
+        ranks = start[products] + col_lex[:, None] * sizes[lengths] + lex
+        return cols, ranks, products[..., None]
+
+    def _key_count(self, top: int) -> tuple[int, str]:
+        count = _word_count(self.d, top if self.d == 1 else min(top, 63))  # past 2^63 at 63
+        return count, f"words of length <= {brief(top)} over {self.d} letters"
 
     @staticmethod
     def _label(word) -> str:
@@ -112,13 +125,7 @@ class FreeSpaceSpec(DiagonalSpace):
     __slots__ = ("kind", "d", "max_length", "smoothness", "_weights")
     series = FreePolynomial
 
-    def __init__(
-        self,
-        kind: str,
-        d: int,
-        max_length: int,
-        smoothness: float = 0.0,
-    ):
+    def __init__(self, kind: str, d: int, max_length: int, smoothness: float = 0.0):
         if kind not in (KIND_FREE_HARDY, KIND_FREE_BESOV):
             raise ArgumentError(f"unknown free space kind {brief(kind)}")
         if d < 1:
@@ -126,53 +133,38 @@ class FreeSpaceSpec(DiagonalSpace):
         if max_length < 0:
             raise ArgumentError("max_length must be >= 0")
         # words rank as int64 (_shifted_ranks), so at d >= 2 L < 63, which
-        # spares _word_count a huge exponent; at d = 1 the table of length
-        # weights is bounded as a space in one variable bounds its monomials
-        if max_length >= (63 if d > 1 else MAX_MONOMIALS) or _word_count(d, max_length) >= 2**63:
+        # spares _word_count a huge exponent; at d = 1 the tuple of length
+        # weights is bounded as a space bounds its moments
+        if max_length >= (63 if d > 1 else MAX_KEYS) or _word_count(d, max_length) >= 2**63:
             raise ArgumentError(f"d = {brief(d)} and maxLength = {brief(max_length)} give 2^63 "
-                                f"words or more, or more than {MAX_MONOMIALS} lengths")
-        if smoothness < 0:
-            raise ArgumentError("smoothness s must be >= 0")
+                                f"words or more, or more than {MAX_KEYS} lengths")
+        if not 0 <= smoothness < math.inf:
+            raise ArgumentError("smoothness s must be finite and >= 0")
         if kind == KIND_FREE_HARDY and smoothness != 0:
             raise ArgumentError("free_hardy has unit weights; smoothness s must be 0")
         self.kind = kind
         self.d = int(d)
         self.max_length = int(max_length)
         self.smoothness = float(smoothness)
-        if kind == KIND_FREE_HARDY:
-            table = (1.0,) * (max_length + 1)
-        else:
-            try:
-                table = tuple(
-                    float(k + 1) ** (2.0 * self.smoothness) for k in range(max_length + 1)
-                )
-            except OverflowError:
-                raise ArgumentError(f"smoothness s = {smoothness!r} overflows the word-length "
-                                    "weight (k + 1)^(2s)") from None
-        if any(w <= 0 or not math.isfinite(w) for w in table):
-            raise ArgumentError("word-length weights must be positive finite")
-        self._weights = table
-
-    def weight_vector(self, max_length: int) -> np.ndarray:
-        """The weight of every word of length <= max_length, length-then-lex;
-        more than MAX_MONOMIALS words, the most a commutative table holds,
-        are refused."""
-        self.weight(max_length)  # refuses a length past the table by name
-        if _word_count(self.d, max_length) > MAX_MONOMIALS:
-            raise DegreeRangeError(f"words of length <= {brief(max_length)} over {self.d} "
-                                   f"letters number more than {MAX_MONOMIALS}")
-        lengths = range(max_length + 1)
-        return np.repeat(self._weights[: max_length + 1], [self.d**k for k in lengths])
+        try:  # free_hardy's smoothness 0 gives unit weights
+            self._weights = tuple(float(k + 1) ** (2.0 * self.smoothness)
+                                  for k in range(max_length + 1))
+        except OverflowError:
+            raise ArgumentError(f"smoothness s = {smoothness!r} overflows the word-length "
+                                "weight (k + 1)^(2s)") from None
 
     def weight(self, length: int) -> float:
         if not 0 <= length <= self.max_length:
             raise DegreeRangeError(
-                f"word length {brief(length)} beyond precomputed max_length={self.max_length}"
+                f"word length {brief(length)} beyond max_length={self.max_length}"
             )
         return self._weights[length]
 
-    def _key_weight(self, word: Word) -> float:
-        return self.weight(len(word))
+    def weights(self, keys: np.ndarray) -> np.ndarray:
+        """The weights of words from their lengths, one a row of keys."""
+        top = int(keys.max(initial=0))
+        self.weight(top)  # refuses a length past the range by name
+        return np.array(self._weights[: top + 1])[keys[:, 0]]
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "d": self.d, "maxLength": self.max_length}

@@ -76,16 +76,16 @@ class SweepReport(JsonRecord):
 
 def _design_matrix(spec: DiagonalSpace, g, f, n: int, solves: int = 1):
     """The shifted design of f at budget n, target g, in the space norm: a
-    key's row is scaled by its norm. g and f are series of the space's
-    algebra, f nonzero; the weight table refuses n + deg f or deg g past it.
-    The design's form suits `solves` nested solves of its leading columns."""
+    kept row is scaled by the norm of its key, weighed only there. g and f
+    are series of the space's algebra, f nonzero; `shifted_columns` counts
+    the keys, and the weights refuse a degree past the space's range. The
+    design's form suits `solves` nested solves of its leading columns."""
     spec.check_algebra(g, f)
     if f.is_zero:
         raise DegenerateInputError("f must be nonzero")
     if n < 0:
         raise ArgumentError("degree budget n must be >= 0")
-    weights = spec.weight_vector(max(n + f.degree, g.degree))
-    return shifted_columns(g, f, n, np.sqrt(weights), solves=solves)[:3]
+    return shifted_columns(g, f, n, lambda keys: np.sqrt(spec.weights(keys)), solves=solves)[:3]
 
 
 def subspace_distance(spec: DiagonalSpace, g, f, n: int) -> ApproximantResult:

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, DimensionMismatchError
 from .indices import subspace_distance
-from .poly import (JsonRecord, Polynomial, bind, brief, camel, choose, graded_rank,
-                   read_keys, shifted_columns)
+from .poly import (JsonRecord, Polynomial, bind, brief, camel, choose, read_keys,
+                   shifted_columns)
 from .solver import solve_normal_equations
 from .spaces import KIND_DIAGONAL_BESOV, MomentSequence, SpaceSpec, sphere_sample
 
@@ -480,12 +480,10 @@ class _GridTables(NamedTuple):
 def _grid_tables(spec: _QuadratureSpec, f: Polynomial, n: int) -> _GridTables:
     top = n + f.degree
     spec._check_resolution(top)
-    # the degree of every rank up to top, graded blocks of C(k + d - 1, d - 1)
-    sizes = [math.comb(k + spec.d - 1, spec.d - 1) for k in range(top + 1)]
-    degrees = np.repeat(np.arange(top + 1), sizes)
-    one = Polynomial.one(spec.d)
-    coeffs, target, cols, kept = shifted_columns(one, f, n, degrees ** float(spec.N), dense=True)
-    degrees = degrees[kept]
+    one = Polynomial.one(spec.d)  # R^N scales z^alpha by |alpha|^N
+    coeffs, target, cols, exponents = shifted_columns(
+        one, f, n, lambda keys: keys.sum(axis=1) ** float(spec.N), dense=True)
+    degrees = exponents.sum(axis=1)
     radial = spec.radial_nodes[:, None] ** degrees
     if spec.d == 1:
         # H[a, b] = P[deg a + deg b, deg b - deg a] above the diagonal and its
@@ -500,11 +498,6 @@ def _grid_tables(spec: _QuadratureSpec, f: Polynomial, n: int) -> _GridTables:
         slots, blocks = np.searchsorted(diffs, degrees), None  # deg b - deg 0 = deg b
         powers = spec.radial_nodes[:, None] ** sums
     else:
-        # the kept monomials are the unit and the products z^gamma z^alpha of
-        # the columns and f's terms, so their exponents come from those alone
-        products = (np.array(cols)[:, None, :] + np.array(list(f.coeffs))).reshape(-1, spec.d)
-        products = np.concatenate((np.zeros((1, spec.d), dtype=products.dtype), products))
-        exponents = products[np.unique(graded_rank(products), return_index=True)[1]]
         values = np.prod(spec._angular ** exponents[:, None, :], axis=2)
         angular = np.stack((values.real, values.imag), axis=1).reshape(-1, spec.angular_count)
         slots, pairs = np.arange(len(degrees)), None
@@ -667,8 +660,8 @@ def mixed_index(
         raise DimensionMismatchError("f does not match the spec dimension")
     if not 0 <= n <= spec.max_budget:
         raise ArgumentError(f"n must lie in 0..{spec.max_budget}, not {brief(n)}")
-    # the twin's weight table refuses a degree n + deg f, or an order N,
-    # that the grid's monomial tables could not hold either
+    # the twin refuses an order N whose factor k^(2N) overflows a float at a
+    # degree up to n + deg f
     twin = _hilbert_twin(spec, n + f.degree)
     tables = _grid_tables(spec, f, n)
     by_moments = _moment_route(spec, tables)

@@ -22,25 +22,32 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    DimensionMismatchError,
-    SingularInversionError,
-)
+from .errors import ArgumentError, DegreeRangeError, DimensionMismatchError, SingularInversionError
 from .solver import dense_route
 
 if TYPE_CHECKING:
     from .spaces import SpaceSpec
 
+# the most keys up to its top degree that a design counts (`shifted_columns`),
+# and the most radial moments, or exponents of the monomials of degree <= 1,
+# that a space has
+MAX_KEYS = 1 << 22
+
 
 def compositions(total: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of length d summing to total, lexicographically ascending."""
-    if d == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, d - 1):
-            yield (head,) + tail
+    """Exponent tuples of length d summing to total, lexicographically ascending:
+    each takes the last nonzero entry a_k of the one before, adds 1 at k - 1
+    and puts a_k - 1 last, in one list, so no recursion grows with d."""
+    parts = [0] * (d - 1) + [total]
+    while True:
+        yield tuple(parts)
+        k = d - 1
+        while k and not parts[k]:
+            k -= 1
+        if not k:
+            return
+        parts[k], parts[-1] = 0, parts[k] - 1
+        parts[k - 1] += 1
 
 
 def multi_indices(d: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -61,44 +68,48 @@ def graded_rank(alphas) -> np.ndarray:
     The C(k-1+d, d) indices of degree below k come first. Within degree k a
     head a_i leaves C(r+m-1, m-1) compositions of the remainder r into the
     m = d-1-i later parts, and the hockey-stick identity sums those over
-    heads below a_i.
+    heads below a_i; a head of 0 adds nothing, so only the variables that
+    some index uses are visited, each with one column of binomials.
     """
     alphas = np.asarray(alphas, dtype=np.int64)
     d = alphas.shape[-1]
     rest = alphas.sum(axis=-1)
-    top = int(rest.max(initial=0)) + d
-    binom = np.array([[math.comb(m, k) for k in range(d + 1)] for m in range(top + 1)])
-    rank = binom[rest + d - 1, d]
-    for i in range(d - 1):
+    degrees = range(int(rest.max(initial=0)) + 1)
+    rank = np.array([math.comb(r + d - 1, d) for r in degrees])[rest]
+    for i in np.flatnonzero(alphas.reshape(-1, d)[:, :-1].any(axis=0)).tolist():
         m = d - 1 - i
-        rank = rank + binom[rest + m, m] - binom[rest - alphas[..., i] + m, m]
+        binom = np.array([math.comb(r + m, m) for r in degrees])
+        rank = rank + binom[rest] - binom[rest - alphas[..., i]]
         rest = rest - alphas[..., i]
     return rank
 
 
-def shifted_columns(g: SparseSeries, f: SparseSeries, n: int, row_scale: np.ndarray,
-                    dense=False, solves=1):
+def shifted_columns(g: SparseSeries, f: SparseSeries, n: int, scale, dense=False, solves=1):
     """Design whose column u holds the coefficients of u f, for the basis keys
     u of degree <= n (z^gamma, or words Z^w), with the dense target g, the
-    column keys and the kept row ranks. Rank r is the r-th key in f's
-    canonical order, as `f._shifted_ranks` ranks the products, and its row
-    is scaled by row_scale[r]. Only the ranks that a column or g reaches are
-    kept, in order and renumbered: the others are zero in both and change no
-    solution. The storage is the route of `solver.solve_nested`: a
-    column-major ndarray when `dense` is set or `solver.dense_route` picks it
-    for `solves` nested solves, a CSC matrix otherwise."""
-    cols, rows = f._shifted_ranks(n, list(f.coeffs))
-    target_rows = f._shifted_ranks(0, list(g.coeffs))[1][0]
+    column keys and the keys of the kept rows. Only the products that a
+    column or g reaches are kept, in f's canonical order (`f._shifted_ranks`),
+    each row scaled by scale(keys) of its key; the others are zero in both
+    and change no solution. Before anything is formed, more than MAX_KEYS
+    keys up to degree max(n + deg f, deg g) are refused (`f._key_count`). The
+    storage is the route of `solver.solve_nested`: a column-major ndarray
+    when `dense` is set or `solver.dense_route` picks it for `solves` nested
+    solves, a CSC matrix otherwise."""
+    count, named = f._key_count(max(n + f.degree, g.degree))
+    if count > MAX_KEYS:
+        raise DegreeRangeError(f"{named} number more than {MAX_KEYS}")
+    cols, rows, keys = f._shifted_ranks(n, list(f.coeffs))
+    _, target_rows, target_keys = f._shifted_ranks(0, list(g.coeffs))
     ncols, nterms = rows.shape
-    reached = np.zeros(len(row_scale), dtype=bool)
-    reached[rows] = reached[target_rows] = True
-    kept = np.flatnonzero(reached)
-    renumber = np.empty(len(reached), dtype=np.intp)  # read at kept ranks only
-    renumber[kept] = np.arange(len(kept))
-    rows, target_rows, row_scale = renumber[rows], renumber[target_rows], row_scale[kept]
+    ranks = np.concatenate((rows.ravel(), target_rows.ravel()))
+    _, first, renumber = np.unique(ranks, return_index=True, return_inverse=True)
+    keys = np.concatenate((keys, target_keys), axis=None).reshape(len(ranks), keys.shape[-1])
+    keys = keys[first]
+    rows, target_rows = renumber[: rows.size].reshape(rows.shape), renumber[rows.size:]
+    row_scale = scale(keys)
     values = np.asarray(list(f.coeffs.values()), dtype=complex) * row_scale[rows]
     if dense or dense_route(ncols, solves):
-        design = np.zeros((len(kept), ncols), dtype=complex, order="F")
+        design = np.zeros((len(keys), ncols), dtype=complex, order="F")
         design[rows, np.arange(ncols)[:, None]] = values
     else:
         # loaded on first use: scipy.sparse adds about 0.15 s to a fresh process
@@ -106,12 +117,12 @@ def shifted_columns(g: SparseSeries, f: SparseSeries, n: int, row_scale: np.ndar
 
         design = scipy.sparse.csc_matrix(
             (values.ravel(), rows.ravel(), np.arange(0, ncols * nterms + 1, nterms)),
-            shape=(len(kept), ncols),
+            shape=(len(keys), ncols),
         )
-    target = np.zeros(len(kept), dtype=complex)
+    target = np.zeros(len(keys), dtype=complex)
     target[target_rows] = (np.asarray(list(g.coeffs.values()), dtype=complex)
                            * row_scale[target_rows])
-    return design, target, cols, kept
+    return design, target, cols, keys
 
 
 class TermArray(list):
@@ -146,9 +157,13 @@ class SparseSeries:
     key's degree in `_length`, names the constant term's key in `_unit`,
     prints a key in `_label` and names its JSON field in `_json_field`. The
     product and the inversion use `_concat(a, b)`, the key of the product of
-    the basis elements a and b. The designs use `_shifted_ranks(n, keys)`:
-    the keys u of degree <= n in canonical order, and the canonical rank of
-    u*k for each k in keys. Keys sort by degree, then as tuples.
+    the basis elements a and b. `_key_array(keys, d)` forms keys as a
+    space's `weights` reads them, one a row: exponents, or word lengths. The
+    designs use `_shifted_ranks(n, keys)`: the keys u of degree <= n in
+    canonical order, the canonical rank of u*k for each k in keys, and
+    those products as `_key_array` forms them (last axis); `_key_count(top)`
+    counts and names the keys of degree <= top. Keys sort by degree, then
+    as tuples.
     """
 
     __slots__ = ("d", "coeffs")
@@ -204,19 +219,6 @@ class SparseSeries:
         if isinstance(other, type(self)):
             return other
         return type(self)(self.d, {self._unit(): complex(other)})
-
-    def weighted_inner(self, other, weight) -> complex:
-        """sum_k weight(k) self[k] conj(other[k]), walking the sparser operand."""
-        acc = 0j
-        small, large = self, other
-        if len(other.coeffs) < len(self.coeffs):
-            small, large = other, self
-        for k, cs in small.coeffs.items():
-            cl = large.coeffs.get(k)
-            if cl is not None:
-                a, b = (cs, cl) if small is self else (cl, cs)
-                acc += weight(k) * a * b.conjugate()
-        return acc
 
     def _sorted_keys(self) -> list[tuple[int, ...]]:
         return sorted(self.coeffs, key=lambda k: (self._length(k), k))
@@ -347,10 +349,20 @@ class Polynomial(SparseSeries):
     def _concat(alpha, beta) -> tuple[int, ...]:
         return tuple(map(operator.add, alpha, beta))
 
-    def _shifted_ranks(self, n: int, keys: list) -> tuple[list, np.ndarray]:
+    @staticmethod
+    def _key_array(keys: list, d: int) -> np.ndarray:
+        return np.array(keys, dtype=np.int64).reshape(-1, d)
+
+    def _shifted_ranks(self, n: int, keys: list) -> tuple[list, np.ndarray, np.ndarray]:
         cols = multi_indices(self.d, n)
-        keys = np.array(keys, dtype=np.int64).reshape(-1, self.d)
-        return cols, graded_rank(np.array(cols, dtype=np.int64)[:, None, :] + keys)
+        products = self._key_array(cols, self.d)[:, None, :] + self._key_array(keys, self.d)
+        return cols, graded_rank(products), products
+
+    def _key_count(self, top: int) -> tuple[int, str]:
+        # C(top + d, k) grows with k up to min(top, d) and passes 2^22 at
+        # k = 13, so the cap keeps comb() fast and the test exact
+        count = math.comb(top + self.d, min(self.d, top, 13))
+        return count, f"monomials of degree <= {brief(top)} in {self.d} variables"
 
     @staticmethod
     def _label(alpha) -> str:
@@ -509,9 +521,9 @@ def mult_operator_section(spec: "SpaceSpec", phi: Polynomial, n_in: int) -> np.n
     spec.check_algebra(phi)
     if n_in < 0:
         raise ArgumentError("n_in must be >= 0")
-    norms = np.sqrt(spec.weight_vector(n_in + phi.degree))  # refuses a degree past the table
-    design, _, cols, _ = shifted_columns(Polynomial.zero(spec.d), phi, n_in, norms, dense=True)
-    return design / norms[: len(cols)]
+    design, _, cols, _ = shifted_columns(Polynomial.zero(spec.d), phi, n_in,
+                                         lambda keys: np.sqrt(spec.weights(keys)), dense=True)
+    return design / np.sqrt(spec.weights(Polynomial._key_array(cols, spec.d)))
 
 
 def jsonsafe(value):

@@ -13,7 +13,9 @@ surface measure, normalized so the sphere has measure 1 throughout the
 package. The separate c_0 rule realizes the extra modulus-at-zero term that
 a positive derivative order requires. Norms and inner products are then
 weighted l2 sums over power-series coefficients, which keeps every
-least-squares problem downstream closed-form.
+least-squares problem downstream closed-form. No weight is tabulated: a
+space keeps the radial factor of each degree, and `SpaceSpec.weights`
+evaluates the closed form on the keys that a norm or a design reaches.
 
 The Drury-Arveson space is the special diagonal family
 c_alpha = alpha!/|alpha|!, matching the kernel 1/(1 - <z, w>); this is also
@@ -29,12 +31,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    DegreeRangeError,
-    DimensionMismatchError,
-)
-from .poly import Polynomial, bind, brief, choose, multi_indices
+from .errors import ArgumentError, DegreeRangeError, DimensionMismatchError
+from .poly import MAX_KEYS, Polynomial, bind, brief, choose, compositions
 
 KIND_DIAGONAL_BESOV = "diagonal_besov"
 KIND_DRURY_ARVESON = "drury_arveson"
@@ -44,26 +42,43 @@ _KINDS = (KIND_DIAGONAL_BESOV, KIND_DRURY_ARVESON, KIND_CUSTOM_DIAGONAL)
 
 
 def default_max_degree(d: int) -> int:
-    # Bounded memory with predictable ranges: 64 monomials in one variable,
-    # total degree 20 otherwise.
+    # the degree range of a space that names none: 64 in one variable, total
+    # degree 20 otherwise; a moment kind holds 2 max_degree + 1 moments for it
     return 64 if d == 1 else 20
 
 
-# a space tabulates the weight of each of its C(max_degree + d, d) monomials
-# eagerly; this many (d = 8 at the default degree 20 needs 3.1M) is the most
-MAX_MONOMIALS = 1 << 22
-
-
-def _check_table(d: int, max_degree: int) -> None:
+def _check_size(d: int, max_degree: int, moments: bool) -> None:
+    """Refuse a d whose d + 1 monomials of degree <= 1 hold more than
+    MAX_KEYS exponents (d <= 2047), or for a moment kind (`moments` set) more
+    than MAX_KEYS moments, 2 max_degree + 1; nothing is allocated before."""
     if d < 1:
         raise ArgumentError("d must be >= 1")
     if max_degree < 0:
         raise ArgumentError("max_degree must be >= 0")
-    # C(n + d, k) grows with k up to min(n, d) and passes 2^22 at k = 13 when
-    # min(n, d) > 13, so the cap on k keeps comb() fast and the test exact
-    if math.comb(max_degree + d, min(d, max_degree, 13)) > MAX_MONOMIALS:
+    if d * (d + 1) > MAX_KEYS or moments and 2 * max_degree + 1 > MAX_KEYS:
         raise ArgumentError(f"d = {brief(d)} and maxDegree = {brief(max_degree)} give more "
-                            f"than {MAX_MONOMIALS} monomial weights to tabulate")
+                            f"than {MAX_KEYS} exponents of degree <= 1 or radial moments")
+
+
+# k! for k <= 22, each exactly a float: the odd part of 22! is below 2^53
+_FACTORIALS = np.array([math.factorial(k) for k in range(23)], dtype=float)
+
+
+def _reciprocal_multinomials(parts: np.ndarray) -> np.ndarray:
+    """p!/|p|! for each row p of the integer array parts, correctly rounded.
+    Up to |p| = 22, |p|! is an exact float and so is p!, which divides it,
+    so their quotient rounds once; a row of one nonzero part is 1. Any other
+    row is divided in Python integers, which round correctly too, where
+    1/float(|p|!/p!) is an ulp off for some rows past 2^53."""
+    totals = parts.sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflow is in a row redone below
+        out = _FACTORIALS[np.minimum(parts, 22)].prod(axis=1) / _FACTORIALS[np.minimum(totals, 22)]
+    single = parts.max(axis=1, initial=0) == totals
+    out[single] = 1.0
+    for i in np.flatnonzero((totals > 22) & ~single).tolist():
+        row = parts[i].tolist()
+        out[i] = math.prod(map(math.factorial, row)) / math.factorial(sum(row))
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,11 +129,7 @@ def sphere_moment(d: int, alpha: Sequence[int]) -> float:
         raise DimensionMismatchError(f"alpha has {len(key)} entries, expected {d}")
     if any(a < 0 for a in key):
         raise ArgumentError(f"negative exponent in {key}")
-    num = math.factorial(d - 1)
-    for a in key:
-        num *= math.factorial(a)
-    den = math.factorial(d - 1 + sum(key))
-    return num / den
+    return float(_reciprocal_multinomials(np.array([(d - 1, *key)]))[0])
 
 
 def sphere_sample(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -130,9 +141,9 @@ def sphere_sample(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
 
 class DiagonalSpace:
     """The weighted l2 geometry of `SpaceSpec` and `freespace.FreeSpaceSpec`.
-    A subclass names the series class of its algebra in `series` and the
-    weight of one key in `_key_weight`, which raises `DegreeRangeError` past
-    the tabulated range."""
+    A subclass names the series class of its algebra in `series`, whose
+    `_key_array` forms an array of keys, and evaluates its weight rule on
+    that array in `weights`, which refuses a key past its degree range."""
 
     __slots__ = ()
 
@@ -145,13 +156,22 @@ class DiagonalSpace:
             if s.d != self.d:
                 raise DimensionMismatchError(f"series in {s.d} variables, space d={self.d}")
 
+    def _weigh(self, keys: list) -> list[float]:
+        """The weights of a list of series keys, as floats."""
+        return self.weights(self.series._key_array(keys, self.d)).tolist()
+
     def inner_product(self, f, g) -> complex:
-        """<f, g> = sum_k w_k fhat(k) conj(ghat(k)) over the keys k."""
+        """<f, g> = sum_k w_k fhat(k) conj(ghat(k)) over the keys k of both,
+        walking the sparser operand."""
         self.check_algebra(f, g)
-        for s in (f, g):
-            if s.coeffs:  # the key of top degree is in range, or none is
-                self._key_weight(max(s.coeffs, key=s._length))
-        return f.weighted_inner(g, self._key_weight)
+        small, large = sorted((f.coeffs, g.coeffs), key=len)
+        common, acc = [k for k in small if k in large], 0j
+        # the key of top degree of each operand is weighed too, so that it is
+        # in range, or none is
+        tops = [max(s.coeffs, key=s._length) for s in (f, g) if s.coeffs]
+        for k, w in zip(common, self._weigh(common + tops)):
+            acc += w * f.coeffs[k] * g.coeffs[k].conjugate()
+        return acc
 
     def norm(self, f) -> float:
         return math.sqrt(max(self.inner_product(f, f).real, 0.0))
@@ -160,11 +180,11 @@ class DiagonalSpace:
         """The norm of f truncated to each degree 0..top, from one running
         sum over its terms. The sums are `norm`'s own, bit for bit, when the
         terms are stored in degree order, as `invert_power_series` stores
-        them; each key's weight is range-checked as `norm` checks it."""
+        them; every key's weight is range-checked."""
         self.check_algebra(f)
         through, total = {}, 0j
-        for k, c in f.coeffs.items():
-            total += self._key_weight(k) * c * c.conjugate()
+        for (k, c), w in zip(f.coeffs.items(), self._weigh(list(f.coeffs))):
+            total += w * c * c.conjugate()
             through[f._length(k)] = total
         norms, total = [], 0j
         for length in range(top + 1):
@@ -174,24 +194,17 @@ class DiagonalSpace:
 
 
 class SpaceSpec(DiagonalSpace):
-    """Immutable diagonal description of a function space.
+    """Immutable diagonal description of a function space. All operations
+    are pure; `weights` computes each weight from its closed form."""
 
-    All operations are pure; construction eagerly tabulates every monomial
-    weight up to max_degree.
-    """
-
-    __slots__ = ("kind", "d", "N", "max_degree", "moments", "_weights")
+    # perfbench/tracing.py reads len(_weights) when it traces a build: the
+    # user's table of a custom space, and empty for the formula kinds
+    __slots__ = ("kind", "d", "N", "max_degree", "moments", "_radial", "_weights")
     series = Polynomial
 
-    def __init__(
-        self,
-        kind: str,
-        d: int,
-        N: int = 0,
-        max_degree: int | None = None,
-        moments: MomentSequence | None = None,
-        custom_weights: Mapping[tuple[int, ...], float] | None = None,
-    ):
+    def __init__(self, kind: str, d: int, N: int = 0, max_degree: int | None = None,
+                 moments: MomentSequence | None = None,
+                 custom_weights: Mapping[tuple[int, ...], float] | None = None):
         if kind not in _KINDS:
             raise ArgumentError(f"unknown space kind {brief(kind)}")
         if N < 0:
@@ -202,82 +215,75 @@ class SpaceSpec(DiagonalSpace):
         self.d = int(d)
         self.N = int(N)
         self.max_degree = int(max_degree if max_degree is not None else default_max_degree(d))
-        _check_table(self.d, self.max_degree)
+        _check_size(self.d, self.max_degree, kind == KIND_DIAGONAL_BESOV)
         self.moments = moments
-        self._weights = self._build_weights(custom_weights)
+        self._radial = self._radial_factor() if kind == KIND_DIAGONAL_BESOV else None
+        self._weights = self._custom_table(custom_weights) if kind == KIND_CUSTOM_DIAGONAL else {}
 
-    def _build_weights(self, custom) -> dict[tuple[int, ...], float]:
-        indices = multi_indices(self.d, self.max_degree)
-        table: dict[tuple[int, ...], float] = {}
-        if self.kind == KIND_DRURY_ARVESON:
-            for alpha in indices:
-                num = 1
-                for a in alpha:
-                    num *= math.factorial(a)
-                table[alpha] = num / math.factorial(sum(alpha))
-        elif self.kind == KIND_DIAGONAL_BESOV:
-            if self.moments is None:
-                raise ArgumentError("diagonal Besov spaces require a moment sequence")
-            needed = 2 * self.max_degree + 1
-            if len(self.moments) < needed:
-                raise ArgumentError(
-                    f"moment sequence has {len(self.moments)} entries, "
-                    f"needs {needed} for max_degree={self.max_degree}"
-                )
+    def _radial_factor(self) -> tuple[float, ...]:
+        """r_0 = m[0] and r_k = k^(2N) m[2k] for k = 1..max_degree, finite."""
+        if self.moments is None:
+            raise ArgumentError("diagonal Besov spaces require a moment sequence")
+        needed = 2 * self.max_degree + 1
+        if len(self.moments) < needed:
+            raise ArgumentError(f"moment sequence has {len(self.moments)} entries, "
+                                f"needs {needed} for max_degree={self.max_degree}")
+        radial = [self.moments[0]]
+        for k in range(1, self.max_degree + 1):
             try:
-                for alpha in indices:
-                    k = sum(alpha)
-                    if k == 0:
-                        table[alpha] = self.moments[0]
-                    else:
-                        table[alpha] = (
-                            float(k) ** (2 * self.N)
-                            * self.moments[2 * k]
-                            * sphere_moment(self.d, alpha)
-                        )
-            except OverflowError:
+                radial.append(float(k) ** (2 * self.N) * self.moments[2 * k])
+            except OverflowError:  # k^(2N) past the largest float
+                radial.append(math.inf)
+            if radial[-1] == math.inf:
                 raise ArgumentError(f"derivative order N = {self.N} overflows the weight "
-                                    f"factor |alpha|^(2N) at degree {k}") from None
-        else:
-            if custom is None:
-                raise ArgumentError("custom diagonal spaces require a weight table")
-            for alpha in indices:
-                key = tuple(alpha)
-                if key not in custom:
-                    raise ArgumentError(f"custom weights missing entry for {key}")
-                w = float(custom[key])
-                if w <= 0:
-                    raise ArgumentError(f"weight for {key} must be positive")
-                table[key] = w
-        for alpha, w in table.items():
-            if not (w > 0) or not math.isfinite(w):
-                raise ArgumentError(f"monomial weight for {alpha} is not positive finite")
+                                    f"factor |alpha|^(2N) m[2|alpha|] at degree {k}")
+        return tuple(radial)
+
+    def _custom_table(self, custom) -> dict[tuple[int, ...], float]:
+        """The user's weight of every key up to max_degree, in graded order;
+        the walk stops at a missing key, so it is no longer than the table."""
+        if custom is None:
+            raise ArgumentError("custom diagonal spaces require a weight table")
+        table = {}
+        for key in (key for k in range(self.max_degree + 1) for key in compositions(k, self.d)):
+            if key not in custom:
+                raise ArgumentError(f"custom weights missing entry for {key}")
+            table[key] = float(custom[key])
+            if not (table[key] > 0 and math.isfinite(table[key])):
+                raise ArgumentError(f"weight for {key} must be positive finite")
         return table
+
+    def weights(self, keys: np.ndarray) -> np.ndarray:
+        """c_alpha for each row alpha of an integer array of exponents, bit
+        for bit the correctly rounded closed form: alpha!/|alpha|! for
+        Drury-Arveson, r_|alpha| times the sphere moment (d-1)! alpha! /
+        (d-1+|alpha|)!, the reciprocal multinomial of (d-1, alpha), for the
+        moment kinds, the user's table for a custom space. A degree past
+        max_degree is a `DegreeRangeError`, a weight that rounds to 0 an
+        `ArgumentError` naming its key."""
+        degrees = keys.sum(axis=1)
+        top = int(degrees.max(initial=0))
+        if top > self.max_degree:
+            raise DegreeRangeError(f"degree {brief(top)} beyond max_degree={self.max_degree}")
+        if self.kind == KIND_CUSTOM_DIAGONAL:
+            return np.array([self._weights[k] for k in map(tuple, keys.tolist())])
+        if self.kind == KIND_DRURY_ARVESON:
+            out = _reciprocal_multinomials(keys)
+        else:
+            heads = np.full((len(keys), 1), self.d - 1)
+            out = (np.array(self._radial[: top + 1])[degrees]
+                   * _reciprocal_multinomials(np.concatenate((heads, keys), axis=1)))
+        if not out.all():
+            raise ArgumentError(f"the weight of z^{brief(tuple(keys[np.argmin(out)].tolist()))}"
+                                " rounds to 0")
+        return out
 
     def monomial_norm_sq(self, alpha: Sequence[int]) -> float:
         """c_alpha = ||z^alpha||^2 for |alpha| <= max_degree."""
         key = tuple(int(a) for a in alpha)
         if len(key) != self.d:
             raise DimensionMismatchError(f"alpha has {len(key)} entries, expected {self.d}")
-        return self._key_weight(key)
-
-    def _key_weight(self, alpha: tuple[int, ...]) -> float:
-        try:
-            return self._weights[alpha]
-        except KeyError:
-            raise DegreeRangeError(
-                f"|alpha|={sum(alpha)} beyond precomputed max_degree={self.max_degree}"
-            ) from None
-
-    def weight_vector(self, max_degree: int) -> np.ndarray:
-        """c_alpha for every |alpha| <= max_degree, in graded-lex order."""
-        if max_degree > self.max_degree:
-            raise DegreeRangeError(
-                f"degree {brief(max_degree)} beyond precomputed max_degree={self.max_degree}"
-            )
-        # the table was filled in graded-lex order, so its head is the answer
-        count = math.comb(max_degree + self.d, self.d)
-        return np.fromiter(self._weights.values(), dtype=float, count=count)
+        return self._weigh([key])[0]
 
     def to_json(self) -> dict:
         out = {
@@ -288,11 +294,8 @@ class SpaceSpec(DiagonalSpace):
         }
         if self.kind == KIND_DIAGONAL_BESOV:
             out["moments"] = list(self.moments.values)
-        elif self.kind == KIND_CUSTOM_DIAGONAL:
-            out["weights"] = [
-                {"exponents": list(a), "value": self._weights[a]}
-                for a in sorted(self._weights, key=lambda a: (sum(a), a))
-            ]
+        elif self.kind == KIND_CUSTOM_DIAGONAL:  # the table is in graded order
+            out["weights"] = [{"exponents": list(a), "value": w} for a, w in self._weights.items()]
         return out
 
     @classmethod
@@ -318,17 +321,15 @@ class SpaceSpec(DiagonalSpace):
         return choose("kind", readers, what="space")(obj)
 
     def __repr__(self) -> str:
-        return (
-            f"SpaceSpec(kind={self.kind!r}, d={self.d}, N={self.N}, "
-            f"max_degree={self.max_degree})"
-        )
+        return (f"SpaceSpec(kind={self.kind!r}, d={self.d}, N={self.N}, "
+                f"max_degree={self.max_degree})")
 
 
 def _moment_space(d: int, max_degree: int | None, N: int, moment) -> SpaceSpec:
     """Diagonal Besov space of derivative order N whose j-th radial moment is
     moment(j), tabulated for j <= 2 * max_degree."""
     md = max_degree if max_degree is not None else default_max_degree(d)
-    _check_table(d, md)
+    _check_size(d, md, True)
     moments = MomentSequence(tuple(moment(j) for j in range(2 * md + 1)))
     return SpaceSpec(KIND_DIAGONAL_BESOV, d, N, md, moments=moments)
 

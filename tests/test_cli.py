@@ -230,7 +230,7 @@ class TestValidationAndExitCodes:
     ], ids=["free-index", "compress-check"])
     def test_oversized_free_budget_exits_two(self, tmp_path, capsys, command, config):
         # words of length <= 51 over 2 letters number 2^52 - 1, past the
-        # 2^22 weights a table may hold
+        # 2^22 keys a design may count
         function = [{"letters": [], "re": 1}, {"letters": [1], "re": -0.5}]
         rc, path = run_cli(tmp_path, command, {**config, "function": function, "n": 50})
         assert rc == 2
@@ -548,7 +548,8 @@ MISREAD = {
                            "term key 're'"),
     "n-5000-digits": (*_index(n="raw:" + "9" * 5000), "cannot read config"),
     # integers too large for their use, each refused where it is used: a
-    # generated cloud's count, a free space's words, a space's weight table
+    # generated cloud's count, a free space's words, a space's variables and
+    # radial moments
     "arc-count-400-digits": ("capacity", {"cloud": {**_ARC, "count": 10**400}, "alpha": 0},
                              "count must lie in 1..16777216"),
     "circle-count-2-to-40": ("dimension", {"cloud": {"kind": "circle", "count": 2**40}},
@@ -561,10 +562,13 @@ MISREAD = {
                                                 "function": [{"letters": [], "re": 1}], "n": 1},
                                  "d = 2 and maxLength = 63 give 2^63 words"),
     "preset-d-400-digits": (*_index(space={"preset": "hardy", "d": 10**400}),
-                            "and maxDegree = 20 give more than 4194304 monomial weights"),
+                            "and maxDegree = 20 give more than 4194304 exponents of degree "
+                            "<= 1 or radial moments"),
     "space-string-400-digits": (*_index(space="hardy(" + "9" * 400 + ")"),
-                                "and maxDegree = 20 give more than 4194304 monomial weights"),
-    # C(2^23 - 2, 2^22 - 1) weights: counting them exactly would take minutes
+                                "and maxDegree = 20 give more than 4194304 exponents of "
+                                "degree <= 1 or radial moments"),
+    # 2^23 - 1 radial moments and d (d + 1) exponents of degree <= 1, both
+    # refused before anything is built
     "preset-d-and-max-degree-2-to-22": (*_index(space={"preset": "hardy", "d": 2**22 - 1,
                                                        "maxDegree": 2**22 - 1}),
                                         "d = 4194303 and maxDegree = 4194303 give more"),
@@ -704,9 +708,9 @@ class TestConfigKeys:
         assert err.startswith("invalid config: ") and named in err
 
     def test_preset_max_degree_beyond_the_weight_table_exits_two(self, tmp_path):
-        # tabulating the weights up to a 400-digit degree would run until
-        # killed, so this one runs in its own process under a timeout and
-        # a 2 GB address-space limit
+        # building the radial moments up to a 400-digit degree would run
+        # until killed, so this one runs in its own process under a timeout
+        # and a 2 GB address-space limit
         config = {"space": {"preset": "hardy", "d": 1, "maxDegree": 10**400},
                   "function": _ONE_MINUS_Z, "n": 2}
         cfg = tmp_path / "index.json"
@@ -719,7 +723,39 @@ class TestConfigKeys:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("invalid config: d = 1 and maxDegree = 1000")
-        assert "more than 4194304 monomial weights" in proc.stderr
+        assert "more than 4194304 exponents of degree <= 1 or radial moments" in proc.stderr
+
+    def test_reached_weight_that_rounds_to_zero_exits_two(self, tmp_path, capsys):
+        # the weight 1/C(1120, 560) of z1^560 z2^560 is below the least
+        # subnormal; the index refuses it rather than solve with a zero row
+        config = {"space": {"kind": "drury_arveson", "d": 2, "maxDegree": 1200},
+                  "function": [{"exponents": [0, 0], "re": 1},
+                               {"exponents": [560, 560], "re": -1}], "n": 0}
+        rc, path = run_cli(tmp_path, "index", config)
+        assert rc == 2
+        assert not path.exists()
+        assert "the weight of z^(560, 560) rounds to 0" in capsys.readouterr().err
+
+    def test_preset_with_2_to_22_variables_exits_two(self, tmp_path):
+        # the 1 + d monomials of degree <= 1 are 2^22, within a design's
+        # count, but they hold d (d + 1) exponents, so the space refuses d;
+        # reading the 2^22-entry exponent arrays takes seconds, so this runs
+        # in its own process under a timeout and a 2 GB limit
+        d = 2**22 - 1
+        one = [1] + [0] * (d - 1)
+        config = {"space": {"preset": "hardy", "d": d}, "n": 0,
+                  "function": [{"exponents": [0] * d, "re": 1}, {"exponents": one, "re": -1}]}
+        cfg = tmp_path / "index.json"
+        cfg.write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclicity", "index", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"invalid config: d = {d} and maxDegree = 20 give more "
+                                      "than 4194304 exponents of degree <= 1 or radial moments")
 
     @pytest.mark.parametrize("command, config, named", [
         ("capacity", {"cloud": _ARC, "alpha": 10**400}, "config key 'alpha' must be"),

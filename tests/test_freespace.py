@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,12 +104,30 @@ class TestFreeNorms:
     @pytest.mark.parametrize("d, length, count", [(2, 21, 2**22 - 1), (3, 13, (3**14 - 1) // 2)])
     def test_weight_table_stops_at_the_monomial_bound(self, d, length, count):
         # free Hardy indices at d = 2, n = 20 and d = 3, n = 12 of a linear G
-        # tabulate words up to these lengths, within 2^22; one length more
-        # passes the bound, and the space itself stays constructible
+        # count words up to these lengths, within 2^22, and a one-column
+        # design of that top length runs; one length more passes the
+        # design's bound, and the space itself stays constructible
         spec = free_hardy(d, length + 1)
-        assert len(spec.weight_vector(length)) == count
+        one = FreePolynomial.identity(d)
+        G = FreePolynomial(d, {(): 1.0, (1,): -0.5})
+        assert G._key_count(length)[0] == count
+        top = FreePolynomial(d, {(): 1.0, (1,) * length: -0.5})
+        assert free_subspace_distance(spec, one, top, 0).residual > 0
         with pytest.raises(DegreeRangeError, match=f"length <= {length + 1} .* 4194304"):
-            spec.weight_vector(length + 1)
+            free_subspace_distance(spec, one, G, length)
+
+    def test_tall_index_memory_follows_the_reached_rows(self):
+        # words of length <= 12 over 3 letters rank up to 797,161, but the
+        # 40 columns of G = 1 - Z1^9 / 2 at n = 3 reach 80 rows
+        G = FreePolynomial(3, {(): 1.0, (1,) * 9: -0.5})
+        tracemalloc.start()
+        try:
+            result = free_subspace_distance(free_hardy(3, 12), FreePolynomial.identity(3), G, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert result.residual == 0.4472135954999579  # 1/sqrt(5)
 
     def test_spec_json(self):
         assert free_hardy(2, 5).to_json() == {"kind": "free_hardy", "d": 2, "maxLength": 5}

@@ -601,6 +601,9 @@ def test_cg_route_loads_no_scipy_linalg():
 
 def test_spec_weight_vector_follows_graded_order():
     spec = SpaceSpec("drury_arveson", 3, max_degree=6)
-    vector = spec.weight_vector(5)
     keys = multi_indices(3, 5)
+    vector = spec.weights(np.array(keys))
     assert vector.tolist() == [spec.monomial_norm_sq(a) for a in keys]
+    # each row in graded order against alpha!/|alpha|! in Python integers
+    assert vector.tolist() == [math.prod(map(math.factorial, a)) / math.factorial(sum(a))
+                               for a in keys]

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cyclicity.errors import ArgumentError, DegreeRangeError, DimensionMismatchError
+from cyclicity.indices import subspace_distance
 from cyclicity.poly import Polynomial, multi_indices
 from cyclicity.spaces import (
     MomentSequence,
@@ -212,3 +214,69 @@ class TestSerializationAndPresets:
     def test_default_degrees(self):
         assert hardy(1).max_degree == 64
         assert hardy(3).max_degree == 20
+
+
+def closed_form_weight(spec, alpha):
+    """The weight of z^alpha from its closed form: Python's exact rational
+    alpha!/|alpha|! for Drury-Arveson, and r_k times the exact rational
+    (d-1)! alpha!/(d-1+k)! for the moment kinds, each rounded once."""
+    k, num = sum(alpha), math.prod(map(math.factorial, alpha))
+    if spec.kind == "drury_arveson":
+        return float(Fraction(num, math.factorial(k)))
+    radial = spec.moments[0] if k == 0 else float(k) ** (2 * spec.N) * spec.moments[2 * k]
+    d = spec.d
+    return radial * float(Fraction(math.factorial(d - 1) * num, math.factorial(d - 1 + k)))
+
+
+class TestClosedFormWeights:
+    @pytest.mark.parametrize("build, d, top, off", [
+        (drury_arveson, 2, 70, 83), (drury_arveson, 3, 45, 309),
+        (bergman, 2, 60, None), (bergman, 3, 40, None),
+        (dirichlet_type, 2, 60, None), (dirichlet_type, 3, 40, None),
+    ])
+    def test_every_weight_is_the_rounded_closed_form(self, build, d, top, off):
+        spec = build(d, top)
+        keys = multi_indices(d, top)
+        assert spec.weights(np.array(keys)).tolist() == [closed_form_weight(spec, a) for a in keys]
+        if off is not None:
+            # the keys whose multinomial passes 2^53, where the float
+            # reciprocal is one ulp off and only integers round correctly
+            floats = [1 / float(math.factorial(sum(a)) // math.prod(map(math.factorial, a)))
+                      for a in keys]
+            misses = [a for a, w in zip(keys, floats) if w != closed_form_weight(spec, a)]
+            assert len(misses) == off
+
+    def test_drury_arveson_12_holds_no_table(self):
+        spec = drury_arveson(12)
+        assert spec.max_degree == 20
+        assert len(spec._weights) == 0 and spec._radial is None
+
+    def test_drury_arveson_12_meets_arveson_oracle(self):
+        # the distance from 1 to the degree-n multiples of 1 - <z, u>, u a
+        # unit vector, is 1/sqrt(n + 2) in Drury-Arveson space
+        rng = np.random.default_rng(12)
+        u = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        u /= np.linalg.norm(u)
+        coeffs = {(0,) * 12: 1.0}
+        for i, ui in enumerate(u):
+            coeffs[tuple(int(j == i) for j in range(12))] = -np.conj(ui)
+        f = Polynomial(12, coeffs)
+        residual = subspace_distance(drury_arveson(12), Polynomial.one(12), f, 3).residual
+        assert residual**2 == pytest.approx(1 / 5, rel=1e-13)
+
+    def test_drury_arveson_8_runs_a_design_of_top_degree_20(self):
+        # its 3,108,105 monomials of degree <= 20 are within a design's 2^22;
+        # of the 9 columns of f = 1 - z1^19 only f meets 1, and ||f||^2 = 2
+        f = Polynomial(8, {(0,) * 8: 1.0, (19,) + (0,) * 7: -1.0})
+        result = subspace_distance(drury_arveson(8), Polynomial.one(8), f, 1)
+        assert result.residual**2 == pytest.approx(1 / 2, rel=1e-13)
+
+    def test_bergman_8_matches_a_custom_copy(self):
+        spec = bergman(8)
+        keys = multi_indices(8, 5)
+        copy = SpaceSpec("custom_diagonal", 8, max_degree=5,
+                         custom_weights=dict(zip(keys, spec.weights(np.array(keys)).tolist())))
+        f = random_polynomial(np.random.default_rng(8), 8, 1)
+        one = Polynomial.one(8)
+        a, b = subspace_distance(spec, one, f, 4), subspace_distance(copy, one, f, 4)
+        assert (a.residual, a.phi) == (b.residual, b.phi)
