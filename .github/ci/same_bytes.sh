@@ -10,9 +10,12 @@
 # points, on a whole face and on the partial faces left after points drop,
 # the FFT route of an arc past 511 points, and monomial weights at d >= 2:
 # a Drury-Arveson d = 3 sweep (sweep-drury-arveson-d3), a weight
-# perturbation of bergman(2) (perturb-weight-bergman2) and a commutative
+# perturbation of bergman(2) (perturb-weight-bergman2), a commutative
 # corona check on dirichlet_type(2), whose multiplier sections divide by
-# column norms (corona-commutative-dirichlet2). A differing pair is listed with
+# column norms (corona-commutative-dirichlet2), and two reports whose
+# boundary clouds are not empty, so that they count a neighborhood measure:
+# the 64 roots of z^64 - 1 (report-z64) and the 2 of 1 - z^2 at epsNbhd 0.5
+# (report-two-points-wide). A differing pair is listed with
 # the largest relative difference between the numbers at the same JSON
 # path (.json) or the same row and column (.csv), or as "structure
 # differs", so that a rounding-level change reads as one. It writes Markdown to

@@ -14,7 +14,11 @@ sets. Three size measurements are provided and deliberately kept distinct:
   continuous majorants of its indicator collapses to the measure of the set
   itself, so the neighborhood measure is the honest outer estimate. This is
   a different functional from the Riesz capacity and the two are never
-  conflated.
+  conflated. The samples within eps of the cloud are counted by a sorted
+  sweep along the cloud's widest real coordinate: a block of samples meets
+  only the cloud points within `reach` of it there, eps widened by a
+  rounding bound so that no point left out could have counted, at a cost
+  of samples x window and in blocks of at most BLOCK_ENTRIES entries.
 * `box_dimension`: box-counting slope, a computable proxy for Hausdorff
   dimension (exact Hausdorff measure is out of scope).
 
@@ -775,31 +779,68 @@ def neighborhood_capacity(
     value (any alpha > 0 gives the measure of the set); it is carried only
     to label reports.
 
-    Squared distances |x|^2 - 2 x.y + |y|^2 are formed for one block of
-    sample rows at a time, of at most BLOCK_ENTRIES (2^17) entries, in
-    place and in that order of operations, so every value is the one a
-    whole-grid array would hold.
+    The count is a sorted sweep. Cloud points and samples are both sorted
+    along the real coordinate k on which the cloud spreads most; each block
+    of max(1, BLOCK_ENTRIES // n) consecutive samples (BLOCK_ENTRIES = 2^17)
+    meets only the one run of cloud points whose coordinate k lies within
+    `reach` of the block's, so it costs samples x window, not samples x n,
+    and no block of squared distances holds more than BLOCK_ENTRIES entries
+    (one row of n when n exceeds it), whatever eps_nbhd is. On that window
+    the squared distances |x|^2 - 2 x.y + |y|^2 are formed in place, in the
+    order of operations of the whole-grid formula.
+
+    No point left out of a window could have been counted. The computed d2
+    of x and y in R^(2d) sums 6d products, each through at most 2d + 2
+    roundings, in whatever order the matrix product takes, so
+    |fl(d2) - |x - y|^2| <= gamma (|x| + |y|)^2 with gamma = gamma_(2d+2)
+    = (2d+2) u / (1 - (2d+2) u), u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 3.1): 4 gamma for unit vectors.
+    Hence reach = sqrt(eps^2 + 4 gamma) + 4 gamma. The added 4 gamma >= 16 u
+    covers the roundings of reach and of each window's limits, at most
+    u (1 + 3.5 reach) < 9 u while reach < 2.2 (a larger reach leaves no
+    point out), and norms off 1 by a few u; so a point outside a window
+    lies more than sqrt(eps^2 + 4 gamma) from every sample of the block
+    along k alone, and its computed d2 exceeds eps^2. Each count is then
+    the whole-grid one, up to the matrix product itself: BLAS can round
+    an entry by an ulp otherwise as its block's shape changes (OpenBLAS
+    does), which only a d2 within that of eps^2 would show.
     """
     if not 0 < eps_nbhd < math.inf:
         raise ArgumentError("eps_nbhd must be positive and finite")
     _check_alpha(alpha)
-    if samples < 1:
-        raise ArgumentError(f"samples must be >= 1, not {brief(samples)}")
+    if (not isinstance(samples, int) or isinstance(samples, bool)
+            or not 1 <= samples <= MAX_CLOUD_POINTS):
+        raise ArgumentError(
+            f"samples must be >= 1 and <= {MAX_CLOUD_POINTS} (an int), not {brief(samples)}")
     if cloud.size == 0:
         return 0.0
-    grid = _quasi_uniform_sphere(2 * cloud.dimension, samples)
     pts = cloud.as_real()
+    axis = int(np.argmax(np.ptp(pts, axis=0)))
+    pts = pts[np.argsort(pts[:, axis])]
+    keys = pts[:, axis]
     pts_sq = np.sum(pts**2, axis=1)
-    hits = 0
-    chunk = max(1, BLOCK_ENTRIES // len(pts))
+    grid = _quasi_uniform_sphere(2 * cloud.dimension, samples)
+    grid = grid[np.argsort(grid[:, axis])]
+    grid_sq = np.sum(grid**2, axis=1)
     eps_sq = eps_nbhd * eps_nbhd
-    for start in range(0, len(grid), chunk):
-        block = grid[start : start + chunk]
-        d2 = 2.0 * block @ pts.T
-        np.subtract(np.sum(block**2, axis=1)[:, None], d2, out=d2)
-        d2 += pts_sq
+    m = 2 * cloud.dimension + 2
+    gamma = m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
+    reach = math.sqrt(eps_sq + 4.0 * gamma) + 4.0 * gamma
+    rows = max(1, BLOCK_ENTRIES // len(pts))
+    starts = np.arange(0, samples, rows)
+    ends = np.minimum(starts + rows, samples)
+    firsts = np.searchsorted(keys, grid[starts, axis] - reach)
+    lasts = np.searchsorted(keys, grid[ends - 1, axis] + reach, side="right")
+    hits = 0
+    for start, end, first, last in zip(starts.tolist(), ends.tolist(),
+                                       firsts.tolist(), lasts.tolist()):
+        if first == last:
+            continue
+        d2 = 2.0 * grid[start:end] @ pts[first:last].T
+        np.subtract(grid_sq[start:end, None], d2, out=d2)
+        d2 += pts_sq[first:last]
         hits += int(np.count_nonzero(d2.min(axis=1) <= eps_sq))
-    return hits / len(grid)
+    return hits / samples
 
 
 @dataclass

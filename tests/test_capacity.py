@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -309,6 +310,7 @@ class TestNeighborhoodCapacity:
     CLOUDS = {
         "cap768": lambda: sphere_cap_cloud(768, 1.0),
         "arc4096": lambda: arc_cloud(math.pi / 2, 4096),
+        "arc16384": lambda: arc_cloud(math.pi / 2, 2**14),
         "one-point": lambda: circle_cloud(1),
     }
 
@@ -318,6 +320,7 @@ class TestNeighborhoodCapacity:
     @pytest.mark.parametrize("block", [None, 1, 3000])
     @pytest.mark.parametrize("name, eps", [
         ("cap768", 0.01), ("cap768", 0.05), ("cap768", 0.2), ("arc4096", 0.01), ("one-point", 0.05),
+        ("arc16384", 0.005), ("arc16384", 0.05),
     ])
     def test_matches_whole_block_formula(self, name, eps, block, monkeypatch):
         cloud = self.CLOUDS[name]()
@@ -325,7 +328,81 @@ class TestNeighborhoodCapacity:
             monkeypatch.setattr(capacity, "BLOCK_ENTRIES", block)
         assert neighborhood_capacity(cloud, 1.0, eps) == whole_block_neighborhood(cloud, eps)
 
-    @pytest.mark.parametrize("samples", [0, -1])
+    # the sweep's windows are exact: caps turned by a random unitary, so
+    # that any real coordinate can be the widest and the sort axis; two
+    # opposite caps, which leave the samples between them an empty window;
+    # exact repeats and conjugates, which repeat keys along a real-part
+    # axis; and eps up to 2.5, where every window is the whole cloud
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]),
+           shape=st.sampled_from(["cap", "two caps", "repeated keys"]),
+           size=st.integers(1, 48), eps=st.floats(1e-3, 2.5),
+           samples=st.integers(1, 3000), block=st.sampled_from([None, 1, 3000]))
+    def test_sweep_matches_whole_block(self, seed, d, shape, size, eps, samples, block):
+        rng = np.random.default_rng(seed)
+        gauss = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(gauss)
+        unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+        center = np.zeros(d, dtype=complex)
+        center[0] = 1.0
+        points = center + 0.3 * sphere_sample(rng, size, d)
+        if shape == "two caps":
+            points[: size // 2] -= 2.0 * center
+        points = points / np.linalg.norm(points, axis=1, keepdims=True) @ unitary.T
+        if shape == "repeated keys":
+            points = np.vstack([points, points[: size // 2 + 1], points[::2].conj()])
+        cloud = BoundaryCloud(points)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(capacity, "BLOCK_ENTRIES", block)
+            got = neighborhood_capacity(cloud, 1.0, eps, samples=samples)
+        assert got == whole_block_neighborhood(cloud, eps, samples)
+
+    # with 2-entry blocks each pair of samples has a window of its own;
+    # one-row blocks are left out, since numpy forms a 1 x 1 product by a
+    # dot product, which can round otherwise than the whole-grid formula's
+    # matrix-vector product
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_ties_at_the_radius(self, block, monkeypatch):
+        # a cloud point whose computed d2 to a sample is eps^2 itself, and
+        # mirror images of samples, whose sort coordinate lies exactly eps =
+        # 2|y_0| from the sample's, are counted as the whole-grid formula
+        # counts them, at eps and at the floats either side of it
+        if block is not None:
+            monkeypatch.setattr(capacity, "BLOCK_ENTRIES", block)
+        grid = capacity._quasi_uniform_sphere(2, 8192)
+        cloud = BoundaryCloud(np.array([[np.exp(0.3j)]]))
+        pts = cloud.as_real()
+        d2 = np.sum(grid**2, axis=1) - 2.0 * grid @ pts[0] + np.sum(pts**2)
+        tied = [math.sqrt(v) for v in np.sort(d2[d2 < 0.01]) if math.sqrt(v) ** 2 == v]
+        cases = [(cloud, tied[-1])]
+        for y0, y1 in grid[2000:2040]:
+            mirror = BoundaryCloud(np.array([[complex(-y0, y1)]]))
+            if np.array_equal(mirror.as_real()[0], [-y0, y1]):
+                cases.append((mirror, 2.0 * y0))
+        assert len(cases) > 10
+        for case, eps in cases:
+            for radius in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)):
+                assert (neighborhood_capacity(case, 1.0, float(radius))
+                        == whole_block_neighborhood(case, float(radius)))
+
+    def test_scratch_stays_bounded_when_every_window_is_the_cloud(self):
+        # at eps = 2 each window holds all 2^16 points, and blocks of
+        # BLOCK_ENTRIES // n = 2 sample rows keep each d2 block at 1 MB
+        cloud = arc_cloud(math.pi / 2, 2**16)
+        neighborhood_capacity(circle_cloud(1), 1.0, 2.0)  # fills the sample cache
+        tracemalloc.start()
+        try:
+            value = neighborhood_capacity(cloud, 1.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0
+        assert peak < 8e6
+
+    # a float once built a grid at angles 2 pi k / 2.5, True ran as 1 and
+    # 10**13 reached numpy's allocator
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, True, 10**13, capacity.MAX_CLOUD_POINTS + 1])
     def test_sample_count_validation(self, samples):
         with pytest.raises(ArgumentError, match="samples must be >= 1"):
             neighborhood_capacity(circle_cloud(8), 1.0, 0.05, samples=samples)
